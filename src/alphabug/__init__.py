@@ -15,6 +15,7 @@ from .eigensolve import (
     SymTridiag,
     gershgorin_interval,
     jacobi_eigenvalues,
+    lane_eigenvalues,
     perron_pair,
     sturm_count,
     tridiag_eigenvalues,
@@ -78,6 +79,7 @@ __all__ = [
     "halved_tridiagonal",
     "hjoin_spectrum",
     "jacobi_eigenvalues",
+    "lane_eigenvalues",
     "perron_pair",
     "proof_decomposition",
     "quotient_matrix",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from .eigensolve import (
     ConvergenceError,
     SolveConfig,
     jacobi_eigenvalues,
+    lane_eigenvalues,
     tridiag_eigenvalues,
 )
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
@@ -95,6 +97,8 @@ def config_from_env(environ=None) -> SolveConfig:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"{ENV_TOL} must be a number, got {raw!r}") from None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{ENV_TOL} must be positive and finite, got {raw!r}")
     return replace(
         DEFAULT_CONFIG, bisection_tol=tol, jacobi_off_tol=tol, power_tol=tol
     )
@@ -179,17 +183,18 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
 
 def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
     bug = cfg.bug
+    lanes = [bug_tridiagonal(bug, alpha) for alpha in cfg.alphas]
+    extremes = lane_eigenvalues(lanes, [1, bug.d + 1], solve)
     rows = []
-    for alpha in cfg.alphas:
-        quotient = tridiag_eigenvalues(bug_tridiagonal(bug, alpha), solve)
+    for alpha, (smallest, largest) in zip(cfg.alphas, extremes.tolist()):
         closed = _closed_form(bug, alpha)
         rows.append(
             {
                 "alpha": alpha,
-                "rho": float(quotient[-1]),
+                "rho": largest,
                 "closed_form": None if closed is None else closed["value"],
                 "closed_mult": 0 if closed is None else closed["multiplicity"],
-                "min_quotient": float(quotient[0]),
+                "min_quotient": smallest,
             }
         )
     echo = _bug_echo(bug, cfg.input_form)

@@ -13,7 +13,13 @@ import math
 
 import numpy as np
 
-from .eigensolve import SolveConfig, SymTridiag, jacobi_eigenvalues, tridiag_eigenvalues
+from .eigensolve import (
+    SolveConfig,
+    SymTridiag,
+    jacobi_eigenvalues,
+    lane_eigenvalues,
+    tridiag_eigenvalues,
+)
 from .errors import UnsupportedComponentError
 from .graphs import BugSpec, HJoinSpec, check_alpha, complete_graph_alpha_spectrum
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
@@ -178,7 +184,9 @@ def spectral_radius(b: BugSpec, alpha, config: SolveConfig | None = None) -> flo
 
     Always attained in the quotient part: the diagonal entry for the
     clique cell already exceeds the closed-form eigenvalue by
-    (n-d)(1-alpha) > 0.
+    (n-d)(1-alpha) > 0. Only that eigenvalue (index d+1 of the quotient)
+    is bisected; the value is bit-identical to the top of the full
+    quotient spectrum.
     """
-    values = tridiag_eigenvalues(bug_tridiagonal(b, check_alpha(alpha)), config)
-    return float(values[-1])
+    values = lane_eigenvalues([bug_tridiagonal(b, alpha)], [b.d + 1], config)
+    return float(values[0, 0])

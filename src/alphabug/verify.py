@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SolveConfig, jacobi_eigenvalues, tridiag_eigenvalues
+from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues, tridiag_eigenvalues
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import bug_spectrum, bug_tridiagonal, proof_decomposition, spectral_radius
+from .structured import bug_spectrum, bug_tridiagonal, proof_decomposition
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
@@ -90,8 +90,11 @@ def check_interlacing(inner, outer, strict_margin: float = 1e-10) -> bool:
 def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRow]:
     """Spectral radius across every canonical split i = 1..d//2.
 
-    Ties on rho go to the larger i, so the balanced bug wins when splits
-    coincide (as they do when the middle clique collapses).
+    The d//2 quotients share the order d+1, so their top eigenvalues are
+    bisected together as lanes of one lane_eigenvalues call; each rho is
+    bit-identical to spectral_radius of its split. Ties on rho go to the
+    larger i, so the balanced bug wins when splits coincide (as they do
+    when the middle clique collapses).
     """
     n, d = int(n), int(d)
     check_alpha(alpha)
@@ -99,10 +102,8 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
         raise ValueError(f"diameter must be >= 2, got {d}")
     if n < d + 2:
         raise ValueError(f"scan needs n >= d+2 so the splits differ, got n={n}, d={d}")
-    rhos = [
-        spectral_radius(BugSpec.from_ndi(n, d, i), alpha, config)
-        for i in range(1, d // 2 + 1)
-    ]
+    lanes = [bug_tridiagonal(BugSpec.from_ndi(n, d, i), alpha) for i in range(1, d // 2 + 1)]
+    rhos = lane_eigenvalues(lanes, [d + 1], config)[:, 0].tolist()
     best = max(range(len(rhos)), key=lambda j: (rhos[j], j))
     return [ScanRow(j + 1, rho, j == best) for j, rho in enumerate(rhos)]
 

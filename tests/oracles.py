@@ -52,3 +52,49 @@ def alpha_matrix(n: int, edges, alpha: float) -> np.ndarray:
 def signless_laplacian(n: int, edges) -> np.ndarray:
     a = adjacency(n, edges)
     return np.diag(a.sum(axis=1)) + a
+
+
+def plain_bisection_eigenvalues(diag, offdiag, rel_tol: float = 1e-13) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal by textbook bisection.
+
+    One Sturm count per shift through the scalar-loop LDL^T recurrence and
+    one bisection step per round for every bracket, stopped once every
+    bracket is within rel_tol * max(1, Gershgorin span). These are the
+    start, midpoints and stop the package's multisection kernel promises to
+    reproduce bit for bit at the default tolerance.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    m = diag.size
+    if m == 1:
+        return diag.copy()
+    radius = np.zeros(m)
+    radius[:-1] += np.abs(offdiag)
+    radius[1:] += np.abs(offdiag)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    scale = max(1.0, float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(offdiag))))
+    off_sq = offdiag**2
+    tol = rel_tol * max(1.0, hi - lo)
+    pad = tol + 16.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+
+    def count(x: float) -> int:
+        tiny = np.finfo(float).eps * scale * (1.0 + abs(x))
+        below = 0
+        pivot = 1.0
+        for j in range(m):
+            pivot = diag[j] - x if j == 0 else (diag[j] - x) - off_sq[j - 1] / pivot
+            if pivot == 0.0:
+                pivot = -tiny
+            below += pivot < 0.0
+        return below
+
+    lower = [lo - pad] * m
+    upper = [hi + pad] * m
+    while max(u - v for u, v in zip(upper, lower)) > tol:
+        for k in range(m):
+            mid = 0.5 * (lower[k] + upper[k])
+            if count(mid) >= k + 1:
+                upper[k] = mid
+            else:
+                lower[k] = mid
+    return np.sort(0.5 * (np.array(lower) + np.array(upper)))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from alphabug import (
+    DEFAULT_CONFIG,
     BugSpec,
     bug_spectrum,
     bug_tridiagonal,
@@ -21,8 +22,10 @@ from alphabug import (
     halved_tridiagonal,
     perron_pair,
     proof_decomposition,
+    spectral_radius,
     tridiag_eigenvalues,
 )
+from alphabug.cli import JobConfig, _cmd_sweep
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
 from oracles import adjacency, bug_edges, signless_laplacian
 
@@ -164,6 +167,38 @@ def test_perron_pair_properties(oracle_grid):
         assert np.all(vector > 0), (inst.bug, inst.alpha)
         residual = np.linalg.norm(inst.matrix @ vector - rho * vector)
         assert residual < 1e-10 * max(1.0, rho), (inst.bug, inst.alpha)
+
+
+def test_selected_eigenvalues_match_full_spectrum(oracle_grid):
+    """On every grid instance, spectral_radius, the extremal scan and both
+    columns of sweep, which bisect only the eigenvalues they report, give
+    exactly the top and bottom of the full quotient spectrum."""
+    full = {}
+    for inst in oracle_grid.instances:
+        values = tridiag_eigenvalues(bug_tridiagonal(inst.bug, inst.alpha))
+        full[inst.bug, inst.alpha] = values
+        assert spectral_radius(inst.bug, inst.alpha) == values[-1], (inst.bug, inst.alpha)
+    bugs = {inst.bug for inst in oracle_grid.instances}
+    alphas = tuple(sorted({inst.alpha for inst in oracle_grid.instances}))
+    for bug in bugs:
+        job = JobConfig("sweep", bug=bug, input_form="ndi", alphas=alphas)
+        for row in _cmd_sweep(job, DEFAULT_CONFIG)["rows"]:
+            values = full[bug, row["alpha"]]
+            assert (row["min_quotient"], row["rho"]) == (values[0], values[-1]), (bug, row)
+    for n, d in {(b.n, b.d) for b in bugs if b.n >= b.d + 2}:
+        for alpha in alphas:
+            for row in extremal_scan(n, d, alpha):
+                assert row.rho == full[BugSpec(n, d, row.i), alpha][-1], (n, d, alpha, row)
+
+
+def test_scan_solves_only_the_radius():
+    """The scan over all 100 splits of n=2000, d=200 finishes in under one
+    second: each split bisects one eigenvalue, not its whole quotient."""
+    started = time.perf_counter()
+    rows = extremal_scan(2000, 200, 0.5)
+    elapsed = time.perf_counter() - started
+    assert len(rows) == 100
+    assert elapsed < 1.0
 
 
 def test_million_vertex_structured_solve():

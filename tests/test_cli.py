@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -271,6 +273,31 @@ class TestEnvironmentOverride:
     def test_invalid_tolerance_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", "not-a-number")
         assert run_cli(capsys, *GOLDEN_ARGS)[0] == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_non_finite_or_non_positive_tolerance_rejected(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", raw)
+        assert run_cli(capsys, *GOLDEN_ARGS)[0] == 2
+
+    def test_tolerance_below_one_ulp_terminates(self):
+        env = dict(os.environ, ALPHA_BUG_SOLVE_TOL="1e-18")
+        result = subprocess.run(
+            [sys.executable, "-m", "alphabug", "sweep", "--n", "40", "--d", "10",
+             "--i", "3", "--alphas", "0.2,0.5"],
+            capture_output=True, text=True, env=env, timeout=10, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(result.stdout)["rows"]
+        assert len(rows) == 2
+        assert all(math.isfinite(r["rho"]) and math.isfinite(r["min_quotient"]) for r in rows)
+
+    def test_bisection_step_cap_maps_to_exit_three(self, capsys, monkeypatch):
+        import alphabug.eigensolve as eigensolve
+
+        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 4)
+        code, _ = run_cli(capsys, "sweep", "--n", "40", "--d", "10", "--i", "3",
+                          "--alphas", "0.2,0.5")
+        assert code == 3
 
     def test_loose_tolerance_still_accurate(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", "1e-6")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alphabug.eigensolve as eigensolve
 from alphabug import (
     BugSpec,
     ConvergenceError,
@@ -10,10 +13,12 @@ from alphabug import (
     bug_tridiagonal,
     gershgorin_interval,
     jacobi_eigenvalues,
+    lane_eigenvalues,
     perron_pair,
     sturm_count,
     tridiag_eigenvalues,
 )
+from oracles import plain_bisection_eigenvalues
 
 # quotient matrix of the worked example: bug with n=11, d=5, i=2 at alpha=0.6
 GOLDEN = SymTridiag(
@@ -59,6 +64,12 @@ class TestSolveConfig:
             SolveConfig(max_jacobi_sweeps=0)
         with pytest.raises(ValueError):
             SolveConfig(max_power_iters=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_tolerances(self, bad):
+        for name in ("bisection_tol", "jacobi_off_tol", "power_tol"):
+            with pytest.raises(ValueError):
+                SolveConfig(**{name: bad})
 
 
 class TestGershgorin:
@@ -143,6 +154,68 @@ class TestTridiagEigenvalues:
         assert abs(values.sum() - trace) <= 1e-9 * max(1.0, abs(trace))
         fro_sq = (t.diag**2).sum() + 2 * (t.offdiag**2).sum()
         assert abs((values**2).sum() - fro_sq) <= 1e-9 * max(1.0, fro_sq)
+
+
+@st.composite
+def lane_problems(draw):
+    """L random tridiagonals of one order plus a random index list."""
+    m = draw(st.integers(1, 12))
+    entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    lanes = [
+        SymTridiag(
+            draw(st.lists(entries, min_size=m, max_size=m)),
+            draw(st.lists(entries, min_size=m - 1, max_size=m - 1)),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    indices = draw(st.lists(st.integers(1, m), min_size=1, max_size=m))
+    return lanes, indices
+
+
+class TestLaneEigenvalues:
+    @settings(max_examples=150, deadline=None)
+    @given(lane_problems())
+    def test_lanes_match_per_matrix_spectra(self, problem):
+        lanes, indices = problem
+        got = lane_eigenvalues(lanes, indices)
+        picked = np.asarray(indices) - 1
+        expected = np.array([tridiag_eigenvalues(t)[picked] for t in lanes])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 40])
+    def test_full_spectrum_matches_plain_bisection(self, m):
+        rng = np.random.default_rng(5150 + m)
+        for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
+            reference = plain_bisection_eigenvalues(t.diag, t.offdiag)
+            assert np.array_equal(tridiag_eigenvalues(t), reference)
+
+    def test_one_index_of_a_wide_matrix(self):
+        # one bracket runs several tree levels per round, the full spectrum
+        # one level; both must follow the same bisection path
+        rng = np.random.default_rng(12)
+        t = random_tridiag(rng, 300)
+        full = tridiag_eigenvalues(t)
+        for index in (1, 150, 300):
+            assert lane_eigenvalues([t], [index])[0, 0] == full[index - 1]
+
+    def test_rejects_bad_requests(self):
+        t = SymTridiag([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError):
+            lane_eigenvalues([t, SymTridiag([1.0], [])], [1])
+        for bad in ([0], [3], []):
+            with pytest.raises(ValueError):
+                lane_eigenvalues([t], bad)
+        with pytest.raises(ValueError):
+            lane_eigenvalues([], [1])
+
+    def test_tolerance_below_one_ulp_terminates(self):
+        values = tridiag_eigenvalues(GOLDEN, SolveConfig(bisection_tol=1e-300))
+        assert np.allclose(values, GOLDEN_EIGENVALUES, atol=5e-5)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 4)
+        with pytest.raises(ConvergenceError):
+            tridiag_eigenvalues(GOLDEN)
 
 
 class TestJacobi:
