@@ -42,6 +42,12 @@ EXIT_SOLVER = 3
 
 ENV_TOL = "ALPHA_BUG_SOLVE_TOL"
 COMPARE_TOL = 1e-8
+# Largest order the dense route (--method dense/all) assembles. Its cyclic
+# Jacobi runs in Python and grows like n**3: at n = 200 it took 0.5 s for
+# d = 40 and 4.9 s for d = 190, at n = 500, d = 490 it took 36 s (2-core
+# x86-64, Python 3.11, numpy 2.4). Without a cap, n = 10**6 would ask for
+# an 8 TB matrix.
+DENSE_MAX_N = 200
 
 _METHODS = ("structured", "dense", "halved", "all")
 _FORMATS = ("json", "csv")
@@ -129,6 +135,11 @@ def _closed_form(bug: BugSpec, alpha: float) -> dict | None:
 
 def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
     bug, alpha, method = cfg.bug, cfg.alpha, cfg.method
+    if method in ("dense", "all") and bug.n > DENSE_MAX_N:
+        raise ValueError(
+            f"method={method} assembles an n x n matrix and allows n <= {DENSE_MAX_N}, "
+            f"got n={bug.n}; use method=structured"
+        )
     started = time.perf_counter()
     closed = _closed_form(bug, alpha)
     quotient = None
@@ -459,6 +470,36 @@ _BATCH_KEYS = {
     "command", "n", "d", "i", "p", "q", "r",
     "alpha", "alphas", "method", "timings", "max_n", "tol",
 }
+_BATCH_INTS = ("n", "d", "i", "p", "q", "r", "max_n")
+_BATCH_NUMBERS = ("alpha", "tol")
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a finite float, not a bool (bool subclasses
+    int). json.loads also reads NaN and Infinity, which JSON does not have."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _check_batch_types(raw: dict) -> None:
+    """Reject batch values of the wrong JSON type; null counts as absent."""
+    for key in _BATCH_INTS:
+        value = raw.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"'{key}' must be a JSON integer, got {value!r}")
+    for key in _BATCH_NUMBERS:
+        value = raw.get(key)
+        if value is not None and not _is_number(value):
+            raise ValueError(f"'{key}' must be a JSON number, got {value!r}")
+    alphas = raw.get("alphas")
+    if alphas is not None and not (
+        isinstance(alphas, list) and all(_is_number(a) for a in alphas)
+    ):
+        raise ValueError(f"'alphas' must be a JSON array of numbers, got {alphas!r}")
+    timings = raw.get("timings")
+    if timings is not None and not isinstance(timings, bool):
+        raise ValueError(f"'timings' must be a JSON boolean, got {timings!r}")
 
 
 def job_from_dict(raw: dict) -> JobConfig:
@@ -471,6 +512,7 @@ def job_from_dict(raw: dict) -> JobConfig:
         if unknown & {"format", "output"}:
             raise ValueError("per-job 'format'/'output' are not allowed in batch mode")
         raise ValueError(f"unknown batch keys: {sorted(unknown)}")
+    _check_batch_types(raw)
     command = raw.get("command")
     if command not in _COMMANDS:
         raise ValueError(f"batch command must be one of {_COMMANDS}, got {command!r}")
@@ -543,6 +585,9 @@ def _run_batch(ns: argparse.Namespace, solve: SolveConfig) -> int:
             code, error = EXIT_USAGE, str(exc)
         except ConvergenceError as exc:
             code, error = EXIT_SOLVER, str(exc)
+        except Exception as exc:
+            # any other failure is this job's alone: the batch goes on
+            code, error = EXIT_USAGE, f"{type(exc).__name__}: {exc}"
         if worst == EXIT_OK and code != EXIT_OK:
             worst = code
         line = {
@@ -574,7 +619,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer argument too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

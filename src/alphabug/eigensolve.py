@@ -4,7 +4,8 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
 
 * Sturm-count bisection for symmetric tridiagonal matrices (the fast
   structured path): one routine solves selected eigenvalues of several
-  tridiagonals of the same order in lockstep,
+  tridiagonals of the same order in lockstep, jumping runs of equal rows
+  in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against),
 * power iteration for the dominant eigenpair of a nonnegative matrix.
@@ -95,6 +96,14 @@ _MULTISECTION_WIDTH = 256
 # this many steps has stopped shrinking, and the solve fails rather than
 # looping.
 _MAX_BISECTION_STEPS = 2200
+# From this order up, lane_eigenvalues and sturm_count jump each uniform run
+# of rows in closed form (_run_plan, _plan_counts). A jump costs about forty
+# numpy calls against the row loop's six per row, so short matrices keep the
+# row loop. Measured on bug quotients (2-core x86-64, numpy 2.4), the jumps
+# win from order about 40 for a full spectrum, rho alone and an 8-alpha
+# sweep, and from about 80 for a scan of all d/2 splits, whose lanes fall
+# into four plan shapes; below 40 they cost up to twice the row loop.
+_RUN_PLAN_MIN_ORDER = 64
 
 
 def _lane_bounds(diag: np.ndarray, offdiag: np.ndarray):
@@ -156,11 +165,164 @@ def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, scal
     return counts
 
 
+def _run_plan(diag: np.ndarray, off_sq: np.ndarray) -> list:
+    """Cut each lane's rows into generic rows and uniform runs, and group
+    the lanes whose cuts have the same shape.
+
+    A run is a maximal stretch of two or more rows j >= 1 that share
+    (diag[j], off_sq[j-1]) with off_sq[j-1] > 0; every other row is a
+    generic row, and row 0 is always one. Returns a list of groups
+    (lanes, steps): lanes indexes the group's lanes in diag, and each step
+    is (a, c, k), columns of shape (len(lanes), 1) holding a segment's
+    diagonal entry, the squared off-diagonal entry leading into it and, for
+    a run, its row count (None for a generic row). The cut of a lane depends
+    only on its own entries.
+    """
+    # joined[l, j-2]: row j continues the stretch of row j-1
+    joined = (
+        (diag[:, 2:] == diag[:, 1:-1])
+        & (off_sq[:, 1:] == off_sq[:, :-1])
+        & (off_sq[:, 1:] > 0.0)
+    )
+    m = diag.shape[1]
+    groups: dict[bytes, list] = {}
+    for lane, row in enumerate(joined):
+        starts = np.concatenate(([0, 1], np.flatnonzero(~row) + 2))
+        sizes = np.diff(starts, append=m)
+        groups.setdefault((sizes > 1).tobytes(), []).append((lane, starts, sizes))
+    plan = []
+    for members in groups.values():
+        lanes, starts, sizes = (np.array(column) for column in zip(*members))
+        a = np.take_along_axis(diag[lanes], starts, axis=1)
+        c = np.take_along_axis(off_sq[lanes], np.maximum(starts - 1, 0), axis=1)
+        steps = [
+            (a[:, s:s + 1], c[:, s:s + 1], sizes[:, s:s + 1] if sizes[0, s] > 1 else None)
+            for s in range(starts.shape[1])
+        ]
+        plan.append((lanes, steps))
+    return plan
+
+
+def _inside(u, q, k):
+    """|t| < 1: s[j] = sin(j theta + phi) with cos theta = |t|.
+
+    Returns the sign changes of s[0..k] and of s[0..k+1], and s[k+1]/s[k].
+    """
+    sin_theta = np.sqrt((1.0 - u) * (1.0 + u))
+    theta = np.arctan2(sin_theta, u)
+    phi = np.arctan2(sin_theta, q - u)
+    psi = k * theta + phi
+    end = psi + theta
+    return np.floor(psi / np.pi), np.floor(end / np.pi), np.sin(end) / np.sin(psi)
+
+
+def _outside(u, q, k):
+    """|t| > 1: s[j] = sinh(j mu + phi) with cosh mu = |t|, whose one zero
+    is at j = -phi/mu, or cosh(j mu + phi), which has none.
+
+    Returns as _inside.
+    """
+    sh = np.sqrt(u - 1.0) * np.sqrt(u + 1.0)
+    mu = np.log1p((u - 1.0) + sh)
+    slope = (q - u) / sh
+    sinh = np.abs(slope) > 1.0
+    phi = np.arctanh(np.where(sinh, 1.0 / slope, slope))
+    psi = k * mu + phi
+    falling = sinh & (phi < 0.0)
+    tanh = np.tanh(psi)
+    return (
+        falling & (psi >= 0.0),
+        falling & (psi + mu >= 0.0),
+        u + sh * np.where(sinh, 1.0 / tanh, tanh),
+    )
+
+
+def _edge(u, q, k):
+    """|t| = 1: s[j] is proportional to w + j with w = 1/(q - 1).
+
+    Returns as _inside.
+    """
+    w = 1.0 / (q - 1.0)
+    falling = w < 0.0
+    return falling & (w + k >= 0.0), falling & (w + k + 1.0 >= 0.0), 1.0 + 1.0 / (w + k)
+
+
+def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
+    """Negative pivots along a run of k rows of (a, c), and its last pivot.
+
+    With b = sqrt(c), t = (a - x)/(2b) and q = pivot/b, the pivot map of one
+    row is q -> 2t - 1/q, whose iterates are ratios s[j+1]/s[j] of a
+    solution of s[j+1] = 2t s[j] - s[j-1] (the Chebyshev recurrence) with
+    s[0] = 1, s[1] = q. For t < 0 the sequence -q follows the same map at
+    -t, so only |t| is solved, in the regime it falls in (_inside,
+    _outside, _edge).
+
+    With cross[j] the sign changes of s[0..j], the run's count is
+    cross[k+1] less one when the incoming pivot is negative, and its last
+    pivot is negative exactly when cross[k+1] > cross[k]. Taking both from
+    the same crossings, and the start from the incoming pivot itself, keeps
+    a rounding slip at a crossing from being counted twice: a last pivot
+    of the wrong sign is tiny, and the next row undoes it.
+    """
+    b = np.sqrt(c)
+    t = (a - shifts) / (2.0 * b)
+    flip = t < 0.0
+    u = np.abs(t)
+    q = pivot / b
+    np.negative(q, out=q, where=flip)
+    before, after, ratio = np.empty((3,) + u.shape)
+    for live, regime in ((u < 1.0, _inside), (u > 1.0, _outside), (u == 1.0, _edge)):
+        if live.all():
+            before, after, ratio = regime(u, q, k)
+            break
+        if live.any():
+            before[live], after[live], ratio[live] = regime(
+                u[live], q[live], k.repeat(u.shape[1], axis=1)[live]
+            )
+    below = np.maximum(after.astype(np.intp) - (q < 0.0), 0)
+    last = np.abs(ratio)
+    np.negative(last, out=last, where=after > before)
+    return np.where(flip, k - below, below), np.where(flip, -b, b) * last
+
+
+def _plan_counts(plan: list, shifts: np.ndarray, scale) -> np.ndarray:
+    """_sturm_counts for lanes cut by _run_plan, one closed-form jump per run.
+
+    shifts is (L, k) and scale (L, 1); the result is (L, k). Generic rows
+    take the row loop's exact arithmetic, so a plan without runs gives its
+    counts bit for bit. A zero pivot at the end of a run counts as negative
+    and becomes -tiny, as in the row loop.
+    """
+    counts = np.empty(shifts.shape, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        for lanes, steps in plan:
+            x = shifts[lanes]
+            neg_tiny = np.finfo(float).eps * scale[lanes] * (1.0 + np.abs(x))
+            np.negative(neg_tiny, out=neg_tiny)
+            below = np.zeros(x.shape, dtype=np.intp)
+            for s, (a, c, k) in enumerate(steps):
+                if k is not None:
+                    jumped, pivot = _jump(pivot, a, c, k, x)
+                    below += jumped
+                    # a zero ending a run counts as negative even where its
+                    # crossings called it positive
+                    below += (pivot == 0.0) & ~np.signbit(pivot)
+                else:
+                    pivot = a - x if s == 0 else (a - x) - c / pivot
+                    below += pivot <= 0.0
+                np.copyto(pivot, neg_tiny, where=pivot == 0.0)
+            counts[lanes] = below
+    return counts
+
+
 def sturm_count(t: SymTridiag, x: float) -> int:
     """Number of eigenvalues of t strictly less than x."""
-    _, _, scale = _lane_bounds(t.diag[None], t.offdiag[None])
+    diag, off_sq = t.diag[None], np.square(t.offdiag)[None]
+    _, _, scale = _lane_bounds(diag, t.offdiag[None])
     shifts = np.asarray([[float(x)]])
-    return int(_sturm_counts(t.diag[None], np.square(t.offdiag)[None], shifts, scale[0])[0, 0])
+    if t.order >= _RUN_PLAN_MIN_ORDER:
+        return int(_plan_counts(_run_plan(diag, off_sq), shifts, scale[:, None])[0, 0])
+    return int(_sturm_counts(diag, off_sq, shifts, scale[0])[0, 0])
 
 
 def _tree_depth(brackets: int) -> int:
@@ -209,8 +371,12 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     bisection_tol times max(1, Gershgorin span), or 4 ulps where that is
     larger. All brackets advance in lockstep, so one vectorized Sturm
     recurrence serves every lane; when the brackets are few, each round
-    evaluates several levels of their bisection trees at once. The value
-    of a bracket depends only on its own lane and index, so asking for one
+    evaluates several levels of their bisection trees at once. From order
+    _RUN_PLAN_MIN_ORDER up, each count jumps the lane's uniform runs of
+    rows in closed form (_run_plan), so a bug quotient costs O(1) numpy
+    calls per round instead of O(d); such counts can differ from the row
+    loop's only at shifts within rounding of an eigenvalue. The value of a
+    bracket depends only on its own lane and index, so asking for one
     eigenvalue gives the same bits as reading it off the full spectrum.
     """
     cfg = config or DEFAULT_CONFIG
@@ -239,6 +405,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     tol = np.repeat(tol, need.size)
     need = np.tile(need, len(lanes))
     off_sq = np.square(offdiag)
+    plan = _run_plan(diag, off_sq) if m >= _RUN_PLAN_MIN_ORDER else None
     depth = _tree_depth(lower.size)
     nodes = 2**depth - 1
     roots = np.arange(lower.size) * nodes
@@ -251,7 +418,11 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             )
         tree_lo, mid, tree_hi = _tree(lower, upper, depth)
         still_open = _open(tree_lo, tree_hi, tol[:, None]).ravel()
-        counts = _sturm_counts(diag, off_sq, mid.reshape(shape[0], -1), scale[:, None]).ravel()
+        shifts = mid.reshape(shape[0], -1)
+        if plan is None:
+            counts = _sturm_counts(diag, off_sq, shifts, scale[:, None]).ravel()
+        else:
+            counts = _plan_counts(plan, shifts, scale[:, None]).ravel()
         mid = mid.ravel()
         heap = np.zeros(lower.size, dtype=np.intp)
         active = np.ones(lower.size, dtype=bool)

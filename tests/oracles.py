@@ -87,6 +87,34 @@ def exact_alpha_nullity(n: int, edges, alpha, value) -> int:
     return n - rank
 
 
+def _pivot_count(diag, off_sq, scale: float, x: float) -> int:
+    """Non-positive pivots of the shifted LDL^T recurrence, one row at a
+    time; a zero pivot counts and is replaced by -eps*scale*(1+|x|)."""
+    tiny = np.finfo(float).eps * scale * (1.0 + abs(x))
+    below = 0
+    pivot = 1.0
+    # a subnormal pivot overflows the next quotient to inf, as in the package
+    with np.errstate(over="ignore"):
+        for j in range(diag.size):
+            pivot = diag[j] - x if j == 0 else (diag[j] - x) - off_sq[j - 1] / pivot
+            if pivot == 0.0:
+                pivot = -tiny
+            below += pivot < 0.0
+    return below
+
+
+def row_loop_count(diag, offdiag, x: float) -> int:
+    """Eigenvalues of a symmetric tridiagonal strictly below x, by the
+    scalar pivot recurrence over every row, with the package's zero-pivot
+    rule and norm scale."""
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    scale = max(
+        1.0, float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(offdiag), initial=0.0))
+    )
+    return _pivot_count(diag, offdiag**2, scale, float(x))
+
+
 def plain_bisection_eigenvalues(diag, offdiag, rel_tol: float = 1e-13) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal by textbook bisection.
 
@@ -111,15 +139,7 @@ def plain_bisection_eigenvalues(diag, offdiag, rel_tol: float = 1e-13) -> np.nda
     pad = tol + 16.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
 
     def count(x: float) -> int:
-        tiny = np.finfo(float).eps * scale * (1.0 + abs(x))
-        below = 0
-        pivot = 1.0
-        for j in range(m):
-            pivot = diag[j] - x if j == 0 else (diag[j] - x) - off_sq[j - 1] / pivot
-            if pivot == 0.0:
-                pivot = -tiny
-            below += pivot < 0.0
-        return below
+        return _pivot_count(diag, off_sq, scale, x)
 
     lower = [lo - pad] * m
     upper = [hi + pad] * m

@@ -21,6 +21,7 @@ from alphabug import (
     compare_spectra,
     extremal_scan,
     halved_tridiagonal,
+    lane_eigenvalues,
     perron_pair,
     proof_decomposition,
     spectral_radius,
@@ -28,7 +29,13 @@ from alphabug import (
 )
 from alphabug.cli import JobConfig, _cmd_sweep
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
-from oracles import adjacency, bug_edges, exact_alpha_nullity, signless_laplacian
+from oracles import (
+    adjacency,
+    bug_edges,
+    exact_alpha_nullity,
+    plain_bisection_eigenvalues,
+    signless_laplacian,
+)
 
 
 def test_golden_example_reproduction():
@@ -197,6 +204,53 @@ def test_selected_eigenvalues_match_full_spectrum(oracle_grid):
         for alpha in alphas:
             for row in extremal_scan(n, d, alpha):
                 assert row.rho == full[BugSpec(n, d, row.i), alpha][-1], (n, d, alpha, row)
+
+
+@pytest.mark.parametrize("n, d", [(2000, 200), (1200, 500)])
+def test_selected_eigenvalues_match_full_spectrum_on_run_plans(n, d):
+    """At orders that jump uniform runs in closed form, spectral_radius,
+    every extremal_scan row and both sweep columns are still exactly the
+    top and bottom of the full quotient spectrum.
+
+    The full spectra of all d/2 splits come from one lane_eigenvalues call
+    per alpha; a sample of its lanes is checked against tridiag_eigenvalues,
+    the route bug_spectrum takes."""
+    alphas = (0.0, 0.37, 0.5)
+    splits = range(1, d // 2 + 1)
+    full = {}
+    for alpha in alphas:
+        lanes = [bug_tridiagonal(BugSpec(n, d, i), alpha) for i in splits]
+        values = np.sort(lane_eigenvalues(lanes, np.arange(1, d + 2)), axis=1)
+        for i, row in zip(splits, values):
+            full[i, alpha] = row
+        for i in (1, 2, 3, 4, d // 2):
+            assert np.array_equal(tridiag_eigenvalues(lanes[i - 1]), full[i, alpha]), (i, alpha)
+        for row in extremal_scan(n, d, alpha):
+            assert row.rho == full[row.i, alpha][-1], (alpha, row)
+    for i in (1, 2, 3, 4, d // 4, d // 2):
+        bug = BugSpec(n, d, i)
+        for alpha in alphas:
+            assert spectral_radius(bug, alpha) == full[i, alpha][-1], (i, alpha)
+        job = JobConfig("sweep", bug=bug, input_form="ndi", alphas=alphas)
+        for row in _cmd_sweep(job, DEFAULT_CONFIG)["rows"]:
+            values = full[i, row["alpha"]]
+            assert (row["min_quotient"], row["rho"]) == (values[0], values[-1]), (i, row)
+
+
+def test_run_plan_spectra_match_plain_bisection():
+    """On 50 seeded random bugs with d >= 64, every quotient eigenvalue is
+    within 1e-12 * max(1, rho) of textbook bisection with the row loop."""
+    rng = np.random.default_rng(64)
+    for _ in range(50):
+        d = int(rng.integers(64, 81))
+        n = d + int(rng.integers(2, 10**6))
+        bug = BugSpec(n, d, int(rng.integers(1, d // 2 + 1)))
+        alpha = float(rng.choice([0.0, 0.5, round(rng.uniform(0.0, 0.99), 6)]))
+        t = bug_tridiagonal(bug, alpha)
+        values = tridiag_eigenvalues(t)
+        reference = plain_bisection_eigenvalues(t.diag, t.offdiag)
+        bound = 1e-12 * max(1.0, float(reference[-1]))
+        assert np.max(np.abs(values - reference)) <= bound, (bug, alpha)
 
 
 def test_scan_solves_only_the_radius():

@@ -269,6 +269,99 @@ class TestBatchCommand:
         assert line["result"]["summary"]["ok"] is False
 
 
+    @pytest.mark.parametrize("bad", [
+        '{"command": "scan", "n": 1e400, "d": 4, "alpha": 0.6}',
+        '{"command": "sweep", "n": 11, "d": 5, "i": 2, "alphas": [[1]]}',
+        '{"command": "scan", "n": 1%s, "d": 4, "alpha": 0.6}' % ("0" * 400),
+    ])
+    def test_bad_job_fails_only_itself(self, capsys, tmp_path, bad):
+        source = tmp_path / "jobs.json"
+        source.write_text("[%s, %s]" % (bad, json.dumps({"command": "scan", "n": 6, "d": 2, "alpha": 0})))
+        code, out = run_cli(capsys, "batch", str(source))
+        assert code == 2
+        first, second = (json.loads(line) for line in out.splitlines())
+        assert (first["status"], first["exit_code"], first["result"]) == ("error", 2, None)
+        assert second["status"] == "ok" and second["result"]["argmax_i"] == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 10.7), ("n", 10.0), ("n", True), ("d", "4"), ("alpha", "0.6"),
+        ("alpha", False), ("alpha", [0.6]),
+    ])
+    def test_scan_fields_need_strict_json_types(self, capsys, tmp_path, key, value):
+        job = {"command": "scan", "n": 10, "d": 4, "alpha": 0.6, key: value}
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([job]))
+        code, out = run_cli(capsys, "batch", str(source))
+        line = json.loads(out)
+        assert code == 2 and line["exit_code"] == 2
+        assert f"'{key}'" in line["error"]
+
+    @pytest.mark.parametrize("job", [
+        {"command": "spectrum", "p": 8, "q": 2.5, "r": 3, "alpha": 0.6},
+        {"command": "sweep", "n": 11, "d": 5, "i": 2, "alphas": [0.5, "0.6"]},
+        {"command": "sweep", "n": 11, "d": 5, "i": 2, "alphas": [True]},
+        {"command": "verify", "max_n": 4.0},
+        {"command": "verify", "max_n": 4, "tol": "1e-8"},
+        {"command": "spectrum", "n": 11, "d": 5, "i": 2, "alpha": 0.6, "timings": 1},
+    ])
+    def test_other_fields_need_strict_json_types(self, capsys, tmp_path, job):
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([job]))
+        code, out = run_cli(capsys, "batch", str(source))
+        assert code == 2 and json.loads(out)["exit_code"] == 2
+
+    @pytest.mark.parametrize("field", ['"tol": NaN', '"tol": Infinity', '"alphas": [0.5, -Infinity]'])
+    def test_non_finite_numbers_are_not_json_numbers(self, capsys, tmp_path, field):
+        source = tmp_path / "jobs.json"
+        source.write_text('[{"command": "verify", "max_n": 4, %s}]' % field)
+        code, out = run_cli(capsys, "batch", str(source))
+        line = json.loads(out)
+        assert code == 2 and line["exit_code"] == 2 and line["result"] is None
+
+
+class TestDenseSizeCap:
+    @pytest.fixture
+    def no_assembly(self, monkeypatch):
+        import alphabug.cli as cli_module
+
+        class Assembled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Assembled("assemble_dense_alpha was called")
+
+        monkeypatch.setattr(cli_module, "assemble_dense_alpha", refuse)
+        return cli_module.DENSE_MAX_N, Assembled
+
+    @pytest.mark.parametrize("method", ["dense", "all"])
+    def test_order_above_cap_exits_two_before_assembly(self, capsys, no_assembly, method):
+        cap, _ = no_assembly
+        code, _ = run_cli(capsys, "spectrum", "--n", str(cap + 1), "--d", "5", "--i", "2",
+                          "--alpha", "0.6", "--method", method)
+        assert code == 2
+        code, _ = run_cli(capsys, "spectrum", "--n", "1000000", "--d", "1000", "--i", "500",
+                          "--alpha", "0.6", "--method", method)
+        assert code == 2
+
+    def test_batch_order_above_cap_fails_only_its_job(self, capsys, tmp_path, no_assembly):
+        cap, _ = no_assembly
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([
+            {"command": "spectrum", "n": cap + 1, "d": 5, "i": 2, "alpha": 0.6, "method": "all"},
+            {"command": "spectrum", "n": 11, "d": 5, "i": 2, "alpha": 0.6},
+        ]))
+        code, out = run_cli(capsys, "batch", str(source))
+        first, second = (json.loads(line) for line in out.splitlines())
+        assert code == 2 and first["exit_code"] == 2 and str(cap) in first["error"]
+        assert second["status"] == "ok"
+
+    def test_order_at_cap_reaches_assembly(self, capsys, no_assembly):
+        cap, assembled = no_assembly
+        with pytest.raises(assembled):
+            main(["spectrum", "--n", str(cap), "--d", "5", "--i", "2", "--alpha", "0.6",
+                  "--method", "dense"])
+
+
 class TestEnvironmentOverride:
     def test_invalid_tolerance_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", "not-a-number")
@@ -321,6 +414,9 @@ class TestEnvironmentOverride:
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["polish"]) == 2
+
+    def test_integer_too_large_for_a_float(self, capsys):
+        assert main(["scan", "--n", "1" + "0" * 400, "--d", "4", "--alpha", "0.5"]) == 2
 
     def test_no_command(self, capsys):
         assert main([]) == 2

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from alphabug import (
     sturm_count,
     tridiag_eigenvalues,
 )
-from oracles import plain_bisection_eigenvalues
+from alphabug.structured import halved_tridiagonal, proof_decomposition
+from oracles import plain_bisection_eigenvalues, row_loop_count
 
 # quotient matrix of the worked example: bug with n=11, d=5, i=2 at alpha=0.6
 GOLDEN = SymTridiag(
@@ -216,6 +220,91 @@ class TestLaneEigenvalues:
         monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 4)
         with pytest.raises(ConvergenceError):
             tridiag_eigenvalues(GOLDEN)
+
+
+@st.composite
+def path_like_counts(draw):
+    """A path-like tridiagonal of order 64..400 with a list of shifts.
+
+    Either uniform (a, b != 0) with up to six random special cells, or a
+    bug, halved or inner matrix (alpha 0, 0.5 or random). The shifts are
+    random reals, integers, halves and thirds over the Gershgorin interval,
+    and the band edges a +- 2b of the uniform part.
+    """
+    kind = draw(st.sampled_from(["path", "bug", "halved", "inner"]))
+    if kind == "path":
+        m = draw(st.integers(64, 400))
+        a = draw(st.floats(-5, 5))
+        b = draw(st.floats(0.05, 5)) * draw(st.sampled_from([-1.0, 1.0]))
+        diag, offdiag = np.full(m, a), np.full(m - 1, b)
+        for _ in range(draw(st.integers(0, 6))):
+            j = draw(st.integers(0, m - 2))
+            if draw(st.booleans()):
+                diag[j] = draw(st.floats(-10, 10))
+            else:
+                offdiag[j] = draw(st.floats(-5, 5))
+        t = SymTridiag(diag, offdiag)
+    else:
+        alpha = draw(st.sampled_from([0.0, 0.5]) | st.floats(0, 0.99))
+        a, b = 2.0 * alpha, 1.0 - alpha
+        d = draw(st.integers(128, 400))
+        n = d + draw(st.integers(2, 10**6))
+        if kind == "bug":
+            t = bug_tridiagonal(BugSpec(n, d, draw(st.integers(1, d // 2))), alpha)
+        else:
+            d -= d % 2  # the halved and inner matrices need an even diameter
+            if kind == "halved":
+                t = halved_tridiagonal(n, d, alpha)
+            else:
+                t = proof_decomposition(BugSpec(n, d, d // 2), alpha)[1]
+    lo, hi = gershgorin_interval(t)
+    whole = st.integers(math.floor(3 * lo) - 1, math.ceil(3 * hi) + 1)
+    shifts = draw(st.lists(st.floats(lo - 1, hi + 1), max_size=10))
+    shifts += [k / 3 for k in draw(st.lists(whole, max_size=10))]
+    shifts += [k / 2 for k in draw(st.lists(whole, max_size=10))]
+    shifts += [float(k // 3) for k in draw(st.lists(whole, max_size=10))]
+    shifts += [a - 2 * abs(b), a + 2 * abs(b)]
+    return t, shifts
+
+
+class TestRunPlanCounts:
+    @settings(max_examples=120, deadline=None)
+    @given(path_like_counts())
+    def test_counts_match_the_row_loop_away_from_eigenvalues(self, problem):
+        t, shifts = problem
+        assert t.order >= eigensolve._RUN_PLAN_MIN_ORDER
+        values = np.linalg.eigvalsh(t.to_dense())
+        margin = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+        for x in shifts:
+            if np.min(np.abs(values - x)) > margin:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    count = sturm_count(t, x)
+                assert count == row_loop_count(t.diag, t.offdiag, x), x
+
+    def test_runs_are_jumped_in_closed_form(self):
+        t = bug_tridiagonal(BugSpec(1000, 200, 50), 0.3)
+        (lanes, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        assert lanes.tolist() == [0]
+        assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [
+            None, 48, None, None, None, 148, None,
+        ]
+
+    def test_mixed_lanes_match_each_lane_alone(self):
+        # lanes of different plan shapes share one call; each must keep the
+        # bits it has when solved alone
+        d = 120
+        lanes = [
+            bug_tridiagonal(BugSpec(900, d, i), alpha)
+            for i in (1, 2, 3, d // 2)
+            for alpha in (0.0, 0.5)
+        ]
+        indices = [1, 2, d // 2, d, d + 1]
+        together = lane_eigenvalues(lanes, indices)
+        for row, t in zip(together, lanes):
+            alone = lane_eigenvalues([t], indices)[0]
+            assert np.array_equal(row, alone)
+            assert np.array_equal(row, tridiag_eigenvalues(t)[np.asarray(indices) - 1])
 
 
 class TestJacobi:
