@@ -4,9 +4,9 @@ A bug is a complete graph with one edge removed and a path attached at
 each end of the missing edge.  Its A_alpha spectrum splits into a
 closed-form eigenvalue of known multiplicity plus the eigenvalues of a
 small tridiagonal quotient matrix, which makes million-vertex instances
-tractable.  The package ships the structured route, a dense brute-force
-oracle, self-contained eigensolvers, and a verification harness tying
-them together.
+tractable.  The package ships the structured route, a dense route built
+from the bug's edge list, self-contained eigensolvers, and a
+verification harness tying them together.
 """
 
 from .eigensolve import (
@@ -20,22 +20,14 @@ from .eigensolve import (
     sturm_count,
     tridiag_eigenvalues,
 )
-from .errors import ConvergenceError, UnsupportedComponentError
-from .graphs import (
-    BugSpec,
-    HJoinSpec,
-    RegularComponent,
-    assemble_dense_alpha,
-    complete_graph_alpha_spectrum,
-)
+from .errors import ConvergenceError
+from .graphs import BugSpec, assemble_dense_alpha
 from .spectrum import Spectrum, SpectrumEntry
 from .structured import (
     bug_spectrum,
     bug_tridiagonal,
     halved_tridiagonal,
-    hjoin_spectrum,
     proof_decomposition,
-    quotient_matrix,
     spectral_radius,
 )
 from .verify import (
@@ -57,14 +49,11 @@ __all__ = [
     "ComparisonReport",
     "ConvergenceError",
     "DEFAULT_CONFIG",
-    "HJoinSpec",
-    "RegularComponent",
     "ScanRow",
     "SolveConfig",
     "Spectrum",
     "SpectrumEntry",
     "SymTridiag",
-    "UnsupportedComponentError",
     "VerificationSummary",
     "assemble_dense_alpha",
     "bug_spectrum",
@@ -72,17 +61,14 @@ __all__ = [
     "check_interlacing",
     "cluster_multiplicity",
     "compare_spectra",
-    "complete_graph_alpha_spectrum",
     "enumerate_bugs",
     "extremal_scan",
     "gershgorin_interval",
     "halved_tridiagonal",
-    "hjoin_spectrum",
     "jacobi_eigenvalues",
     "lane_eigenvalues",
     "perron_pair",
     "proof_decomposition",
-    "quotient_matrix",
     "run_verification",
     "spectral_radius",
     "sturm_count",

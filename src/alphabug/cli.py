@@ -159,7 +159,7 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
         ).tolist()
         rho = quotient[-1]
     if method in ("dense", "all"):
-        w = assemble_dense_alpha(bug.to_hjoin(), alpha)
+        w = assemble_dense_alpha(bug, alpha)
         dense_values = jacobi_eigenvalues(w, solve)
         if method == "dense":
             radius = 1e-7 * max(1.0, float(dense_values[-1]))
@@ -453,8 +453,6 @@ def _config_from_namespace(ns: argparse.Namespace) -> JobConfig:
         )
     if command == "verify":
         alphas = None if ns.alphas is None else _parse_alpha_list(ns.alphas)
-        if ns.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
         return JobConfig(
             command,
             alphas=alphas,
@@ -554,8 +552,6 @@ def job_from_dict(raw: dict) -> JobConfig:
             raise ValueError("verify 'alphas' must be a non-empty list")
         alphas = tuple(check_alpha(a) for a in alphas)
     tol = float(get("tol", COMPARE_TOL))
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     return JobConfig(command, alphas=alphas, max_n=int(get("max_n", 12)), tol=tol)
 
 

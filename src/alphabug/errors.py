@@ -1,13 +1,5 @@
 """Exception types shared across the package."""
 
 
-class UnsupportedComponentError(ValueError):
-    """Raised when an H-join component is not a complete graph.
-
-    The structured spectrum formulas implemented here need the component
-    spectra in closed form, which we only carry for K_m.
-    """
-
-
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solver exhausts its iteration budget."""

@@ -1,11 +1,9 @@
-"""Bug graphs, H-joins of regular components, and dense A_alpha assembly.
+"""Bug graphs and their dense A_alpha matrices.
 
 A bug is a complete graph with one edge uv removed and a path glued onto
-each of u and v. Every bug of order n and diameter d decomposes as a
-path-join: d cells holding single vertices around one cell holding the
-middle clique K_{n-d}. That decomposition is what the structured spectrum
-code consumes; the dense assembly here is the brute-force counterpart used
-to verify it.
+each of u and v. The structured spectrum code reduces it to a quotient of
+order d+1; the dense matrix here is assembled straight from the bug's edge
+list instead, so that comparing the two checks the reduction.
 """
 
 from __future__ import annotations
@@ -13,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import UnsupportedComponentError
-from .spectrum import CLOSED_FORM, Spectrum, SpectrumEntry
 
 
 def check_alpha(alpha) -> float:
@@ -105,153 +100,34 @@ class BugSpec:
         return self.i if self.mirrored else self.d - self.i
 
     @property
+    def order(self) -> int:
+        """Number of vertices (the same as n)."""
+        return self.n
+
+    @property
     def clique_order(self) -> int:
         """Order of the middle clique K_{n-d} (1 collapses the bug to a path)."""
         return self.n - self.d
 
-    def to_hjoin(self) -> "HJoinSpec":
-        """The path-join form: i single-vertex cells, K_{n-d}, d-i more cells."""
-        one = RegularComponent.complete(1)
-        components = (
-            [one] * self.i
-            + [RegularComponent.complete(self.clique_order)]
-            + [one] * (self.d - self.i)
-        )
-        return HJoinSpec.path(components)
 
+def assemble_dense_alpha(bug: BugSpec, alpha) -> np.ndarray:
+    """Dense A_alpha = alpha*D + (1-alpha)*A of the bug, from its edge list.
 
-@dataclass(frozen=True)
-class RegularComponent:
-    """A regular graph sitting on one host vertex of an H-join."""
-
-    order: int
-    degree: int
-
-    def __post_init__(self):
-        _check_int("order", self.order)
-        _check_int("degree", self.degree)
-        if self.order < 1:
-            raise ValueError(f"component order must be >= 1, got {self.order}")
-        if not 0 <= self.degree <= self.order - 1:
-            raise ValueError(
-                f"degree {self.degree} impossible for a simple graph of order {self.order}"
-            )
-        if (self.order * self.degree) % 2 != 0:
-            raise ValueError(
-                f"no graph has an odd degree sum (order {self.order}, degree {self.degree})"
-            )
-
-    @classmethod
-    def complete(cls, m) -> "RegularComponent":
-        return cls(int(m), int(m) - 1)
-
-    @property
-    def is_complete(self) -> bool:
-        # an (m-1)-regular graph on m vertices can only be K_m
-        return self.degree == self.order - 1
-
-
-@dataclass(frozen=True)
-class HJoinSpec:
-    """A host graph H (0-based vertices) with one component per host vertex.
-
-    The join graph keeps every component's internal edges and adds all
-    edges between two components whenever their host vertices are adjacent.
-    """
-
-    components: tuple[RegularComponent, ...]
-    host_edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        components = tuple(self.components)
-        k = len(components)
-        if k == 0:
-            raise ValueError("an H-join needs at least one component")
-        seen = set()
-        normalized = []
-        for edge in self.host_edges:
-            a, b = int(edge[0]), int(edge[1])
-            if a == b:
-                raise ValueError(f"host graph must be simple: loop at vertex {a}")
-            if not (0 <= a < k and 0 <= b < k):
-                raise ValueError(f"host edge {edge!r} outside vertex range 0..{k - 1}")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise ValueError(f"duplicate host edge {key!r}")
-            seen.add(key)
-            normalized.append(key)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "host_edges", tuple(sorted(normalized)))
-
-    @classmethod
-    def path(cls, components) -> "HJoinSpec":
-        """H-join whose host is the path 0-1-...-(k-1)."""
-        components = tuple(components)
-        return cls(components, tuple((j, j + 1) for j in range(len(components) - 1)))
-
-    @property
-    def order(self) -> int:
-        return sum(c.order for c in self.components)
-
-    @property
-    def is_path_host(self) -> bool:
-        k = len(self.components)
-        return self.host_edges == tuple((j, j + 1) for j in range(k - 1))
-
-    def neighbor_totals(self) -> np.ndarray:
-        """s_j = number of vertices across components host-adjacent to cell j."""
-        s = np.zeros(len(self.components))
-        for a, b in self.host_edges:
-            s[a] += self.components[b].order
-            s[b] += self.components[a].order
-        return s
-
-
-def assemble_dense_alpha(h: HJoinSpec, alpha) -> np.ndarray:
-    """Dense A_alpha = alpha*D + (1-alpha)*A of the H-join graph.
-
-    Vertices are blocked by component in host order; inside the K_m blocks
-    every off-diagonal entry is 1-alpha, host edges contribute all-ones
-    cross blocks scaled by 1-alpha, and the diagonal carries
-    alpha * (component degree + s_j).
+    Vertices are numbered along the bug: the left path ending at u
+    (0..i-1), the middle clique K_{n-d}, then v and the right path. The
+    edges are the two paths, u and v each joined to every clique vertex,
+    and the clique's own edges.
     """
     alpha = check_alpha(alpha)
-    for c in h.components:
-        if not c.is_complete:
-            raise UnsupportedComponentError(
-                f"dense assembly only supports complete components, got {c!r}"
-            )
-    beta = 1.0 - alpha
-    sizes = [c.order for c in h.components]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    a = np.zeros((total, total))
-    for j, c in enumerate(h.components):
-        if c.order > 1:
-            block = slice(offsets[j], offsets[j + 1])
-            a[block, block] = beta
-    for x, y in h.host_edges:
-        a[offsets[x]:offsets[x + 1], offsets[y]:offsets[y + 1]] = beta
-        a[offsets[y]:offsets[y + 1], offsets[x]:offsets[x + 1]] = beta
-    s = h.neighbor_totals()
-    diagonal = np.concatenate(
-        [np.full(c.order, alpha * (c.degree + s[j])) for j, c in enumerate(h.components)]
-    )
-    np.fill_diagonal(a, diagonal)
+    n, u, w = bug.n, bug.i - 1, bug.clique_order
+    v = u + w + 1
+    clique = np.arange(u + 1, v)
+    inner_x, inner_y = np.triu_indices(w, 1)
+    steps = np.concatenate([np.arange(u), np.arange(v, n - 1)])
+    x = np.concatenate([steps, np.full(w, u), clique, clique[inner_x]])
+    y = np.concatenate([steps + 1, clique, np.full(w, v), clique[inner_y]])
+    a = np.zeros((n, n))
+    a[x, y] = 1.0 - alpha
+    a[y, x] = 1.0 - alpha
+    a[np.diag_indices(n)] = alpha * np.bincount(np.concatenate([x, y]), minlength=n)
     return a
-
-
-def complete_graph_alpha_spectrum(m, alpha) -> Spectrum:
-    """A_alpha spectrum of K_m: {m-1 simple, alpha*m-1 with multiplicity m-1}."""
-    m = _check_int("m", m)
-    alpha = check_alpha(alpha)
-    if m < 1:
-        raise ValueError(f"complete graph order must be >= 1, got {m}")
-    if m == 1:
-        return Spectrum((SpectrumEntry(0.0, 1, CLOSED_FORM),))
-    return Spectrum.from_entries(
-        [
-            SpectrumEntry(alpha * m - 1.0, m - 1, CLOSED_FORM),
-            SpectrumEntry(float(m - 1), 1, CLOSED_FORM),
-        ]
-    )

@@ -1,10 +1,11 @@
-"""Structured spectral reductions for bugs and H-joins of complete graphs.
+"""Structured spectral reductions for bugs.
 
-The full A_alpha spectrum of an H-join of complete graphs splits into
-closed-form component eigenvalues plus the spectrum of a small quotient
-matrix (one row per host vertex). For a bug that quotient is tridiagonal
-of order d+1, and for the balanced bug (i = d/2) reflection symmetry
-halves it once more.
+The bug's vertices fall into d+1 cells along its longest path: one vertex
+per path cell and the middle clique K_{n-d} as one cell. That partition is
+equitable, so the full A_alpha spectrum splits into a closed-form
+eigenvalue carried by the clique plus the spectrum of the symmetrized
+quotient, a tridiagonal of order d+1. For the balanced bug (i = d/2)
+reflection symmetry halves it once more.
 """
 
 from __future__ import annotations
@@ -13,47 +14,19 @@ import math
 
 import numpy as np
 
-from .eigensolve import (
-    SolveConfig,
-    SymTridiag,
-    jacobi_eigenvalues,
-    lane_eigenvalues,
-    tridiag_eigenvalues,
-)
-from .errors import UnsupportedComponentError
-from .graphs import BugSpec, HJoinSpec, check_alpha, complete_graph_alpha_spectrum
+from .eigensolve import SolveConfig, SymTridiag, lane_eigenvalues, tridiag_eigenvalues
+from .graphs import BugSpec, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
-
-
-def quotient_matrix(h: HJoinSpec, alpha) -> np.ndarray:
-    """The k x k quotient of an H-join of regular components.
-
-    Diagonal entry j is alpha*s_j + r_j; host edge (a, b) contributes
-    (1-alpha)*sqrt(n_a*n_b) symmetrically. Its eigenvalues are exactly the
-    join's eigenvalues that do not come from individual components.
-    """
-    alpha = check_alpha(alpha)
-    beta = 1.0 - alpha
-    k = len(h.components)
-    s = h.neighbor_totals()
-    m = np.zeros((k, k))
-    for j, c in enumerate(h.components):
-        m[j, j] = alpha * s[j] + c.degree
-    for a, b in h.host_edges:
-        weight = beta * math.sqrt(h.components[a].order * h.components[b].order)
-        m[a, b] = weight
-        m[b, a] = weight
-    return m
 
 
 def bug_tridiagonal(b: BugSpec, alpha) -> SymTridiag:
     """Order d+1 tridiagonal carrying the simple part of the bug spectrum.
 
-    Assembled directly from (n, d, i); agrees entrywise with
-    quotient_matrix(b.to_hjoin(), alpha), which the tests enforce. Cells
-    i-1, i, i+1 (0-based) are the deleted-edge endpoints around the middle
-    clique; endpoints that coincide with a path end lose one neighbor cell,
-    hence the alpha*w corrections below.
+    Assembled directly from (n, d, i); the tests check it entrywise against
+    the symmetrized quotient of the cell partition built from the edge
+    list. Cells i-1, i, i+1 (0-based) are the deleted-edge endpoints around
+    the middle clique; endpoints that coincide with a path end lose one
+    neighbor cell, hence the alpha*w corrections below.
     """
     alpha = check_alpha(alpha)
     beta = 1.0 - alpha
@@ -88,46 +61,6 @@ def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectr
         )
     spectrum = Spectrum.from_entries(entries)
     assert spectrum.order == b.n
-    return spectrum
-
-
-def hjoin_spectrum(h: HJoinSpec, alpha, config: SolveConfig | None = None) -> Spectrum:
-    """Complete A_alpha spectrum of an H-join of complete components.
-
-    Each component K_m with m > 1 contributes alpha*s_j + (alpha*m - 1)
-    with multiplicity m-1 (its spectrum with the regularity eigenvalue
-    m-1 removed, shifted); the quotient matrix supplies the rest.
-    """
-    alpha = check_alpha(alpha)
-    for c in h.components:
-        if not c.is_complete:
-            raise UnsupportedComponentError(
-                f"structured spectrum needs complete components, got {c!r}"
-            )
-    s = h.neighbor_totals()
-    entries = []
-    for j, c in enumerate(h.components):
-        if c.order == 1:
-            continue
-        removed = False
-        for e in complete_graph_alpha_spectrum(c.order, alpha).entries:
-            multiplicity = e.multiplicity
-            if not removed and e.value == float(c.degree):
-                multiplicity -= 1
-                removed = True
-            if multiplicity > 0:
-                entries.append(
-                    SpectrumEntry(alpha * s[j] + e.value, multiplicity, CLOSED_FORM)
-                )
-    quotient = quotient_matrix(h, alpha)
-    if h.is_path_host:
-        tri = SymTridiag(quotient.diagonal().copy(), np.diagonal(quotient, 1).copy())
-        quotient_values = tridiag_eigenvalues(tri, config)
-    else:
-        quotient_values = jacobi_eigenvalues(quotient, config)
-    entries.extend(SpectrumEntry(float(v), 1, QUOTIENT) for v in quotient_values)
-    spectrum = Spectrum.from_entries(entries)
-    assert spectrum.order == h.order
     return spectrum
 
 

@@ -7,6 +7,7 @@ cluster multiplicities, and the extremal scan over the path split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ from .structured import bug_spectrum, bug_tridiagonal, proof_decomposition
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
 CLUSTER_RADIUS = 1e-7
+# Largest max_n run_verification accepts. Every grid bug goes through the
+# dense Jacobi solve, which runs in Python: on the default alpha grid
+# `alphabug verify` took 4.7 s at max_n = 12 and 16 s at max_n = 16 (2-core
+# x86-64, Python 3.11, numpy 2.4).
+VERIFY_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -155,15 +161,19 @@ def run_verification(
     between the symmetric and antisymmetric end-localized eigenpair decays
     exponentially in the path length, so the genuine gap drops below any
     fixed noise margin even though strict interlacing still holds exactly.
+
+    max_n may not exceed VERIFY_MAX_N, and tol must be positive and finite;
+    both are checked before any matrix is assembled.
     """
     max_n = int(max_n)
-    if max_n < 3:
-        raise ValueError(f"max_n must be >= 3, got {max_n}")
+    if not 3 <= max_n <= VERIFY_MAX_N:
+        raise ValueError(f"max_n must lie in 3..{VERIFY_MAX_N}, got {max_n}")
     alphas = tuple(check_alpha(a) for a in alphas)
     if not alphas:
         raise ValueError("alpha grid must be non-empty")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     instances = 0
     checks_run = 0
     checks_passed = 0
@@ -179,11 +189,10 @@ def run_verification(
             failures.append(message)
 
     for b in enumerate_bugs(max_n):
-        dense_matrix_builder = b.to_hjoin()
         for alpha in alphas:
             instances += 1
             structured = bug_spectrum(b, alpha, config)
-            dense = jacobi_eigenvalues(assemble_dense_alpha(dense_matrix_builder, alpha), config)
+            dense = jacobi_eigenvalues(assemble_dense_alpha(b, alpha), config)
             report = compare_spectra(structured, dense, tol)
             worst = max(worst, report.max_abs_deviation)
             record(

@@ -44,9 +44,8 @@ def oracle_grid() -> GridResult:
     started = time.perf_counter()
     instances = []
     for bug in all_bugs(GRID_MAX_N):
-        hjoin = bug.to_hjoin()
         for alpha in GRID_ALPHAS:
-            matrix = assemble_dense_alpha(hjoin, alpha)
+            matrix = assemble_dense_alpha(bug, alpha)
             instances.append(
                 GridInstance(
                     bug=bug,

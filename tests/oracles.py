@@ -2,7 +2,7 @@
 
 Everything here is built straight from first principles -- edge lists of
 the graph definition and explicit degree/adjacency assembly -- so it
-shares no code path with the package's H-join block construction.
+shares no code path with the package's dense assembly or its quotient.
 """
 
 from __future__ import annotations
@@ -28,6 +28,45 @@ def bug_edges(p: int, q: int, r: int) -> list[tuple[int, int]]:
             prev = nxt
             nxt += 1
     return edges
+
+
+def bug_cells(p: int, q: int, r: int) -> list[list[int]]:
+    """The d+1 cells of the bug of bug_edges(p, q, r), in path order.
+
+    One cell per vertex of the left path, from its free end to vertex 0,
+    then the p-2 remaining clique vertices as one cell, then vertex 1 and
+    the right path out to its free end.
+    """
+    left = [[x] for x in range(p + q - 2, p - 1, -1)]
+    right = [[x] for x in range(p + q - 1, p + q + r - 2)]
+    return left + [[0], list(range(2, p)), [1]] + right
+
+
+def cell_quotient(n: int, edges, cells, alpha: float) -> np.ndarray:
+    """Symmetrized quotient of alpha*D + (1-alpha)*A over an equitable
+    partition.
+
+    counts[j, k] is the number of neighbours every vertex of cell j has in
+    cell k (a ValueError if the vertices of cell j disagree). Row j of the
+    quotient is one vertex's A_alpha row summed over each cell:
+    (1-alpha)*counts[j, k] off the diagonal, symmetrized to
+    sqrt(B[j, k] * B[k, j]), and alpha*degree + (1-alpha)*counts[j, j] on
+    it, evaluated as alpha*(degree - counts[j, j]) + counts[j, j].
+    """
+    a = adjacency(n, edges)
+    k = len(cells)
+    counts = np.zeros((k, k))
+    for j, own in enumerate(cells):
+        for m, other in enumerate(cells):
+            per_vertex = a[np.ix_(own, other)].sum(axis=1)
+            if np.any(per_vertex != per_vertex[0]):
+                raise ValueError(f"cells {j} and {m} break equitability")
+            counts[j, m] = per_vertex[0]
+    inside = np.diag(counts).copy()
+    weights = (1.0 - alpha) * counts
+    quotient = np.sqrt(weights * weights.T)
+    np.fill_diagonal(quotient, alpha * (counts.sum(axis=1) - inside) + inside)
+    return quotient
 
 
 def path_edges(n: int) -> list[tuple[int, int]]:

@@ -210,6 +210,18 @@ class TestVerifyCommand:
         assert code == 0
         assert payload["input"]["alphas"] == [0.6]
 
+    @pytest.mark.parametrize("raw, literal", [
+        ("inf", "Infinity"), ("nan", "NaN"), ("0", "0"), ("-1", "-1"),
+    ])
+    def test_non_finite_or_non_positive_tolerance_exits_two(self, capsys, tmp_path, raw, literal):
+        code, out = run_cli(capsys, "verify", "--max-n", "4", "--tol", raw)
+        assert code == 2 and out == ""
+        source = tmp_path / "jobs.json"
+        source.write_text('[{"command": "verify", "max_n": 4, "tol": %s}]' % literal)
+        code, out = run_cli(capsys, "batch", str(source))
+        line = json.loads(out)
+        assert code == 2 and line["exit_code"] == 2 and line["result"] is None
+
 
 class TestBatchCommand:
     def test_mixed_jobs(self, capsys, tmp_path):
@@ -362,6 +374,44 @@ class TestDenseSizeCap:
                   "--method", "dense"])
 
 
+class TestVerifySizeCap:
+    @pytest.fixture
+    def no_assembly(self, monkeypatch):
+        import alphabug.verify as verify_module
+
+        class Assembled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Assembled("assemble_dense_alpha was called")
+
+        monkeypatch.setattr(verify_module, "assemble_dense_alpha", refuse)
+        return verify_module.VERIFY_MAX_N, Assembled
+
+    def test_max_n_above_cap_exits_two_before_assembly(self, capsys, no_assembly):
+        cap, _ = no_assembly
+        code, out = run_cli(capsys, "verify", "--max-n", str(cap + 1))
+        assert code == 2 and out == ""
+        assert run_cli(capsys, "verify", "--max-n", "40")[0] == 2
+
+    def test_batch_max_n_above_cap_fails_only_its_job(self, capsys, tmp_path, no_assembly):
+        cap, _ = no_assembly
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([
+            {"command": "verify", "max_n": cap + 1},
+            {"command": "spectrum", "n": 11, "d": 5, "i": 2, "alpha": 0.6},
+        ]))
+        code, out = run_cli(capsys, "batch", str(source))
+        first, second = (json.loads(line) for line in out.splitlines())
+        assert code == 2 and first["exit_code"] == 2 and str(cap) in first["error"]
+        assert second["status"] == "ok"
+
+    def test_max_n_at_cap_reaches_assembly(self, capsys, no_assembly):
+        cap, assembled = no_assembly
+        with pytest.raises(assembled):
+            main(["verify", "--max-n", str(cap)])
+
+
 class TestEnvironmentOverride:
     def test_invalid_tolerance_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", "not-a-number")
@@ -432,3 +482,15 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["closed_form"]["multiplicity"] == 5
+
+
+def test_library_imports_only_numpy_of_the_optional_stack():
+    probe = (
+        "import sys, alphabug, alphabug.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -309,7 +309,7 @@ class TestRunPlanCounts:
 
 class TestJacobi:
     def test_complete_graph_block(self):
-        w = assemble_dense_alpha(BugSpec(11, 5, 2).to_hjoin(), 0.6)
+        w = assemble_dense_alpha(BugSpec(11, 5, 2), 0.6)
         values = jacobi_eigenvalues(w)
         assert values.shape == (11,)
         expected = sorted(GOLDEN_EIGENVALUES + [3.8] * 5)
@@ -361,7 +361,7 @@ class TestPerronPair:
         assert np.allclose(v, np.full(3, 1 / np.sqrt(3)), atol=1e-8)
 
     def test_golden_bug_radius(self):
-        w = assemble_dense_alpha(BugSpec(11, 5, 2).to_hjoin(), 0.6)
+        w = assemble_dense_alpha(BugSpec(11, 5, 2), 0.6)
         rho, v = perron_pair(w)
         assert rho == pytest.approx(6.9144, abs=5e-5)
         assert np.all(v > 0)
@@ -370,7 +370,7 @@ class TestPerronPair:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.8])
     def test_path_matches_structured_radius(self, alpha):
         bug = BugSpec(4, 3, 1)
-        w = assemble_dense_alpha(bug.to_hjoin(), alpha)
+        w = assemble_dense_alpha(bug, alpha)
         rho, v = perron_pair(w)
         structured = tridiag_eigenvalues(bug_tridiagonal(bug, alpha))[-1]
         assert rho == pytest.approx(structured, abs=1e-8)
@@ -382,6 +382,6 @@ class TestPerronPair:
             perron_pair([[0.0, -1.0], [-1.0, 0.0]])
 
     def test_iteration_cap_raises(self):
-        w = assemble_dense_alpha(BugSpec(4, 3, 1).to_hjoin(), 0.0)
+        w = assemble_dense_alpha(BugSpec(4, 3, 1), 0.0)
         with pytest.raises(ConvergenceError):
             perron_pair(w, SolveConfig(max_power_iters=1))

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from alphabug import (
-    BugSpec,
-    HJoinSpec,
-    RegularComponent,
-    UnsupportedComponentError,
-    assemble_dense_alpha,
-    complete_graph_alpha_spectrum,
-)
+from alphabug import BugSpec, assemble_dense_alpha
 from alphabug.graphs import check_alpha
-from oracles import alpha_matrix, bug_edges, path_edges
+from oracles import alpha_matrix, bug_cells, bug_edges, path_edges
 
 
 @pytest.mark.parametrize(
@@ -66,50 +59,21 @@ def test_bugspec_validation():
         BugSpec.from_ndi(6, 4, 4)  # q = 4, r = 0
 
 
-def test_to_hjoin_golden_layout():
-    h = BugSpec(11, 5, 2).to_hjoin()
-    assert h.host_edges == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
-    assert [c.order for c in h.components] == [1, 1, 6, 1, 1, 1]
-    assert [c.degree for c in h.components] == [0, 0, 5, 0, 0, 0]
-    assert h.order == 11
-    assert h.is_path_host
-    assert h.neighbor_totals().tolist() == [1, 7, 2, 7, 2, 1]
+def test_assemble_golden_layout():
+    """Vertices run along the bug: left path ending at u, clique, v, right path."""
+    bug = BugSpec(11, 5, 2)
+    a0 = assemble_dense_alpha(bug, 0.0)
+    assert a0.sum(axis=1).tolist() == [1, 7, 7, 7, 7, 7, 7, 7, 7, 2, 1]
+    assert np.flatnonzero(a0[1]).tolist() == [0, 2, 3, 4, 5, 6, 7]  # u
+    assert np.flatnonzero(a0[8]).tolist() == [2, 3, 4, 5, 6, 7, 9]  # v
+    assert a0[1, 8] == 0.0  # the deleted edge uv
 
 
-def test_to_hjoin_one_sided_path():
-    h = BugSpec(10, 7, 1).to_hjoin()
-    assert [c.order for c in h.components] == [1, 3, 1, 1, 1, 1, 1, 1]
-    assert len(h.host_edges) == 7
-
-
-def test_to_hjoin_degenerate_path():
-    h = BugSpec(4, 3, 1).to_hjoin()
-    assert [c.order for c in h.components] == [1, 1, 1, 1]
-
-
-def test_regular_component_validation():
-    assert RegularComponent.complete(4) == RegularComponent(4, 3)
-    assert RegularComponent.complete(4).is_complete
-    assert not RegularComponent(4, 2).is_complete
-    with pytest.raises(ValueError):
-        RegularComponent(0, 0)
-    with pytest.raises(ValueError):
-        RegularComponent(4, 4)  # degree > order-1
-    with pytest.raises(ValueError):
-        RegularComponent(3, 1)  # odd degree sum
-
-
-def test_hjoin_validation():
-    k1 = RegularComponent.complete(1)
-    with pytest.raises(ValueError):
-        HJoinSpec((k1, k1), ((0, 0),))  # loop
-    with pytest.raises(ValueError):
-        HJoinSpec((k1, k1), ((0, 1), (1, 0)))  # duplicate edge
-    with pytest.raises(ValueError):
-        HJoinSpec((k1, k1), ((0, 2),))  # endpoint out of range
-    # edges are stored normalized
-    h = HJoinSpec((k1, k1), ((1, 0),))
-    assert h.host_edges == ((0, 1),)
+def test_assemble_one_sided_layout():
+    # with i=1, u is itself the free end of the left path
+    a0 = assemble_dense_alpha(BugSpec(10, 7, 1), 0.0)
+    assert a0.sum(axis=1).tolist() == [3, 4, 4, 4, 4, 2, 2, 2, 2, 1]
+    assert int(a0.sum()) // 2 == len(bug_edges(5, 1, 6)) == 14
 
 
 def test_check_alpha():
@@ -121,42 +85,47 @@ def test_check_alpha():
 
 
 def test_assemble_p4_is_alpha_matrix_of_path():
-    h = BugSpec(4, 3, 1).to_hjoin()
+    bug = BugSpec(4, 3, 1)
     for alpha in (0.0, 0.3, 0.9):
         expected = alpha_matrix(4, path_edges(4), alpha)
-        assert np.array_equal(assemble_dense_alpha(h, alpha), expected)
-
-
-def test_assemble_single_complete_block():
-    h = HJoinSpec((RegularComponent.complete(4),), ())
-    w = assemble_dense_alpha(h, 0.5)
-    assert np.allclose(np.diag(w), 1.5)
-    off = w[~np.eye(4, dtype=bool)]
-    assert np.allclose(off, 0.5)
-
-
-def test_assemble_rejects_noncomplete_component():
-    cycle = RegularComponent(4, 2)
-    with pytest.raises(UnsupportedComponentError):
-        assemble_dense_alpha(HJoinSpec((cycle,), ()), 0.3)
+        assert np.array_equal(assemble_dense_alpha(bug, alpha), expected)
 
 
 def test_assemble_rejects_bad_alpha():
-    h = BugSpec(4, 3, 1).to_hjoin()
     with pytest.raises(ValueError):
-        assemble_dense_alpha(h, 1.0)
+        assemble_dense_alpha(BugSpec(4, 3, 1), 1.0)
+
+
+def test_order_is_n():
+    assert BugSpec(11, 5, 2).order == 11
+    assert BugSpec.from_pqr(3, 1, 2).order == 4
+
+
+def edge_list_matrix_in_package_order(bug, alpha):
+    """The edge-list A_alpha with its vertices permuted into the package's
+    numbering: the cells of the bug, in path order, one after another."""
+    perm = [x for cell in bug_cells(bug.p, bug.q, bug.r) for x in cell]
+    theirs = alpha_matrix(bug.n, bug_edges(bug.p, bug.q, bug.r), alpha)
+    return theirs[np.ix_(perm, perm)]
 
 
 @pytest.mark.parametrize("bug", [BugSpec(11, 5, 2), BugSpec(7, 2, 1), BugSpec(9, 6, 3)])
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.75])
 def test_assemble_matches_edge_list_spectrum(bug, alpha):
-    """Block assembly and first-principles edge-list assembly must agree
-    up to the vertex relabeling, so their spectra coincide."""
-    ours = assemble_dense_alpha(bug.to_hjoin(), alpha)
-    theirs = alpha_matrix(bug.n, bug_edges(bug.p, bug.q, bug.r), alpha)
+    """The package matrix is the first-principles edge-list matrix under an
+    explicit vertex relabeling, bit for bit, so their spectra coincide."""
+    ours = assemble_dense_alpha(bug, alpha)
+    theirs = edge_list_matrix_in_package_order(bug, alpha)
+    assert ours.tobytes() == theirs.tobytes()
     assert np.allclose(
         np.sort(np.linalg.eigvalsh(ours)), np.sort(np.linalg.eigvalsh(theirs)), atol=1e-10
     )
+
+
+def test_assemble_matches_edge_list_matrix_on_grid(oracle_grid):
+    for inst in oracle_grid.instances:
+        theirs = edge_list_matrix_in_package_order(inst.bug, inst.alpha)
+        assert inst.matrix.tobytes() == theirs.tobytes(), (inst.bug, inst.alpha)
 
 
 def test_dense_structural_invariants():
@@ -167,7 +136,7 @@ def test_dense_structural_invariants():
         degrees[x] += 1
         degrees[y] += 1
     for alpha in (0.0, 0.6):
-        w = assemble_dense_alpha(bug.to_hjoin(), alpha)
+        w = assemble_dense_alpha(bug, alpha)
         # diagonal = alpha * degree; off-diagonal nonzeros all equal 1-alpha
         assert np.allclose(sorted(np.diag(w)), sorted(alpha * degrees))
         off = w[~np.eye(bug.n, dtype=bool)]
@@ -176,7 +145,7 @@ def test_dense_structural_invariants():
         assert np.isclose(np.trace(w), alpha * 2 * len(edges))
         assert np.array_equal(w, w.T)
     # row sums at alpha=0 are the vertex degrees
-    a0 = assemble_dense_alpha(bug.to_hjoin(), 0.0)
+    a0 = assemble_dense_alpha(bug, 0.0)
     assert sorted(a0.sum(axis=1)) == sorted(degrees)
 
 
@@ -185,23 +154,8 @@ def test_bug_degree_multiset():
     and all p = n-d+2 clique-side vertices (including both attachment points)
     degree n-d+1."""
     bug = BugSpec(11, 5, 2)
-    a0 = assemble_dense_alpha(bug.to_hjoin(), 0.0)
+    a0 = assemble_dense_alpha(bug, 0.0)
     counts = {}
     for deg in a0.sum(axis=1):
         counts[int(deg)] = counts.get(int(deg), 0) + 1
     assert counts == {1: 2, 2: bug.q + bug.r - 4, bug.n - bug.d + 1: bug.p}
-
-
-def test_complete_graph_spectrum_examples():
-    s = complete_graph_alpha_spectrum(3, 0.0)
-    assert [(e.value, e.multiplicity) for e in s.entries] == [(-1.0, 2), (2.0, 1)]
-    s = complete_graph_alpha_spectrum(4, 0.5)
-    assert [(e.value, e.multiplicity) for e in s.entries] == [(1.0, 3), (3.0, 1)]
-    s = complete_graph_alpha_spectrum(6, 0.6)
-    assert s.entries[0].value == pytest.approx(2.6)
-    assert s.entries[0].multiplicity == 5
-    assert s.rho == 5.0
-    s = complete_graph_alpha_spectrum(1, 0.7)
-    assert [(e.value, e.multiplicity) for e in s.entries] == [(0.0, 1)]
-    with pytest.raises(ValueError):
-        complete_graph_alpha_spectrum(0, 0.5)

@@ -3,22 +3,17 @@ import pytest
 
 from alphabug import (
     BugSpec,
-    HJoinSpec,
-    RegularComponent,
-    UnsupportedComponentError,
     assemble_dense_alpha,
     bug_spectrum,
     bug_tridiagonal,
     halved_tridiagonal,
-    hjoin_spectrum,
     jacobi_eigenvalues,
     proof_decomposition,
-    quotient_matrix,
     spectral_radius,
     tridiag_eigenvalues,
 )
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
-from oracles import alpha_matrix, bug_edges, path_edges
+from oracles import alpha_matrix, bug_cells, bug_edges, cell_quotient, path_edges
 
 GOLDEN_BUG = BugSpec(11, 5, 2)
 GOLDEN_ALPHA = 0.6
@@ -30,41 +25,31 @@ GOLDEN_QUOTIENT = [0.3909, 0.5539, 1.3521, 3.5403, 4.2486, 6.9144]
 RHO_10_4_2_AT_0 = 6.802908345718773
 
 
-def test_quotient_matrix_golden():
-    m = quotient_matrix(GOLDEN_BUG.to_hjoin(), GOLDEN_ALPHA)
-    assert np.allclose(np.diag(m), [0.6, 4.2, 6.2, 4.2, 1.2, 0.6])
-    off = np.diag(m, 1)
-    root6 = 0.4 * np.sqrt(6)
-    assert np.allclose(off, [0.4, root6, root6, 0.4, 0.4])
-    assert off[1] == pytest.approx(0.9798, abs=5e-5)
-    # tridiagonal: nothing beyond the first off-diagonal
-    assert np.count_nonzero(m - np.diag(np.diag(m)) - np.diag(off, 1) - np.diag(off, -1)) == 0
-
-
-def test_quotient_matrix_single_component():
-    h = HJoinSpec((RegularComponent.complete(6),), ())
-    for alpha in (0.0, 0.5, 0.9):
-        assert quotient_matrix(h, alpha).tolist() == [[5.0]]
-
-
-def test_quotient_matrix_all_singletons_is_dense_matrix():
-    h = BugSpec(4, 3, 1).to_hjoin()
-    for alpha in (0.0, 0.7):
-        assert np.array_equal(quotient_matrix(h, alpha), assemble_dense_alpha(h, alpha))
+def test_bug_tridiagonal_of_a_path_is_its_dense_matrix():
+    # with n-d = 1 every cell is one vertex, so the quotient is the matrix
+    for d in range(2, 9):
+        b = BugSpec(d + 1, d, d // 2)
+        for alpha in (0.0, 0.7):
+            dense = assemble_dense_alpha(b, alpha)
+            assert np.array_equal(bug_tridiagonal(b, alpha).to_dense(), dense)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
 def test_bug_tridiagonal_equals_quotient_entrywise(alpha):
-    """The direct assembly and the generic quotient construction are
-    redundant by design; they must agree exactly, not just numerically."""
+    """The direct assembly agrees with the symmetrized quotient of the cell
+    partition computed from the edge list: the diagonal exactly, the
+    off-diagonal to a few ulps (the reference takes sqrt of a product)."""
     for n in range(3, 11):
         for d in range(2, n):
             for i in range(1, d // 2 + 1):
                 b = BugSpec(n, d, i)
                 t = bug_tridiagonal(b, alpha)
-                m = quotient_matrix(b.to_hjoin(), alpha)
+                m = cell_quotient(
+                    n, bug_edges(b.p, b.q, b.r), bug_cells(b.p, b.q, b.r), alpha
+                )
                 assert np.array_equal(t.diag, np.diag(m)), (n, d, i, alpha)
-                assert np.array_equal(t.offdiag, np.diag(m, 1)), (n, d, i, alpha)
+                np.testing.assert_array_max_ulp(t.offdiag, np.diag(m, 1), maxulp=4)
+                assert np.count_nonzero(np.triu(m, 2)) == 0, (n, d, i, alpha)
 
 
 def test_bug_tridiagonal_golden():
@@ -143,7 +128,7 @@ def test_bug_spectrum_closed_form_multiplicity_seven():
     assert closed[0].value == pytest.approx(2.0, abs=1e-12)
     assert closed[0].multiplicity == 7
     # the dense solve shows the same cluster
-    dense = jacobi_eigenvalues(assemble_dense_alpha(BugSpec(12, 4, 2).to_hjoin(), 0.3))
+    dense = jacobi_eigenvalues(assemble_dense_alpha(BugSpec(12, 4, 2), 0.3))
     assert np.count_nonzero(np.abs(dense - 2.0) <= 1e-7) == 7
 
 
@@ -160,41 +145,10 @@ def test_bug_spectrum_eigenvalues_are_simple():
             assert np.min(np.diff(values)) > 0
 
 
-def test_hjoin_spectrum_golden():
-    s = hjoin_spectrum(GOLDEN_BUG.to_hjoin(), GOLDEN_ALPHA)
-    assert s.order == 11
-    closed = s.with_source(CLOSED_FORM)
-    assert closed[0].value == pytest.approx(3.8) and closed[0].multiplicity == 5
-
-
-def test_hjoin_spectrum_path():
-    s = hjoin_spectrum(BugSpec(4, 3, 1).to_hjoin(), 0.0)
+def test_bug_spectrum_of_a_path():
+    s = bug_spectrum(BugSpec(4, 3, 1), 0.0)
     expected = sorted(2 * np.cos(k * np.pi / 5) for k in (1, 2, 3, 4))
     assert np.allclose(s.expand(), expected, atol=1e-10)
-
-
-def test_hjoin_spectrum_single_block():
-    h = HJoinSpec((RegularComponent.complete(4),), ())
-    s = hjoin_spectrum(h, 0.5)
-    assert [(e.value, e.multiplicity) for e in s.entries] == [(1.0, 3), (3.0, 1)]
-
-
-def test_hjoin_spectrum_rejects_noncomplete():
-    h = HJoinSpec((RegularComponent(4, 2),), ())
-    with pytest.raises(UnsupportedComponentError):
-        hjoin_spectrum(h, 0.2)
-
-
-def test_hjoin_spectrum_general_host():
-    """A non-path host exercises the dense quotient fallback: join two
-    cliques along a single host edge and check against the dense solve."""
-    h = HJoinSpec(
-        (RegularComponent.complete(3), RegularComponent.complete(2)), ((0, 1),)
-    )
-    for alpha in (0.0, 0.45):
-        structured = hjoin_spectrum(h, alpha).expand()
-        dense = jacobi_eigenvalues(assemble_dense_alpha(h, alpha))
-        assert np.max(np.abs(structured - np.sort(dense))) < 1e-9
 
 
 def test_halved_tridiagonal_examples():

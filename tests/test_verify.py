@@ -15,10 +15,11 @@ from alphabug import (
     run_verification,
     tridiag_eigenvalues,
 )
+from alphabug.verify import VERIFY_MAX_N
 
 
 def dense_values(bug, alpha):
-    return jacobi_eigenvalues(assemble_dense_alpha(bug.to_hjoin(), alpha))
+    return jacobi_eigenvalues(assemble_dense_alpha(bug, alpha))
 
 
 class TestCompareSpectra:
@@ -128,6 +129,15 @@ class TestRunVerification:
             run_verification(max_n=5, alphas=())
         with pytest.raises(ValueError):
             run_verification(max_n=5, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            run_verification(max_n=5, tol=tol)
+
+    def test_rejects_max_n_above_cap(self):
+        with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
+            run_verification(max_n=VERIFY_MAX_N + 1)
 
 
 def test_closed_form_cluster_can_absorb_a_quotient_eigenvalue():
