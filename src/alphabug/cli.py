@@ -32,7 +32,7 @@ from .eigensolve import (
 )
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
-from .structured import bug_spectrum, bug_tridiagonal, halved_tridiagonal
+from .structured import _spectrum_from_quotient, bug_tridiagonal, halved_tridiagonal
 from .verify import DEFAULT_ALPHAS, compare_spectra, extremal_scan, run_verification
 
 EXIT_OK = 0
@@ -51,12 +51,12 @@ DENSE_MAX_N = 200
 
 _METHODS = ("structured", "dense", "halved", "all")
 _FORMATS = ("json", "csv")
-_COMMANDS = ("spectrum", "sweep", "scan", "verify")
 
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One fully validated unit of work, shared by the CLI and batch mode."""
+    """One fully validated unit of work, shared by the CLI and batch mode.
+    Its defaults are the only defaults of the optional job fields."""
 
     command: str
     bug: BugSpec | None = None
@@ -83,14 +83,6 @@ def _resolve_bug(n, d, i, p, q, r) -> tuple[BugSpec, str]:
     raise ValueError(
         "provide exactly one complete parameter triple: --n/--d/--i or --p/--q/--r"
     )
-
-
-def _parse_alpha_list(text: str) -> tuple[float, ...]:
-    parts = [s for s in (piece.strip() for piece in text.split(",")) if s]
-    alphas = tuple(check_alpha(float(s)) for s in parts)
-    if not alphas:
-        raise ValueError("alpha list is empty")
-    return alphas
 
 
 def config_from_env(environ=None) -> SolveConfig:
@@ -171,7 +163,8 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
             rho = float(dense_values[-1])
             closed = None
         else:
-            report = compare_spectra(bug_spectrum(bug, alpha, solve), dense_values, cfg.tol)
+            structured = _spectrum_from_quotient(bug, alpha, quotient)
+            report = compare_spectra(structured, dense_values, cfg.tol)
             verification = {
                 "matched": report.matched,
                 "max_abs_deviation": report.max_abs_deviation,
@@ -386,173 +379,134 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="full spectrum of one bug at one alpha")
     _add_bug_args(sp)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--method", choices=_METHODS, default="structured")
+    sp.add_argument("--alpha", type=float)
+    sp.add_argument("--method", metavar="{" + ",".join(_METHODS) + "}")
     sp.add_argument(
         "--timings",
         action="store_true",
+        default=None,
         help="include wall-clock milliseconds (makes output non-reproducible)",
     )
     _add_output_args(sp)
 
     sw = sub.add_parser("sweep", help="spectral radius over an alpha grid")
     _add_bug_args(sw)
-    sw.add_argument("--alphas", required=True, help="comma-separated alphas in [0,1)")
+    sw.add_argument("--alphas", help="comma-separated alphas in [0,1)")
     _add_output_args(sw)
 
     sc = sub.add_parser("scan", help="spectral radius across all path splits")
-    sc.add_argument("--n", type=int, required=True)
-    sc.add_argument("--d", type=int, required=True)
-    sc.add_argument("--alpha", type=float, required=True)
+    sc.add_argument("--n", type=int)
+    sc.add_argument("--d", type=int)
+    sc.add_argument("--alpha", type=float)
     _add_output_args(sc)
 
     ve = sub.add_parser("verify", help="run the structured-vs-dense check grid")
-    ve.add_argument("--max-n", type=int, default=12, dest="max_n")
-    ve.add_argument("--alphas", default=None, help="comma-separated alphas in [0,1)")
-    ve.add_argument("--tol", type=float, default=COMPARE_TOL)
+    ve.add_argument("--max-n", type=int, dest="max_n")
+    ve.add_argument("--alphas", help="comma-separated alphas in [0,1)")
+    ve.add_argument("--tol", type=float)
     _add_output_args(ve)
 
     ba = sub.add_parser("batch", help="run a JSON array of jobs, one result per line")
     ba.add_argument("source", nargs="?", default="-", help="jobs file (default: stdin)")
     ba.add_argument("--output", default=None)
+    for command in sub.choices.values():
+        command.allow_abbrev = False  # `sweep --alpha` must not read as --alphas
     return parser
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> JobConfig:
-    command = ns.command
-    if command == "spectrum":
-        bug, form = _resolve_bug(ns.n, ns.d, ns.i, ns.p, ns.q, ns.r)
-        return JobConfig(
-            command,
-            bug=bug,
-            input_form=form,
-            alpha=check_alpha(ns.alpha),
-            method=ns.method,
-            fmt=ns.fmt,
-            output=ns.output,
-            timings=ns.timings,
-        )
-    if command == "sweep":
-        bug, form = _resolve_bug(ns.n, ns.d, ns.i, ns.p, ns.q, ns.r)
-        return JobConfig(
-            command,
-            bug=bug,
-            input_form=form,
-            alphas=_parse_alpha_list(ns.alphas),
-            fmt=ns.fmt,
-            output=ns.output,
-        )
-    if command == "scan":
-        return JobConfig(
-            command,
-            n=ns.n,
-            d=ns.d,
-            alpha=check_alpha(ns.alpha),
-            fmt=ns.fmt,
-            output=ns.output,
-        )
-    if command == "verify":
-        alphas = None if ns.alphas is None else _parse_alpha_list(ns.alphas)
-        return JobConfig(
-            command,
-            alphas=alphas,
-            max_n=ns.max_n,
-            tol=ns.tol,
-            fmt=ns.fmt,
-            output=ns.output,
-        )
-    raise ValueError(f"unknown command {command!r}")
+    """The parsed flags as a job: the CLI and batch share one validator."""
+    fields = {k: v for k, v in vars(ns).items() if k not in ("fmt", "output")}
+    if fields.get("alphas") is not None:
+        fields["alphas"] = [float(s) for s in fields["alphas"].split(",") if s.strip()]
+    return replace(job_from_dict(fields), fmt=ns.fmt, output=ns.output)
 
 
-_BATCH_KEYS = {
-    "command", "n", "d", "i", "p", "q", "r",
-    "alpha", "alphas", "method", "timings", "max_n", "tol",
+# The fields each command takes, and those of them it needs.
+_FIELDS = {
+    "spectrum": ("n", "d", "i", "p", "q", "r", "alpha", "method", "timings"),
+    "sweep": ("n", "d", "i", "p", "q", "r", "alphas"),
+    "scan": ("n", "d", "alpha"),
+    "verify": ("max_n", "alphas", "tol"),
 }
-_BATCH_INTS = ("n", "d", "i", "p", "q", "r", "max_n")
-_BATCH_NUMBERS = ("alpha", "tol")
+_REQUIRED = {"spectrum": ("alpha",), "sweep": ("alphas",), "scan": ("n", "d", "alpha")}
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a finite float, not a bool (bool subclasses
-    int). json.loads also reads NaN and Infinity, which JSON does not have."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+def _integer(key, value):
+    # bool subclasses int, and 10.0 is not a JSON integer
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{key}' must be an integer, got {value!r}")
+    return value
 
 
-def _check_batch_types(raw: dict) -> None:
-    """Reject batch values of the wrong JSON type; null counts as absent."""
-    for key in _BATCH_INTS:
-        value = raw.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"'{key}' must be a JSON integer, got {value!r}")
-    for key in _BATCH_NUMBERS:
-        value = raw.get(key)
-        if value is not None and not _is_number(value):
-            raise ValueError(f"'{key}' must be a JSON number, got {value!r}")
-    alphas = raw.get("alphas")
-    if alphas is not None and not (
-        isinstance(alphas, list) and all(_is_number(a) for a in alphas)
-    ):
-        raise ValueError(f"'alphas' must be a JSON array of numbers, got {alphas!r}")
-    timings = raw.get("timings")
-    if timings is not None and not isinstance(timings, bool):
-        raise ValueError(f"'timings' must be a JSON boolean, got {timings!r}")
+def _number(key, value) -> float:
+    """A finite int or float, not a bool. json.loads also reads NaN and
+    Infinity, which JSON does not have."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+
+
+def _alpha(key, value) -> float:
+    return check_alpha(_number(key, value))
+
+
+def _alpha_list(key, value) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"'{key}' must be a non-empty list of numbers, got {value!r}")
+    return tuple(_alpha(key, v) for v in value)
+
+
+def _boolean(key, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"'{key}' must be a boolean, got {value!r}")
+    return value
+
+
+def _method(key, value) -> str:
+    if value not in _METHODS:
+        raise ValueError(f"'{key}' must be one of {_METHODS}, got {value!r}")
+    return value
+
+
+_TYPES = {
+    **dict.fromkeys(("n", "d", "i", "p", "q", "r", "max_n"), _integer),
+    "alpha": _alpha,
+    "tol": _number,
+    "alphas": _alpha_list,
+    "timings": _boolean,
+    "method": _method,
+}
 
 
 def job_from_dict(raw: dict) -> JobConfig:
-    """Validate one batch entry.  Per-job format/output are rejected: batch
-    results always go to the single newline-delimited JSON stream."""
+    """Validate one job: a batch entry, or the CLI's parsed flags.
+
+    null counts as absent. Per-job format/output are rejected: batch
+    results always go to the single newline-delimited JSON stream.
+    """
     if not isinstance(raw, dict):
         raise ValueError("each batch entry must be a JSON object")
-    unknown = set(raw) - _BATCH_KEYS
-    if unknown:
-        if unknown & {"format", "output"}:
-            raise ValueError("per-job 'format'/'output' are not allowed in batch mode")
-        raise ValueError(f"unknown batch keys: {sorted(unknown)}")
-    _check_batch_types(raw)
-    command = raw.get("command")
-    if command not in _COMMANDS:
-        raise ValueError(f"batch command must be one of {_COMMANDS}, got {command!r}")
-    get = raw.get
+    fields = {k: v for k, v in raw.items() if v is not None}
+    command = fields.pop("command", None)
+    if not isinstance(command, str) or command not in _FIELDS:
+        raise ValueError(f"command must be one of {tuple(_FIELDS)}, got {command!r}")
+    extra = set(fields) - set(_FIELDS[command])
+    if extra & {"format", "output"}:
+        raise ValueError("per-job 'format'/'output' are not allowed in batch mode")
+    if extra:
+        raise ValueError(f"{command} does not take {sorted(extra)}")
+    fields = {k: _TYPES[k](k, v) for k, v in fields.items()}
+    missing = [k for k in _REQUIRED.get(command, ()) if k not in fields]
+    if missing:
+        raise ValueError(f"{command} needs " + ", ".join(f"'{k}'" for k in missing))
     if command in ("spectrum", "sweep"):
-        bug, form = _resolve_bug(
-            get("n"), get("d"), get("i"), get("p"), get("q"), get("r")
-        )
-    if command == "spectrum":
-        method = get("method", "structured")
-        if method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-        return JobConfig(
-            command,
-            bug=bug,
-            input_form=form,
-            alpha=check_alpha(get("alpha")),
-            method=method,
-            timings=bool(get("timings", False)),
-        )
-    if command == "sweep":
-        alphas = get("alphas")
-        if not isinstance(alphas, (list, tuple)) or not alphas:
-            raise ValueError("sweep needs a non-empty 'alphas' list")
-        return JobConfig(
-            command,
-            bug=bug,
-            input_form=form,
-            alphas=tuple(check_alpha(a) for a in alphas),
-        )
-    if command == "scan":
-        n, d = get("n"), get("d")
-        if n is None or d is None:
-            raise ValueError("scan needs 'n' and 'd'")
-        return JobConfig(command, n=int(n), d=int(d), alpha=check_alpha(get("alpha")))
-    alphas = get("alphas")
-    if alphas is not None:
-        if not isinstance(alphas, (list, tuple)) or not alphas:
-            raise ValueError("verify 'alphas' must be a non-empty list")
-        alphas = tuple(check_alpha(a) for a in alphas)
-    tol = float(get("tol", COMPARE_TOL))
-    return JobConfig(command, alphas=alphas, max_n=int(get("max_n", 12)), tol=tol)
+        triple = (fields.pop(k, None) for k in ("n", "d", "i", "p", "q", "r"))
+        fields["bug"], fields["input_form"] = _resolve_bug(*triple)
+    return JobConfig(command, **fields)
 
 
 def _run_batch(ns: argparse.Namespace, solve: SolveConfig) -> int:

@@ -53,6 +53,11 @@ def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectr
     """
     alpha = check_alpha(alpha)
     values = tridiag_eigenvalues(bug_tridiagonal(b, alpha), config)
+    return _spectrum_from_quotient(b, alpha, values)
+
+
+def _spectrum_from_quotient(b: BugSpec, alpha: float, values) -> Spectrum:
+    """The bug's spectrum from already solved quotient eigenvalues."""
     entries = [SpectrumEntry(float(v), 1, QUOTIENT) for v in values]
     multiplicity = b.n - b.d - 1
     if multiplicity >= 1:

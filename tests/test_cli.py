@@ -91,6 +91,21 @@ class TestSpectrumCommand:
         assert v["matched"] is True
         assert v["max_abs_deviation"] <= v["tolerance"] == 1e-8
 
+    def test_method_all_solves_the_quotient_once(self, capsys, monkeypatch):
+        import alphabug.eigensolve as eigensolve
+
+        solves = []
+        original = eigensolve.lane_eigenvalues
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "lane_eigenvalues", counting)
+        code, payload = run_json(capsys, *GOLDEN_ARGS, "--method", "all")
+        assert code == 0 and payload["verification"]["matched"] is True
+        assert len(solves) == 1
+
     def test_csv_output(self, capsys):
         code, out = run_cli(capsys, *GOLDEN_ARGS, "--format", "csv")
         assert code == 0
@@ -281,6 +296,22 @@ class TestBatchCommand:
         assert line["result"]["summary"]["ok"] is False
 
 
+    def test_null_counts_as_absent(self, capsys, tmp_path):
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([
+            {"command": "verify", "max_n": 4, "tol": None},
+            {"command": "spectrum", "n": 11, "d": 5, "i": 2, "alpha": 0.6, "method": None,
+             "timings": None},
+            {"command": "scan", "n": 6, "d": 2, "alpha": 0, "p": None},
+        ]))
+        code, out = run_cli(capsys, "batch", str(source))
+        verify, spectrum, scan = (json.loads(line) for line in out.splitlines())
+        assert code == 0
+        assert verify["result"]["input"]["tolerance"] == 1e-8
+        assert spectrum["result"]["method"] == "structured"
+        assert spectrum["result"]["timings_ms"] is None
+        assert scan["status"] == "ok"
+
     @pytest.mark.parametrize("bad", [
         '{"command": "scan", "n": 1e400, "d": 4, "alpha": 0.6}',
         '{"command": "sweep", "n": 11, "d": 5, "i": 2, "alphas": [[1]]}',
@@ -298,6 +329,7 @@ class TestBatchCommand:
     @pytest.mark.parametrize("key, value", [
         ("n", 10.7), ("n", 10.0), ("n", True), ("d", "4"), ("alpha", "0.6"),
         ("alpha", False), ("alpha", [0.6]),
+        pytest.param("alpha", 10**400, id="alpha-10**400"),
     ])
     def test_scan_fields_need_strict_json_types(self, capsys, tmp_path, key, value):
         job = {"command": "scan", "n": 10, "d": 4, "alpha": 0.6, key: value}
