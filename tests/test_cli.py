@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from alphabug.cli import main
+from alphabug.cli import build_parser, main
 
 GOLDEN_ARGS = ["spectrum", "--n", "11", "--d", "5", "--i", "2", "--alpha", "0.6"]
 
@@ -212,6 +212,14 @@ class TestVerifyCommand:
         assert code == 1
         assert payload["summary"]["ok"] is False
         assert payload["failures"]
+
+    def test_names_the_failures_past_the_list_cap(self, capsys):
+        code, payload = run_json(capsys, "verify", "--max-n", "6", "--tol", "1e-300")
+        assert code == 1
+        dropped = payload["summary"]["checks_failed"] - 50
+        assert dropped > 0
+        assert len(payload["failures"]) == 51
+        assert payload["failures"][-1] == f"{dropped} further failures not listed"
 
     def test_csv_summary(self, capsys):
         code, out = run_cli(capsys, "verify", "--max-n", "4", "--format", "csv")
@@ -514,6 +522,23 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["closed_form"]["multiplicity"] == 5
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    code, out = run_cli(capsys, "spectrum", "--n", "11", "--alpha", "0.6", "--bogus")
+    assert code == 2 and out == ""
+    _, timed = run_json(capsys, *GOLDEN_ARGS, "--timings")
+    assert timed["timings_ms"] > 0
+    code, plain = run_cli(capsys, *GOLDEN_ARGS)
+    assert code == 0
+    assert json.loads(plain)["timings_ms"] is None
+    fresh = subprocess.run(
+        [sys.executable, "-m", "alphabug", *GOLDEN_ARGS],
+        capture_output=True, text=True, check=False,
+    )
+    assert fresh.returncode == 0
+    assert plain == fresh.stdout
 
 
 def test_library_imports_only_numpy_of_the_optional_stack():

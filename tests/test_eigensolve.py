@@ -22,7 +22,7 @@ from alphabug import (
     tridiag_eigenvalues,
 )
 from alphabug.structured import halved_tridiagonal, proof_decomposition
-from oracles import plain_bisection_eigenvalues, row_loop_count
+from oracles import plain_bisection_eigenvalues, row_loop_count, two_pass_jacobi_eigenvalues
 
 # quotient matrix of the worked example: bug with n=11, d=5, i=2 at alpha=0.6
 GOLDEN = SymTridiag(
@@ -344,6 +344,18 @@ class TestJacobi:
             jacobi_eigenvalues([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
         with pytest.raises(ValueError):
             jacobi_eigenvalues([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_same_bits_as_two_pass_rotation_on_grid(self, oracle_grid):
+        # every bug with n <= 12 at the default alphas
+        for inst in oracle_grid.instances:
+            assert np.array_equal(inst.dense_values, two_pass_jacobi_eigenvalues(inst.matrix)), (
+                inst.bug, inst.alpha,
+            )
+
+    @pytest.mark.parametrize("n, d, i", [(40, 20, 7), (80, 30, 10)])
+    def test_same_bits_as_two_pass_rotation_at_larger_orders(self, n, d, i):
+        w = assemble_dense_alpha(BugSpec(n, d, i), 0.4)
+        assert np.array_equal(jacobi_eigenvalues(w), two_pass_jacobi_eigenvalues(w))
 
     def test_sweep_cap_raises(self):
         rng = np.random.default_rng(5)

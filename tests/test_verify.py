@@ -5,6 +5,7 @@ from alphabug import (
     BugSpec,
     assemble_dense_alpha,
     bug_spectrum,
+    bug_tridiagonal,
     check_interlacing,
     cluster_multiplicity,
     compare_spectra,
@@ -15,7 +16,7 @@ from alphabug import (
     run_verification,
     tridiag_eigenvalues,
 )
-from alphabug.verify import VERIFY_MAX_N
+from alphabug.verify import MAX_FAILURES_LISTED, VERIFY_MAX_N, _full_spectra
 
 
 def dense_values(bug, alpha):
@@ -122,6 +123,24 @@ class TestRunVerification:
         assert summary.checks_failed > 0
         assert summary.failures
 
+    @pytest.mark.parametrize("max_n, instances, checks, worst", [
+        (8, 170, 334, 3.0375701953744283e-13),
+        (12, 625, 1280, 6.079581282847357e-13),
+    ])
+    def test_pinned_summary(self, max_n, instances, checks, worst):
+        # recorded when each quotient was still solved alone
+        summary = run_verification(max_n)
+        assert summary.instances == instances
+        assert summary.checks_run == summary.checks_passed == checks
+        assert summary.failures == () and summary.failures_dropped == 0
+        assert summary.worst_deviation == worst
+
+    def test_counts_the_failures_it_does_not_list(self):
+        summary = run_verification(max_n=6, tol=1e-300)
+        assert summary.checks_failed > MAX_FAILURES_LISTED
+        assert len(summary.failures) == MAX_FAILURES_LISTED
+        assert summary.failures_dropped == summary.checks_failed - MAX_FAILURES_LISTED
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_verification(max_n=2)
@@ -169,3 +188,14 @@ def test_interlacing_margin_collapses_near_alpha_one():
     assert not check_interlacing(inner_vals, outer_vals, strict_margin=1e-10)
     summary = run_verification(max_n=8, alphas=(0.99,))
     assert summary.ok
+
+
+def test_lane_spectra_match_solving_each_quotient_alone():
+    lanes = []
+    for b in enumerate_bugs(8):
+        for alpha in (0.0, 0.3, 0.99):
+            lanes.append(bug_tridiagonal(b, alpha))
+            if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
+                lanes.extend(proof_decomposition(b, alpha))
+    for t, values in zip(lanes, _full_spectra(lanes, None)):
+        assert np.array_equal(values, tridiag_eigenvalues(t))
