@@ -580,8 +580,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: an integer argument too large for a float
+    except (ValueError, OverflowError, OSError) as exc:
+        # OverflowError: an integer argument too large for a float;
+        # OSError: an unreadable batch input or an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,8 +4,9 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
 
 * Sturm-count bisection for symmetric tridiagonal matrices (the fast
   structured path): one routine solves selected eigenvalues of several
-  tridiagonals of the same order in lockstep, jumping runs of equal rows
-  in closed form,
+  tridiagonals of the same order in lockstep, and every count goes through
+  one kernel, which steps the pivot recurrence row by row and, from order
+  64 up, jumps runs of equal rows in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against),
 * power iteration for the dominant eigenpair of a nonnegative matrix.
@@ -96,13 +97,16 @@ _MULTISECTION_WIDTH = 256
 # this many steps has stopped shrinking, and the solve fails rather than
 # looping.
 _MAX_BISECTION_STEPS = 2200
-# From this order up, lane_eigenvalues and sturm_count jump each uniform run
-# of rows in closed form (_run_plan, _plan_counts). A jump costs about forty
-# numpy calls against the row loop's six per row, so short matrices keep the
-# row loop. Measured on bug quotients (2-core x86-64, numpy 2.4), the jumps
-# win from order about 40 for a full spectrum, rho alone and an 8-alpha
-# sweep, and from about 80 for a scan of all d/2 splits, whose lanes fall
-# into four plan shapes; below 40 they cost up to twice the row loop.
+# From this order up, _run_plan cuts each lane into generic rows and uniform
+# runs, which the count kernel jumps in closed form; below it every row is
+# one step. Only _run_plan reads this gate. A jump costs about forty numpy
+# calls against six per row. Measured on bug quotients (2-core x86-64, numpy
+# 2.4), jumps win from order about 40 for a full spectrum, rho alone and an
+# 8-alpha sweep, and from about 80 for a scan of all d/2 splits, whose lanes
+# fall into four plan shapes; below 40 they cost up to twice the row steps.
+# The gate is on the order, not on run length: lane i of a scan has a left
+# run of i - 2 rows, so a run-length threshold K would split a scan's lanes
+# into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
 
 
@@ -126,45 +130,6 @@ def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
-def _sturm_counts(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, scale) -> np.ndarray:
-    """Eigenvalues strictly below each shift, lane by lane.
-
-    diag is (L, m), off_sq (L, m-1), shifts (L, k) and scale a scalar or
-    (L, 1); the result is (L, k). Runs the shifted LDL^T pivot recurrence
-    for every lane and shift at once and counts non-positive pivots. Zero
-    pivots are replaced by a tiny negative value proportional to the matrix
-    norm, which keeps the division safe without disturbing counts away from
-    exact eigenvalue hits.
-    """
-    neg_tiny = np.finfo(float).eps * scale * (1.0 + np.abs(shifts))
-    np.negative(neg_tiny, out=neg_tiny)
-    rows = np.ascontiguousarray(diag.T)[:, :, None]
-    offs = np.ascontiguousarray(off_sq.T)[:, :, None]
-    m = rows.shape[0]
-    pivot = np.subtract(rows[0], shifts)
-    quotient = np.empty_like(pivot)
-    zero = np.empty(pivot.shape, dtype=bool)
-    counts = np.zeros(pivot.shape, dtype=np.intp)
-    # sign flags of up to 64 rows, added to counts a block at a time: one
-    # comparison per row without holding an m-row flag array
-    flags = np.empty((min(m, 64),) + pivot.shape, dtype=bool)
-    # a subnormal pivot overflows the next quotient to inf; the pivot after
-    # it is then -inf, which counts as negative as it should
-    with np.errstate(over="ignore"):
-        for j in range(m):
-            if j:
-                np.divide(offs[j - 1], pivot, out=quotient)
-                np.subtract(rows[j], shifts, out=pivot)
-                np.subtract(pivot, quotient, out=pivot)
-            # a zero pivot counts as negative: it is replaced by -tiny below
-            np.less_equal(pivot, 0.0, out=flags[j % 64])
-            np.equal(pivot, 0.0, out=zero)
-            np.copyto(pivot, neg_tiny, where=zero)
-            if j % 64 == 63 or j == m - 1:
-                counts += flags[: j % 64 + 1].sum(axis=0)
-    return counts
-
-
 def _run_plan(diag: np.ndarray, off_sq: np.ndarray) -> list:
     """Cut each lane's rows into generic rows and uniform runs, and group
     the lanes whose cuts have the same shape.
@@ -172,19 +137,26 @@ def _run_plan(diag: np.ndarray, off_sq: np.ndarray) -> list:
     A run is a maximal stretch of two or more rows j >= 1 that share
     (diag[j], off_sq[j-1]) with off_sq[j-1] > 0; every other row is a
     generic row, and row 0 is always one. Returns a list of groups
-    (lanes, steps): lanes indexes the group's lanes in diag, and each step
+    (lanes, steps): lanes indexes the group's lanes in diag (an index
+    array, or a slice when one group holds them all), and each step
     is (a, c, k), columns of shape (len(lanes), 1) holding a segment's
-    diagonal entry, the squared off-diagonal entry leading into it and, for
-    a run, its row count (None for a generic row). The cut of a lane depends
-    only on its own entries.
+    diagonal entry, the squared off-diagonal entry leading into it (not
+    read for row 0) and, for a run, its row count (None for a generic row).
+    The cut of a lane depends only on its own entries. Below order
+    _RUN_PLAN_MIN_ORDER no runs are sought: one group holds every lane,
+    with one generic step per row.
     """
+    m = diag.shape[1]
+    if m < _RUN_PLAN_MIN_ORDER:
+        steps = [(diag[:, :1], None, None)]
+        steps += [(diag[:, j:j + 1], off_sq[:, j - 1:j], None) for j in range(1, m)]
+        return [(slice(None), steps)]
     # joined[l, j-2]: row j continues the stretch of row j-1
     joined = (
         (diag[:, 2:] == diag[:, 1:-1])
         & (off_sq[:, 1:] == off_sq[:, :-1])
         & (off_sq[:, 1:] > 0.0)
     )
-    m = diag.shape[1]
     groups: dict[bytes, list] = {}
     for lane, row in enumerate(joined):
         starts = np.concatenate(([0, 1], np.flatnonzero(~row) + 2))
@@ -286,43 +258,64 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
 
 
 def _plan_counts(plan: list, shifts: np.ndarray, scale) -> np.ndarray:
-    """_sturm_counts for lanes cut by _run_plan, one closed-form jump per run.
+    """Eigenvalues strictly below each shift, lane by lane, for a plan from
+    _run_plan: shifts is (L, k), scale (L, 1) and the result (L, k).
 
-    shifts is (L, k) and scale (L, 1); the result is (L, k). Generic rows
-    take the row loop's exact arithmetic, so a plan without runs gives its
-    counts bit for bit. A zero pivot at the end of a run counts as negative
-    and becomes -tiny, as in the row loop.
+    Runs the shifted LDL^T pivot recurrence for every lane and shift of a
+    group at once, one step per generic row and one closed-form jump per
+    run (_jump), and counts non-positive pivots. A zero pivot counts as
+    negative and becomes a tiny negative value proportional to the matrix
+    norm, which keeps the division safe without disturbing counts away from
+    exact eigenvalue hits.
     """
     counts = np.empty(shifts.shape, dtype=np.intp)
+    # a subnormal pivot overflows the next quotient to inf; the pivot after
+    # it is then -inf, which counts as negative as it should
     with np.errstate(all="ignore"):
         for lanes, steps in plan:
             x = shifts[lanes]
             neg_tiny = np.finfo(float).eps * scale[lanes] * (1.0 + np.abs(x))
             np.negative(neg_tiny, out=neg_tiny)
-            below = np.zeros(x.shape, dtype=np.intp)
+            pivot = np.subtract(steps[0][0], x)
+            quotient = np.empty_like(pivot)
+            zero = np.empty(pivot.shape, dtype=bool)
+            below = np.zeros(pivot.shape, dtype=np.intp)
+            # sign flags of up to 64 steps, added to below a block at a
+            # time: one comparison per row without an m-row flag array
+            flags = np.empty((min(len(steps), 64),) + pivot.shape, dtype=bool)
             for s, (a, c, k) in enumerate(steps):
-                if k is not None:
+                if k is None:
+                    if s:
+                        np.divide(c, pivot, out=quotient)
+                        np.subtract(a, x, out=pivot)
+                        np.subtract(pivot, quotient, out=pivot)
+                    np.less_equal(pivot, 0.0, out=flags[s % 64])
+                else:
                     jumped, pivot = _jump(pivot, a, c, k, x)
                     below += jumped
                     # a zero ending a run counts as negative even where its
                     # crossings called it positive
                     below += (pivot == 0.0) & ~np.signbit(pivot)
-                else:
-                    pivot = a - x if s == 0 else (a - x) - c / pivot
-                    below += pivot <= 0.0
-                np.copyto(pivot, neg_tiny, where=pivot == 0.0)
+                    flags[s % 64] = False
+                np.equal(pivot, 0.0, out=zero)
+                np.copyto(pivot, neg_tiny, where=zero)
+                if s % 64 == 63 or s == len(steps) - 1:
+                    below += flags[: s % 64 + 1].sum(axis=0)
             counts[lanes] = below
     return counts
 
 
 def sturm_count(t: SymTridiag, x: float) -> int:
-    """Number of eigenvalues of t strictly less than x."""
+    """Number of eigenvalues of t strictly less than x.
+
+    x = -inf gives 0 and x = +inf the order; a NaN shift raises ValueError.
+    """
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("shift must not be NaN")
     diag, off_sq = t.diag[None], np.square(t.offdiag)[None]
     _, _, scale = _lane_bounds(diag, t.offdiag[None])
-    shifts = np.asarray([[float(x)]])
-    if t.order >= _RUN_PLAN_MIN_ORDER:
-        return int(_plan_counts(_run_plan(diag, off_sq), shifts, scale[:, None])[0, 0])
-    return int(_sturm_counts(diag, off_sq, shifts, scale[0])[0, 0])
+    return int(_plan_counts(_run_plan(diag, off_sq), np.asarray([[x]]), scale[:, None])[0, 0])
 
 
 def _tree_depth(brackets: int) -> int:
@@ -378,13 +371,15 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     bisection_tol times max(1, Gershgorin span), or 4 ulps where that is
     larger. All brackets advance in lockstep, so one vectorized Sturm
     recurrence serves every lane; when the brackets are few, each round
-    evaluates several levels of their bisection trees at once. From order
-    _RUN_PLAN_MIN_ORDER up, each count jumps the lane's uniform runs of
-    rows in closed form (_run_plan), so a bug quotient costs O(1) numpy
-    calls per round instead of O(d); such counts can differ from the row
-    loop's only at shifts within rounding of an eigenvalue. The value of a
-    bracket depends only on its own lane and index, so asking for one
-    eigenvalue gives the same bits as reading it off the full spectrum.
+    evaluates several levels of their bisection trees at once. Each lane
+    is cut once per solve (_run_plan) and every round counts through the
+    one kernel, _plan_counts. From order _RUN_PLAN_MIN_ORDER up, a count
+    jumps the lane's uniform runs of rows in closed form, so a bug quotient
+    costs O(1) numpy calls per round instead of O(d); such counts can
+    differ from walking every row only at shifts within rounding of an
+    eigenvalue. The value of a bracket depends only on its own lane and
+    index, so asking for one eigenvalue gives the same bits as reading it
+    off the full spectrum. indices must be integers (not bools).
     """
     cfg = config or DEFAULT_CONFIG
     lanes = list(lanes)
@@ -393,9 +388,13 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     m = lanes[0].order
     if any(t.order != m for t in lanes):
         raise ValueError("every lane must have the same order")
-    need = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if need.size == 0 or need.min() < 1 or need.max() > m:
-        raise ValueError(f"eigenvalue indices must lie in 1..{m}, got {need.tolist()}")
+    need = np.asarray(indices).reshape(-1)
+    # a bool among ints becomes an int in need: look at the elements given
+    given = () if isinstance(indices, np.ndarray) else np.asarray(indices, dtype=object).ravel()
+    integers = need.dtype.kind in "iu" and not any(isinstance(v, (bool, np.bool_)) for v in given)
+    if not integers or need.size == 0 or need.min() < 1 or need.max() > m:
+        shown = list(given) or need.tolist()
+        raise ValueError(f"eigenvalue indices must be integers in 1..{m}, got {shown}")
     diag = np.stack([t.diag for t in lanes])
     if m == 1:
         return np.repeat(diag, need.size, axis=1)
@@ -412,7 +411,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     tol = np.repeat(tol, need.size)
     need = np.tile(need, len(lanes))
     off_sq = np.square(offdiag)
-    plan = _run_plan(diag, off_sq) if m >= _RUN_PLAN_MIN_ORDER else None
+    plan = _run_plan(diag, off_sq)
     depth = _tree_depth(lower.size)
     nodes = 2**depth - 1
     roots = np.arange(lower.size) * nodes
@@ -426,10 +425,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
         tree_lo, mid, tree_hi = _tree(lower, upper, depth)
         still_open = _open(tree_lo, tree_hi, tol[:, None]).ravel()
         shifts = mid.reshape(shape[0], -1)
-        if plan is None:
-            counts = _sturm_counts(diag, off_sq, shifts, scale[:, None]).ravel()
-        else:
-            counts = _plan_counts(plan, shifts, scale[:, None]).ravel()
+        counts = _plan_counts(plan, shifts, scale[:, None]).ravel()
         mid = mid.ravel()
         heap = np.zeros(lower.size, dtype=np.intp)
         active = np.ones(lower.size, dtype=bool)

@@ -514,6 +514,24 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "{missing}/jobs.json"],
+        [*GOLDEN_ARGS, "--output", "{missing}/x.json"],
+        ["batch", "{jobs}", "--output", "{missing}/x.ndjson"],
+    ])
+    def test_file_errors_exit_two_with_one_line(self, capsys, tmp_path, argv):
+        # exit 1 means a verification mismatch, and a traceback is no message
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([{"command": "scan", "n": 10, "d": 4, "alpha": 0.5}]))
+        paths = {"missing": tmp_path / "no-such-dir", "jobs": jobs}
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "no-such-dir" in captured.err
+
 
 def test_module_entry_point():
     result = subprocess.run(

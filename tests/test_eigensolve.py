@@ -119,6 +119,14 @@ class TestSturmCount:
         assert counts == sorted(counts)
         assert counts[0] == 0 and counts[-1] == 12
 
+    @pytest.mark.parametrize("m", [1, 5, 63, 64, 200])
+    def test_infinite_shifts_count_none_or_all_and_nan_is_rejected(self, m):
+        t = random_tridiag(np.random.default_rng(m), m)
+        assert sturm_count(t, -math.inf) == 0
+        assert sturm_count(t, math.inf) == m
+        with pytest.raises(ValueError, match="NaN"):
+            sturm_count(t, float("nan"))
+
 
 class TestTridiagEigenvalues:
     def test_golden_matrix(self):
@@ -206,11 +214,21 @@ class TestLaneEigenvalues:
         t = SymTridiag([1.0, 2.0], [0.5])
         with pytest.raises(ValueError):
             lane_eigenvalues([t, SymTridiag([1.0], [])], [1])
-        for bad in ([0], [3], []):
+        # indices that are not integers: a float index was once truncated,
+        # so [1.7] solved index 1
+        bools = ([True], [1, True], np.array([1, 0], dtype=bool))
+        for bad in ([0], [3], [], [1.7], [2.0], ["1"], *bools):
             with pytest.raises(ValueError):
                 lane_eigenvalues([t], bad)
         with pytest.raises(ValueError):
             lane_eigenvalues([], [1])
+
+    def test_accepts_numpy_integer_indices(self):
+        t = SymTridiag([1.0, 2.0, 3.0], [0.5, 0.5])
+        full = tridiag_eigenvalues(t)
+        for indices in (np.array([3, 1], dtype=np.uint8), [np.int64(2)]):
+            got = lane_eigenvalues([t], indices)[0]
+            assert np.array_equal(got, full[np.asarray(indices, dtype=np.intp) - 1])
 
     def test_tolerance_below_one_ulp_terminates(self):
         values = tridiag_eigenvalues(GOLDEN, SolveConfig(bisection_tol=1e-300))
@@ -265,6 +283,44 @@ def path_like_counts(draw):
     shifts += [float(k // 3) for k in draw(st.lists(whole, max_size=10))]
     shifts += [a - 2 * abs(b), a + 2 * abs(b)]
     return t, shifts
+
+
+@st.composite
+def small_counts(draw):
+    """A tridiagonal of order 1..63 with integer or half-integer entries,
+    and shifts that hit its eigenvalues and make zero pivots: integers,
+    halves and the eigvalsh values."""
+    m = draw(st.integers(1, _BELOW_GATE))
+    entries = st.integers(-6, 6).map(lambda k: k / 2)
+    diag = draw(st.lists(entries, min_size=m, max_size=m))
+    offdiag = draw(st.lists(entries, min_size=m - 1, max_size=m - 1))
+    t = SymTridiag(diag, offdiag)
+    whole = st.integers(-40, 40)
+    shifts = [float(k) for k in draw(st.lists(whole, min_size=1, max_size=8))]
+    shifts += [k / 2 for k in draw(st.lists(whole, min_size=1, max_size=8))]
+    shifts += np.linalg.eigvalsh(t.to_dense()).tolist()
+    return t, shifts
+
+
+_BELOW_GATE = eigensolve._RUN_PLAN_MIN_ORDER - 1
+
+
+class TestRowStepCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(small_counts())
+    def test_counts_match_the_row_loop_at_every_shift(self, problem):
+        # below the gate every row is one step of the recurrence, so the
+        # count matches the scalar loop exactly, eigenvalue hits included
+        t, shifts = problem
+        for x in shifts:
+            assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x), x
+
+    def test_one_step_per_row_in_one_group(self):
+        t = bug_tridiagonal(BugSpec(300, _BELOW_GATE - 1, 20), 0.3)
+        lanes = np.stack([t.diag, t.diag])
+        (group, steps), = eigensolve._run_plan(lanes, np.square(np.stack([t.offdiag] * 2)))
+        assert np.arange(2)[group].tolist() == [0, 1]
+        assert len(steps) == t.order and all(k is None for _, _, k in steps)
 
 
 class TestRunPlanCounts:
