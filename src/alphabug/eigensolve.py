@@ -4,7 +4,8 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
 
 * Sturm-count bisection for symmetric tridiagonal matrices (the fast
   structured path): one routine solves selected eigenvalues of several
-  tridiagonals of the same order in lockstep, and every count goes through
+  tridiagonals of the same order in lockstep, evaluating each distinct
+  bracket once however many indices share it, and every count goes through
   one kernel, which steps the pivot recurrence row by row and, from order
   64 up, jumps runs of equal rows in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
@@ -87,9 +88,12 @@ DEFAULT_CONFIG = SolveConfig()
 
 
 # Below this many shifts per round a row of the Sturm recurrence costs about
-# the same however wide it is: numpy's per-call overhead dominates. Narrow
-# problems therefore evaluate several levels of each bracket's bisection
-# tree per round; wide ones (a full spectrum of order >= 86) keep one level.
+# the same however wide it is: numpy's per-call overhead dominates. A round
+# evaluates one bisection tree per distinct bracket (brackets on the same
+# interval of a lane share one), and the budget counts those: with few
+# distinct brackets (one index per lane, or the first rounds of a full
+# spectrum, when brackets still share the lane's interval) a round takes
+# several levels of each tree; from 86 distinct brackets up, one level.
 _MULTISECTION_WIDTH = 256
 # Each bisection step at least halves a bracket (up to rounding) until it
 # is a few ulps wide, and float64 spans fewer than 2100 halvings from its
@@ -362,24 +366,31 @@ def _open(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray) -> np.ndarray:
 def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.ndarray:
     """Selected eigenvalues of L symmetric tridiagonals of one order.
 
-    indices are 1-based positions in ascending order (1 is the smallest,
-    the order m the largest). Returns an (L, len(indices)) array whose
-    entry [l, j] is eigenvalue indices[j] of lanes[l].
+    indices are 1-based positions in any order, repeats allowed (1 is the
+    smallest, the order m the largest). Returns an (L, len(indices)) array
+    whose entry [l, j] is eigenvalue indices[j] of lanes[l].
 
     Every (lane, index) pair keeps its own bracket, started at the lane's
     padded Gershgorin interval and bisected until it is no wider than
     bisection_tol times max(1, Gershgorin span), or 4 ulps where that is
     larger. All brackets advance in lockstep, so one vectorized Sturm
-    recurrence serves every lane; when the brackets are few, each round
-    evaluates several levels of their bisection trees at once. Each lane
-    is cut once per solve (_run_plan) and every round counts through the
-    one kernel, _plan_counts. From order _RUN_PLAN_MIN_ORDER up, a count
-    jumps the lane's uniform runs of rows in closed form, so a bug quotient
-    costs O(1) numpy calls per round instead of O(d); such counts can
-    differ from walking every row only at shifts within rounding of an
-    eigenvalue. The value of a bracket depends only on its own lane and
+    recurrence serves every lane. Brackets that hold the same interval of
+    the same lane share its midpoints: each round evaluates the bisection
+    tree of every distinct (lane, interval) bracket once, and each bracket
+    walks its own path through it. While the distinct brackets are few
+    (the first rounds of a full spectrum, or one index per lane), a round
+    evaluates several levels of their trees at once: the shift budget,
+    _MULTISECTION_WIDTH, counts distinct brackets, each lane padded to the
+    widest lane's count. Each lane is cut once per solve (_run_plan) and
+    every round counts through the one kernel, _plan_counts. From order
+    _RUN_PLAN_MIN_ORDER up, a count jumps the lane's uniform runs of rows
+    in closed form, so a bug quotient costs O(1) numpy calls per round
+    instead of O(d); such counts can differ from walking every row only at
+    shifts within rounding of an eigenvalue. The value of a bracket depends only on its own lane and
     index, so asking for one eigenvalue gives the same bits as reading it
-    off the full spectrum. indices must be integers (not bools).
+    off the full spectrum. indices must be integers (not bools). A lane
+    whose padded Gershgorin interval reaches past half the largest float
+    raises ValueError: its midpoints would overflow.
     """
     cfg = config or DEFAULT_CONFIG
     lanes = list(lanes)
@@ -399,22 +410,36 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     if m == 1:
         return np.repeat(diag, need.size, axis=1)
     offdiag = np.stack([t.offdiag for t in lanes])
-    lo, hi, scale = _lane_bounds(diag, offdiag)
-    tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
-    # widen so counts at the ends are unambiguous even when an eigenvalue
-    # sits exactly on a Gershgorin endpoint
-    pad = tol + 16.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    # one bracket per (lane, index), flattened lane-major
+    # entries near the float limit overflow these sums to inf: such a lane
+    # is rejected just below
+    with np.errstate(over="ignore"):
+        lo, hi, scale = _lane_bounds(diag, offdiag)
+        tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
+        # widen so counts at the ends are unambiguous even when an eigenvalue
+        # sits exactly on a Gershgorin endpoint
+        pad = tol + 16.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        lo, hi = lo - pad, hi + pad
+    reach = float(np.max(np.maximum(-lo, hi)))
+    if not reach <= 0.5 * np.finfo(float).max:
+        raise ValueError(
+            f"Gershgorin bound {reach:.3e} exceeds half the largest float: "
+            "bisection midpoints would overflow"
+        )
+    # one bracket per (lane, index), flattened lane-major and, within a
+    # lane, in ascending index order: brackets that share an interval are
+    # then neighbours, and once parted they never share again
+    order = np.argsort(need, kind="stable")
     shape = (len(lanes), need.size)
-    lower = np.repeat(lo - pad, need.size)
-    upper = np.repeat(hi + pad, need.size)
+    lower = np.repeat(lo, need.size)
+    upper = np.repeat(hi, need.size)
     tol = np.repeat(tol, need.size)
-    need = np.tile(need, len(lanes))
-    off_sq = np.square(offdiag)
-    plan = _run_plan(diag, off_sq)
-    depth = _tree_depth(lower.size)
-    nodes = 2**depth - 1
-    roots = np.arange(lower.size) * nodes
+    need = np.tile(need[order], len(lanes))
+    plan = _run_plan(diag, np.square(offdiag))
+    # each bracket walks a tree of (tree_lower, tree_upper, tree_tol) from
+    # roots: its own tree, or its lane's first bracket with its interval
+    own_depth = _tree_depth(lower.size)
+    own_roots = np.arange(lower.size) * (2**own_depth - 1)
+    shared = shape[1] > 1
     steps = 0
     while np.any(_open(lower, upper, tol)):
         if steps >= _MAX_BISECTION_STEPS:
@@ -422,24 +447,47 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
                 f"bisection did not converge in {steps} steps; "
                 f"widest bracket {float(np.max(upper - lower)):.3e}"
             )
-        tree_lo, mid, tree_hi = _tree(lower, upper, depth)
-        still_open = _open(tree_lo, tree_hi, tol[:, None]).ravel()
-        shifts = mid.reshape(shape[0], -1)
-        counts = _plan_counts(plan, shifts, scale[:, None]).ravel()
-        mid = mid.ravel()
-        heap = np.zeros(lower.size, dtype=np.intp)
-        active = np.ones(lower.size, dtype=bool)
-        for _ in range(depth):
-            at = roots + heap
+        if shared:
+            distinct = np.ones(lower.size, dtype=bool)
+            distinct[1:] = (lower[1:] != lower[:-1]) | (upper[1:] != upper[:-1])
+            distinct[:: shape[1]] = True
+            shared = not distinct.all()
+        if shared:
+            # every lane is padded to the widest lane's distinct count, so
+            # the shifts stay one (L, k) array
+            slot = np.cumsum(distinct.reshape(shape), axis=1) - 1
+            width = int(slot[:, -1].max()) + 1
+            tree_of = (np.arange(shape[0])[:, None] * width + slot).ravel()
+            tree_lower, tree_upper, tree_tol = np.zeros((3, shape[0] * width))
+            tree_lower[tree_of] = lower
+            tree_upper[tree_of] = upper
+            tree_tol[tree_of] = tol
+            depth = _tree_depth(tree_lower.size)
+            roots = tree_of * (2**depth - 1)
+        else:
+            tree_lower, tree_upper, tree_tol = lower, upper, tol
+            depth, roots = own_depth, own_roots
+        nodes_lo, mid, nodes_hi = _tree(tree_lower, tree_upper, depth)
+        still_open = _open(nodes_lo, nodes_hi, tree_tol[:, None]).ravel()
+        counts = _plan_counts(plan, mid.reshape(shape[0], -1), scale[:, None]).ravel()
+        # walk each bracket down its tree: at is its node (a flat index), and
+        # a bracket that has stopped stays at its node, even where the ulp
+        # part of a child's stop would let it reopen
+        at = roots
+        active = still_open[at]
+        for _ in range(depth - 1):
             below = counts[at] >= need
-            # a bracket that has stopped stays stopped, even where the
-            # ulp part of a child's stop would let it reopen
+            # the children of heap node h are 2h+1 (left) and 2h+2 (right)
+            at = np.where(active, 2 * at - roots + 2 - below, at)
             active &= still_open[at]
-            upper = np.where(active & below, mid[at], upper)
-            lower = np.where(active & ~below, mid[at], lower)
-            heap = 2 * heap + 2 - below
+        below = counts[at] >= need
+        step = mid.ravel()[at]
+        lower = np.where(active & ~below, step, nodes_lo.ravel()[at])
+        upper = np.where(active & below, step, nodes_hi.ravel()[at])
         steps += depth
-    return (0.5 * (lower + upper)).reshape(shape)
+    values = np.empty(shape)
+    values[:, order] = (0.5 * (lower + upper)).reshape(shape)
+    return values
 
 
 def tridiag_eigenvalues(t: SymTridiag, config: SolveConfig | None = None) -> np.ndarray:

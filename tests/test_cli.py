@@ -9,6 +9,12 @@ import pytest
 from alphabug.cli import build_parser, main
 
 GOLDEN_ARGS = ["spectrum", "--n", "11", "--d", "5", "--i", "2", "--alpha", "0.6"]
+# bugs whose quotient has a Gershgorin bound past half the largest float
+HUGE_JOBS = [
+    ["spectrum", "--n", str(int(9e307)), "--d", "3", "--i", "1", "--alpha", "0"],
+    ["scan", "--n", str(int(1.7e308)), "--d", "4", "--alpha", "0.5"],
+    ["sweep", "--n", str(int(1.7e308)), "--d", "4", "--i", "2", "--alphas", "0,0.5"],
+]
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +340,21 @@ class TestBatchCommand:
         assert (first["status"], first["exit_code"], first["result"]) == ("error", 2, None)
         assert second["status"] == "ok" and second["result"]["argmax_i"] == 1
 
+    def test_overflowing_job_fails_only_itself(self, capsys, tmp_path):
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([
+            {"command": "scan", "n": int(1.7e308), "d": 4, "alpha": 0.5},
+            {"command": "spectrum", "n": int(9e307), "d": 3, "i": 1, "alpha": 0},
+            {"command": "scan", "n": 6, "d": 2, "alpha": 0},
+        ]))
+        code, out = run_cli(capsys, "batch", str(source))
+        assert code == 2
+        *huge, small = (json.loads(line) for line in out.splitlines())
+        for line in huge:
+            assert (line["status"], line["exit_code"], line["result"]) == ("error", 2, None)
+            assert "half the largest float" in line["error"]
+        assert small["status"] == "ok" and small["result"]["argmax_i"] == 1
+
     @pytest.mark.parametrize("key, value", [
         ("n", 10.7), ("n", 10.0), ("n", True), ("d", "4"), ("alpha", "0.6"),
         ("alpha", False), ("alpha", [0.6]),
@@ -507,6 +528,17 @@ class TestUsageErrors:
 
     def test_integer_too_large_for_a_float(self, capsys):
         assert main(["scan", "--n", "1" + "0" * 400, "--d", "4", "--alpha", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", HUGE_JOBS)
+    def test_bounds_past_half_the_largest_float_exit_two(self, capsys, argv):
+        # bisection midpoints overflow there: these printed Infinity, which
+        # is not JSON, and exited 0
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "half the largest float" in captured.err
 
     def test_no_command(self, capsys):
         assert main([]) == 2

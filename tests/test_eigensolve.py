@@ -22,6 +22,7 @@ from alphabug import (
     tridiag_eigenvalues,
 )
 from alphabug.structured import halved_tridiagonal, proof_decomposition
+from alphabug.verify import extremal_scan
 from oracles import plain_bisection_eigenvalues, row_loop_count, two_pass_jacobi_eigenvalues
 
 # quotient matrix of the worked example: bug with n=11, d=5, i=2 at alpha=0.6
@@ -184,6 +185,27 @@ def lane_problems(draw):
     return lanes, indices
 
 
+@st.composite
+def ordered_lane_problems(draw):
+    """One to three tridiagonals of one order 1..63, with float or
+    half-integer entries (which repeat eigenvalues), and an index list in
+    any order with repeats."""
+    m = draw(st.integers(1, _BELOW_GATE))
+    entries = draw(st.sampled_from([
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+        st.integers(-6, 6).map(lambda k: k / 2),
+    ]))
+    lanes = [
+        SymTridiag(
+            draw(st.lists(entries, min_size=m, max_size=m)),
+            draw(st.lists(entries, min_size=m - 1, max_size=m - 1)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    indices = draw(st.lists(st.integers(1, m), min_size=1, max_size=2 * m))
+    return lanes, indices
+
+
 class TestLaneEigenvalues:
     @settings(max_examples=150, deadline=None)
     @given(lane_problems())
@@ -238,6 +260,74 @@ class TestLaneEigenvalues:
         monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 4)
         with pytest.raises(ConvergenceError):
             tridiag_eigenvalues(GOLDEN)
+
+    @pytest.mark.parametrize("diag, offdiag", [
+        ([9e307] * 3, [1.0, 1.0]),
+        ([-9e307, 0.0], [1.0]),
+        ([1e308, 1e308], [1e308]),  # the Gershgorin sum itself overflows
+    ])
+    def test_bounds_past_half_the_largest_float_are_rejected(self, diag, offdiag):
+        # midpoints of such brackets overflow; they used to come back as inf
+        t = SymTridiag(diag, offdiag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="half the largest float"):
+                tridiag_eigenvalues(t)
+            with pytest.raises(ValueError, match="half the largest float"):
+                lane_eigenvalues([SymTridiag(np.zeros(t.order), np.ones(t.order - 1)), t], [1])
+
+    def test_bounds_below_half_the_largest_float_are_solved(self):
+        values = tridiag_eigenvalues(SymTridiag([4e307] * 3, [1.0, 1.0]))
+        assert np.all(np.isfinite(values))
+        assert np.allclose(values, 4e307, rtol=1e-15, atol=0.0)
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Tally the calls of the count kernel and the shifts they evaluate."""
+    tally = {"calls": 0, "shifts": 0}
+    kernel = eigensolve._plan_counts
+
+    def counted(plan, shifts, scale):
+        tally["calls"] += 1
+        tally["shifts"] += shifts.size
+        return kernel(plan, shifts, scale)
+
+    monkeypatch.setattr(eigensolve, "_plan_counts", counted)
+    return tally
+
+
+class TestDistinctBrackets:
+    """Brackets that hold the same interval share its midpoints: a full
+    spectrum evaluates each distinct bracket's tree once, and its early
+    rounds, with few distinct brackets, go several levels deep."""
+
+    def test_full_spectrum_of_a_wide_quotient(self, monkeypatch):
+        # one bracket per index took 44 calls and 44,044 shifts
+        tally = _count_calls(monkeypatch)
+        tridiag_eigenvalues(bug_tridiagonal(BugSpec(10**6, 1000, 500), 0.6))
+        assert tally["calls"] <= 25 and tally["shifts"] <= 10_000
+
+    def test_one_index_per_lane_costs_no_more(self, monkeypatch):
+        tally = _count_calls(monkeypatch)
+        extremal_scan(2000, 40, 0.5)
+        assert tally["calls"] <= 15
+
+    def test_small_full_spectrum_costs_no_more(self, monkeypatch):
+        tally = _count_calls(monkeypatch)
+        tridiag_eigenvalues(bug_tridiagonal(BugSpec(12, 10, 3), 0.5))
+        assert tally["calls"] <= 11
+
+    @settings(max_examples=50, deadline=None)
+    @given(ordered_lane_problems())
+    def test_any_index_order_matches_plain_bisection(self, problem):
+        # the reference takes one bisection step per bracket and round, with
+        # one scalar count per midpoint, and shares no code with
+        # lane_eigenvalues
+        lanes, indices = problem
+        got = lane_eigenvalues(lanes, indices)
+        picked = np.asarray(indices) - 1
+        for row, t in zip(got, lanes):
+            assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag)[picked])
 
 
 @st.composite
