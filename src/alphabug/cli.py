@@ -49,6 +49,15 @@ COMPARE_TOL = 1e-8
 # x86-64, Python 3.11, numpy 2.4). Without a cap, n = 10**6 would ask for
 # an 8 TB matrix.
 DENSE_MAX_N = 200
+# Largest lanes x order that scan (d//2 lanes) and sweep (one lane per
+# alpha) may solve in one call. Each lane is built as dense arrays of order
+# d+1 and the solve stacks them, so memory grows with the cell count, at
+# about 55 bytes a cell for both commands. In a fresh process (2-core
+# x86-64, numpy 2.4), a d = 8,000 scan (4,000 lanes of order 8,001, 32.0
+# million cells) peaked at 1.74 GB RSS in 1.7 s; sweeps at d = 10**6
+# peaked at 0.47, 0.90 and 1.81 GB with 8, 16 and 33 alphas (33.0 million
+# cells, 2.8 s). Scan d = 20,000 would ask for about 11 GB.
+LANE_CELLS_MAX = 2**25
 
 _METHODS = ("structured", "dense", "halved", "all")
 _FORMATS = ("json", "csv")
@@ -186,8 +195,17 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
     }
 
 
+def _check_lane_cells(command: str, lanes: int, order: int) -> None:
+    if lanes * order > LANE_CELLS_MAX:
+        raise ValueError(
+            f"{command} solves {lanes} quotients of order {order} at once and allows "
+            f"at most {LANE_CELLS_MAX} cells (quotients x order), got {lanes * order}"
+        )
+
+
 def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
     bug = cfg.bug
+    _check_lane_cells("sweep", len(cfg.alphas), bug.d + 1)
     lanes = [bug_tridiagonal(bug, alpha) for alpha in cfg.alphas]
     extremes = lane_eigenvalues(lanes, [1, bug.d + 1], solve)
     rows = []
@@ -208,6 +226,7 @@ def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
 
 
 def _cmd_scan(cfg: JobConfig, solve: SolveConfig) -> dict:
+    _check_lane_cells("scan", cfg.d // 2, cfg.d + 1)
     rows = extremal_scan(cfg.n, cfg.d, cfg.alpha, solve)
     return {
         "input": {"n": cfg.n, "d": cfg.d, "alpha": cfg.alpha},

@@ -6,8 +6,10 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   structured path): one routine solves selected eigenvalues of several
   tridiagonals of the same order in lockstep, evaluating each distinct
   bracket once however many indices share it, and every count goes through
-  one kernel, which steps the pivot recurrence row by row and, from order
-  64 up, jumps runs of equal rows in closed form,
+  one kernel, which forms a - x for up to 64 rows at a time, steps the
+  pivot recurrence with two numpy calls per row, counts signs once per
+  block, patches a zero pivot only where one occurs and, from order 64 up,
+  jumps runs of equal rows in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against),
 * power iteration for the dominant eigenpair of a nonnegative matrix.
@@ -104,14 +106,20 @@ _MAX_BISECTION_STEPS = 2200
 # From this order up, _run_plan cuts each lane into generic rows and uniform
 # runs, which the count kernel jumps in closed form; below it every row is
 # one step. Only _run_plan reads this gate. A jump costs about forty numpy
-# calls against six per row. Measured on bug quotients (2-core x86-64, numpy
-# 2.4), jumps win from order about 40 for a full spectrum, rho alone and an
-# 8-alpha sweep, and from about 80 for a scan of all d/2 splits, whose lanes
-# fall into four plan shapes; below 40 they cost up to twice the row steps.
+# calls against two per row. Measured on bug quotients (2-core x86-64, numpy
+# 2.4), jumps win from order about 56 for rho alone, 85 for a full spectrum,
+# 128 for an 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes
+# fall into four plan shapes. At order 64 they save 8 % on rho alone and
+# cost 1.2 times the row steps for a full spectrum and 1.6 times for a sweep
+# or a scan.
 # The gate is on the order, not on run length: lane i of a scan has a left
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
+# The count kernel forms a - x for up to this many generic rows in one
+# subtract and counts their signs in one pass, so its buffer is at most
+# this many rows of shifts, whatever the order.
+_BLOCK_ROWS = 64
 
 
 def _lane_bounds(diag: np.ndarray, offdiag: np.ndarray):
@@ -146,15 +154,16 @@ def _run_plan(diag: np.ndarray, off_sq: np.ndarray) -> list:
     is (a, c, k), columns of shape (len(lanes), 1) holding a segment's
     diagonal entry, the squared off-diagonal entry leading into it (not
     read for row 0) and, for a run, its row count (None for a generic row).
-    The cut of a lane depends only on its own entries. Below order
-    _RUN_PLAN_MIN_ORDER no runs are sought: one group holds every lane,
-    with one generic step per row.
+    steps is a _Steps list, which also holds the steps cut into blocks for
+    the count kernel. The cut of a lane depends only on its own entries.
+    Below order _RUN_PLAN_MIN_ORDER no runs are sought: one group holds
+    every lane, with one generic step per row.
     """
     m = diag.shape[1]
     if m < _RUN_PLAN_MIN_ORDER:
         steps = [(diag[:, :1], None, None)]
         steps += [(diag[:, j:j + 1], off_sq[:, j - 1:j], None) for j in range(1, m)]
-        return [(slice(None), steps)]
+        return [(slice(None), _Steps(steps))]
     # joined[l, j-2]: row j continues the stretch of row j-1
     joined = (
         (diag[:, 2:] == diag[:, 1:-1])
@@ -175,7 +184,7 @@ def _run_plan(diag: np.ndarray, off_sq: np.ndarray) -> list:
             (a[:, s:s + 1], c[:, s:s + 1], sizes[:, s:s + 1] if sizes[0, s] > 1 else None)
             for s in range(starts.shape[1])
         ]
-        plan.append((lanes, steps))
+        plan.append((lanes, _Steps(steps)))
     return plan
 
 
@@ -261,52 +270,132 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
     return np.where(flip, k - below, below), np.where(flip, -b, b) * last
 
 
+def _stand_in(x: np.ndarray, scale) -> np.ndarray:
+    """What a zero pivot becomes: -eps * scale * (1 + |x|), a tiny negative
+    value proportional to the matrix norm."""
+    neg_tiny = np.finfo(float).eps * scale * (1.0 + np.abs(x))
+    return np.negative(neg_tiny, out=neg_tiny)
+
+
+def _blocks(steps: list) -> list:
+    """Cut plan steps into blocks of up to _BLOCK_ROWS generic rows, each
+    block starting at a generic row. Returns (steps, entries) pairs, entries
+    stacking the diagonal columns of the block's generic rows as
+    (rows, lanes, 1)."""
+    starts = [s for s, step in enumerate(steps) if step[2] is None][::_BLOCK_ROWS]
+    return [
+        (steps[i:j], np.stack([a for a, _, k in steps[i:j] if k is None]))
+        for i, j in zip(starts, starts[1:] + [len(steps)])
+    ]
+
+
+class _Steps(list):
+    """A group's plan steps, and in blocks the same steps cut by _blocks:
+    a plan is made once per solve and counted once per bisection round, so
+    the blocks are cut and their entries stacked once."""
+
+    def __init__(self, steps: list):
+        super().__init__(steps)
+        self.blocks = _blocks(steps)
+
+
+def _walk(steps, pivot, entries, x, scale, rows, quotient, patch: bool):
+    """One pass of the pivot recurrence over a block of plan steps.
+
+    pivot enters the block (None before row 0). entries holds the diagonal
+    entries of the block's generic rows as (rows, lanes, 1); rows receives
+    entries - x in one subtract, and each generic row then turns its own
+    entry into its pivot with two numpy calls. A run is jumped in closed
+    form (_jump), and a zero pivot ending it is counted as negative and
+    replaced by the stand-in (_stand_in). With patch, a zero pivot of a
+    generic row is replaced too, right after its row; without, it stays in
+    rows for the caller to find. Returns the negative pivots of the block's
+    runs and its last pivot.
+    """
+    np.subtract(entries, x, out=rows)
+    neg_tiny = _stand_in(x, scale) if patch else None
+    jumped = 0
+    r = 0
+    for a, c, k in steps:
+        if k is None:
+            row = rows[r]
+            r += 1
+            if pivot is not None:
+                np.divide(c, pivot, out=quotient)
+                np.subtract(row, quotient, out=row)
+            if patch:
+                np.copyto(row, neg_tiny, where=row == 0.0)
+            pivot = row
+        else:
+            run, pivot = _jump(pivot, a, c, k, x)
+            jumped = jumped + run
+            if not pivot.all():
+                # a zero ending a run counts as negative even where its
+                # crossings called it positive
+                jumped = jumped + ((pivot == 0.0) & ~np.signbit(pivot))
+                if neg_tiny is None:
+                    neg_tiny = _stand_in(x, scale)
+                np.copyto(pivot, neg_tiny, where=pivot == 0.0)
+    return jumped, pivot
+
+
 def _plan_counts(plan: list, shifts: np.ndarray, scale) -> np.ndarray:
     """Eigenvalues strictly below each shift, lane by lane, for a plan from
     _run_plan: shifts is (L, k), scale (L, 1) and the result (L, k).
 
     Runs the shifted LDL^T pivot recurrence for every lane and shift of a
-    group at once, one step per generic row and one closed-form jump per
-    run (_jump), and counts non-positive pivots. A zero pivot counts as
-    negative and becomes a tiny negative value proportional to the matrix
-    norm, which keeps the division safe without disturbing counts away from
-    exact eigenvalue hits.
+    group at once and counts non-positive pivots. The steps go in the
+    blocks of up to _BLOCK_ROWS generic rows that _run_plan cut (_blocks),
+    each with its rows' diagonal entries stacked. A block costs two numpy
+    calls per generic row and one closed-form jump per run (_walk), and
+    its signs are counted once, at its end. A zero pivot counts as
+    negative and becomes a tiny negative stand-in proportional to the
+    matrix norm (_stand_in), which keeps the division safe without
+    disturbing counts away from exact eigenvalue hits. A zero pivot of a
+    generic row is rare, so a block first runs without patching them, and
+    only a block that leaves one runs again from its entering pivot with
+    the patch after every row. Up to the first zero both passes take the
+    same steps, so every count and every pivot is the one that patching
+    each row as it comes would give.
     """
     counts = np.empty(shifts.shape, dtype=np.intp)
+    buffer = np.empty(min(_BLOCK_ROWS, max(len(steps) for _, steps in plan)) * shifts.size)
+    quotient_buffer = np.empty(shifts.size)
     # a subnormal pivot overflows the next quotient to inf; the pivot after
     # it is then -inf, which counts as negative as it should
     with np.errstate(all="ignore"):
         for lanes, steps in plan:
-            x = shifts[lanes]
-            neg_tiny = np.finfo(float).eps * scale[lanes] * (1.0 + np.abs(x))
-            np.negative(neg_tiny, out=neg_tiny)
-            pivot = np.subtract(steps[0][0], x)
-            quotient = np.empty_like(pivot)
-            zero = np.empty(pivot.shape, dtype=bool)
-            below = np.zeros(pivot.shape, dtype=np.intp)
-            # sign flags of up to 64 steps, added to below a block at a
-            # time: one comparison per row without an m-row flag array
-            flags = np.empty((min(len(steps), 64),) + pivot.shape, dtype=bool)
-            for s, (a, c, k) in enumerate(steps):
-                if k is None:
-                    if s:
-                        np.divide(c, pivot, out=quotient)
-                        np.subtract(a, x, out=pivot)
-                        np.subtract(pivot, quotient, out=pivot)
-                    np.less_equal(pivot, 0.0, out=flags[s % 64])
-                else:
-                    jumped, pivot = _jump(pivot, a, c, k, x)
-                    below += jumped
-                    # a zero ending a run counts as negative even where its
-                    # crossings called it positive
-                    below += (pivot == 0.0) & ~np.signbit(pivot)
-                    flags[s % 64] = False
-                np.equal(pivot, 0.0, out=zero)
-                np.copyto(pivot, neg_tiny, where=zero)
-                if s % 64 == 63 or s == len(steps) - 1:
-                    below += flags[: s % 64 + 1].sum(axis=0)
+            x, lane_scale = shifts[lanes], scale[lanes]
+            quotient = quotient_buffer[: x.size].reshape(x.shape)
+            below = 0
+            pivot = None
+            for b, (block, entries) in enumerate(steps.blocks):
+                rows = buffer[: len(entries) * x.size].reshape((len(entries),) + x.shape)
+                args = (block, pivot, entries, x, lane_scale, rows, quotient)
+                jumped, pivot = _walk(*args, patch=False)
+                if not rows.all():
+                    jumped, pivot = _walk(*args, patch=True)
+                below = below + jumped + (rows <= 0.0).sum(axis=0)
+                if b + 1 < len(steps.blocks):
+                    # the next block writes its pivots over rows
+                    pivot = pivot.copy()
             counts[lanes] = below
     return counts
+
+
+def _squared_offdiag(offdiag: np.ndarray) -> np.ndarray:
+    """The squared off-diagonal entries the count kernel reads. An entry
+    above sqrt of the largest float (about 1.34e154) would square to inf and
+    make every count wrong, so it raises ValueError."""
+    with np.errstate(over="ignore"):
+        off_sq = np.square(offdiag)
+    if not np.isfinite(off_sq).all():
+        raise ValueError(
+            f"off-diagonal entry {float(np.max(np.abs(offdiag))):.3e} exceeds "
+            f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
+            "its square would overflow"
+        )
+    return off_sq
 
 
 def sturm_count(t: SymTridiag, x: float) -> int:
@@ -317,7 +406,7 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     x = float(x)
     if math.isnan(x):
         raise ValueError("shift must not be NaN")
-    diag, off_sq = t.diag[None], np.square(t.offdiag)[None]
+    diag, off_sq = t.diag[None], _squared_offdiag(t.offdiag[None])
     _, _, scale = _lane_bounds(diag, t.offdiag[None])
     return int(_plan_counts(_run_plan(diag, off_sq), np.asarray([[x]]), scale[:, None])[0, 0])
 
@@ -434,7 +523,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     upper = np.repeat(hi, need.size)
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
-    plan = _run_plan(diag, np.square(offdiag))
+    plan = _run_plan(diag, _squared_offdiag(offdiag))
     # each bracket walks a tree of (tree_lower, tree_upper, tree_tol) from
     # roots: its own tree, or its lane's first bracket with its interval
     own_depth = _tree_depth(lower.size)

@@ -24,8 +24,8 @@ CLUSTER_RADIUS = 1e-7
 MAX_FAILURES_LISTED = 50
 # Largest max_n run_verification accepts. Every grid bug goes through the
 # dense Jacobi solve, which runs in Python: on the default alpha grid
-# `alphabug verify` took 1.8 s at max_n = 12 and 6.1 s at max_n = 16 (2-core
-# x86-64, Python 3.11, numpy 2.4).
+# `alphabug verify` took 0.7 s at max_n = 12 and 2.3 s at max_n = 16, whole
+# process (2-core x86-64, Python 3.11, numpy 2.4).
 VERIFY_MAX_N = 16
 
 

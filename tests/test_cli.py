@@ -522,6 +522,58 @@ class TestEnvironmentOverride:
         assert code == 3
 
 
+class TestLaneCellCap:
+    @pytest.fixture
+    def no_lanes(self, monkeypatch):
+        import alphabug.cli as cli_module
+        import alphabug.verify as verify_module
+
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built("bug_tridiagonal was called")
+
+        monkeypatch.setattr(cli_module, "bug_tridiagonal", refuse)
+        monkeypatch.setattr(verify_module, "bug_tridiagonal", refuse)
+        return cli_module.LANE_CELLS_MAX, Built
+
+    @pytest.mark.parametrize("argv", [
+        # about 11 GB of lanes: this used to exhaust the machine's memory
+        ["scan", "--n", "200000", "--d", "20000", "--alpha", "0.5"],
+        # 8,192 // 2 lanes of order 8,193: the first d past the cap
+        ["scan", "--n", "20000", "--d", "8192", "--alpha", "0.5"],
+        ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2",
+         "--alphas", ",".join(str(k / 100) for k in range(40))],
+    ])
+    def test_above_cap_exits_two_before_any_lane(self, capsys, no_lanes, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(no_lanes[0]) in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "20000", "--d", "8191", "--alpha", "0.5"],
+        ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2", "--alphas", "0,0.5"],
+    ])
+    def test_at_cap_reaches_the_lanes(self, capsys, no_lanes, argv):
+        with pytest.raises(no_lanes[1]):
+            main(argv)
+
+    def test_batch_above_cap_fails_only_its_job(self, capsys, tmp_path):
+        source = tmp_path / "jobs.json"
+        source.write_text(json.dumps([
+            {"command": "scan", "n": 200000, "d": 20000, "alpha": 0.5},
+            {"command": "scan", "n": 6, "d": 2, "alpha": 0},
+        ]))
+        code, out = run_cli(capsys, "batch", str(source))
+        first, second = (json.loads(line) for line in out.splitlines())
+        assert code == 2 and first["exit_code"] == 2 and "cells" in first["error"]
+        assert second["status"] == "ok" and second["result"]["argmax_i"] == 1
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["polish"]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -276,6 +277,26 @@ class TestLaneEigenvalues:
             with pytest.raises(ValueError, match="half the largest float"):
                 lane_eigenvalues([SymTridiag(np.zeros(t.order), np.ones(t.order - 1)), t], [1])
 
+    def test_overflowing_offdiagonal_squares_are_rejected(self):
+        # the kernel reads squared off-diagonals: these squared to inf and
+        # gave [-2e160, 2e160, 2e160] with only a RuntimeWarning
+        t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (tridiag_eigenvalues, lambda t: sturm_count(t, 0.0),
+                          lambda t: lane_eigenvalues([GOLDEN, SymTridiag(np.ones(6), [1e160] * 5)], [1])):
+                with pytest.raises(ValueError, match="1.341e\\+154"):
+                    solve(t)
+
+    def test_large_offdiagonal_below_the_limit_is_solved(self):
+        t = SymTridiag([0.0, 1.0, 0.0], [1e150, 1e150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = tridiag_eigenvalues(t)
+        expected = np.linalg.eigvalsh(t.to_dense())
+        assert np.allclose(values, expected, rtol=0.0, atol=1e-12 * 1.5e150)
+        assert sturm_count(t, 0.5e150) == 2
+
     def test_bounds_below_half_the_largest_float_are_solved(self):
         values = tridiag_eigenvalues(SymTridiag([4e307] * 3, [1.0, 1.0]))
         assert np.all(np.isfinite(values))
@@ -451,6 +472,115 @@ class TestRunPlanCounts:
             alone = lane_eigenvalues([t], indices)[0]
             assert np.array_equal(row, alone)
             assert np.array_equal(row, tridiag_eigenvalues(t)[np.asarray(indices) - 1])
+
+
+def _unit_pivot_lane(rng, m: int, zero_row: int) -> SymTridiag:
+    """A run-free tridiagonal with integer entries whose pivot at shift 0 is
+    exactly 1 on rows 1 .. zero_row - 1 and exactly 0 on zero_row, followed
+    by random integer rows.
+
+    Row j has pivot diag[j] - off[j-1]**2 / pivot[j-1], so diag[j] =
+    off[j-1]**2 + 1 keeps a unit pivot and diag[zero_row] = off**2 zeroes
+    it. Neighbouring squared off-diagonals differ, so no two rows form a run.
+    """
+    off_sq = [1.0]
+    while len(off_sq) < m - 1:
+        off_sq.append(float(rng.choice([v for v in (1.0, 4.0, 9.0) if v != off_sq[-1]])))
+    offdiag = np.sqrt(off_sq) * rng.choice([-1.0, 1.0], m - 1)
+    diag = rng.integers(-4, 5, m).astype(float)
+    diag[0] = 1.0
+    for j in range(1, zero_row):
+        diag[j] = off_sq[j - 1] + 1.0
+    diag[zero_row] = off_sq[zero_row - 1]
+    for j in range(zero_row + 1, m):
+        while diag[j] == diag[j - 1]:
+            diag[j] = float(rng.integers(-4, 5))
+    return SymTridiag(diag, offdiag)
+
+
+def _first_zero_pivot(t: SymTridiag, x: float):
+    """The first row whose pivot at shift x is exactly zero, or None."""
+    pivot = None
+    with np.errstate(divide="ignore", over="ignore"):
+        for j in range(t.order):
+            pivot = t.diag[j] - x if j == 0 else (t.diag[j] - x) - t.offdiag[j - 1] ** 2 / pivot
+            if pivot == 0.0:
+                return j
+    return None
+
+
+class TestBlockedCounts:
+    """The count kernel forms a - x for a block of rows at once, counts its
+    signs at the end and, only when a block leaves an exact zero pivot, runs
+    it again with the zero-pivot stand-in after every row."""
+
+    @pytest.mark.parametrize("m, zero_row", [
+        (40, 20),  # below the gate: one block of row steps
+        (80, 70),  # above the gate, run-free: the zero falls in the second block
+    ])
+    def test_exact_zero_pivots_match_the_row_loop(self, m, zero_row):
+        t = _unit_pivot_lane(np.random.default_rng(m), m, zero_row)
+        (_, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        assert len(steps) == m and all(k is None for _, _, k in steps)
+        # shift diag[0] zeroes row 0, shift 0 the middle row zero_row
+        assert _first_zero_pivot(t, t.diag[0]) == 0
+        assert _first_zero_pivot(t, 0.0) == zero_row
+        for x in (t.diag[0], 0.0, *np.arange(-12.0, 12.5, 0.5)):
+            assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x), x
+        assert np.array_equal(tridiag_eigenvalues(t), plain_bisection_eigenvalues(t.diag, t.offdiag))
+
+    @pytest.mark.parametrize("t_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("last", [0.5, 3.0, -1.0])
+    def test_run_ending_on_an_exact_zero_pivot(self, t_sign, last):
+        # rows 1..63 are (0, 1), a run at t = (0 - x)/2 = t_sign, and row 0
+        # enters it with pivot t_sign * 63/64. The pivots are then exactly
+        # t_sign * (63 - j)/(64 - j), so the run ends on an exact zero:
+        # -0.0 for t = 1 and +0.0 for t = -1, whose crossings call it
+        # positive. Row 64 reads it after the stand-in replaced it.
+        x = -2.0 * t_sign
+        diag = np.array([x + t_sign * 63 / 64] + [0.0] * 63 + [last])
+        t = SymTridiag(diag, np.ones(64))
+        (_, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [None, 63, None]
+        _, c, k = steps[1]
+        _, pivot = eigensolve._jump(np.array([[t_sign * 63 / 64]]), 0.0, c, k, np.array([[x]]))
+        assert pivot[0, 0] == 0.0 and np.signbit(pivot[0, 0]) == (t_sign > 0)
+        expected = 1 if t_sign > 0 else 64
+        assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x) == expected
+        values = np.linalg.eigvalsh(t.to_dense())
+        for shift in np.arange(-3.0, 3.25, 0.25):
+            if np.min(np.abs(values - shift)) > 1e-9:
+                assert sturm_count(t, shift) == row_loop_count(t.diag, t.offdiag, shift), shift
+        # closed-form jumps match the row loop to rounding, not bit for bit
+        reference = plain_bisection_eigenvalues(t.diag, t.offdiag)
+        assert np.max(np.abs(tridiag_eigenvalues(t) - reference)) <= 1e-12 * max(1.0, reference[-1])
+
+    def test_run_free_lane_spanning_several_blocks(self):
+        rng = np.random.default_rng(20)
+        diag = rng.integers(-6, 7, 200) / 2
+        for j in range(1, diag.size):
+            if diag[j] == diag[j - 1]:  # equal neighbours could form a run
+                diag[j] += 0.5
+        t = SymTridiag(diag, rng.integers(-6, 7, 199) / 2)
+        (_, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        assert all(k is None for _, _, k in steps)
+        assert t.order > 3 * eigensolve._BLOCK_ROWS
+        shifts = [*np.arange(-12.0, 12.5, 0.5), *np.linalg.eigvalsh(t.to_dense())]
+        for x in shifts:
+            assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x), x
+        assert np.array_equal(tridiag_eigenvalues(t), plain_bisection_eigenvalues(t.diag, t.offdiag))
+
+    def test_working_memory_is_bounded_by_the_block(self):
+        # one float per row and shift would be 1,500 x 1,500 x 8 B = 18 MB
+        rng = np.random.default_rng(21)
+        t = random_tridiag(rng, 1500)
+        tracemalloc.start()
+        try:
+            tridiag_eigenvalues(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestJacobi:
