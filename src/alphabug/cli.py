@@ -33,7 +33,7 @@ from .eigensolve import (
 )
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
-from .structured import _spectrum_from_quotient, bug_tridiagonal, halved_tridiagonal
+from .structured import _spectrum_from_quotient, bug_tridiagonal, closed_form, halved_tridiagonal
 from .verify import DEFAULT_ALPHAS, compare_spectra, extremal_scan, run_verification
 
 EXIT_OK = 0
@@ -49,15 +49,10 @@ COMPARE_TOL = 1e-8
 # x86-64, Python 3.11, numpy 2.4). Without a cap, n = 10**6 would ask for
 # an 8 TB matrix.
 DENSE_MAX_N = 200
-# Largest lanes x order that scan (d//2 lanes) and sweep (one lane per
-# alpha) may solve in one call. Each lane is built as dense arrays of order
-# d+1 and the solve stacks them, so memory grows with the cell count, at
-# about 55 bytes a cell for both commands. In a fresh process (2-core
-# x86-64, numpy 2.4), a d = 8,000 scan (4,000 lanes of order 8,001, 32.0
-# million cells) peaked at 1.74 GB RSS in 1.7 s; sweeps at d = 10**6
-# peaked at 0.47, 0.90 and 1.81 GB with 8, 16 and 33 alphas (33.0 million
-# cells, 2.8 s). Scan d = 20,000 would ask for about 11 GB.
-LANE_CELLS_MAX = 2**25
+# Largest d of any job. A spectrum solves d+1 eigenvalues and a scan d/2
+# quotients: at d = 10**6 they took 5.5 s / 464 MB and 31 s / 740 MB peak
+# RSS in a fresh process (2-core x86-64, Python 3.11, numpy 2.4).
+D_MAX = 10**6
 
 _METHODS = ("structured", "dense", "halved", "all")
 _FORMATS = ("json", "csv")
@@ -129,10 +124,8 @@ def _bug_echo(bug: BugSpec, input_form: str) -> dict:
 
 
 def _closed_form(bug: BugSpec, alpha: float) -> dict | None:
-    mult = bug.n - bug.d - 1
-    if mult < 1:
-        return None
-    return {"value": (bug.n - bug.d + 2) * alpha - 1.0, "multiplicity": mult}
+    value, mult = closed_form(bug, alpha)
+    return {"value": value, "multiplicity": mult} if mult >= 1 else None
 
 
 def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
@@ -195,17 +188,8 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
     }
 
 
-def _check_lane_cells(command: str, lanes: int, order: int) -> None:
-    if lanes * order > LANE_CELLS_MAX:
-        raise ValueError(
-            f"{command} solves {lanes} quotients of order {order} at once and allows "
-            f"at most {LANE_CELLS_MAX} cells (quotients x order), got {lanes * order}"
-        )
-
-
 def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
     bug = cfg.bug
-    _check_lane_cells("sweep", len(cfg.alphas), bug.d + 1)
     lanes = [bug_tridiagonal(bug, alpha) for alpha in cfg.alphas]
     extremes = lane_eigenvalues(lanes, [1, bug.d + 1], solve)
     rows = []
@@ -226,7 +210,6 @@ def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
 
 
 def _cmd_scan(cfg: JobConfig, solve: SolveConfig) -> dict:
-    _check_lane_cells("scan", cfg.d // 2, cfg.d + 1)
     rows = extremal_scan(cfg.n, cfg.d, cfg.alpha, solve)
     return {
         "input": {"n": cfg.n, "d": cfg.d, "alpha": cfg.alpha},
@@ -340,24 +323,9 @@ def render_csv(command: str, payload: dict) -> str:
         rows = [[r["i"], r["rho"], r["is_argmax"]] for r in payload["rows"]]
         return _csv(["i", "rho", "is_argmax"], rows)
     if command == "verify":
-        s = payload["summary"]
-        row = [
-            s["instances"],
-            s["checks_run"],
-            s["checks_passed"],
-            s["checks_failed"],
-            s["worst_deviation"],
-            s["ok"],
-        ]
-        header = [
-            "instances",
-            "checks_run",
-            "checks_passed",
-            "checks_failed",
-            "worst_deviation",
-            "ok",
-        ]
-        return _csv(header, [row])
+        header = ["instances", "checks_run", "checks_passed", "checks_failed",
+                  "worst_deviation", "ok"]
+        return _csv(header, [[payload["summary"][key] for key in header]])
     raise ValueError(f"no CSV renderer for command {command!r}")
 
 
@@ -536,6 +504,9 @@ def job_from_dict(raw: dict) -> JobConfig:
     if command in ("spectrum", "sweep"):
         triple = (fields.pop(k, None) for k in ("n", "d", "i", "p", "q", "r"))
         fields["bug"], fields["input_form"] = _resolve_bug(*triple)
+    d = fields["bug"].d if "bug" in fields else fields.get("d", 0)
+    if d > D_MAX:
+        raise ValueError(f"{command} allows d <= {D_MAX}, got d={d}")
     return JobConfig(command, **fields)
 
 

@@ -3,13 +3,14 @@
 Three kernels, deliberately independent of any LAPACK-backed routine:
 
 * Sturm-count bisection for symmetric tridiagonal matrices (the fast
-  structured path): one routine solves selected eigenvalues of several
-  tridiagonals of the same order in lockstep, evaluating each distinct
-  bracket once however many indices share it, and every count goes through
-  one kernel, which forms a - x for up to 64 rows at a time, steps the
-  pivot recurrence with two numpy calls per row, counts signs once per
-  block, patches a zero pivot only where one occurs and, from order 64 up,
-  jumps runs of equal rows in closed form,
+  structured path), stored as runs of equal rows that the Gershgorin
+  bounds and count plans read directly: one routine solves selected
+  eigenvalues of several tridiagonals of the same order in lockstep,
+  evaluating each distinct bracket once however many indices share it,
+  and every count goes through one kernel, which forms a - x for up to 64
+  rows at a time, steps the pivot recurrence with two numpy calls per row,
+  counts signs once per block, patches a zero pivot only where one occurs
+  and, from order 64 up, jumps runs of equal rows in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against),
 * power iteration for the dominant eigenpair of a nonnegative matrix.
@@ -25,39 +26,74 @@ import numpy as np
 from .errors import ConvergenceError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SymTridiag:
-    """A real symmetric tridiagonal matrix stored as its two defining arrays."""
+    """A real symmetric tridiagonal matrix stored as runs of equal rows.
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    runs is (diag, lead, reps): run e is reps[e] rows with diagonal entry
+    diag[e], each joined to the row above by lead[e]; row 0 is a run of its
+    own, with lead 0. SymTridiag(diag, offdiag) stores one run per row. The
+    arrays are read-only, and so are diag and offdiag, expanded when read.
+    """
 
-    def __post_init__(self):
-        diag = np.array(self.diag, dtype=float, copy=True).reshape(-1)
-        offdiag = np.array(self.offdiag, dtype=float, copy=True).reshape(-1)
+    runs: tuple
+    order: int
+
+    def __init__(self, diag, offdiag):
+        diag = np.array(diag, dtype=float).reshape(-1)
+        offdiag = np.array(offdiag, dtype=float).reshape(-1)
         if diag.size < 1:
             raise ValueError("tridiagonal matrix must have at least one row")
         if offdiag.size != diag.size - 1:
             raise ValueError(
                 f"off-diagonal length {offdiag.size} does not fit diagonal length {diag.size}"
             )
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+        self._store(diag, np.append(0.0, offdiag), np.ones(diag.size, dtype=np.intp))
+
+    @classmethod
+    def path(cls, m: int, diag: float, lead: float, diag_cells: dict, lead_cells: dict):
+        """Order m, each row with diagonal entry diag and joined to the row
+        above by lead (whose square must be nonzero), except the special
+        cells: diag_cells and lead_cells map rows to their own diagonal
+        entry and lead. Its runs are the special rows and the stretches
+        between them, whatever m is."""
+        cells = sorted({0, *diag_cells, *lead_cells})
+        if not (cells[0] == 0 and cells[-1] < m and 0 not in lead_cells and lead * lead > 0):
+            raise ValueError(f"no path of order {m} with lead {lead} and special rows {cells}")
+        runs = []
+        for row, end in zip(cells, cells[1:] + [m]):
+            runs.append((diag_cells.get(row, diag), lead_cells.get(row, lead) if row else 0.0, 1))
+            if end > row + 1:
+                runs.append((diag, lead, end - row - 1))
+        t = cls.__new__(cls)
+        t._store(*(np.array(c, dtype=k) for c, k in zip(zip(*runs), (float, float, np.intp))))
+        return t
+
+    def _store(self, diag: np.ndarray, lead: np.ndarray, reps: np.ndarray):
+        if not (np.isfinite(diag).all() and np.isfinite(lead).all()):
             raise ValueError("matrix entries must be finite")
-        diag.setflags(write=False)
-        offdiag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
+        for column in (diag, lead, reps):
+            column.setflags(write=False)
+        object.__setattr__(self, "runs", (diag, lead, reps))
+        object.__setattr__(self, "order", int(reps.sum()))
+
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        rows = np.repeat(values, self.runs[2])
+        rows.setflags(write=False)
+        return rows
 
     @property
-    def order(self) -> int:
-        return self.diag.size
+    def diag(self) -> np.ndarray:
+        return self._rows(self.runs[0])
+
+    @property
+    def offdiag(self) -> np.ndarray:
+        return self._rows(self.runs[1])[1:]
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)
-        if self.offdiag.size:
-            idx = np.arange(self.order - 1)
-            a[idx, idx + 1] = self.offdiag
-            a[idx + 1, idx] = self.offdiag
+        idx = np.arange(self.order - 1)
+        a[idx, idx + 1] = a[idx + 1, idx] = self.offdiag
         return a
 
 
@@ -122,69 +158,90 @@ _RUN_PLAN_MIN_ORDER = 64
 _BLOCK_ROWS = 64
 
 
-def _lane_bounds(diag: np.ndarray, offdiag: np.ndarray):
-    """Gershgorin ends and norm scale of each lane: three arrays of shape (L,)."""
-    mag = np.abs(offdiag)
-    radius = np.zeros(diag.shape)
-    radius[:, :-1] += mag
-    radius[:, 1:] += mag
-    lo = np.min(diag - radius, axis=1)
-    hi = np.max(diag + radius, axis=1)
-    scale = np.max(np.abs(diag), axis=1)
-    if offdiag.shape[1]:
-        scale += 2.0 * np.max(mag, axis=1)
+def _lane_runs(lanes: list):
+    """The runs of all lanes back to back, and the run each lane starts at."""
+    diag, lead, reps = (np.concatenate(column) for column in zip(*(t.runs for t in lanes)))
+    first = np.cumsum([0] + [t.runs[2].size for t in lanes[:-1]])
+    return diag, lead, reps, first
+
+
+def _lane_bounds(lanes: list):
+    """Gershgorin ends and norm scale of each lane: three arrays of shape (L,).
+
+    A run stands in for at most three rows: its first and inner rows have
+    radius 2 |lead|, its last |lead| plus the next run's lead, which is the
+    0 of the next lane's row 0 at a lane's end."""
+    diag, lead, reps, first = _lane_runs(lanes)
+    mag = np.abs(lead)
+    radius = mag + np.append(mag[1:], 0.0)
+    np.maximum(radius, mag + mag, out=radius, where=reps > 1)
+    lo = np.minimum.reduceat(diag - radius, first)
+    hi = np.maximum.reduceat(diag + radius, first)
+    # row 0's lead of 0 adds nothing to a lane of order 1
+    scale = np.maximum.reduceat(np.abs(diag), first) + 2.0 * np.maximum.reduceat(mag, first)
     return lo, hi, np.maximum(1.0, scale)
 
 
 def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
     """A closed interval [lo, hi] containing every eigenvalue of t."""
-    lo, hi, _ = _lane_bounds(t.diag[None], t.offdiag[None])
+    lo, hi, _ = _lane_bounds([t])
     return float(lo[0]), float(hi[0])
 
 
-def _run_plan(diag: np.ndarray, off_sq: np.ndarray) -> list:
+def _run_plan(lanes: list) -> list:
     """Cut each lane's rows into generic rows and uniform runs, and group
     the lanes whose cuts have the same shape.
 
-    A run is a maximal stretch of two or more rows j >= 1 that share
-    (diag[j], off_sq[j-1]) with off_sq[j-1] > 0; every other row is a
-    generic row, and row 0 is always one. Returns a list of groups
-    (lanes, steps): lanes indexes the group's lanes in diag (an index
-    array, or a slice when one group holds them all), and each step
-    is (a, c, k), columns of shape (len(lanes), 1) holding a segment's
-    diagonal entry, the squared off-diagonal entry leading into it (not
-    read for row 0) and, for a run, its row count (None for a generic row).
-    steps is a _Steps list, which also holds the steps cut into blocks for
-    the count kernel. The cut of a lane depends only on its own entries.
-    Below order _RUN_PLAN_MIN_ORDER no runs are sought: one group holds
-    every lane, with one generic step per row.
+    A run is a maximal stretch of two or more rows j >= 1 that share their
+    diagonal entry and squared lead, and the lead is nonzero; every other
+    row is a generic row, and row 0 is always one. Neighbouring stored runs
+    merge by that rule, so the cut depends only on a lane's entries, not on
+    how it was built. Returns a list of groups (lanes, steps): lanes indexes
+    the group's lanes (an index array, or a slice when one group holds them
+    all), and each step is (a, c, k), columns of shape (len(lanes), 1)
+    holding a segment's diagonal entry, its squared lead (not read for row
+    0) and, for a run, its row count (None for a generic row). steps is a
+    _Steps list, which also holds the steps cut into blocks for the count
+    kernel. Below order _RUN_PLAN_MIN_ORDER no runs are sought: one group
+    holds every lane, with one generic step per row. A lead above sqrt of
+    the largest float (about 1.34e154) would square to inf and make every
+    count wrong, so it raises ValueError.
     """
-    m = diag.shape[1]
-    if m < _RUN_PLAN_MIN_ORDER:
-        steps = [(diag[:, :1], None, None)]
-        steps += [(diag[:, j:j + 1], off_sq[:, j - 1:j], None) for j in range(1, m)]
+    diag, lead, reps, first = _lane_runs(lanes)
+    with np.errstate(over="ignore"):
+        lead_sq = np.square(lead)
+    if not np.isfinite(lead_sq).all():
+        raise ValueError(
+            f"off-diagonal entry {float(np.max(np.abs(lead))):.3e} exceeds "
+            f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
+            "its square would overflow"
+        )
+    if lanes[0].order < _RUN_PLAN_MIN_ORDER:
+        diag, lead_sq = (np.repeat(v, reps).reshape(len(lanes), -1) for v in (diag, lead_sq))
+        steps = [(diag[:, j:j + 1], lead_sq[:, j:j + 1], None) for j in range(diag.shape[1])]
         return [(slice(None), _Steps(steps))]
-    # joined[l, j-2]: row j continues the stretch of row j-1
-    joined = (
-        (diag[:, 2:] == diag[:, 1:-1])
-        & (off_sq[:, 1:] == off_sq[:, :-1])
-        & (off_sq[:, 1:] > 0.0)
-    )
+    # a run continues the stretch of the run before it; row 0's lead of 0
+    # keeps it and the lane's next run from joining anything
+    joined = np.zeros(diag.size, dtype=bool)
+    joined[1:] = (diag[1:] == diag[:-1]) & (lead_sq[1:] == lead_sq[:-1]) & (lead_sq[1:] > 0.0)
+    starts = np.flatnonzero(~joined)
+    sizes = np.add.reduceat(reps, starts)
+    is_run = sizes > 1
+    # lane l holds stretches bounds[l] .. bounds[l+1] - 1
+    bounds = np.searchsorted(starts, np.append(first, diag.size))
     groups: dict[bytes, list] = {}
-    for lane, row in enumerate(joined):
-        starts = np.concatenate(([0, 1], np.flatnonzero(~row) + 2))
-        sizes = np.diff(starts, append=m)
-        groups.setdefault((sizes > 1).tobytes(), []).append((lane, starts, sizes))
+    for lane in range(len(lanes)):
+        groups.setdefault(is_run[bounds[lane]:bounds[lane + 1]].tobytes(), []).append(lane)
     plan = []
-    for members in groups.values():
-        lanes, starts, sizes = (np.array(column) for column in zip(*members))
-        a = np.take_along_axis(diag[lanes], starts, axis=1)
-        c = np.take_along_axis(off_sq[lanes], np.maximum(starts - 1, 0), axis=1)
+    for shape, members in groups.items():
+        group = np.array(members)
+        at = bounds[group][:, None] + np.arange(len(shape))
+        a, c, k = diag[starts[at]], lead_sq[starts[at]], sizes[at]
         steps = [
-            (a[:, s:s + 1], c[:, s:s + 1], sizes[:, s:s + 1] if sizes[0, s] > 1 else None)
-            for s in range(starts.shape[1])
+            (a[:, s:s + 1], c[:, s:s + 1], k[:, s:s + 1] if run else None)
+            for s, run in enumerate(shape)
         ]
-        plan.append((lanes, _Steps(steps)))
+        plan.append((group, _Steps(steps)))
     return plan
 
 
@@ -383,21 +440,6 @@ def _plan_counts(plan: list, shifts: np.ndarray, scale) -> np.ndarray:
     return counts
 
 
-def _squared_offdiag(offdiag: np.ndarray) -> np.ndarray:
-    """The squared off-diagonal entries the count kernel reads. An entry
-    above sqrt of the largest float (about 1.34e154) would square to inf and
-    make every count wrong, so it raises ValueError."""
-    with np.errstate(over="ignore"):
-        off_sq = np.square(offdiag)
-    if not np.isfinite(off_sq).all():
-        raise ValueError(
-            f"off-diagonal entry {float(np.max(np.abs(offdiag))):.3e} exceeds "
-            f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
-            "its square would overflow"
-        )
-    return off_sq
-
-
 def sturm_count(t: SymTridiag, x: float) -> int:
     """Number of eigenvalues of t strictly less than x.
 
@@ -406,9 +448,9 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     x = float(x)
     if math.isnan(x):
         raise ValueError("shift must not be NaN")
-    diag, off_sq = t.diag[None], _squared_offdiag(t.offdiag[None])
-    _, _, scale = _lane_bounds(diag, t.offdiag[None])
-    return int(_plan_counts(_run_plan(diag, off_sq), np.asarray([[x]]), scale[:, None])[0, 0])
+    plan = _run_plan([t])
+    _, _, scale = _lane_bounds([t])
+    return int(_plan_counts(plan, np.asarray([[x]]), scale[:, None])[0, 0])
 
 
 def _tree_depth(brackets: int) -> int:
@@ -495,14 +537,12 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     if not integers or need.size == 0 or need.min() < 1 or need.max() > m:
         shown = list(given) or need.tolist()
         raise ValueError(f"eigenvalue indices must be integers in 1..{m}, got {shown}")
-    diag = np.stack([t.diag for t in lanes])
     if m == 1:
-        return np.repeat(diag, need.size, axis=1)
-    offdiag = np.stack([t.offdiag for t in lanes])
+        return np.repeat(np.stack([t.diag for t in lanes]), need.size, axis=1)
     # entries near the float limit overflow these sums to inf: such a lane
     # is rejected just below
     with np.errstate(over="ignore"):
-        lo, hi, scale = _lane_bounds(diag, offdiag)
+        lo, hi, scale = _lane_bounds(lanes)
         tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
@@ -523,7 +563,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     upper = np.repeat(hi, need.size)
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
-    plan = _run_plan(diag, _squared_offdiag(offdiag))
+    plan = _run_plan(lanes)
     # each bracket walks a tree of (tree_lower, tree_upper, tree_tol) from
     # roots: its own tree, or its lane's first bracket with its interval
     own_depth = _tree_depth(lower.size)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .eigensolve import SolveConfig, SymTridiag, lane_eigenvalues, tridiag_eigenvalues
 from .graphs import BugSpec, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
@@ -22,26 +20,22 @@ from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
 def bug_tridiagonal(b: BugSpec, alpha) -> SymTridiag:
     """Order d+1 tridiagonal carrying the simple part of the bug spectrum.
 
-    Assembled directly from (n, d, i); the tests check it entrywise against
-    the symmetrized quotient of the cell partition built from the edge
-    list. Cells i-1, i, i+1 (0-based) are the deleted-edge endpoints around
-    the middle clique; endpoints that coincide with a path end lose one
-    neighbor cell, hence the alpha*w corrections below.
+    Built from (n, d, i) by SymTridiag.path; the tests check it entrywise
+    against the symmetrized quotient of the cell partition built from the
+    edge list. Cells i-1, i, i+1 (0-based) are the deleted-edge endpoints
+    around the middle clique; endpoints that coincide with a path end lose
+    one neighbor cell, hence the alpha*w corrections below.
     """
     alpha = check_alpha(alpha)
     beta = 1.0 - alpha
     d, i = b.d, b.i
     w = b.clique_order
-    diag = np.full(d + 1, 2.0 * alpha)
-    diag[0] = alpha
-    diag[d] = alpha
-    diag[i - 1] = alpha * (w + 1) if i - 1 > 0 else alpha * w
-    diag[i + 1] = alpha * (w + 1) if i + 1 < d else alpha * w
-    diag[i] = 2.0 * alpha + (w - 1)
-    offdiag = np.full(d, beta)
-    offdiag[i - 1] = beta * math.sqrt(w)
-    offdiag[i] = beta * math.sqrt(w)
-    return SymTridiag(diag, offdiag)
+    cells = {0: alpha, d: alpha}
+    cells[i - 1] = alpha * (w + 1) if i - 1 > 0 else alpha * w
+    cells[i + 1] = alpha * (w + 1) if i + 1 < d else alpha * w
+    cells[i] = 2.0 * alpha + (w - 1)
+    side = beta * math.sqrt(w)
+    return SymTridiag.path(d + 1, 2.0 * alpha, beta, cells, {i: side, i + 1: side})
 
 
 def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectrum:
@@ -56,14 +50,17 @@ def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectr
     return _spectrum_from_quotient(b, alpha, values)
 
 
+def closed_form(b: BugSpec, alpha: float) -> tuple[float, int]:
+    """The closed-form eigenvalue (n-d+2)*alpha - 1 and its multiplicity n-d-1."""
+    return (b.n - b.d + 2) * alpha - 1.0, b.n - b.d - 1
+
+
 def _spectrum_from_quotient(b: BugSpec, alpha: float, values) -> Spectrum:
     """The bug's spectrum from already solved quotient eigenvalues."""
     entries = [SpectrumEntry(float(v), 1, QUOTIENT) for v in values]
-    multiplicity = b.n - b.d - 1
+    value, multiplicity = closed_form(b, alpha)
     if multiplicity >= 1:
-        entries.append(
-            SpectrumEntry((b.n - b.d + 2) * alpha - 1.0, multiplicity, CLOSED_FORM)
-        )
+        entries.append(SpectrumEntry(value, multiplicity, CLOSED_FORM))
     spectrum = Spectrum.from_entries(entries)
     assert spectrum.order == b.n
     return spectrum
@@ -85,13 +82,8 @@ def halved_tridiagonal(n, d, alpha) -> SymTridiag:
     beta = 1.0 - alpha
     w = n - d
     half = d // 2 + 1
-    diag = np.full(half, 2.0 * alpha)
-    diag[0] = alpha
-    diag[half - 2] = alpha * (w + 1)
-    diag[half - 1] = 2.0 * alpha + (w - 1)
-    offdiag = np.full(half - 1, beta)
-    offdiag[half - 2] = beta * math.sqrt(2.0 * w)
-    return SymTridiag(diag, offdiag)
+    cells = {0: alpha, half - 2: alpha * (w + 1), half - 1: 2.0 * alpha + (w - 1)}
+    return SymTridiag.path(half, 2.0 * alpha, beta, cells, {half - 1: beta * math.sqrt(2.0 * w)})
 
 
 def proof_decomposition(b: BugSpec, alpha) -> tuple[SymTridiag, SymTridiag]:
@@ -108,12 +100,9 @@ def proof_decomposition(b: BugSpec, alpha) -> tuple[SymTridiag, SymTridiag]:
         raise ValueError(f"decomposition requires an even diameter >= 4, got d={b.d}")
     if b.i != b.d // 2:
         raise ValueError(f"decomposition applies to balanced bugs (i = d/2), got i={b.i}")
-    w = b.clique_order
     half = b.d // 2
-    diag = np.full(half, 2.0 * alpha)
-    diag[0] = alpha
-    diag[half - 1] = alpha * (w + 1)
-    inner = SymTridiag(diag, np.full(half - 1, 1.0 - alpha))
+    cells = {0: alpha, half - 1: alpha * (b.clique_order + 1)}
+    inner = SymTridiag.path(half, 2.0 * alpha, 1.0 - alpha, cells, {})
     return halved_tridiagonal(b.n, b.d, alpha), inner
 
 

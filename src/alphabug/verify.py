@@ -15,7 +15,7 @@ import numpy as np
 from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import _spectrum_from_quotient, bug_tridiagonal, proof_decomposition
+from .structured import _spectrum_from_quotient, bug_tridiagonal, closed_form, proof_decomposition
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
@@ -242,8 +242,8 @@ def run_verification(
                 f"spectrum mismatch for n={b.n} d={b.d} i={b.i} alpha={alpha}: "
                 f"deviation {report.max_abs_deviation:.3e}",
             )
-            if b.clique_order >= 2:
-                closed = (b.n - b.d + 2) * alpha - 1.0
+            closed, multiplicity = closed_form(b, alpha)
+            if multiplicity >= 1:
                 expected = cluster_multiplicity(structured.expand(), closed)
                 found = cluster_multiplicity(dense, closed)
                 record(

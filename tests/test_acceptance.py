@@ -5,12 +5,18 @@ behavior -- golden values, oracle agreement, decomposition identities,
 extremality, Perron properties, and scaling -- at explicit tolerances.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphabug
 from alphabug import (
     DEFAULT_CONFIG,
     BugSpec,
@@ -278,3 +284,35 @@ def test_million_vertex_structured_solve():
         bug.n - bug.d - 1
     )
     assert spectrum.rho > bug.n - bug.d - 1
+
+
+# An address-space limit well above what the scan and the sweep below need
+# (a virtual peak of about 150 MB with one BLAS thread, on x86-64 Linux)
+# and below what building them as dense lanes did: 1.8 GB of RSS for a
+# 33-alpha sweep at d = 10**6, and about 1.7 GB for a scan at d = 8,000.
+_ADDRESS_SPACE_LIMIT = 2**30
+_SCAN_AND_SWEEP = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE_LIMIT}, {_ADDRESS_SPACE_LIMIT}))
+from alphabug import BugSpec, bug_tridiagonal, lane_eigenvalues
+from alphabug.verify import extremal_scan
+rows = extremal_scan(640_000, 64_000, 0.5)
+bug = BugSpec(2_000_000, 1_000_000, 2)
+extremes = lane_eigenvalues([bug_tridiagonal(bug, k / 100) for k in range(40)], [1, bug.d + 1])
+print(len(rows), sum(row.is_argmax for row in rows), extremes.shape)
+"""
+
+
+def test_scan_and_sweep_memory_does_not_grow_with_lanes_times_order():
+    """A scan of 32,000 splits of order 64,001 and a 40-alpha sweep at
+    d = 10**6 complete under a 1 GiB address-space limit. The limit is set
+    in a child process, never on the test runner."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    package_root = str(Path(alphabug.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_SCAN_AND_SWEEP)],
+        env=env, capture_output=True, text=True, check=False, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["32000", "1", "(40,", "2)"]

@@ -522,7 +522,15 @@ class TestEnvironmentOverride:
         assert code == 3
 
 
+FORTY_ALPHAS = ",".join(str(k / 100) for k in range(40))
+
+
 class TestLaneCellCap:
+    """The one size cap left: d <= cli.D_MAX, checked by the validator
+    before any quotient is built. Quotients are kept as runs, so scan and
+    sweep memory no longer grows with quotients x order, and the cap on
+    that cell count is gone."""
+
     @pytest.fixture
     def no_lanes(self, monkeypatch):
         import alphabug.cli as cli_module
@@ -536,15 +544,13 @@ class TestLaneCellCap:
 
         monkeypatch.setattr(cli_module, "bug_tridiagonal", refuse)
         monkeypatch.setattr(verify_module, "bug_tridiagonal", refuse)
-        return cli_module.LANE_CELLS_MAX, Built
+        return cli_module.D_MAX, Built
 
     @pytest.mark.parametrize("argv", [
-        # about 11 GB of lanes: this used to exhaust the machine's memory
-        ["scan", "--n", "200000", "--d", "20000", "--alpha", "0.5"],
-        # 8,192 // 2 lanes of order 8,193: the first d past the cap
-        ["scan", "--n", "20000", "--d", "8192", "--alpha", "0.5"],
-        ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2",
-         "--alphas", ",".join(str(k / 100) for k in range(40))],
+        # d + 1 eigenvalues: this died with a MemoryError traceback and exit 1
+        ["spectrum", "--n", str(10**12), "--d", str(10**12 - 10), "--i", "5", "--alpha", "0.5"],
+        ["scan", "--n", str(10**7), "--d", str(10**6 + 1), "--alpha", "0.5"],
+        ["sweep", "--n", str(10**7), "--d", str(10**6 + 1), "--i", "2", "--alphas", "0,0.5"],
     ])
     def test_above_cap_exits_two_before_any_lane(self, capsys, no_lanes, argv):
         code = main(argv)
@@ -552,11 +558,11 @@ class TestLaneCellCap:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert str(no_lanes[0]) in captured.err
+        assert f"d <= {no_lanes[0]}" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["scan", "--n", "20000", "--d", "8191", "--alpha", "0.5"],
-        ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2", "--alphas", "0,0.5"],
+        ["scan", "--n", str(10**7), "--d", str(10**6), "--alpha", "0.5"],
+        ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2", "--alphas", FORTY_ALPHAS],
     ])
     def test_at_cap_reaches_the_lanes(self, capsys, no_lanes, argv):
         with pytest.raises(no_lanes[1]):
@@ -565,13 +571,22 @@ class TestLaneCellCap:
     def test_batch_above_cap_fails_only_its_job(self, capsys, tmp_path):
         source = tmp_path / "jobs.json"
         source.write_text(json.dumps([
-            {"command": "scan", "n": 200000, "d": 20000, "alpha": 0.5},
+            {"command": "spectrum", "n": 10**12, "d": 10**12 - 10, "i": 5, "alpha": 0.5},
             {"command": "scan", "n": 6, "d": 2, "alpha": 0},
         ]))
         code, out = run_cli(capsys, "batch", str(source))
         first, second = (json.loads(line) for line in out.splitlines())
-        assert code == 2 and first["exit_code"] == 2 and "cells" in first["error"]
+        assert code == 2 and first["exit_code"] == 2 and "d <= " in first["error"]
         assert second["status"] == "ok" and second["result"]["argmax_i"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        # both exited 2 under the cap on quotients x order
+        ["scan", "--n", "200000", "--d", "20000", "--alpha", "0.5", "--format", "csv"],
+        ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2", "--alphas", FORTY_ALPHAS],
+    ])
+    def test_jobs_past_the_old_cell_cap_run(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out
 
 
 class TestUsageErrors:

@@ -51,6 +51,37 @@ class TestSymTridiag:
         t = SymTridiag([1.0, 2.0], [0.5])
         with pytest.raises(ValueError):
             t.diag[0] = 7.0
+        path = SymTridiag.path(6, 1.0, 0.5, {0: 3.0}, {4: 2.0})
+        for matrix in (t, path, bug_tridiagonal(BugSpec(10**6, 1000, 7), 0.4)):
+            for array in (matrix.diag, matrix.offdiag, *matrix.runs):
+                with pytest.raises(ValueError):
+                    array[0] = 7.0
+
+    def test_path_stores_its_special_cells_and_stretches_as_runs(self):
+        t = SymTridiag.path(8, 1.0, 0.5, {0: 3.0, 6: 1.0}, {4: 2.0})
+        assert t.order == 8
+        assert t.diag.tolist() == [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert t.offdiag.tolist() == [0.5, 0.5, 0.5, 2.0, 0.5, 0.5, 0.5]
+        diag, lead, reps = t.runs
+        assert reps.tolist() == [1, 3, 1, 1, 1, 1]
+        assert lead.tolist() == [0.0, 0.5, 2.0, 0.5, 0.5, 0.5]
+        assert diag.tolist() == [3.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        one_row = SymTridiag.path(1, 2.0, 1.0, {}, {})
+        assert one_row.order == 1 and one_row.offdiag.size == 0
+
+    @pytest.mark.parametrize("args", [
+        (3, 1.0, 0.0, {}, {}),  # a zero lead decouples the rows of a run
+        (3, 1.0, 1e-170, {}, {}),  # and so does one whose square underflows
+        (3, 1.0, 1.0, {3: 2.0}, {}),  # no row 3
+        (3, 1.0, 1.0, {-1: 2.0}, {}),
+        (3, 1.0, 1.0, {}, {0: 2.0}),  # row 0 has no lead
+        (3, 1.0, 1.0, {1: np.inf}, {}),
+        (3, np.nan, 1.0, {}, {}),
+        (0, 1.0, 1.0, {}, {}),
+    ])
+    def test_path_rejects_bad_cells(self, args):
+        with pytest.raises(ValueError):
+            SymTridiag.path(*args)
 
     def test_to_dense(self):
         t = SymTridiag([1.0, 2.0, 3.0], [0.5, 0.25])
@@ -428,8 +459,7 @@ class TestRowStepCounts:
 
     def test_one_step_per_row_in_one_group(self):
         t = bug_tridiagonal(BugSpec(300, _BELOW_GATE - 1, 20), 0.3)
-        lanes = np.stack([t.diag, t.diag])
-        (group, steps), = eigensolve._run_plan(lanes, np.square(np.stack([t.offdiag] * 2)))
+        (group, steps), = eigensolve._run_plan([t, t])
         assert np.arange(2)[group].tolist() == [0, 1]
         assert len(steps) == t.order and all(k is None for _, _, k in steps)
 
@@ -451,7 +481,7 @@ class TestRunPlanCounts:
 
     def test_runs_are_jumped_in_closed_form(self):
         t = bug_tridiagonal(BugSpec(1000, 200, 50), 0.3)
-        (lanes, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        (lanes, steps), = eigensolve._run_plan([t])
         assert lanes.tolist() == [0]
         assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [
             None, 48, None, None, None, 148, None,
@@ -520,7 +550,7 @@ class TestBlockedCounts:
     ])
     def test_exact_zero_pivots_match_the_row_loop(self, m, zero_row):
         t = _unit_pivot_lane(np.random.default_rng(m), m, zero_row)
-        (_, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        (_, steps), = eigensolve._run_plan([t])
         assert len(steps) == m and all(k is None for _, _, k in steps)
         # shift diag[0] zeroes row 0, shift 0 the middle row zero_row
         assert _first_zero_pivot(t, t.diag[0]) == 0
@@ -540,7 +570,7 @@ class TestBlockedCounts:
         x = -2.0 * t_sign
         diag = np.array([x + t_sign * 63 / 64] + [0.0] * 63 + [last])
         t = SymTridiag(diag, np.ones(64))
-        (_, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        (_, steps), = eigensolve._run_plan([t])
         assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [None, 63, None]
         _, c, k = steps[1]
         _, pivot = eigensolve._jump(np.array([[t_sign * 63 / 64]]), 0.0, c, k, np.array([[x]]))
@@ -562,7 +592,7 @@ class TestBlockedCounts:
             if diag[j] == diag[j - 1]:  # equal neighbours could form a run
                 diag[j] += 0.5
         t = SymTridiag(diag, rng.integers(-6, 7, 199) / 2)
-        (_, steps), = eigensolve._run_plan(t.diag[None], np.square(t.offdiag)[None])
+        (_, steps), = eigensolve._run_plan([t])
         assert all(k is None for _, _, k in steps)
         assert t.order > 3 * eigensolve._BLOCK_ROWS
         shifts = [*np.arange(-12.0, 12.5, 0.5), *np.linalg.eigvalsh(t.to_dense())]

@@ -1,18 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
+import alphabug.eigensolve as eigensolve
 from alphabug import (
     BugSpec,
+    SymTridiag,
     assemble_dense_alpha,
     bug_spectrum,
     bug_tridiagonal,
+    gershgorin_interval,
     halved_tridiagonal,
     jacobi_eigenvalues,
+    lane_eigenvalues,
     proof_decomposition,
     spectral_radius,
+    sturm_count,
     tridiag_eigenvalues,
 )
+from alphabug.cli import _closed_form
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
+from alphabug.structured import closed_form
 from oracles import alpha_matrix, bug_cells, bug_edges, cell_quotient, path_edges
 
 GOLDEN_BUG = BugSpec(11, 5, 2)
@@ -239,3 +248,74 @@ def test_spectral_radius_exceeds_closed_form():
         for b in (BugSpec(12, 4, 2), BugSpec(8, 2, 1)):
             closed = (b.n - b.d + 2) * alpha - 1
             assert spectral_radius(b, alpha) > closed
+
+
+def test_closed_form_is_one_helper_for_spectrum_and_cli():
+    b = BugSpec(20, 6, 2)
+    value, multiplicity = closed_form(b, 0.3)
+    assert (value, multiplicity) == ((20 - 6 + 2) * 0.3 - 1.0, 13)
+    entry, = bug_spectrum(b, 0.3).with_source(CLOSED_FORM)
+    assert (entry.value, entry.multiplicity) == (value, multiplicity)
+    assert _closed_form(b, 0.3) == {"value": value, "multiplicity": multiplicity}
+    path = BugSpec(7, 6, 3)  # a one-vertex clique carries no closed-form eigenvalue
+    assert closed_form(path, 0.3)[1] == 0 and _closed_form(path, 0.3) is None
+
+
+FOLD_ALPHAS = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 0.99)
+
+
+def test_halved_and_inner_matrices_fold_the_balanced_quotient():
+    # the halved matrix is the quotient's first d/2+1 rows with its last
+    # off-diagonal entry beta*sqrt(2w), the inner block its first d/2 rows
+    cases = 0
+    for n in range(5, 60):
+        for d in range(4, n, 2):
+            half = d // 2
+            for alpha in FOLD_ALPHAS:
+                b = BugSpec(n, d, half)
+                t = bug_tridiagonal(b, alpha)
+                halved, inner = proof_decomposition(b, alpha)
+                edge = (1.0 - alpha) * math.sqrt(2.0 * (n - d))
+                assert np.array_equal(halved.diag, t.diag[:half + 1])
+                assert np.array_equal(halved.offdiag, [*t.offdiag[:half - 1], edge])
+                assert np.array_equal(inner.diag, t.diag[:half])
+                assert np.array_equal(inner.offdiag, t.offdiag[:half - 1])
+                cases += 1
+    assert cases == 7056
+
+
+def _plan_steps(t):
+    (_, steps), = eigensolve._run_plan([t])
+    return [(a.tolist(), c.tolist(), None if k is None else k.tolist()) for a, c, k in steps]
+
+
+# d = 40: every matrix below the order-64 gate; d = 126: the quotient
+# (127) and the halved matrix (64) above it, the inner block (63) below;
+# d = 200: all above
+@pytest.mark.parametrize("d", [40, 126, 200])
+def test_path_built_matrices_solve_as_their_dense_form(d):
+    for alpha in (0.0, 0.5, 0.8):
+        # at alpha = 0 the cells at rows 0, i - 1, i + 1 and d equal the
+        # uniform diagonal 0, and their runs must merge with their neighbours'
+        matrices = [bug_tridiagonal(BugSpec(10 * d, d, i), alpha) for i in (1, 2, d // 2)]
+        matrices += proof_decomposition(BugSpec(10 * d, d, d // 2), alpha)
+        for t in matrices:
+            dense = SymTridiag(t.diag, t.offdiag)
+            assert t.runs[0].size <= 9 and dense.runs[0].size == t.order
+            assert _plan_steps(t) == _plan_steps(dense)
+            assert gershgorin_interval(t) == gershgorin_interval(dense)
+            everything = np.arange(1, t.order + 1)
+            assert np.array_equal(lane_eigenvalues([t], everything),
+                                  lane_eigenvalues([dense], everything))
+            lo, hi = gershgorin_interval(t)
+            band = 2.0 * alpha + np.arange(-2.5, 2.75, 0.25)
+            for x in [*np.linspace(lo, hi, 25), *band]:
+                assert sturm_count(t, x) == sturm_count(dense, x), x
+        bugs = matrices[:3]
+        mixed = [bugs[0], SymTridiag(bugs[1].diag, bugs[1].offdiag), bugs[2],
+                 SymTridiag(bugs[0].diag, bugs[0].offdiag)]
+        indices = [1, 2, d // 2, d + 1]
+        together = lane_eigenvalues(mixed, indices)
+        for row, t in zip(together, mixed):
+            assert np.array_equal(row, lane_eigenvalues([t], indices)[0])
+        assert np.array_equal(together[0], together[3])
