@@ -5,12 +5,13 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
 * Sturm-count bisection for symmetric tridiagonal matrices (the fast
   structured path), stored as runs of equal rows that the Gershgorin
   bounds and count plans read directly: one routine solves selected
-  eigenvalues of several tridiagonals of the same order in lockstep,
-  evaluating each distinct bracket once however many indices share it,
-  and every count goes through one kernel, which forms a - x for up to 64
-  rows at a time, steps the pivot recurrence with two numpy calls per row,
-  counts signs once per block, patches a zero pivot only where one occurs
-  and, from order 64 up, jumps runs of equal rows in closed form,
+  eigenvalues of several tridiagonals of the same order in lockstep, each
+  round evaluating the next levels of every distinct bracket's bisection
+  tree once and moving each bracket down its tree in one step; every
+  count goes through one kernel, which forms a - x for up to 64 rows at a
+  time, steps the pivot recurrence with two numpy calls per row, counts
+  signs once per block, patches a zero pivot only where one occurs and,
+  from order 64 up, jumps runs of equal rows in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against),
 * power iteration for the dominant eigenpair of a nonnegative matrix.
@@ -125,14 +126,13 @@ class SolveConfig:
 DEFAULT_CONFIG = SolveConfig()
 
 
-# Below this many shifts per round a row of the Sturm recurrence costs about
-# the same however wide it is: numpy's per-call overhead dominates. A round
-# evaluates one bisection tree per distinct bracket (brackets on the same
-# interval of a lane share one), and the budget counts those: with few
-# distinct brackets (one index per lane, or the first rounds of a full
-# spectrum, when brackets still share the lane's interval) a round takes
-# several levels of each tree; from 86 distinct brackets up, one level.
-_MULTISECTION_WIDTH = 256
+# Shifts per round. Up to several hundred, a Sturm row and a round's
+# bookkeeping (a handful of numpy calls, plus two per tree level) cost about
+# the same however many: numpy's per-call overhead dominates. The budget
+# counts distinct brackets' trees, so a round with few takes several levels;
+# from 171 up, one. On the bench workloads (2-core x86-64, numpy 2.4) 512
+# beats 256 by 4-11 %, and 1024 loses 9 % to it on scans and sweeps.
+_MULTISECTION_WIDTH = 512
 # Each bisection step at least halves a bracket (up to rounding) until it
 # is a few ulps wide, and float64 spans fewer than 2100 halvings from its
 # largest finite value to its smallest subnormal. A bracket still open after
@@ -453,45 +453,25 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     return int(_plan_counts(plan, np.asarray([[x]]), scale[:, None])[0, 0])
 
 
-def _tree_depth(brackets: int) -> int:
-    """Levels of each bisection tree to evaluate per round."""
-    depth = 1
-    while brackets * (2 ** (depth + 1) - 1) <= _MULTISECTION_WIDTH:
+def _tree_depth(trees: int, width: np.ndarray, stop: np.ndarray, active: np.ndarray):
+    """Levels of each tree to evaluate this round: as many as the shift
+    budget allows, but no more than the open bracket widest against its
+    stop needs. Also whether an open bracket may stop above its leaf: a
+    level halves a bracket up to an ulp of its ends and its stop never
+    grows, so one more than 2**depth times wider than its stop cannot."""
+    if 3 * trees > _MULTISECTION_WIDTH:
+        return 1, False
+    ratio = (width / stop)[active]
+    widest, depth = ratio.max(), 1
+    while trees * (2 ** (depth + 1) - 1) <= _MULTISECTION_WIDTH and 2.0**depth < widest:
         depth += 1
-    return depth
+    return depth, depth > 1 and ratio.min() <= 2.0**depth
 
 
-def _tree(lower: np.ndarray, upper: np.ndarray, depth: int):
-    """The next depth levels of each bracket's bisection tree.
-
-    Returns (lo, mid, hi), each of shape lower.shape + (2**depth - 1,) in
-    heap order (root, then each level left to right; the children of node
-    h are 2h+1 and 2h+2): node h bisects [lo[h], hi[h]] at mid[h], the same
-    midpoint plain bisection computes when it reaches that interval.
-    """
-    shape = lower.shape + (2**depth - 1,)
-    lo, mid, hi = np.empty(shape), np.empty(shape), np.empty(shape)
-    lo[..., 0] = lower
-    hi[..., 0] = upper
-    for level in range(depth):
-        # level k holds heap nodes 2**k - 1 .. 2**(k+1) - 2; the children
-        # of its j-th node are the (2j)-th and (2j+1)-th of level k+1
-        here = slice(2**level - 1, 2 ** (level + 1) - 1)
-        np.add(lo[..., here], hi[..., here], out=mid[..., here])
-        mid[..., here] *= 0.5
-        if level + 1 < depth:
-            left = slice(here.stop, 2 ** (level + 2) - 1, 2)
-            right = slice(here.stop + 1, 2 ** (level + 2) - 1, 2)
-            lo[..., left] = lo[..., here]
-            lo[..., right] = hi[..., left] = mid[..., here]
-            hi[..., right] = hi[..., here]
-    return lo, mid, hi
-
-
-def _open(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Brackets still wider than their stop: tol, or 4 ulps where that is larger."""
+def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray):
+    """Width and stop (tol, or 4 ulps where larger) of brackets: open while width > stop."""
     ulps = 4.0 * np.spacing(np.maximum(np.abs(lower), np.abs(upper)))
-    return upper - lower > np.maximum(tol, ulps)
+    return upper - lower, np.maximum(tol, ulps)
 
 
 def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.ndarray:
@@ -504,24 +484,26 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     Every (lane, index) pair keeps its own bracket, started at the lane's
     padded Gershgorin interval and bisected until it is no wider than
     bisection_tol times max(1, Gershgorin span), or 4 ulps where that is
-    larger. All brackets advance in lockstep, so one vectorized Sturm
-    recurrence serves every lane. Brackets that hold the same interval of
-    the same lane share its midpoints: each round evaluates the bisection
-    tree of every distinct (lane, interval) bracket once, and each bracket
-    walks its own path through it. While the distinct brackets are few
-    (the first rounds of a full spectrum, or one index per lane), a round
-    evaluates several levels of their trees at once: the shift budget,
-    _MULTISECTION_WIDTH, counts distinct brackets, each lane padded to the
-    widest lane's count. Each lane is cut once per solve (_run_plan) and
-    every round counts through the one kernel, _plan_counts. From order
-    _RUN_PLAN_MIN_ORDER up, a count jumps the lane's uniform runs of rows
-    in closed form, so a bug quotient costs O(1) numpy calls per round
-    instead of O(d); such counts can differ from walking every row only at
-    shifts within rounding of an eigenvalue. The value of a bracket depends only on its own lane and
-    index, so asking for one eigenvalue gives the same bits as reading it
-    off the full spectrum. indices must be integers (not bools). A lane
-    whose padded Gershgorin interval reaches past half the largest float
-    raises ValueError: its midpoints would overflow.
+    larger. All brackets advance in lockstep, and brackets on the same
+    interval of a lane share its midpoints: a round lays out the next levels
+    of the bisection tree of each distinct (lane, interval) bracket as
+    sorted breakpoints, counts them in one pass of the kernel (_plan_counts,
+    on the plan _run_plan cuts once per solve) and moves each bracket down
+    its tree in one step. Where a tree's counts rise, a bracket's leaf is
+    the number of its midpoints counted below the index; a tree whose counts
+    dip, possible from the closed-form jumps near an eigenvalue, is walked
+    level by level. As in plain bisection, a bracket stops at the first
+    closed node on its path. The shift budget, _MULTISECTION_WIDTH, counts
+    distinct brackets, each lane padded to the widest lane's count, so while
+    they are few (a full spectrum's first rounds, or one index per lane) a
+    round goes several levels deep, but no deeper than the widest open
+    bracket needs. From order _RUN_PLAN_MIN_ORDER up, a count jumps a lane's
+    uniform runs of rows in closed form, which can differ from walking every
+    row only at shifts within rounding of an eigenvalue. A bracket's value
+    depends only on its own lane and index, so asking for one eigenvalue
+    gives the same bits as reading it off the full spectrum. indices must be
+    integers (not bools). A lane whose padded Gershgorin interval reaches
+    past half the largest float raises ValueError: its midpoints overflow.
     """
     cfg = config or DEFAULT_CONFIG
     lanes = list(lanes)
@@ -564,56 +546,64 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
     plan = _run_plan(lanes)
-    # each bracket walks a tree of (tree_lower, tree_upper, tree_tol) from
-    # roots: its own tree, or its lane's first bracket with its interval
-    own_depth = _tree_depth(lower.size)
-    own_roots = np.arange(lower.size) * (2**own_depth - 1)
-    shared = shape[1] > 1
+    width, stop = _stops(lower, upper, tol)
+    active = width > stop
+    own = np.arange(lower.size)
+    lift = (m + 1) * own  # puts each tree's counts above the tree before it
+    trees, tree_of, shared = own.size, own, shape[1] > 1
     steps = 0
-    while np.any(_open(lower, upper, tol)):
+    while active.any():
         if steps >= _MAX_BISECTION_STEPS:
             raise ConvergenceError(
                 f"bisection did not converge in {steps} steps; "
                 f"widest bracket {float(np.max(upper - lower)):.3e}"
             )
         if shared:
-            distinct = np.ones(lower.size, dtype=bool)
-            distinct[1:] = (lower[1:] != lower[:-1]) | (upper[1:] != upper[:-1])
+            distinct = np.append(True, (lower[1:] != lower[:-1]) | (upper[1:] != upper[:-1]))
             distinct[:: shape[1]] = True
-            shared = not distinct.all()
-        if shared:
-            # every lane is padded to the widest lane's distinct count, so
-            # the shifts stay one (L, k) array
+            # each lane is padded to the widest lane's count: shifts stay (L, k)
             slot = np.cumsum(distinct.reshape(shape), axis=1) - 1
-            width = int(slot[:, -1].max()) + 1
-            tree_of = (np.arange(shape[0])[:, None] * width + slot).ravel()
-            tree_lower, tree_upper, tree_tol = np.zeros((3, shape[0] * width))
-            tree_lower[tree_of] = lower
-            tree_upper[tree_of] = upper
-            tree_tol[tree_of] = tol
-            depth = _tree_depth(tree_lower.size)
-            roots = tree_of * (2**depth - 1)
-        else:
-            tree_lower, tree_upper, tree_tol = lower, upper, tol
-            depth, roots = own_depth, own_roots
-        nodes_lo, mid, nodes_hi = _tree(tree_lower, tree_upper, depth)
-        still_open = _open(nodes_lo, nodes_hi, tree_tol[:, None]).ravel()
-        counts = _plan_counts(plan, mid.reshape(shape[0], -1), scale[:, None]).ravel()
-        # walk each bracket down its tree: at is its node (a flat index), and
-        # a bracket that has stopped stays at its node, even where the ulp
-        # part of a child's stop would let it reopen
-        at = roots
-        active = still_open[at]
-        for _ in range(depth - 1):
-            below = counts[at] >= need
-            # the children of heap node h are 2h+1 (left) and 2h+2 (right)
-            at = np.where(active, 2 * at - roots + 2 - below, at)
-            active &= still_open[at]
-        below = counts[at] >= need
-        step = mid.ravel()[at]
-        lower = np.where(active & ~below, step, nodes_lo.ravel()[at])
-        upper = np.where(active & below, step, nodes_hi.ravel()[at])
+            per_lane = int(slot[:, -1].max()) + 1
+            trees = shape[0] * per_lane
+            tree_of = (np.arange(shape[0])[:, None] * per_lane + slot).ravel()
+            shared = not distinct.all()
+        depth, may_stop = _tree_depth(trees, width, stop, active)
         steps += depth
+        n = 2**depth
+        # column r holds tree r's breakpoints in order: its ends, then level
+        # by level the midpoint of every pair of neighbours s apart
+        ends = np.zeros((n + 1, trees))
+        ends[0, tree_of] = lower
+        ends[n, tree_of] = upper
+        for s in (n >> k for k in range(depth)):
+            mid = ends[s // 2 :: s]
+            np.multiply(np.add(ends[0:n:s], ends[s::s], out=mid), 0.5, out=mid)
+        counts = _plan_counts(plan, ends[1:n].T.reshape(shape[0], -1), scale[:, None])
+        counts = counts.reshape(trees, n - 1)
+        # a bracket's leaf runs from breakpoint p to p + 1: in trees whose
+        # counts rise, one search over the rows laid end to end finds it
+        if depth > 1 and (counts[:, 1:] >= counts[:, :-1]).all():
+            p = np.searchsorted((counts + lift[:trees, None]).ravel(), need + lift[tree_of])
+            p -= (n - 1) * tree_of
+        else:
+            p = 0
+            for half in (n >> k for k in range(1, depth + 1)):
+                p = p + half * (counts[tree_of, p + half - 1] < need)
+        leaf = p * trees + tree_of
+        lower = np.where(active, ends.take(leaf), lower)
+        upper = np.where(active, ends.take(leaf + trees), upper)
+        if may_stop:
+            # a bracket stops at the first closed node above its leaf, even
+            # where the ulp part of a deeper node's stop would let it reopen
+            half = n >> np.arange(1, depth)
+            first = (p[:, None] & -half) * trees + tree_of[:, None]
+            path_lo, path_hi = ends.take(first), ends.take(first + half * trees)
+            closed = np.less_equal(*_stops(path_lo, path_hi, tol[:, None])) & active[:, None]
+            at = closed.argmax(axis=1)
+            lower = np.where(closed[own, at], path_lo[own, at], lower)
+            upper = np.where(closed[own, at], path_hi[own, at], upper)
+        width, stop = _stops(lower, upper, tol)
+        active = width > stop
     values = np.empty(shape)
     values[:, order] = (0.5 * (lower + upper)).reshape(shape)
     return values
@@ -637,6 +627,15 @@ def _offdiag_norm(w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(stripped * stripped)))
 
 
+def _frobenius(w: np.ndarray) -> float:
+    """The Frobenius norm of w; ValueError if an entry or the norm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(np.sum(w * w)))
+    if not math.isfinite(norm):
+        raise ValueError("matrix entries and their Frobenius norm must be finite")
+    return norm
+
+
 def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
     """All eigenvalues of a dense symmetric matrix by cyclic-by-rows Jacobi.
 
@@ -655,9 +654,9 @@ def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
     if not np.array_equal(w, w.T):
         raise ValueError("matrix must be symmetric")
     m = w.shape[0]
+    frobenius = _frobenius(w)
     if m == 1:
         return w.diagonal().copy()
-    frobenius = float(np.sqrt(np.sum(w * w)))
     if frobenius == 0.0:
         return np.zeros(m)
     stop = cfg.jacobi_off_tol * frobenius
@@ -712,6 +711,7 @@ def perron_pair(a, config: SolveConfig | None = None) -> tuple[float, np.ndarray
         raise ValueError("matrix must be symmetric")
     if np.any(w < 0.0):
         raise ValueError("matrix must be entrywise nonnegative")
+    _frobenius(w)
     m = w.shape[0]
     v = np.full(m, 1.0 / math.sqrt(m))
     for _ in range(cfg.max_power_iters):

@@ -354,20 +354,29 @@ class TestDistinctBrackets:
     rounds, with few distinct brackets, go several levels deep."""
 
     def test_full_spectrum_of_a_wide_quotient(self, monkeypatch):
-        # one bracket per index took 44 calls and 44,044 shifts
+        # one bracket per index took 44 calls and 44,044 shifts; 21 calls
+        # and 9,569 shifts now
         tally = _count_calls(monkeypatch)
         tridiag_eigenvalues(bug_tridiagonal(BugSpec(10**6, 1000, 500), 0.6))
         assert tally["calls"] <= 25 and tally["shifts"] <= 10_000
 
     def test_one_index_per_lane_costs_no_more(self, monkeypatch):
+        # 11 calls and 3,300 shifts
         tally = _count_calls(monkeypatch)
         extremal_scan(2000, 40, 0.5)
         assert tally["calls"] <= 15
 
+    def test_one_index_per_lane_at_the_widest_bench_scan(self, monkeypatch):
+        # 24 lanes of order 49: 4 levels a round, 44 levels in 11 rounds
+        tally = _count_calls(monkeypatch)
+        extremal_scan(2000, 48, 0.5)
+        assert tally["calls"] <= 11 and tally["shifts"] <= 3_960
+
     def test_small_full_spectrum_costs_no_more(self, monkeypatch):
+        # 44 levels: 9 in the first round, then 5 per round for 11 brackets
         tally = _count_calls(monkeypatch)
         tridiag_eigenvalues(bug_tridiagonal(BugSpec(12, 10, 3), 0.5))
-        assert tally["calls"] <= 11
+        assert tally["calls"] <= 8 and tally["shifts"] <= 2_898
 
     @settings(max_examples=50, deadline=None)
     @given(ordered_lane_problems())
@@ -380,6 +389,55 @@ class TestDistinctBrackets:
         picked = np.asarray(indices) - 1
         for row, t in zip(got, lanes):
             assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag)[picked])
+
+
+def _bisect_each(t: SymTridiag, indices, count) -> np.ndarray:
+    """One bracket per index, bisected one step at a time with count(x) and
+    lane_eigenvalues's start and stop rules: the values its trees must give
+    whatever the counts are."""
+    lo, hi = gershgorin_interval(t)
+    tol = 1e-13 * max(1.0, hi - lo)
+    pad = tol + 16.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    values = []
+    for k in indices:
+        a, b = lo - pad, hi + pad
+        while b - a > max(tol, 4.0 * np.spacing(max(abs(a), abs(b)))):
+            mid = 0.5 * (a + b)
+            if count(mid) >= k:
+                b = mid
+            else:
+                a = mid
+        values.append(0.5 * (a + b))
+    return np.array(values)
+
+
+class TestDescent:
+    """Each bracket descends its tree in one step: where a tree's counts
+    rise, its leaf is the number of midpoints counted below its index."""
+
+    def test_counts_that_dip_descend_as_plain_bisection(self, monkeypatch):
+        # counts two too high on a window between the third and fourth
+        # eigenvalues of GOLDEN rise into it and fall after it, so the first
+        # tree of each call is not monotone: brackets 4 and 5 are steered
+        # into the window, and a leaf read off the counts by search would
+        # put them elsewhere
+        window = (2.0, 2.4)
+        kernel = eigensolve._plan_counts
+
+        def dipping(plan, shifts, scale):
+            return kernel(plan, shifts, scale) + 2 * ((shifts > window[0]) & (shifts < window[1]))
+
+        def count(x):
+            return row_loop_count(GOLDEN.diag, GOLDEN.offdiag, x) + 2 * (window[0] < x < window[1])
+
+        monkeypatch.setattr(eigensolve, "_plan_counts", dipping)
+        indices = np.arange(1, GOLDEN.order + 1)
+        expected = _bisect_each(GOLDEN, indices, count)
+        assert not np.allclose(expected[3:5], GOLDEN_EIGENVALUES[3:5], atol=1e-3)
+        assert np.array_equal(lane_eigenvalues([GOLDEN], indices)[0], expected)
+        for k in (4, 5):
+            got = lane_eigenvalues([GOLDEN, GOLDEN], [k])
+            assert np.array_equal(got[:, 0], expected[[k - 1, k - 1]])
 
 
 @st.composite
@@ -651,6 +709,24 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigenvalues([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("a", [
+        [[1e200, 1e200], [1e200, 0.0]],  # finite, but the norm overflows
+        [[np.inf, 1.0], [1.0, 0.0]],
+        [[-np.inf]],
+    ])
+    def test_overflowing_or_infinite_input_is_rejected(self, a):
+        # the overflowing norm made the stop inf, and the unrotated diagonal
+        # came back: [0, 1e200] and [0, inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                jacobi_eigenvalues(a)
+
+    def test_large_entries_below_the_limit_are_solved(self):
+        values = jacobi_eigenvalues([[1e150, 1e150], [1e150, 0.0]])
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        assert np.allclose(values, [(1.0 - golden) * 1e150, golden * 1e150], rtol=1e-12, atol=0.0)
+
     def test_same_bits_as_two_pass_rotation_on_grid(self, oracle_grid):
         # every bug with n <= 12 at the default alphas
         for inst in oracle_grid.instances:
@@ -698,6 +774,17 @@ class TestPerronPair:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             perron_pair([[0.0, -1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("a", [
+        [[np.inf, 1.0], [1.0, 0.0]],
+        [[1e200, 1e200], [1e200, 0.0]],
+    ])
+    def test_overflowing_or_infinite_input_is_rejected(self, a):
+        # an inf entry ran every step on NaNs before the cap raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                perron_pair(a)
 
     def test_iteration_cap_raises(self):
         w = assemble_dense_alpha(BugSpec(4, 3, 1), 0.0)
