@@ -8,10 +8,11 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   eigenvalues of several tridiagonals of the same order in lockstep, each
   round evaluating the next levels of every distinct bracket's bisection
   tree once and moving each bracket down its tree in one step; every
-  count goes through one kernel, which forms a - x for up to 64 rows at a
-  time, steps the pivot recurrence with two numpy calls per row, counts
-  signs once per block, patches a zero pivot only where one occurs and,
-  from order 64 up, jumps runs of equal rows in closed form,
+  count goes through one kernel, which forms x - a for up to 64 rows at a
+  time, steps the negated pivot recurrence with two numpy calls per row,
+  counts signs once per block, carries an exact zero pivot by IEEE signed
+  zeros and infinities with no test for it and, from order 64 up, jumps
+  runs of equal rows in closed form,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against),
 * power iteration for the dominant eigenpair of a nonnegative matrix.
@@ -166,7 +167,7 @@ def _lane_runs(lanes: list):
 
 
 def _lane_bounds(lanes: list):
-    """Gershgorin ends and norm scale of each lane: three arrays of shape (L,).
+    """Gershgorin ends of each lane: two arrays of shape (L,).
 
     A run stands in for at most three rows: its first and inner rows have
     radius 2 |lead|, its last |lead| plus the next run's lead, which is the
@@ -175,16 +176,12 @@ def _lane_bounds(lanes: list):
     mag = np.abs(lead)
     radius = mag + np.append(mag[1:], 0.0)
     np.maximum(radius, mag + mag, out=radius, where=reps > 1)
-    lo = np.minimum.reduceat(diag - radius, first)
-    hi = np.maximum.reduceat(diag + radius, first)
-    # row 0's lead of 0 adds nothing to a lane of order 1
-    scale = np.maximum.reduceat(np.abs(diag), first) + 2.0 * np.maximum.reduceat(mag, first)
-    return lo, hi, np.maximum(1.0, scale)
+    return np.minimum.reduceat(diag - radius, first), np.maximum.reduceat(diag + radius, first)
 
 
 def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
     """A closed interval [lo, hi] containing every eigenvalue of t."""
-    lo, hi, _ = _lane_bounds([t])
+    lo, hi = _lane_bounds([t])
     return float(lo[0]), float(hi[0])
 
 
@@ -203,9 +200,11 @@ def _run_plan(lanes: list) -> list:
     0) and, for a run, its row count (None for a generic row). steps is a
     _Steps list, which also holds the steps cut into blocks for the count
     kernel. Below order _RUN_PLAN_MIN_ORDER no runs are sought: one group
-    holds every lane, with one generic step per row. A lead above sqrt of
-    the largest float (about 1.34e154) would square to inf and make every
-    count wrong, so it raises ValueError.
+    holds every lane, with one generic step per row. A squared lead of 0
+    is read as the smallest subnormal, so no quotient of the recurrence is
+    0/0; that moves an eigenvalue by less than its square root, 2.3e-162.
+    A lead above sqrt of the largest float (about 1.34e154) would square to
+    inf and make every count wrong, so it raises ValueError.
     """
     diag, lead, reps, first = _lane_runs(lanes)
     with np.errstate(over="ignore"):
@@ -216,9 +215,10 @@ def _run_plan(lanes: list) -> list:
             f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
             "its square would overflow"
         )
+    floored = np.maximum(lead_sq, np.finfo(float).smallest_subnormal)
     if lanes[0].order < _RUN_PLAN_MIN_ORDER:
-        diag, lead_sq = (np.repeat(v, reps).reshape(len(lanes), -1) for v in (diag, lead_sq))
-        steps = [(diag[:, j:j + 1], lead_sq[:, j:j + 1], None) for j in range(diag.shape[1])]
+        diag, floored = (np.repeat(v, reps).reshape(len(lanes), -1) for v in (diag, floored))
+        steps = [(diag[:, j:j + 1], floored[:, j:j + 1], None) for j in range(diag.shape[1])]
         return [(slice(None), _Steps(steps))]
     # a run continues the stretch of the run before it; row 0's lead of 0
     # keeps it and the lane's next run from joining anything
@@ -236,7 +236,7 @@ def _run_plan(lanes: list) -> list:
     for shape, members in groups.items():
         group = np.array(members)
         at = bounds[group][:, None] + np.arange(len(shape))
-        a, c, k = diag[starts[at]], lead_sq[starts[at]], sizes[at]
+        a, c, k = diag[starts[at]], floored[starts[at]], sizes[at]
         steps = [
             (a[:, s:s + 1], c[:, s:s + 1], k[:, s:s + 1] if run else None)
             for s, run in enumerate(shape)
@@ -300,11 +300,12 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
     _outside, _edge).
 
     With cross[j] the sign changes of s[0..j], the run's count is
-    cross[k+1] less one when the incoming pivot is negative, and its last
-    pivot is negative exactly when cross[k+1] > cross[k]. Taking both from
-    the same crossings, and the start from the incoming pivot itself, keeps
-    a rounding slip at a crossing from being counted twice: a last pivot
-    of the wrong sign is tiny, and the next row undoes it.
+    cross[k+1] less one when the incoming pivot is negative (-0 included),
+    and its last pivot is negative exactly when cross[k+1] > cross[k].
+    Taking both from the same crossings, and the start from the incoming
+    pivot itself, keeps a rounding slip at a crossing from being counted
+    twice: a last pivot of the wrong sign is tiny, and the next row undoes
+    it. A last pivot of 0 carries the sign it was counted with.
     """
     b = np.sqrt(c)
     t = (a - shifts) / (2.0 * b)
@@ -321,17 +322,10 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
             before[live], after[live], ratio[live] = regime(
                 u[live], q[live], k.repeat(u.shape[1], axis=1)[live]
             )
-    below = np.maximum(after.astype(np.intp) - (q < 0.0), 0)
+    below = np.maximum(after.astype(np.intp) - np.signbit(q), 0)
     last = np.abs(ratio)
     np.negative(last, out=last, where=after > before)
     return np.where(flip, k - below, below), np.where(flip, -b, b) * last
-
-
-def _stand_in(x: np.ndarray, scale) -> np.ndarray:
-    """What a zero pivot becomes: -eps * scale * (1 + |x|), a tiny negative
-    value proportional to the matrix norm."""
-    neg_tiny = np.finfo(float).eps * scale * (1.0 + np.abs(x))
-    return np.negative(neg_tiny, out=neg_tiny)
 
 
 def _blocks(steps: list) -> list:
@@ -356,21 +350,19 @@ class _Steps(list):
         self.blocks = _blocks(steps)
 
 
-def _walk(steps, pivot, entries, x, scale, rows, quotient, patch: bool):
-    """One pass of the pivot recurrence over a block of plan steps.
+def _walk(steps, pivot, entries, x, rows, quotient):
+    """One pass of the negated pivot recurrence over a block of plan steps.
 
-    pivot enters the block (None before row 0). entries holds the diagonal
-    entries of the block's generic rows as (rows, lanes, 1); rows receives
-    entries - x in one subtract, and each generic row then turns its own
-    entry into its pivot with two numpy calls. A run is jumped in closed
-    form (_jump), and a zero pivot ending it is counted as negative and
-    replaced by the stand-in (_stand_in). With patch, a zero pivot of a
-    generic row is replaced too, right after its row; without, it stays in
-    rows for the caller to find. Returns the negative pivots of the block's
-    runs and its last pivot.
+    The pivots are kept negated: row j holds n[j] = (x - a[j]) - c[j]/n[j-1],
+    the negative of the LDL^T pivot of T - x. pivot enters the block (None
+    before row 0). entries holds the diagonal entries of the block's
+    generic rows as (rows, lanes, 1); rows receives x - entries in one
+    subtract, and each generic row then turns its own entry into its pivot
+    with two numpy calls. A run is jumped in closed form (_jump). Returns
+    the number of negative LDL^T pivots along the block's runs, and the
+    block's last pivot, negated.
     """
-    np.subtract(entries, x, out=rows)
-    neg_tiny = _stand_in(x, scale) if patch else None
+    np.subtract(x, entries, out=rows)
     jumped = 0
     r = 0
     for a, c, k in steps:
@@ -380,59 +372,49 @@ def _walk(steps, pivot, entries, x, scale, rows, quotient, patch: bool):
             if pivot is not None:
                 np.divide(c, pivot, out=quotient)
                 np.subtract(row, quotient, out=row)
-            if patch:
-                np.copyto(row, neg_tiny, where=row == 0.0)
             pivot = row
         else:
-            run, pivot = _jump(pivot, a, c, k, x)
+            run, last = _jump(np.negative(pivot), a, c, k, x)
             jumped = jumped + run
-            if not pivot.all():
-                # a zero ending a run counts as negative even where its
-                # crossings called it positive
-                jumped = jumped + ((pivot == 0.0) & ~np.signbit(pivot))
-                if neg_tiny is None:
-                    neg_tiny = _stand_in(x, scale)
-                np.copyto(pivot, neg_tiny, where=pivot == 0.0)
+            pivot = np.negative(last, out=last)
     return jumped, pivot
 
 
-def _plan_counts(plan: list, shifts: np.ndarray, scale) -> np.ndarray:
-    """Eigenvalues strictly below each shift, lane by lane, for a plan from
-    _run_plan: shifts is (L, k), scale (L, 1) and the result (L, k).
+def _plan_counts(plan: list, shifts: np.ndarray) -> np.ndarray:
+    """Non-positive LDL^T pivots of T - x for every lane T and shift x, for
+    a plan from _run_plan: shifts is (L, k) and the result (L, k). That is
+    the number of eigenvalues below x, up to rounding near an eigenvalue
+    (see sturm_count).
 
-    Runs the shifted LDL^T pivot recurrence for every lane and shift of a
-    group at once and counts non-positive pivots. The steps go in the
-    blocks of up to _BLOCK_ROWS generic rows that _run_plan cut (_blocks),
-    each with its rows' diagonal entries stacked. A block costs two numpy
-    calls per generic row and one closed-form jump per run (_walk), and
-    its signs are counted once, at its end. A zero pivot counts as
-    negative and becomes a tiny negative stand-in proportional to the
-    matrix norm (_stand_in), which keeps the division safe without
-    disturbing counts away from exact eigenvalue hits. A zero pivot of a
-    generic row is rare, so a block first runs without patching them, and
-    only a block that leaves one runs again from its entering pivot with
-    the patch after every row. Up to the first zero both passes take the
-    same steps, so every count and every pivot is the one that patching
-    each row as it comes would give.
+    Runs the negated pivot recurrence (_walk) for every lane and shift of
+    a group at once and counts pivots n >= 0. The steps go in the blocks
+    of up to _BLOCK_ROWS generic rows that _run_plan cut (_blocks), each
+    with its rows' diagonal entries stacked. A block costs two numpy calls
+    per generic row and one closed-form jump per run, and its signs are
+    counted once, at its end. An exact zero pivot needs no test (Kahan;
+    Demmel, Dhillon and Ren, ETNA 3, 1995): it arises as +0 and counts,
+    its quotient c/(+0) = +inf makes the next pivot -inf, which does not,
+    and the row after that starts over at x - a. The pair counts once, as
+    the 2x2 block [[0, b], [b, *]] it stands for has one negative
+    eigenvalue. A zero ending a run keeps the sign _jump counted it with.
+    A shift of -0 would make a zero first pivot -0, which counts, and hand
+    on +inf, which counts again, so sturm_count passes +0 instead.
     """
     counts = np.empty(shifts.shape, dtype=np.intp)
     buffer = np.empty(min(_BLOCK_ROWS, max(len(steps) for _, steps in plan)) * shifts.size)
     quotient_buffer = np.empty(shifts.size)
-    # a subnormal pivot overflows the next quotient to inf; the pivot after
-    # it is then -inf, which counts as negative as it should
+    # a zero or subnormal pivot overflows the next quotient to inf; the
+    # pivot after it is then inf of the sign its count needs
     with np.errstate(all="ignore"):
         for lanes, steps in plan:
-            x, lane_scale = shifts[lanes], scale[lanes]
+            x = shifts[lanes]
             quotient = quotient_buffer[: x.size].reshape(x.shape)
             below = 0
             pivot = None
             for b, (block, entries) in enumerate(steps.blocks):
                 rows = buffer[: len(entries) * x.size].reshape((len(entries),) + x.shape)
-                args = (block, pivot, entries, x, lane_scale, rows, quotient)
-                jumped, pivot = _walk(*args, patch=False)
-                if not rows.all():
-                    jumped, pivot = _walk(*args, patch=True)
-                below = below + jumped + (rows <= 0.0).sum(axis=0)
+                jumped, pivot = _walk(block, pivot, entries, x, rows, quotient)
+                below = below + jumped + (rows >= 0.0).sum(axis=0)
                 if b + 1 < len(steps.blocks):
                     # the next block writes its pivots over rows
                     pivot = pivot.copy()
@@ -441,16 +423,18 @@ def _plan_counts(plan: list, shifts: np.ndarray, scale) -> np.ndarray:
 
 
 def sturm_count(t: SymTridiag, x: float) -> int:
-    """Number of eigenvalues of t strictly less than x.
+    """Number of eigenvalues of t less than x, up to rounding near one.
 
-    x = -inf gives 0 and x = +inf the order; a NaN shift raises ValueError.
+    Away from the eigenvalues (beyond rounding of the LDL^T recurrence)
+    this is the number strictly below x. At an exact eigenvalue it is not
+    that number under any zero-pivot rule: it lies between the numbers
+    below x and at most x. x = -inf gives 0 and x = +inf the order; -0.0
+    counts as +0.0, and a NaN shift raises ValueError.
     """
-    x = float(x)
+    x = float(x) + 0.0  # -0.0 + 0.0 is +0.0
     if math.isnan(x):
         raise ValueError("shift must not be NaN")
-    plan = _run_plan([t])
-    _, _, scale = _lane_bounds([t])
-    return int(_plan_counts(plan, np.asarray([[x]]), scale[:, None])[0, 0])
+    return int(_plan_counts(_run_plan([t]), np.asarray([[x]]))[0, 0])
 
 
 def _tree_depth(trees: int, width: np.ndarray, stop: np.ndarray, active: np.ndarray):
@@ -524,7 +508,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     # entries near the float limit overflow these sums to inf: such a lane
     # is rejected just below
     with np.errstate(over="ignore"):
-        lo, hi, scale = _lane_bounds(lanes)
+        lo, hi = _lane_bounds(lanes)
         tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
@@ -578,7 +562,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
         for s in (n >> k for k in range(depth)):
             mid = ends[s // 2 :: s]
             np.multiply(np.add(ends[0:n:s], ends[s::s], out=mid), 0.5, out=mid)
-        counts = _plan_counts(plan, ends[1:n].T.reshape(shape[0], -1), scale[:, None])
+        counts = _plan_counts(plan, ends[1:n].T.reshape(shape[0], -1))
         counts = counts.reshape(trees, n - 1)
         # a bracket's leaf runs from breakpoint p to p + 1: in trees whose
         # counts rise, one search over the rows laid end to end finds it

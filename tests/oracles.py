@@ -127,32 +127,61 @@ def exact_alpha_nullity(n: int, edges, alpha, value) -> int:
     return n - rank
 
 
-def _pivot_count(diag, off_sq, scale: float, x: float) -> int:
+def exact_inertia_bounds(diag, offdiag, x) -> tuple[int, int]:
+    """(#(lambda < x), #(lambda <= x)) for a symmetric tridiagonal T, from
+    the inertia of T - xI computed in Fractions (floats convert exactly).
+
+    Block LDL^T without rounding: a nonzero pivot is a 1x1 block. A zero
+    pivot with a nonzero off-diagonal below it forms the 2x2 block
+    [[0, b], [b, *]], one negative and one positive eigenvalue, whose
+    Schur complement leaves the row after it at a - x. A zero pivot with a
+    zero off-diagonal below it (or in the last row) is a zero eigenvalue.
+    """
+    a = [Fraction(v) - Fraction(x) for v in diag]
+    b = [Fraction(v) for v in offdiag]
+    negative = zero = 0
+    pivot = None  # None: the next row starts over at a - x
+    j = 0
+    while j < len(a):
+        p = a[j] if pivot is None else a[j] - b[j - 1] ** 2 / pivot
+        if p != 0:
+            negative += p < 0
+            pivot, j = p, j + 1
+        elif j + 1 < len(a) and b[j] != 0:
+            negative += 1
+            pivot, j = None, j + 2
+        else:
+            zero += 1
+            pivot, j = None, j + 1
+    return negative, negative + zero
+
+
+def _pivot_count(diag, off_sq, x: float) -> int:
     """Non-positive pivots of the shifted LDL^T recurrence, one row at a
-    time; a zero pivot counts and is replaced by -eps*scale*(1+|x|)."""
-    tiny = np.finfo(float).eps * scale * (1.0 + abs(x))
+    time. A zero pivot counts as negative and the next pivot is +inf; a
+    squared off-diagonal of 0 enters as the smallest subnormal."""
+    tiny = float(np.finfo(float).smallest_subnormal)
     below = 0
     pivot = 1.0
-    # a subnormal pivot overflows the next quotient to inf, as in the package
     with np.errstate(over="ignore"):
         for j in range(diag.size):
-            pivot = diag[j] - x if j == 0 else (diag[j] - x) - off_sq[j - 1] / pivot
-            if pivot == 0.0:
-                pivot = -tiny
-            below += pivot < 0.0
+            if j == 0:
+                pivot = diag[j] - x
+            elif pivot == 0.0:
+                pivot = math.inf
+            else:
+                # a subnormal pivot overflows the quotient to inf, as in the package
+                pivot = (diag[j] - x) - max(off_sq[j - 1], tiny) / pivot
+            below += pivot <= 0.0
     return below
 
 
 def row_loop_count(diag, offdiag, x: float) -> int:
-    """Eigenvalues of a symmetric tridiagonal strictly below x, by the
-    scalar pivot recurrence over every row, with the package's zero-pivot
-    rule and norm scale."""
+    """Eigenvalues of a symmetric tridiagonal below x, by the scalar pivot
+    recurrence over every row, with the package's zero-pivot rule."""
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
-    scale = max(
-        1.0, float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(offdiag), initial=0.0))
-    )
-    return _pivot_count(diag, offdiag**2, scale, float(x))
+    return _pivot_count(diag, offdiag**2, float(x))
 
 
 def plain_bisection_eigenvalues(diag, offdiag, rel_tol: float = 1e-13) -> np.ndarray:
@@ -173,13 +202,12 @@ def plain_bisection_eigenvalues(diag, offdiag, rel_tol: float = 1e-13) -> np.nda
     radius[:-1] += np.abs(offdiag)
     radius[1:] += np.abs(offdiag)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
-    scale = max(1.0, float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(offdiag))))
     off_sq = offdiag**2
     tol = rel_tol * max(1.0, hi - lo)
     pad = tol + 16.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
 
     def count(x: float) -> int:
-        return _pivot_count(diag, off_sq, scale, x)
+        return _pivot_count(diag, off_sq, x)
 
     lower = [lo - pad] * m
     upper = [hi + pad] * m

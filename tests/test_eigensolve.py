@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from alphabug import (
 )
 from alphabug.structured import halved_tridiagonal, proof_decomposition
 from alphabug.verify import extremal_scan
-from oracles import plain_bisection_eigenvalues, row_loop_count, two_pass_jacobi_eigenvalues
+from oracles import (
+    exact_inertia_bounds,
+    plain_bisection_eigenvalues,
+    row_loop_count,
+    two_pass_jacobi_eigenvalues,
+)
 
 # quotient matrix of the worked example: bug with n=11, d=5, i=2 at alpha=0.6
 GOLDEN = SymTridiag(
@@ -137,7 +143,7 @@ class TestSturmCount:
         assert sturm_count(GOLDEN, 0.0) == 0
 
     def test_count_at_exact_eigenvalue(self):
-        # shift sitting on an eigenvalue must not crash (zero pivot guard)
+        # a shift on an eigenvalue makes a zero pivot, which must not crash
         t = SymTridiag([0.0, 0.0], [1.0])
         assert sturm_count(t, 1.0) in (1, 2)
         assert sturm_count(t, -1.0) in (0, 1)
@@ -339,10 +345,10 @@ def _count_calls(monkeypatch) -> dict:
     tally = {"calls": 0, "shifts": 0}
     kernel = eigensolve._plan_counts
 
-    def counted(plan, shifts, scale):
+    def counted(plan, shifts):
         tally["calls"] += 1
         tally["shifts"] += shifts.size
-        return kernel(plan, shifts, scale)
+        return kernel(plan, shifts)
 
     monkeypatch.setattr(eigensolve, "_plan_counts", counted)
     return tally
@@ -424,8 +430,8 @@ class TestDescent:
         window = (2.0, 2.4)
         kernel = eigensolve._plan_counts
 
-        def dipping(plan, shifts, scale):
-            return kernel(plan, shifts, scale) + 2 * ((shifts > window[0]) & (shifts < window[1]))
+        def dipping(plan, shifts):
+            return kernel(plan, shifts) + 2 * ((shifts > window[0]) & (shifts < window[1]))
 
         def count(x):
             return row_loop_count(GOLDEN.diag, GOLDEN.offdiag, x) + 2 * (window[0] < x < window[1])
@@ -598,9 +604,8 @@ def _first_zero_pivot(t: SymTridiag, x: float):
 
 
 class TestBlockedCounts:
-    """The count kernel forms a - x for a block of rows at once, counts its
-    signs at the end and, only when a block leaves an exact zero pivot, runs
-    it again with the zero-pivot stand-in after every row."""
+    """The count kernel forms x - a for a block of rows at once and counts
+    its signs at the end; an exact zero pivot needs no second pass."""
 
     @pytest.mark.parametrize("m, zero_row", [
         (40, 20),  # below the gate: one block of row steps
@@ -624,7 +629,7 @@ class TestBlockedCounts:
         # enters it with pivot t_sign * 63/64. The pivots are then exactly
         # t_sign * (63 - j)/(64 - j), so the run ends on an exact zero:
         # -0.0 for t = 1 and +0.0 for t = -1, whose crossings call it
-        # positive. Row 64 reads it after the stand-in replaced it.
+        # positive. Row 64 reads it with the sign it was counted with.
         x = -2.0 * t_sign
         diag = np.array([x + t_sign * 63 / 64] + [0.0] * 63 + [last])
         t = SymTridiag(diag, np.ones(64))
@@ -669,6 +674,87 @@ class TestBlockedCounts:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+@st.composite
+def half_integer_counts(draw):
+    """A tridiagonal with half-integer entries, zero off-diagonals allowed,
+    of order 2..63 or 64..160, and every half-integer shift over its
+    Gershgorin interval. It is uniform (a, b) with up to eight special
+    cells, so above the gate its plan has runs, and half-integer shifts hit
+    its eigenvalues and make zero pivots."""
+    m = draw(st.integers(2, _BELOW_GATE) | st.integers(eigensolve._RUN_PLAN_MIN_ORDER, 160))
+    half = st.integers(-6, 6).map(lambda k: k / 2)
+    diag, offdiag = np.full(m, draw(half)), np.full(m - 1, draw(half))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            diag[draw(st.integers(0, m - 1))] = draw(half)
+        else:
+            offdiag[draw(st.integers(0, m - 2))] = draw(half)
+    reach = math.ceil(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(offdiag)))
+    return SymTridiag(diag, offdiag), np.arange(-reach - 0.5, reach + 1.0, 0.5)
+
+
+class TestZeroPivots:
+    """An exact zero pivot arises as +0 in the negated recurrence: it counts
+    as negative and its quotient hands the next row a pivot of -inf."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(half_integer_counts())
+    def test_counts_lie_within_the_exact_inertia(self, problem):
+        # at an eigenvalue x the count lies in [#(l < x), #(l <= x)]. A float
+        # count is exact only for a matrix within rounding of T, so an
+        # eigenvalue within rounding of x that is not at x may fall either
+        # way: the ends are taken m ulps of ||T|| out from x. The closed-form
+        # jumps slip so on about one shift in 20,000 of these matrices, at
+        # an eigenvalue 1e-16 to 1e-18 from x.
+        t, shifts = problem
+        reach = Fraction(float(np.max(shifts)))
+        slack = t.order * reach / 2**52
+        for x in shifts:
+            below = exact_inertia_bounds(t.diag, t.offdiag, Fraction(x) - slack)[0]
+            at_most = exact_inertia_bounds(t.diag, t.offdiag, Fraction(x) + slack)[1]
+            assert below <= sturm_count(t, x) <= at_most, x
+
+    def test_zero_diagonal_and_zero_offdiagonal(self):
+        # the first pivot is 0 and the second row's quotient would be 0/0
+        t = SymTridiag([0.0, 0.0], [0.0])
+        assert exact_inertia_bounds(t.diag, t.offdiag, 0.0) == (0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sturm_count(t, 0.0) == row_loop_count(t.diag, t.offdiag, 0.0) == 1
+            assert np.allclose(tridiag_eigenvalues(t), 0.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("x", [0.5, -1.0, 3.0, -2.5, 4.5])
+    def test_zero_pivot_entering_a_run(self, x):
+        # row 0's pivot x - x is zero, and rows 1..80 form one run the kernel
+        # jumps in closed form at t = (1 - x)/2: 0.25, 1, -1, 1.75 and -1.75,
+        # inside the band, on its edge and outside it, each mirrored or not
+        t = SymTridiag([x] + [1.0] * 80, np.ones(80))
+        (_, steps), = eigensolve._run_plan([t])
+        assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [None, 80]
+        assert _first_zero_pivot(t, x) == 0
+        assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x)
+        for shift in (x, *np.arange(-1.5, 3.75, 0.25)):
+            below, at_most = exact_inertia_bounds(t.diag, t.offdiag, shift)
+            assert below <= sturm_count(t, shift) <= at_most, shift
+
+    def test_negative_zero_shift_counts_as_positive_zero(self):
+        # at -0.0 a zero first pivot would be -0, which counts, and hand the
+        # next row +inf, which counts again
+        for t in (SymTridiag([0.0, 0.0], [0.0]), SymTridiag([0.0] * 81, np.ones(80)), GOLDEN):
+            assert sturm_count(t, -0.0) == sturm_count(t, 0.0)
+
+    def test_zero_pivot_at_a_large_norm(self):
+        # the shift 1e150 zeroes row 0's pivot. The stand-in that replaced a
+        # zero pivot, -eps * ||T|| * (1 + |x|), grew like ||T||^2 and
+        # decoupled row 0: the values erred by 3.2e-3 ||T||, and the count
+        # at 1e150 was 41
+        m = 80
+        t = SymTridiag(np.full(m, 1e150), np.full(m - 1, 1e149))
+        expected = 1e150 + 2e149 * np.cos(np.arange(m, 0, -1) * np.pi / (m + 1))
+        assert np.max(np.abs(tridiag_eigenvalues(t) - expected)) <= 1e-13 * 1.2e150
+        assert sturm_count(t, 1e150) == 40
 
 
 class TestJacobi:
