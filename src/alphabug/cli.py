@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -135,27 +136,23 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
             f"method={method} assembles an n x n matrix and allows n <= {DENSE_MAX_N}, "
             f"got n={bug.n}; use method=structured"
         )
+    if method == "halved" and (bug.d % 2 != 0 or bug.d < 4 or bug.i != bug.d // 2):
+        raise ValueError(
+            "method=halved needs a balanced bug of even diameter >= 4 "
+            f"(got d={bug.d}, i={bug.i})"
+        )
     started = time.perf_counter()
     closed = _closed_form(bug, alpha)
-    quotient = None
-    dense_entries = None
-    verification = None
-    if method in ("structured", "all"):
-        quotient = tridiag_eigenvalues(bug_tridiagonal(bug, alpha), solve).tolist()
-        rho = quotient[-1]
-    if method == "halved":
-        if bug.d % 2 != 0 or bug.d < 4 or bug.i != bug.d // 2:
-            raise ValueError(
-                "method=halved needs a balanced bug of even diameter >= 4 "
-                f"(got d={bug.d}, i={bug.i})"
-            )
-        quotient = tridiag_eigenvalues(
-            halved_tridiagonal(bug.n, bug.d, alpha), solve
-        ).tolist()
+    quotient = dense_entries = verification = None
+    if method != "dense":
+        if method == "halved":
+            tridiagonal = halved_tridiagonal(bug.n, bug.d, alpha)
+        else:
+            tridiagonal = bug_tridiagonal(bug, alpha)
+        quotient = tridiag_eigenvalues(tridiagonal, solve).tolist()
         rho = quotient[-1]
     if method in ("dense", "all"):
-        w = assemble_dense_alpha(bug, alpha)
-        dense_values = jacobi_eigenvalues(w, solve)
+        dense_values = jacobi_eigenvalues(assemble_dense_alpha(bug, alpha), solve)
         if method == "dense":
             radius = 1e-7 * max(1.0, float(dense_values[-1]))
             clustered = Spectrum.from_values(dense_values, DENSE, radius)
@@ -240,18 +237,34 @@ def _cmd_verify(cfg: JobConfig, solve: SolveConfig) -> dict:
     }
 
 
+class _Command(NamedTuple):
+    help: str
+    fields: tuple[str, ...]  # the fields it takes, in the order of its flags
+    required: tuple[str, ...]
+    run: Callable[[JobConfig, SolveConfig], dict]
+
+
+_BUG_FIELDS = ("n", "d", "i", "p", "q", "r")
+# The job commands. build_parser, job_from_dict and run_job all read this
+# table, so the fields of a command are declared here and nowhere else.
+_COMMANDS = {
+    "spectrum": _Command("full spectrum of one bug at one alpha",
+                         (*_BUG_FIELDS, "alpha", "method", "timings"), ("alpha",), _cmd_spectrum),
+    "sweep": _Command("spectral radius over an alpha grid",
+                      (*_BUG_FIELDS, "alphas"), ("alphas",), _cmd_sweep),
+    "scan": _Command("spectral radius across all path splits",
+                     ("n", "d", "alpha"), ("n", "d", "alpha"), _cmd_scan),
+    "verify": _Command("run the structured-vs-dense check grid",
+                       ("max_n", "alphas", "tol"), (), _cmd_verify),
+}
+
+
 def run_job(cfg: JobConfig, solve: SolveConfig) -> tuple[dict, int]:
     """Execute one job; returns (payload, exit code)."""
-    if cfg.command == "spectrum":
-        return _cmd_spectrum(cfg, solve), EXIT_OK
-    if cfg.command == "sweep":
-        return _cmd_sweep(cfg, solve), EXIT_OK
-    if cfg.command == "scan":
-        return _cmd_scan(cfg, solve), EXIT_OK
-    if cfg.command == "verify":
-        payload = _cmd_verify(cfg, solve)
-        return payload, EXIT_OK if payload["summary"]["ok"] else EXIT_VERIFY_FAILED
-    raise ValueError(f"unknown command {cfg.command!r}")
+    payload = _COMMANDS[cfg.command].run(cfg, solve)
+    if cfg.command == "verify" and not payload["summary"]["ok"]:
+        return payload, EXIT_VERIFY_FAILED
+    return payload, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +360,6 @@ def _write_output(path: str | None, text: str) -> None:
 # argument parsing
 
 
-def _add_bug_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, help="order of the bug")
-    sub.add_argument("--d", type=int, help="diameter of the bug")
-    sub.add_argument("--i", type=int, help="path split (first path length)")
-    sub.add_argument("--p", type=int, help="clique order before edge removal")
-    sub.add_argument("--q", type=int, help="first attached path length")
-    sub.add_argument("--r", type=int, help="second attached path length")
-
-
-def _add_output_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=_FORMATS, default="json", dest="fmt")
-    sub.add_argument("--output", default=None, help="output path (default: stdout)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
@@ -374,41 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra of A_alpha matrices of bug graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="full spectrum of one bug at one alpha")
-    _add_bug_args(sp)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--method", metavar="{" + ",".join(_METHODS) + "}")
-    sp.add_argument(
-        "--timings",
-        action="store_true",
-        default=None,
-        help="include wall-clock milliseconds (makes output non-reproducible)",
+    # allow_abbrev=False: `sweep --alpha` must not read as --alphas
+    for name, command in _COMMANDS.items():
+        job = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for field in command.fields:
+            job.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
+        job.add_argument("--format", choices=_FORMATS, default="json", dest="fmt")
+        job.add_argument("--output", default=None, help="output path (default: stdout)")
+    batch = sub.add_parser(
+        "batch", help="run a JSON array of jobs, one result per line", allow_abbrev=False
     )
-    _add_output_args(sp)
-
-    sw = sub.add_parser("sweep", help="spectral radius over an alpha grid")
-    _add_bug_args(sw)
-    sw.add_argument("--alphas", help="comma-separated alphas in [0,1)")
-    _add_output_args(sw)
-
-    sc = sub.add_parser("scan", help="spectral radius across all path splits")
-    sc.add_argument("--n", type=int)
-    sc.add_argument("--d", type=int)
-    sc.add_argument("--alpha", type=float)
-    _add_output_args(sc)
-
-    ve = sub.add_parser("verify", help="run the structured-vs-dense check grid")
-    ve.add_argument("--max-n", type=int, dest="max_n")
-    ve.add_argument("--alphas", help="comma-separated alphas in [0,1)")
-    ve.add_argument("--tol", type=float)
-    _add_output_args(ve)
-
-    ba = sub.add_parser("batch", help="run a JSON array of jobs, one result per line")
-    ba.add_argument("source", nargs="?", default="-", help="jobs file (default: stdin)")
-    ba.add_argument("--output", default=None)
-    for command in sub.choices.values():
-        command.allow_abbrev = False  # `sweep --alpha` must not read as --alphas
+    batch.add_argument("source", nargs="?", default="-", help="jobs file (default: stdin)")
+    batch.add_argument("--output", default=None)
     return parser
 
 
@@ -418,16 +394,6 @@ def _config_from_namespace(ns: argparse.Namespace) -> JobConfig:
     if fields.get("alphas") is not None:
         fields["alphas"] = [float(s) for s in fields["alphas"].split(",") if s.strip()]
     return replace(job_from_dict(fields), fmt=ns.fmt, output=ns.output)
-
-
-# The fields each command takes, and those of them it needs.
-_FIELDS = {
-    "spectrum": ("n", "d", "i", "p", "q", "r", "alpha", "method", "timings"),
-    "sweep": ("n", "d", "i", "p", "q", "r", "alphas"),
-    "scan": ("n", "d", "alpha"),
-    "verify": ("max_n", "alphas", "tol"),
-}
-_REQUIRED = {"spectrum": ("alpha",), "sweep": ("alphas",), "scan": ("n", "d", "alpha")}
 
 
 def _integer(key, value):
@@ -471,12 +437,29 @@ def _method(key, value) -> str:
 
 
 _TYPES = {
-    **dict.fromkeys(("n", "d", "i", "p", "q", "r", "max_n"), _integer),
+    **dict.fromkeys((*_BUG_FIELDS, "max_n"), _integer),
     "alpha": _alpha,
     "tol": _number,
     "alphas": _alpha_list,
     "timings": _boolean,
     "method": _method,
+}
+# Each field's flag, as argparse keywords. No flag has a default: an absent
+# flag is None, like an absent batch field, and JobConfig holds the defaults.
+_FLAGS = {
+    "n": {"type": int, "help": "order of the bug"},
+    "d": {"type": int, "help": "diameter of the bug"},
+    "i": {"type": int, "help": "path split (first path length)"},
+    "p": {"type": int, "help": "clique order before edge removal"},
+    "q": {"type": int, "help": "first attached path length"},
+    "r": {"type": int, "help": "second attached path length"},
+    "alpha": {"type": float},
+    "method": {"metavar": "{" + ",".join(_METHODS) + "}"},
+    "timings": {"action": "store_true", "default": None,
+                "help": "include wall-clock milliseconds (makes output non-reproducible)"},
+    "alphas": {"help": "comma-separated alphas in [0,1)"},
+    "max_n": {"type": int},
+    "tol": {"type": float},
 }
 
 
@@ -490,19 +473,20 @@ def job_from_dict(raw: dict) -> JobConfig:
         raise ValueError("each batch entry must be a JSON object")
     fields = {k: v for k, v in raw.items() if v is not None}
     command = fields.pop("command", None)
-    if not isinstance(command, str) or command not in _FIELDS:
-        raise ValueError(f"command must be one of {tuple(_FIELDS)}, got {command!r}")
-    extra = set(fields) - set(_FIELDS[command])
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ValueError(f"command must be one of {tuple(_COMMANDS)}, got {command!r}")
+    spec = _COMMANDS[command]
+    extra = set(fields) - set(spec.fields)
     if extra & {"format", "output"}:
         raise ValueError("per-job 'format'/'output' are not allowed in batch mode")
     if extra:
         raise ValueError(f"{command} does not take {sorted(extra)}")
     fields = {k: _TYPES[k](k, v) for k, v in fields.items()}
-    missing = [k for k in _REQUIRED.get(command, ()) if k not in fields]
+    missing = [k for k in spec.required if k not in fields]
     if missing:
         raise ValueError(f"{command} needs " + ", ".join(f"'{k}'" for k in missing))
-    if command in ("spectrum", "sweep"):
-        triple = (fields.pop(k, None) for k in ("n", "d", "i", "p", "q", "r"))
+    if "p" in spec.fields:  # the command takes a bug: n/d/i or p/q/r
+        triple = (fields.pop(k, None) for k in _BUG_FIELDS)
         fields["bug"], fields["input_form"] = _resolve_bug(*triple)
     d = fields["bug"].d if "bug" in fields else fields.get("d", 0)
     if d > D_MAX:

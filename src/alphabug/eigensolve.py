@@ -638,15 +638,13 @@ def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
     if not np.array_equal(w, w.T):
         raise ValueError("matrix must be symmetric")
     m = w.shape[0]
-    frobenius = _frobenius(w)
-    if m == 1:
-        return w.diagonal().copy()
-    if frobenius == 0.0:
-        return np.zeros(m)
-    stop = cfg.jacobi_off_tol * frobenius
+    # A diagonal matrix, 1 x 1 and all-zero ones included, meets the stop
+    # test before the first sweep and returns its sorted diagonal.
+    stop = cfg.jacobi_off_tol * _frobenius(w)
     # Entries below this cannot by themselves keep the off-norm above stop,
-    # so skipping them is safe and saves the tail sweeps.
-    skip = stop / (2.0 * m)
+    # so skipping them is safe and saves the tail sweeps. max(m, 1) spares
+    # the 0 x 0 matrix a division by zero.
+    skip = stop / (2.0 * max(m, 1))
     for _ in range(cfg.max_jacobi_sweeps):
         if _offdiag_norm(w) <= stop:
             return np.sort(w.diagonal().copy())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .eigensolve import SolveConfig, SymTridiag, lane_eigenvalues, tridiag_eigenvalues
-from .graphs import BugSpec, check_alpha
+from .graphs import BugSpec, _check_int, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
 
 
@@ -67,13 +67,14 @@ def _spectrum_from_quotient(b: BugSpec, alpha: float, values) -> Spectrum:
 
 
 def halved_tridiagonal(n, d, alpha) -> SymTridiag:
-    """Order d/2+1 matrix whose largest eigenvalue is rho_alpha of the
-    balanced bug (i = d/2, d even).
+    """Order d/2+1 tridiagonal of the balanced bug (i = d/2, d even), the
+    part of its quotient that is symmetric under the bug's reflection.
 
-    Only the top of its spectrum is meaningful; the lower eigenvalues
-    belong to the folded matrix, not to the bug.
+    The quotient is orthogonally similar to this matrix plus the inner
+    block of proof_decomposition, so all d/2+1 eigenvalues belong to the
+    bug's spectrum, and the largest is rho_alpha.
     """
-    n, d = int(n), int(d)
+    n, d = _check_int("n", n), _check_int("d", d)
     alpha = check_alpha(alpha)
     if d < 4 or d % 2 != 0:
         raise ValueError(f"halving requires an even diameter >= 4, got d={d}")

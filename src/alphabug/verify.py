@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues
-from .graphs import BugSpec, assemble_dense_alpha, check_alpha
+from .graphs import BugSpec, _check_int, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
 from .structured import _spectrum_from_quotient, bug_tridiagonal, closed_form, proof_decomposition
 
@@ -104,7 +104,7 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
     larger i, so the balanced bug wins when splits coincide (as they do
     when the middle clique collapses).
     """
-    n, d = int(n), int(d)
+    n, d = _check_int("n", n), _check_int("d", d)
     check_alpha(alpha)
     if d < 2:
         raise ValueError(f"diameter must be >= 2, got {d}")
@@ -189,7 +189,7 @@ def run_verification(
     max_n may not exceed VERIFY_MAX_N, and tol must be positive and finite;
     both are checked before any matrix is assembled.
     """
-    max_n = int(max_n)
+    max_n = _check_int("max_n", max_n)
     if not 3 <= max_n <= VERIFY_MAX_N:
         raise ValueError(f"max_n must lie in 3..{VERIFY_MAX_N}, got {max_n}")
     alphas = tuple(check_alpha(a) for a in alphas)

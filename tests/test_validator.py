@@ -4,15 +4,17 @@ Jobs here are validated, not run: ``run_job`` is replaced by a recorder,
 so every case costs only argument parsing.
 """
 
+import argparse
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphabug.cli as cli
-from alphabug.cli import JobConfig, job_from_dict, main
+from alphabug.cli import JobConfig, build_parser, job_from_dict, main
 
 # The fields each command takes, written out independently of the table in cli.
 FIELDS = {
@@ -51,6 +53,27 @@ def to_argv(job: dict) -> list[str]:
         else:
             argv += [flag, str(value)]
     return argv
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(FIELDS))
+def test_each_parser_takes_exactly_the_fields_of_its_command(command):
+    flags = {opt: action.dest for action in subparser(command)._actions
+             for opt in action.option_strings if action.dest != "help"}
+    expected = {"--" + field.replace("_", "-"): field for field in FIELDS[command]}
+    assert flags == {**expected, "--format": "fmt", "--output": "output"}
+
+
+def test_scan_help_describes_its_bug_flags(capsys):
+    assert main(["scan", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^  --n N +order of the bug$", out, re.MULTILINE)
+    assert re.search(r"^  --d D +diameter of the bug$", out, re.MULTILINE)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from alphabug import (
     compare_spectra,
     enumerate_bugs,
     extremal_scan,
+    halved_tridiagonal,
     jacobi_eigenvalues,
     proof_decomposition,
     run_verification,
@@ -157,6 +158,20 @@ class TestRunVerification:
     def test_rejects_max_n_above_cap(self):
         with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
             run_verification(max_n=VERIFY_MAX_N + 1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda bad: halved_tridiagonal(bad, 4, 0.5), id="halved-n"),
+    pytest.param(lambda bad: halved_tridiagonal(10, bad, 0.5), id="halved-d"),
+    pytest.param(lambda bad: extremal_scan(bad, 4, 0.5), id="scan-n"),
+    pytest.param(lambda bad: extremal_scan(10, bad, 0.5), id="scan-d"),
+    pytest.param(lambda bad: run_verification(bad), id="verify-max_n"),
+])
+@pytest.mark.parametrize("bad", [10.5, 4.99, 3.7, True])
+def test_sizes_must_be_integers(call, bad):
+    # int() would truncate 10.5 to 10 and read True as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
 
 
 def test_closed_form_cluster_can_absorb_a_quotient_eigenvalue():
