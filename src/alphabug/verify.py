@@ -24,8 +24,8 @@ CLUSTER_RADIUS = 1e-7
 MAX_FAILURES_LISTED = 50
 # Largest max_n run_verification accepts. Every grid bug goes through the
 # dense Jacobi solve, which runs in Python: on the default alpha grid
-# `alphabug verify` took 0.7 s at max_n = 12 and 2.3 s at max_n = 16, whole
-# process (2-core x86-64, Python 3.11, numpy 2.4).
+# `alphabug verify` took 0.8 s at max_n = 12 and 2.8 s at max_n = 16, whole
+# process, median of 5 (2-core x86-64, Python 3.11, numpy 2.4).
 VERIFY_MAX_N = 16
 
 
@@ -133,11 +133,17 @@ def _full_spectra(lanes, config: SolveConfig | None) -> list[np.ndarray]:
 
 
 def enumerate_bugs(max_n: int):
-    """Every canonical BugSpec with order up to max_n, smallest first."""
-    for n in range(3, int(max_n) + 1):
-        for d in range(2, n):
-            for i in range(1, d // 2 + 1):
-                yield BugSpec(n, d, i)
+    """Every canonical BugSpec with order up to max_n, smallest first.
+
+    max_n must be an integer (not a bool); anything else raises ValueError
+    at the call, before the first bug is drawn."""
+    max_n = _check_int("max_n", max_n)
+    return (
+        BugSpec(n, d, i)
+        for n in range(3, max_n + 1)
+        for d in range(2, n)
+        for i in range(1, d // 2 + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -235,8 +235,9 @@ def two_pass_jacobi_eigenvalues(
     p and q.
 
     A frozen copy of the package's earlier Jacobi kernel at its default
-    tolerances: the package now rotates each row pair once and mirrors it
-    into the columns, and promises the same bits as this two-pass form.
+    tolerances. The package rotates lists of Python floats, where one pass
+    over k stores each new entry in its row and its column at once, and
+    promises the same bits as this two-pass form.
     """
     w = np.array(a, dtype=float)
     m = w.shape[0]

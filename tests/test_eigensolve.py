@@ -832,6 +832,15 @@ class TestJacobi:
         with pytest.raises(ConvergenceError):
             jacobi_eigenvalues(a, SolveConfig(max_jacobi_sweeps=1))
 
+    @pytest.mark.parametrize("m", [16, 48])
+    def test_same_bits_as_two_pass_rotation_with_entries_below_skip(self, m):
+        # about a quarter of the off-diagonal entries far below the skip
+        # threshold, about 1e-12 * ||a|| / (2 m)
+        rng = np.random.default_rng(m)
+        a = rng.uniform(-1.0, 1.0, (m, m)) * np.where(rng.random((m, m)) < 0.25, 1e-18, 1.0)
+        a = np.triu(a) + np.triu(a, 1).T
+        assert np.array_equal(jacobi_eigenvalues(a), two_pass_jacobi_eigenvalues(a))
+
 
 class TestPerronPair:
     def test_regular_graph(self):

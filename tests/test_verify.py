@@ -166,6 +166,7 @@ class TestRunVerification:
     pytest.param(lambda bad: extremal_scan(bad, 4, 0.5), id="scan-n"),
     pytest.param(lambda bad: extremal_scan(10, bad, 0.5), id="scan-d"),
     pytest.param(lambda bad: run_verification(bad), id="verify-max_n"),
+    pytest.param(lambda bad: enumerate_bugs(bad), id="enumerate-max_n"),
 ])
 @pytest.mark.parametrize("bad", [10.5, 4.99, 3.7, True])
 def test_sizes_must_be_integers(call, bad):
