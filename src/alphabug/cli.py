@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .eigensolve import (
     DEFAULT_CONFIG,
     ConvergenceError,
@@ -34,7 +32,8 @@ from .eigensolve import (
 )
 from .graphs import BugSpec, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
-from .structured import _spectrum_from_quotient, bug_tridiagonal, closed_form, halved_tridiagonal
+from .structured import (_halvable, _spectrum_from_quotient, bug_tridiagonal, closed_form,
+                         halved_tridiagonal)
 from .verify import DEFAULT_ALPHAS, compare_spectra, extremal_scan, run_verification
 
 EXIT_OK = 0
@@ -136,7 +135,7 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
             f"method={method} assembles an n x n matrix and allows n <= {DENSE_MAX_N}, "
             f"got n={bug.n}; use method=structured"
         )
-    if method == "halved" and (bug.d % 2 != 0 or bug.d < 4 or bug.i != bug.d // 2):
+    if method == "halved" and not _halvable(bug.d, bug.i):
         raise ValueError(
             "method=halved needs a balanced bug of even diameter >= 4 "
             f"(got d={bug.d}, i={bug.i})"
@@ -225,16 +224,18 @@ def _cmd_verify(cfg: JobConfig, solve: SolveConfig) -> dict:
         failures.append(f"{summary.failures_dropped} further failures not listed")
     return {
         "input": {"max_n": cfg.max_n, "alphas": list(alphas), "tolerance": cfg.tol},
-        "summary": {
-            "instances": summary.instances,
-            "checks_run": summary.checks_run,
-            "checks_passed": summary.checks_passed,
-            "checks_failed": summary.checks_failed,
-            "worst_deviation": summary.worst_deviation,
-            "ok": summary.ok,
-        },
+        "summary": {key: getattr(summary, key) for key in _COMMANDS["verify"].columns},
         "failures": failures,
     }
+
+
+def _spectrum_rows(payload: dict) -> list[dict]:
+    rows = [{"value": v, "multiplicity": 1, "source": "quotient"}
+            for v in payload["quotient_eigenvalues"] or []]
+    if payload["closed_form"] is not None:
+        rows.append({**payload["closed_form"], "source": "closed-form"})
+    rows.extend({**entry, "source": "dense"} for entry in payload["dense_spectrum"] or [])
+    return sorted(rows, key=lambda row: row["value"])
 
 
 class _Command(NamedTuple):
@@ -242,20 +243,28 @@ class _Command(NamedTuple):
     fields: tuple[str, ...]  # the fields it takes, in the order of its flags
     required: tuple[str, ...]
     run: Callable[[JobConfig, SolveConfig], dict]
+    columns: tuple[str, ...]  # its CSV header
+    rows: Callable[[dict], list[dict]]  # its CSV rows, keyed by column
 
 
 _BUG_FIELDS = ("n", "d", "i", "p", "q", "r")
-# The job commands. build_parser, job_from_dict and run_job all read this
-# table, so the fields of a command are declared here and nowhere else.
+# The job commands. build_parser, job_from_dict, run_job and render_csv all
+# read this table, so the fields and the CSV shape of a command are declared
+# here and nowhere else.
 _COMMANDS = {
     "spectrum": _Command("full spectrum of one bug at one alpha",
-                         (*_BUG_FIELDS, "alpha", "method", "timings"), ("alpha",), _cmd_spectrum),
+                         (*_BUG_FIELDS, "alpha", "method", "timings"), ("alpha",), _cmd_spectrum,
+                         ("value", "multiplicity", "source"), _spectrum_rows),
     "sweep": _Command("spectral radius over an alpha grid",
-                      (*_BUG_FIELDS, "alphas"), ("alphas",), _cmd_sweep),
+                      (*_BUG_FIELDS, "alphas"), ("alphas",), _cmd_sweep,
+                      ("alpha", "rho", "closed_form", "closed_mult"), lambda p: p["rows"]),
     "scan": _Command("spectral radius across all path splits",
-                     ("n", "d", "alpha"), ("n", "d", "alpha"), _cmd_scan),
+                     ("n", "d", "alpha"), ("n", "d", "alpha"), _cmd_scan,
+                     ("i", "rho", "is_argmax"), lambda p: p["rows"]),
     "verify": _Command("run the structured-vs-dense check grid",
-                       ("max_n", "alphas", "tol"), (), _cmd_verify),
+                       ("max_n", "alphas", "tol"), (), _cmd_verify,
+                       ("instances", "checks_run", "checks_passed", "checks_failed",
+                        "worst_deviation", "ok"), lambda p: [p["summary"]]),
 }
 
 
@@ -271,24 +280,15 @@ def run_job(cfg: JobConfig, solve: SolveConfig) -> tuple[dict, int]:
 # rendering
 
 
-def _round12(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return float(f"{x:.12g}")
-
-
 def _jsonable(obj):
-    """Deep-copy a payload into plain JSON types with 12-digit floats."""
+    """Deep-copy a payload into JSON with 12-digit floats. A payload holds
+    only dict, list, str, int, float, bool and None; -0.0 prints as 0.0."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") if obj else 0.0
     return obj
 
 
@@ -301,45 +301,19 @@ def _fmt_num(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_num(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    if isinstance(x, int):
+        return str(x)
+    return f"{x:.12g}"
 
 
 def render_csv(command: str, payload: dict) -> str:
-    if command == "spectrum":
-        rows = []
-        for v in payload["quotient_eigenvalues"] or []:
-            rows.append([v, 1, "quotient"])
-        closed = payload["closed_form"]
-        if closed is not None:
-            rows.append([closed["value"], closed["multiplicity"], "closed-form"])
-        for entry in payload["dense_spectrum"] or []:
-            rows.append([entry["value"], entry["multiplicity"], "dense"])
-        rows.sort(key=lambda row: float(row[0]))
-        return _csv(["value", "multiplicity", "source"], rows)
-    if command == "sweep":
-        rows = [
-            [r["alpha"], r["rho"], r["closed_form"], r["closed_mult"]]
-            for r in payload["rows"]
-        ]
-        return _csv(["alpha", "rho", "closed_form", "closed_mult"], rows)
-    if command == "scan":
-        rows = [[r["i"], r["rho"], r["is_argmax"]] for r in payload["rows"]]
-        return _csv(["i", "rho", "is_argmax"], rows)
-    if command == "verify":
-        header = ["instances", "checks_run", "checks_passed", "checks_failed",
-                  "worst_deviation", "ok"]
-        return _csv(header, [[payload["summary"][key] for key in header]])
-    raise ValueError(f"no CSV renderer for command {command!r}")
+    spec = _COMMANDS[command]
+    lines = [",".join(spec.columns)]
+    lines.extend(",".join(_fmt_num(row[key]) for key in spec.columns)
+                 for row in spec.rows(payload))
+    return "\n".join(lines) + "\n"
 
 
 def render(cfg: JobConfig, payload: dict) -> str:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .graphs import _check_int
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -107,7 +108,8 @@ class SolveConfig:
 
     bisection_tol is relative to the Gershgorin span (and never tighter
     than 4 ulps), jacobi_off_tol to the Frobenius norm, power_tol to
-    max(1, rho). Every tolerance must be positive and finite.
+    max(1, rho). Every tolerance must be positive and finite, and each
+    iteration cap an integer >= 1 (not a bool).
     """
 
     bisection_tol: float = 1e-13
@@ -122,8 +124,10 @@ class SolveConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("max_jacobi_sweeps", "max_power_iters"):
-            if getattr(self, name) < 1:
+            cap = _check_int(name, getattr(self, name))
+            if cap < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, cap)
 
 
 DEFAULT_CONFIG = SolveConfig()

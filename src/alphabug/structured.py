@@ -66,6 +66,11 @@ def _spectrum_from_quotient(b: BugSpec, alpha: float, values) -> Spectrum:
     return spectrum
 
 
+def _halvable(d: int, i: int) -> bool:
+    """The halving rule: d even, d >= 4 and the balanced split i = d/2."""
+    return d % 2 == 0 and d >= 4 and i == d // 2
+
+
 def halved_tridiagonal(n, d, alpha) -> SymTridiag:
     """Order d/2+1 tridiagonal of the balanced bug (i = d/2, d even), the
     part of its quotient that is symmetric under the bug's reflection.
@@ -76,7 +81,7 @@ def halved_tridiagonal(n, d, alpha) -> SymTridiag:
     """
     n, d = _check_int("n", n), _check_int("d", d)
     alpha = check_alpha(alpha)
-    if d < 4 or d % 2 != 0:
+    if not _halvable(d, d // 2):
         raise ValueError(f"halving requires an even diameter >= 4, got d={d}")
     if n < d + 1:
         raise ValueError(f"order n={n} too small for diameter d={d} (need n >= d+1)")
@@ -97,9 +102,9 @@ def proof_decomposition(b: BugSpec, alpha) -> tuple[SymTridiag, SymTridiag]:
     the bordered ones.
     """
     alpha = check_alpha(alpha)
-    if b.d % 2 != 0 or b.d < 4:
+    if not _halvable(b.d, b.d // 2):
         raise ValueError(f"decomposition requires an even diameter >= 4, got d={b.d}")
-    if b.i != b.d // 2:
+    if not _halvable(b.d, b.i):
         raise ValueError(f"decomposition applies to balanced bugs (i = d/2), got i={b.i}")
     half = b.d // 2
     cells = {0: alpha, half - 1: alpha * (b.clique_order + 1)}

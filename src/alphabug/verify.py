@@ -15,7 +15,8 @@ import numpy as np
 from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues
 from .graphs import BugSpec, _check_int, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import _spectrum_from_quotient, bug_tridiagonal, closed_form, proof_decomposition
+from .structured import (_halvable, _spectrum_from_quotient, bug_tridiagonal, closed_form,
+                         proof_decomposition)
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
@@ -110,7 +111,7 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
         raise ValueError(f"diameter must be >= 2, got {d}")
     if n < d + 2:
         raise ValueError(f"scan needs n >= d+2 so the splits differ, got n={n}, d={d}")
-    lanes = [bug_tridiagonal(BugSpec.from_ndi(n, d, i), alpha) for i in range(1, d // 2 + 1)]
+    lanes = [bug_tridiagonal(BugSpec(n, d, i), alpha) for i in range(1, d // 2 + 1)]
     rhos = lane_eigenvalues(lanes, [d + 1], config)[:, 0].tolist()
     best = max(range(len(rhos)), key=lambda j: (rhos[j], j))
     return [ScanRow(j + 1, rho, j == best) for j, rho in enumerate(rhos)]
@@ -204,30 +205,13 @@ def run_verification(
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    instances = 0
-    checks_run = 0
-    checks_passed = 0
-    worst = 0.0
-    failures: list[str] = []
-    dropped = 0
-
-    def record(ok: bool, message: str):
-        nonlocal checks_run, checks_passed, dropped
-        checks_run += 1
-        if ok:
-            checks_passed += 1
-        elif len(failures) < MAX_FAILURES_LISTED:
-            failures.append(message)
-        else:
-            dropped += 1
-
     # (bug, alpha, halving) in the order the checks run: each bug's grid
     # alphas, then, for a balanced bug of even diameter >= 4, its halving
     # alphas
     plan = []
     for b in enumerate_bugs(max_n):
         plan.extend((b, alpha, False) for alpha in alphas)
-        if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
+        if _halvable(b.d, b.i):
             plan.extend((b, alpha, True) for alpha in HALVING_ALPHAS)
     lanes = []
     for b, alpha, halving in plan:
@@ -236,51 +220,40 @@ def run_verification(
         lanes.append(bug_tridiagonal(b, alpha))
     spectra = iter(_full_spectra(lanes, config))
 
+    checks = []  # (passed, deviation, failure message), in the order run
     for b, alpha, halving in plan:
         if not halving:
-            instances += 1
             structured = _spectrum_from_quotient(b, alpha, next(spectra))
             dense = jacobi_eigenvalues(assemble_dense_alpha(b, alpha), config)
             report = compare_spectra(structured, dense, tol)
-            worst = max(worst, report.max_abs_deviation)
-            record(
-                report.matched,
-                f"spectrum mismatch for n={b.n} d={b.d} i={b.i} alpha={alpha}: "
-                f"deviation {report.max_abs_deviation:.3e}",
-            )
+            checks.append((report.matched, report.max_abs_deviation,
+                           f"spectrum mismatch for n={b.n} d={b.d} i={b.i} alpha={alpha}: "
+                           f"deviation {report.max_abs_deviation:.3e}"))
             closed, multiplicity = closed_form(b, alpha)
             if multiplicity >= 1:
                 expected = cluster_multiplicity(structured.expand(), closed)
                 found = cluster_multiplicity(dense, closed)
-                record(
-                    found == expected,
-                    f"closed-form cluster for n={b.n} d={b.d} i={b.i} alpha={alpha}: "
-                    f"expected {expected}, found {found}",
-                )
+                checks.append((found == expected, 0.0,
+                               f"closed-form cluster for n={b.n} d={b.d} i={b.i} "
+                               f"alpha={alpha}: expected {expected}, found {found}"))
             continue
         outer_vals, inner_vals, full_vals = next(spectra), next(spectra), next(spectra)
         union = np.sort(np.concatenate([outer_vals, inner_vals]))
         deviation = float(np.max(np.abs(union - full_vals)))
-        worst = max(worst, deviation)
-        record(
-            deviation <= tol,
-            f"halving union for n={b.n} d={b.d} alpha={alpha}: "
-            f"deviation {deviation:.3e}",
-        )
-        record(
-            check_interlacing(inner_vals, outer_vals),
-            f"interlacing failed for n={b.n} d={b.d} alpha={alpha}",
-        )
-        record(
-            abs(float(outer_vals[-1]) - float(full_vals[-1])) <= 1e-9,
-            f"halved radius for n={b.n} d={b.d} alpha={alpha} "
-            f"drifts from the full quotient radius",
-        )
+        checks.append((deviation <= tol, deviation,
+                       f"halving union for n={b.n} d={b.d} alpha={alpha}: "
+                       f"deviation {deviation:.3e}"))
+        checks.append((check_interlacing(inner_vals, outer_vals), 0.0,
+                       f"interlacing failed for n={b.n} d={b.d} alpha={alpha}"))
+        checks.append((abs(float(outer_vals[-1]) - float(full_vals[-1])) <= 1e-9, 0.0,
+                       f"halved radius for n={b.n} d={b.d} alpha={alpha} "
+                       f"drifts from the full quotient radius"))
+    failures = [message for passed, _, message in checks if not passed]
     return VerificationSummary(
-        instances=instances,
-        checks_run=checks_run,
-        checks_passed=checks_passed,
-        worst_deviation=worst,
-        failures=tuple(failures),
-        failures_dropped=dropped,
+        instances=sum(not halving for _, _, halving in plan),
+        checks_run=len(checks),
+        checks_passed=len(checks) - len(failures),
+        worst_deviation=max((deviation for _, deviation, _ in checks), default=0.0),
+        failures=tuple(failures[:MAX_FAILURES_LISTED]),
+        failures_dropped=max(0, len(failures) - MAX_FAILURES_LISTED),
     )

@@ -121,6 +121,48 @@ class TestSpectrumCommand:
         assert "3.8,5,closed-form" in lines
         assert out.endswith("\n")
 
+    def test_csv_dense(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--n", "7", "--d", "4", "--i", "2",
+                            "--alpha", "0.3", "--method", "dense", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "value,multiplicity,source\n"
+            "-0.435164054953,1,dense\n"
+            "-0.0821658488547,1,dense\n"
+            "0.5,2,dense\n"
+            "0.738403204937,1,dense\n"
+            "1.58216584885,1,dense\n"
+            "3.79676085002,1,dense\n"
+        )
+
+    def test_csv_all(self, capsys):
+        # the structured rows; the dense side only fills "verification"
+        code, out = run_cli(capsys, "spectrum", "--n", "7", "--d", "4", "--i", "2",
+                            "--alpha", "0.3", "--method", "all", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "value,multiplicity,source\n"
+            "-0.435164054953,1,quotient\n"
+            "-0.0821658488545,1,quotient\n"
+            "0.5,2,closed-form\n"
+            "0.738403204937,1,quotient\n"
+            "1.58216584885,1,quotient\n"
+            "3.79676085002,1,quotient\n"
+        )
+
+    def test_csv_halved(self, capsys):
+        # 3 halved-quotient rows sorted in with the closed form
+        code, out = run_cli(capsys, "spectrum", "--n", "10", "--d", "4", "--i", "2",
+                            "--alpha", "0.3", "--method", "halved", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "value,multiplicity,source\n"
+            "-0.113660094967,1,quotient\n"
+            "1.25760325116,1,quotient\n"
+            "1.4,5,closed-form\n"
+            "6.8560568438,1,quotient\n"
+        )
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out = run_cli(capsys, *GOLDEN_ARGS, "--output", str(target))
@@ -390,6 +432,52 @@ class TestBatchCommand:
         code, out = run_cli(capsys, "batch", str(source))
         line = json.loads(out)
         assert code == 2 and line["exit_code"] == 2 and line["result"] is None
+
+
+def _non_plain(obj) -> list:
+    """Every value in a payload whose type is not dict, list, str, int,
+    float, bool or None (a numpy scalar or a tuple, say), and every key
+    that is not a str."""
+    if isinstance(obj, dict):
+        bad = [k for k in obj if type(k) is not str]
+        return bad + [x for v in obj.values() for x in _non_plain(v)]
+    if type(obj) is list:
+        return [x for v in obj for x in _non_plain(v)]
+    return [] if type(obj) in (str, int, float, bool, type(None)) else [obj]
+
+
+def test_payloads_hold_only_plain_types(capsys, tmp_path, monkeypatch):
+    """render_json and the batch stream round floats and pass every other
+    value through as it is, so each batch line, and the payload of every
+    command inside it, must hold only plain JSON types."""
+    import alphabug.cli as cli_module
+
+    rendered = []
+    original = cli_module._jsonable
+
+    def spy(obj):
+        rendered.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(cli_module, "_jsonable", spy)
+    jobs = [
+        *({"command": "spectrum", "n": 10, "d": 4, "i": 2, "alpha": 0.3, "method": m}
+          for m in ("structured", "dense", "halved", "all")),
+        {"command": "spectrum", "p": 5, "q": 3, "r": 2, "alpha": 0.5, "timings": True},
+        {"command": "sweep", "n": 11, "d": 5, "i": 2, "alphas": [0, 0.5]},
+        {"command": "scan", "n": 10, "d": 4, "alpha": 0.5},
+        {"command": "verify", "max_n": 4},
+        {"command": "verify", "max_n": 6, "tol": 1e-300},  # failures past the list cap
+        {"command": "scan", "n": 3},  # an error line
+    ]
+    source = tmp_path / "jobs.json"
+    source.write_text(json.dumps(jobs))
+    code, out = run_cli(capsys, "batch", str(source))
+    assert code == 1
+    lines = [obj for obj in rendered if isinstance(obj, dict) and "job_id" in obj]
+    assert len(lines) == len(jobs) == len(out.splitlines())
+    assert [line["status"] for line in lines] == ["ok"] * 8 + ["error"] * 2
+    assert {line["job_id"]: _non_plain(line) for line in lines} == {k: [] for k in range(10)}
 
 
 class TestDenseSizeCap:

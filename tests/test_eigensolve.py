@@ -108,6 +108,19 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig(max_power_iters=0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("max_jacobi_sweeps", 2.5), ("max_power_iters", 10.5), ("max_jacobi_sweeps", True)],
+    )
+    def test_rejects_caps_that_are_not_integers(self, field, bad):
+        # each would reach range() and fail there, or (True) read as 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolveConfig(**{field: bad})
+
+    def test_integral_float_cap_is_stored_as_int(self):
+        config = SolveConfig(max_jacobi_sweeps=8.0)
+        assert config.max_jacobi_sweeps == 8 and type(config.max_jacobi_sweeps) is int
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_tolerances(self, bad):
         for name in ("bisection_tol", "jacobi_off_tol", "power_tol"):
