@@ -44,10 +44,11 @@ EXIT_SOLVER = 3
 ENV_TOL = "ALPHA_BUG_SOLVE_TOL"
 COMPARE_TOL = 1e-8
 # Largest order the dense route (--method dense/all) assembles. Its cyclic
-# Jacobi runs in Python and grows like n**3: at n = 200 it took 0.26 s for
-# d = 40 and 2.0 s for d = 190, at n = 500, d = 490 it took 17 s (2-core
-# x86-64, Python 3.11, numpy 2.4). Without a cap, n = 10**6 would ask for
-# an 8 TB matrix.
+# Jacobi rotates lists of Python floats and grows like n**3: at n = 200,
+# i = d/2, alpha = 0.5 a fresh `spectrum --method dense` process took
+# 1.1-1.3 s for d = 40 and 5.3-6.4 s for d = 190, and at n = 500, d = 490
+# the library took 179-198 s (3 runs each, 2-core x86-64, Python 3.11,
+# numpy 2.4). Without a cap, n = 10**6 would ask for an 8 TB matrix.
 DENSE_MAX_N = 200
 # Largest d of any job. A spectrum solves d+1 eigenvalues and a scan d/2
 # quotients: at d = 10**6 they took 5.5 s / 464 MB and 31 s / 740 MB peak

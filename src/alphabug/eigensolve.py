@@ -12,7 +12,11 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   time, steps the negated pivot recurrence with two numpy calls per row,
   counts signs once per block, carries an exact zero pivot by IEEE signed
   zeros and infinities with no test for it and, from order 64 up, jumps
-  runs of equal rows in closed form,
+  runs of equal rows in closed form; a small call (below order 64, with
+  lanes x distinct indices x order at most _SCALAR_MAX_WORK, as for a
+  full spectrum of any bug with n <= 12 on its own) instead walks each
+  bisection tree on Python floats, one scalar Sturm count per node, with
+  the same bits,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -22,6 +26,7 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -159,6 +164,17 @@ _MAX_BISECTION_STEPS = 2200
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
+# Below _RUN_PLAN_MIN_ORDER, a call whose lanes x distinct indices x order
+# is at most this bisects on Python floats (_scalar_bisection), one count
+# per tree node, instead of in multisection rounds, each a few dozen numpy
+# calls on arrays of a few rows. Per call, Python-float time over round time
+# on bug quotients (rho alone, full spectra, 8-alpha sweeps and scans of
+# order 4-63; 2-core x86-64, Python 3.11, numpy 2.4): 0.11-0.80 at work
+# below 200, 0.81-1.04 at 200-500, 0.90-1.50 at 500-800 and 1.28-2.77 from
+# 800 up. Work counts each leaf's row steps, the walk's cost, but not the
+# rounds' fixed cost, so it splits the calls only roughly; they cross near
+# 400.
+_SCALAR_MAX_WORK = 400
 # The count kernel forms a - x for up to this many generic rows in one
 # subtract and counts their signs in one pass, so its buffer is at most
 # this many rows of shifts, whatever the order.
@@ -191,6 +207,20 @@ def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
+def _lead_squares(lead: np.ndarray):
+    """Squared leads, and the same floored at the smallest subnormal (see
+    _run_plan); ValueError where a square overflows."""
+    with np.errstate(over="ignore"):
+        lead_sq = np.square(lead)
+    if not np.isfinite(lead_sq).all():
+        raise ValueError(
+            f"off-diagonal entry {float(np.max(np.abs(lead))):.3e} exceeds "
+            f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
+            "its square would overflow"
+        )
+    return lead_sq, np.maximum(lead_sq, np.finfo(float).smallest_subnormal)
+
+
 def _run_plan(lanes: list) -> list:
     """Cut each lane's rows into generic rows and uniform runs, and group
     the lanes whose cuts have the same shape.
@@ -213,15 +243,7 @@ def _run_plan(lanes: list) -> list:
     inf and make every count wrong, so it raises ValueError.
     """
     diag, lead, reps, first = _lane_runs(lanes)
-    with np.errstate(over="ignore"):
-        lead_sq = np.square(lead)
-    if not np.isfinite(lead_sq).all():
-        raise ValueError(
-            f"off-diagonal entry {float(np.max(np.abs(lead))):.3e} exceeds "
-            f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
-            "its square would overflow"
-        )
-    floored = np.maximum(lead_sq, np.finfo(float).smallest_subnormal)
+    lead_sq, floored = _lead_squares(lead)
     if lanes[0].order < _RUN_PLAN_MIN_ORDER:
         diag, floored = (np.repeat(v, reps).reshape(len(lanes), -1) for v in (diag, floored))
         steps = [(diag[:, j:j + 1], floored[:, j:j + 1], None) for j in range(diag.shape[1])]
@@ -464,6 +486,64 @@ def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray):
     return upper - lower, np.maximum(tol, ulps)
 
 
+def _scalar_bisection(lanes: list, wanted: list, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
+    """The wanted eigenvalues (1-based indices, ascending and distinct) of
+    lanes below _RUN_PLAN_MIN_ORDER, one dict per lane from index to value,
+    bisected on Python floats from lane_eigenvalues's brackets lo..hi and
+    tolerances tol.
+
+    Walks each lane's bisection tree one node at a time, with one Sturm
+    count per node: the row loop of _walk on scalars, (x - a) - c/n with c
+    the floored squared lead. A zero pivot's quotient is inf of its sign, as
+    c/(+-0) is in numpy. A node's indices go left where the count at its
+    midpoint reaches them, as in the tree descent, and a node stops where
+    _stops would close it, so every value has the multisection rounds' bits.
+    A node still open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
+    """
+    diag, lead, reps, _ = _lane_runs(lanes)
+    shape = (len(lanes), -1)
+    rows = np.repeat(diag, reps).reshape(shape).tolist()
+    squares = np.repeat(_lead_squares(lead)[1], reps).reshape(shape).tolist()
+    found = []
+    for a, c, start, end, stop in zip(rows, squares, lo.tolist(), hi.tolist(), tol.tolist()):
+        first, rest = a[0], list(zip(a[1:], c[1:]))
+        values = {}
+        # a node descends to its left child and leaves its right child here
+        # when the indices split between them
+        nodes = [(start, end, 0, wanted)]
+        while nodes:
+            lower, upper, depth, indices = nodes.pop()
+            while True:
+                width = upper - lower
+                # _stops: max(-lower, upper) is max(|lower|, |upper|) as
+                # lower <= upper, and math.ulp is np.spacing on it
+                if width <= stop or width <= 4.0 * math.ulp(max(-lower, upper)):
+                    values.update(dict.fromkeys(indices, 0.5 * (lower + upper)))
+                    break
+                if depth >= _MAX_BISECTION_STEPS:
+                    raise ConvergenceError(
+                        f"bisection did not converge in {depth} steps; open bracket {width:.3e}"
+                    )
+                depth += 1
+                x = (lower + upper) * 0.5
+                pivot = x - first
+                below = pivot >= 0.0
+                for entry, square in rest:
+                    pivot = (x - entry) - (square / pivot if pivot else math.copysign(math.inf, pivot))
+                    if pivot >= 0.0:
+                        below += 1
+                split = bisect.bisect_right(indices, below)
+                if split == 0:
+                    lower = x
+                    continue
+                if split < len(indices):
+                    nodes.append((x, upper, depth, indices[split:]))
+                    indices = indices[:split]
+                upper = x
+        found.append(values)
+    return found
+
+
 def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.ndarray:
     """Selected eigenvalues of L symmetric tridiagonals of one order.
 
@@ -489,11 +569,17 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     round goes several levels deep, but no deeper than the widest open
     bracket needs. From order _RUN_PLAN_MIN_ORDER up, a count jumps a lane's
     uniform runs of rows in closed form, which can differ from walking every
-    row only at shifts within rounding of an eigenvalue. A bracket's value
-    depends only on its own lane and index, so asking for one eigenvalue
-    gives the same bits as reading it off the full spectrum. indices must be
-    integers (not bools). A lane whose padded Gershgorin interval reaches
-    past half the largest float raises ValueError: its midpoints overflow.
+    row only at shifts within rounding of an eigenvalue. Below that order, a
+    call whose lanes x distinct indices x order is at most _SCALAR_MAX_WORK
+    runs no rounds: it walks each lane's tree one node at a time on Python
+    floats (_scalar_bisection), with the same midpoints, counts and stops,
+    so the same bits; its fixed cost is lower, and its cost per node
+    higher, than a round's (the constant has the crossover measurement). A
+    bracket's value depends only on its own lane and index, so asking for
+    one eigenvalue gives the same bits as reading it off the full spectrum.
+    indices must be integers (not bools). A lane whose padded Gershgorin
+    interval reaches past half the largest float raises ValueError: its
+    midpoints overflow.
     """
     cfg = config or DEFAULT_CONFIG
     lanes = list(lanes)
@@ -526,6 +612,13 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             f"Gershgorin bound {reach:.3e} exceeds half the largest float: "
             "bisection midpoints would overflow"
         )
+    if m < _RUN_PLAN_MIN_ORDER:
+        picked = need.tolist()
+        # a set, not np.unique, whose first call costs about 1 MB of RSS
+        wanted = sorted(set(picked))
+        if len(lanes) * len(wanted) * m <= _SCALAR_MAX_WORK:
+            found = _scalar_bisection(lanes, wanted, lo, hi, tol)
+            return np.array([[values[k] for k in picked] for values in found])
     # one bracket per (lane, index), flattened lane-major and, within a
     # lane, in ascending index order: brackets that share an interval are
     # then neighbours, and once parted they never share again
@@ -556,7 +649,9 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             per_lane = int(slot[:, -1].max()) + 1
             trees = shape[0] * per_lane
             tree_of = (np.arange(shape[0])[:, None] * per_lane + slot).ravel()
-            shared = not distinct.all()
+            # a closed pair never moves, and open brackets once parted never
+            # share again: once only closed pairs share, this layout holds
+            shared = bool((active & ~distinct).any())
         depth, may_stop = _tree_depth(trees, width, stop, active)
         steps += depth
         n = 2**depth

@@ -24,7 +24,7 @@ from alphabug import (
     tridiag_eigenvalues,
 )
 from alphabug.structured import halved_tridiagonal, proof_decomposition
-from alphabug.verify import extremal_scan
+from alphabug.verify import enumerate_bugs, extremal_scan
 from oracles import (
     exact_inertia_bounds,
     plain_bisection_eigenvalues,
@@ -392,7 +392,10 @@ class TestDistinctBrackets:
         assert tally["calls"] <= 11 and tally["shifts"] <= 3_960
 
     def test_small_full_spectrum_costs_no_more(self, monkeypatch):
-        # 44 levels: 9 in the first round, then 5 per round for 11 brackets
+        # 44 levels: 9 in the first round, then 5 per round for 11 brackets.
+        # A call this small bisects on Python floats unless the work bound
+        # sends it to the rounds
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
         tally = _count_calls(monkeypatch)
         tridiag_eigenvalues(bug_tridiagonal(BugSpec(12, 10, 3), 0.5))
         assert tally["calls"] <= 8 and tally["shifts"] <= 2_898
@@ -441,6 +444,9 @@ class TestDescent:
         # into the window, and a leaf read off the counts by search would
         # put them elsewhere
         window = (2.0, 2.4)
+        # GOLDEN is small enough to bisect on Python floats, which never
+        # calls the count kernel: send it to the rounds
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
         kernel = eigensolve._plan_counts
 
         def dipping(plan, shifts):
@@ -768,6 +774,110 @@ class TestZeroPivots:
         expected = 1e150 + 2e149 * np.cos(np.arange(m, 0, -1) * np.pi / (m + 1))
         assert np.max(np.abs(tridiag_eigenvalues(t) - expected)) <= 1e-13 * 1.2e150
         assert sturm_count(t, 1e150) == 40
+
+
+def _both_paths(lanes, indices):
+    """lane_eigenvalues in multisection rounds (work bound 0) and on Python
+    floats (work bound past any call, and the count kernel forbidden below
+    the gate, where it must not run)."""
+    def forbidden(plan, shifts):
+        raise AssertionError("the count kernel ran on the Python-float path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
+        rounds = lane_eigenvalues(lanes, indices)
+        mp.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
+        if lanes[0].order < eigensolve._RUN_PLAN_MIN_ORDER:
+            mp.setattr(eigensolve, "_plan_counts", forbidden)
+        floats = lane_eigenvalues(lanes, indices)
+    assert rounds.shape == floats.shape == (len(lanes), len(indices))
+    return rounds, floats
+
+
+class TestScalarBisection:
+    """Below the run-plan gate, a call whose lanes x distinct indices x
+    order is at most _SCALAR_MAX_WORK walks each bisection tree on Python
+    floats, one count per node. Its values have the rounds' bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_counts())
+    def test_same_bits_on_small_counts(self, problem):
+        t, _ = problem
+        rounds, floats = _both_paths([t], np.arange(1, t.order + 1))
+        assert rounds.tobytes() == floats.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(half_integer_counts())
+    def test_same_bits_with_zero_offdiagonals_and_zero_pivots(self, problem):
+        t, _ = problem
+        rounds, floats = _both_paths([t], np.arange(1, t.order + 1))
+        assert rounds.tobytes() == floats.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_lane_problems())
+    def test_same_bits_on_lanes_with_repeated_unsorted_indices(self, problem):
+        lanes, indices = problem
+        rounds, floats = _both_paths(lanes, indices)
+        assert rounds.tobytes() == floats.tobytes()
+
+    def test_same_bits_on_several_bug_lanes(self):
+        lanes = [bug_tridiagonal(BugSpec(30, 12, i), alpha) for i in (1, 3, 6) for alpha in (0.0, 0.5)]
+        rounds, floats = _both_paths(lanes, [13, 2, 7, 2, 1, 13, 7])
+        assert rounds.tobytes() == floats.tobytes()
+
+    def test_same_bits_on_the_oracle_grid(self):
+        for b in enumerate_bugs(12):
+            for alpha in (0.0, 0.25, 0.5, 0.75, 0.99):
+                lanes = [bug_tridiagonal(b, alpha)]
+                if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
+                    lanes.append(halved_tridiagonal(b.n, b.d, alpha))
+                for t in lanes:
+                    rounds, floats = _both_paths([t], np.arange(1, t.order + 1))
+                    assert rounds.tobytes() == floats.tobytes(), (b, alpha, t.order)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 16, 40, _BELOW_GATE])
+    def test_matches_plain_bisection(self, m):
+        rng = np.random.default_rng(6150 + m)
+        for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
+            _, floats = _both_paths([t], np.arange(1, t.order + 1))
+            assert np.array_equal(floats[0], plain_bisection_eigenvalues(t.diag, t.offdiag))
+
+    def test_overflowing_offdiagonal_squares_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
+        t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1.341e\\+154"):
+                tridiag_eigenvalues(t)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
+        # GOLDEN's deepest bracket closes at level 44
+        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 43)
+        with pytest.raises(ConvergenceError, match="43 steps"):
+            tridiag_eigenvalues(GOLDEN)
+        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 44)
+        assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
+
+    def test_lanes_at_the_gate_stay_on_the_rounds(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
+        tally = _count_calls(monkeypatch)
+        rng = np.random.default_rng(64)
+        lane_eigenvalues([random_tridiag(rng, _BELOW_GATE)], [1])
+        assert tally["calls"] == 0
+        lane_eigenvalues([random_tridiag(rng, eigensolve._RUN_PLAN_MIN_ORDER)], [1])
+        assert tally["calls"] > 0
+
+    def test_work_bound_counts_distinct_indices(self, monkeypatch):
+        # 2 lanes x 2 distinct indices x order 6 = 24, however often each
+        # index is asked for
+        tally = _count_calls(monkeypatch)
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 24)
+        lane_eigenvalues([GOLDEN, GOLDEN], [1, 6, 1, 6, 6])
+        assert tally["calls"] == 0
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 23)
+        lane_eigenvalues([GOLDEN, GOLDEN], [1, 6, 1, 6, 6])
+        assert tally["calls"] > 0
 
 
 class TestJacobi:
