@@ -7,12 +7,16 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   bounds and count plans read directly: one routine solves selected
   eigenvalues of several tridiagonals of the same order in lockstep, each
   round evaluating the next levels of every distinct bracket's bisection
-  tree once and moving each bracket down its tree in one step; every
-  count goes through one kernel, which forms x - a for up to 64 rows at a
-  time, steps the negated pivot recurrence with two numpy calls per row,
-  counts signs once per block, carries an exact zero pivot by IEEE signed
-  zeros and infinities with no test for it and, from order 64 up, jumps
-  runs of equal rows in closed form; a small call (below order 64, with
+  tree once and moving each bracket down its tree in one step, as many
+  levels as a shift budget allows below order 64 and, from order 64 up, as
+  give the most levels per unit of a round's cost; every count goes
+  through one kernel, which forms x - a for up to 64 rows at a time, steps
+  the negated pivot recurrence with two numpy calls per row, counts signs
+  once per block, carries an exact zero pivot by IEEE signed zeros and
+  infinities with no test for it and, from order 64 up, jumps runs of
+  equal rows in closed form, computing what a jump reads of the shifts
+  alone once for all runs of equal entries (the two paths of a bug
+  quotient); a small call (below order 64, with
   lanes x distinct indices x order at most _SCALAR_MAX_WORK, as for a
   full spectrum of any bug with n <= 12 on its own) instead walks each
   bisection tree on Python floats, one scalar Sturm count per node, with
@@ -138,13 +142,30 @@ class SolveConfig:
 DEFAULT_CONFIG = SolveConfig()
 
 
-# Shifts per round. Up to several hundred, a Sturm row and a round's
-# bookkeeping (a handful of numpy calls, plus two per tree level) cost about
-# the same however many: numpy's per-call overhead dominates. The budget
-# counts distinct brackets' trees, so a round with few takes several levels;
-# from 171 up, one. On the bench workloads (2-core x86-64, numpy 2.4) 512
-# beats 256 by 4-11 %, and 1024 loses 9 % to it on scans and sweeps.
+# Shifts per round on plans of row steps (below _RUN_PLAN_MIN_ORDER). Up to
+# several hundred, a Sturm row and a round's bookkeeping (a handful of numpy
+# calls, plus two per tree level) cost about the same however many: numpy's
+# per-call overhead dominates. The budget counts distinct brackets' trees,
+# so a round with few takes several levels; from 171 up, one. On the bench
+# workloads (2-core x86-64, numpy 2.4) 512 beats 256 by 4-11 %, and 1024
+# loses 9 % to it on scans and sweeps.
 _MULTISECTION_WIDTH = 512
+# On run plans (from _RUN_PLAN_MIN_ORDER up) a round costs a fixed part, in
+# shifts' worth, plus one per shift, and _deeper takes the depth with the
+# most levels per unit of that cost: 8 levels for one tree, 3 for 100, 2 up
+# to 1,199 and 1 from 1,200. Fitted over the rounds of full spectra solved
+# at that depth and at one level per round (B(10^6, 1000, 500) at alpha
+# 0.6, B(10^5, 300, 40) at 0.2, B(10^6, 150, 75) at 0.9; 2-core x86-64,
+# Python 3.11, numpy 2.4), a round's fixed part is 210-340 us (a count
+# kernel call about 150 us of it) and a shift 0.2-0.46 us, a ratio of
+# 470-1,700. In-process passes over the spectrum-large jobs took the same
+# time, within noise, for any value from 600 to 2,400.
+_ROUND_COST = 1200
+# No round on a run plan goes deeper than this many shifts, so the count
+# kernel's buffer (_BLOCK_ROWS rows of shifts) stays within 2 MiB. At
+# _ROUND_COST 1200 the cost rule stays below it by itself (3,597 shifts at
+# most, two levels of 1,199 trees); one level is always taken.
+_ROUND_MAX_SHIFTS = 4096
 # Each bisection step at least halves a bracket (up to rounding) until it
 # is a few ulps wide, and float64 spans fewer than 2100 halvings from its
 # largest finite value to its smallest subnormal. A bracket still open after
@@ -153,7 +174,8 @@ _MULTISECTION_WIDTH = 512
 _MAX_BISECTION_STEPS = 2200
 # From this order up, _run_plan cuts each lane into generic rows and uniform
 # runs, which the count kernel jumps in closed form; below it every row is
-# one step. Only _run_plan reads this gate. A jump costs about forty numpy
+# one step. The gate also picks the depth rule of a round (_deeper) and, below
+# it, lets small calls bisect on Python floats. A jump costs about forty numpy
 # calls against two per row. Measured on bug quotients (2-core x86-64, numpy
 # 2.4), jumps win from order about 56 for rho alone, 85 for a full spectrum,
 # 128 for an 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes
@@ -273,27 +295,37 @@ def _run_plan(lanes: list) -> list:
     return plan
 
 
-def _inside(u, q, k):
+def _band(u):
+    """|t| < 1: what _inside reads of the shift, u with sin theta and theta."""
+    sin_theta = np.sqrt((1.0 - u) * (1.0 + u))
+    return u, sin_theta, np.arctan2(sin_theta, u)
+
+
+def _inside(angle, q, k):
     """|t| < 1: s[j] = sin(j theta + phi) with cos theta = |t|.
 
     Returns the sign changes of s[0..k] and of s[0..k+1], and s[k+1]/s[k].
     """
-    sin_theta = np.sqrt((1.0 - u) * (1.0 + u))
-    theta = np.arctan2(sin_theta, u)
+    u, sin_theta, theta = angle
     phi = np.arctan2(sin_theta, q - u)
     psi = k * theta + phi
     end = psi + theta
     return np.floor(psi / np.pi), np.floor(end / np.pi), np.sin(end) / np.sin(psi)
 
 
-def _outside(u, q, k):
+def _hyperbolic(u):
+    """|t| > 1: what _outside reads of the shift, u with sinh mu and mu."""
+    sh = np.sqrt(u - 1.0) * np.sqrt(u + 1.0)
+    return u, sh, np.log1p((u - 1.0) + sh)
+
+
+def _outside(angle, q, k):
     """|t| > 1: s[j] = sinh(j mu + phi) with cosh mu = |t|, whose one zero
     is at j = -phi/mu, or cosh(j mu + phi), which has none.
 
     Returns as _inside.
     """
-    sh = np.sqrt(u - 1.0) * np.sqrt(u + 1.0)
-    mu = np.log1p((u - 1.0) + sh)
+    u, sh, mu = angle
     slope = (q - u) / sh
     sinh = np.abs(slope) > 1.0
     phi = np.arctanh(np.where(sinh, 1.0 / slope, slope))
@@ -307,8 +339,9 @@ def _outside(u, q, k):
     )
 
 
-def _edge(u, q, k):
-    """|t| = 1: s[j] is proportional to w + j with w = 1/(q - 1).
+def _edge(angle, q, k):
+    """|t| = 1: s[j] is proportional to w + j with w = 1/(q - 1); angle is
+    None.
 
     Returns as _inside.
     """
@@ -317,7 +350,33 @@ def _edge(u, q, k):
     return falling & (w + k >= 0.0), falling & (w + k + 1.0 >= 0.0), 1.0 + 1.0 / (w + k)
 
 
-def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
+# each regime of a jump: which |t| it takes, what its closed form reads of
+# the shift alone (the angle theta or mu), and the closed form
+_REGIMES = ((np.less, _band, _inside), (np.greater, _hyperbolic, _outside), (np.equal, None, _edge))
+
+
+def _prelude(a, c, shifts):
+    """The prelude of a jump along a run of (a, c): what it reads of the
+    shifts alone, not of the incoming pivot or the run's length. Returns
+    b = sqrt(c); the flip, where t = (a - x)/(2b) is negative; and for each
+    regime (_REGIMES) that holds some |t|, which shifts it holds (None when
+    it holds all), its closed form and its angle. Runs of one plan group
+    with equal a and c columns share it within a count (_Steps)."""
+    b = np.sqrt(c)
+    t = (a - shifts) / (2.0 * b)
+    flip = t < 0.0
+    u = np.abs(t)
+    parts = []
+    for test, angle, regime in _REGIMES:
+        live = test(u, 1.0)
+        if live.all():
+            return b, flip, [(None, regime, angle(u) if angle else None)]
+        if live.any():
+            parts.append((live, regime, angle(u[live]) if angle else None))
+    return b, flip, parts
+
+
+def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude=None):
     """Negative pivots along a run of k rows of (a, c), and its last pivot.
 
     With b = sqrt(c), t = (a - x)/(2b) and q = pivot/b, the pivot map of one
@@ -325,7 +384,10 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
     solution of s[j+1] = 2t s[j] - s[j-1] (the Chebyshev recurrence) with
     s[0] = 1, s[1] = q. For t < 0 the sequence -q follows the same map at
     -t, so only |t| is solved, in the regime it falls in (_inside,
-    _outside, _edge).
+    _outside, _edge). Whatever reads only the shifts (b, the flip, the
+    regimes and their angles) is the prelude, _prelude(a, c, shifts); a
+    caller that jumps several runs of the same a and c passes it in, and
+    without it _jump computes its own. The bits are the same either way.
 
     With cross[j] the sign changes of s[0..j], the run's count is
     cross[k+1] less one when the incoming pivot is negative (-0 included),
@@ -335,20 +397,16 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray):
     twice: a last pivot of the wrong sign is tiny, and the next row undoes
     it. A last pivot of 0 carries the sign it was counted with.
     """
-    b = np.sqrt(c)
-    t = (a - shifts) / (2.0 * b)
-    flip = t < 0.0
-    u = np.abs(t)
+    b, flip, parts = prelude or _prelude(a, c, shifts)
     q = pivot / b
     np.negative(q, out=q, where=flip)
-    before, after, ratio = np.empty((3,) + u.shape)
-    for live, regime in ((u < 1.0, _inside), (u > 1.0, _outside), (u == 1.0, _edge)):
-        if live.all():
-            before, after, ratio = regime(u, q, k)
-            break
-        if live.any():
+    before, after, ratio = np.empty((3,) + q.shape)
+    for live, regime, angle in parts:
+        if live is None:
+            before, after, ratio = regime(angle, q, k)
+        else:
             before[live], after[live], ratio[live] = regime(
-                u[live], q[live], k.repeat(u.shape[1], axis=1)[live]
+                angle, q[live], k.repeat(q.shape[1], axis=1)[live]
             )
     below = np.maximum(after.astype(np.intp) - np.signbit(q), 0)
     last = np.abs(ratio)
@@ -363,7 +421,7 @@ def _blocks(steps: list) -> list:
     (rows, lanes, 1)."""
     starts = [s for s, step in enumerate(steps) if step[2] is None][::_BLOCK_ROWS]
     return [
-        (steps[i:j], np.stack([a for a, _, k in steps[i:j] if k is None]))
+        (steps[i:j], np.stack([step[0] for step in steps[i:j] if step[2] is None]))
         for i, j in zip(starts, starts[1:] + [len(steps)])
     ]
 
@@ -371,14 +429,24 @@ def _blocks(steps: list) -> list:
 class _Steps(list):
     """A group's plan steps, and in blocks the same steps cut by _blocks:
     a plan is made once per solve and counted once per bisection round, so
-    the blocks are cut and their entries stacked once."""
+    the blocks are cut and their entries stacked once. In blocks, each step
+    also holds the slot of its run's prelude (None for a generic row): runs
+    whose a and c columns are equal, as the two paths of a bug quotient
+    are, share a slot, and a count computes each slot's prelude once
+    (_prelude). preludes is the number of slots."""
 
     def __init__(self, steps: list):
         super().__init__(steps)
-        self.blocks = _blocks(steps)
+        slots: dict[tuple, int] = {}
+        marked = []
+        for a, c, k in steps:
+            slot = None if k is None else slots.setdefault((a.tobytes(), c.tobytes()), len(slots))
+            marked.append((a, c, k, slot))
+        self.preludes = len(slots)
+        self.blocks = _blocks(marked)
 
 
-def _walk(steps, pivot, entries, x, rows, quotient):
+def _walk(steps, pivot, entries, x, rows, quotient, preludes):
     """One pass of the negated pivot recurrence over a block of plan steps.
 
     The pivots are kept negated: row j holds n[j] = (x - a[j]) - c[j]/n[j-1],
@@ -386,14 +454,15 @@ def _walk(steps, pivot, entries, x, rows, quotient):
     before row 0). entries holds the diagonal entries of the block's
     generic rows as (rows, lanes, 1); rows receives x - entries in one
     subtract, and each generic row then turns its own entry into its pivot
-    with two numpy calls. A run is jumped in closed form (_jump). Returns
-    the number of negative LDL^T pivots along the block's runs, and the
-    block's last pivot, negated.
+    with two numpy calls. A run is jumped in closed form (_jump), with the
+    prelude of its slot in preludes, computed here if no run before it in
+    the count has. Returns the number of negative LDL^T pivots along the
+    block's runs, and the block's last pivot, negated.
     """
     np.subtract(x, entries, out=rows)
     jumped = 0
     r = 0
-    for a, c, k in steps:
+    for a, c, k, slot in steps:
         if k is None:
             row = rows[r]
             r += 1
@@ -402,7 +471,9 @@ def _walk(steps, pivot, entries, x, rows, quotient):
                 np.subtract(row, quotient, out=row)
             pivot = row
         else:
-            run, last = _jump(np.negative(pivot), a, c, k, x)
+            if preludes[slot] is None:
+                preludes[slot] = _prelude(a, c, x)
+            run, last = _jump(np.negative(pivot), a, c, k, x, preludes[slot])
             jumped = jumped + run
             pivot = np.negative(last, out=last)
     return jumped, pivot
@@ -419,7 +490,8 @@ def _plan_counts(plan: list, shifts: np.ndarray) -> np.ndarray:
     of up to _BLOCK_ROWS generic rows that _run_plan cut (_blocks), each
     with its rows' diagonal entries stacked. A block costs two numpy calls
     per generic row and one closed-form jump per run, and its signs are
-    counted once, at its end. An exact zero pivot needs no test (Kahan;
+    counted once, at its end. Runs of a group with equal a and c columns
+    share one prelude per count. An exact zero pivot needs no test (Kahan;
     Demmel, Dhillon and Ren, ETNA 3, 1995): it arises as +0 and counts,
     its quotient c/(+0) = +inf makes the next pivot -inf, which does not,
     and the row after that starts over at x - a. The pair counts once, as
@@ -439,9 +511,10 @@ def _plan_counts(plan: list, shifts: np.ndarray) -> np.ndarray:
             quotient = quotient_buffer[: x.size].reshape(x.shape)
             below = 0
             pivot = None
+            preludes = [None] * steps.preludes
             for b, (block, entries) in enumerate(steps.blocks):
                 rows = buffer[: len(entries) * x.size].reshape((len(entries),) + x.shape)
-                jumped, pivot = _walk(block, pivot, entries, x, rows, quotient)
+                jumped, pivot = _walk(block, pivot, entries, x, rows, quotient, preludes)
                 below = below + jumped + (rows >= 0.0).sum(axis=0)
                 if b + 1 < len(steps.blocks):
                     # the next block writes its pivots over rows
@@ -465,17 +538,32 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     return int(_plan_counts(_run_plan([t]), np.asarray([[x]]))[0, 0])
 
 
-def _tree_depth(trees: int, width: np.ndarray, stop: np.ndarray, active: np.ndarray):
-    """Levels of each tree to evaluate this round: as many as the shift
-    budget allows, but no more than the open bracket widest against its
-    stop needs. Also whether an open bracket may stop above its leaf: a
-    level halves a bracket up to an ulp of its ends and its stop never
-    grows, so one more than 2**depth times wider than its stop cannot."""
-    if 3 * trees > _MULTISECTION_WIDTH:
+def _deeper(trees: int, depth: int, runs: bool) -> bool:
+    """Whether a round of trees trees takes one level more than depth: on a
+    run plan, while that gives more levels per unit of round cost
+    (_ROUND_COST plus one per shift) and stays within _ROUND_MAX_SHIFTS;
+    on a plan of row steps, while it stays within _MULTISECTION_WIDTH."""
+    more = trees * (2 ** (depth + 1) - 1)
+    if not runs:
+        return more <= _MULTISECTION_WIDTH
+    cost = _ROUND_COST + trees * (2**depth - 1)
+    return more <= _ROUND_MAX_SHIFTS and (depth + 1) * cost > depth * (_ROUND_COST + more)
+
+
+def _tree_depth(
+    trees: int, width: np.ndarray, stop: np.ndarray, active: np.ndarray, left: int, runs: bool
+):
+    """Levels of each tree to evaluate this round: as many as _deeper
+    allows, but no more than the open bracket widest against its stop
+    needs, nor than left, the steps left below _MAX_BISECTION_STEPS. Also
+    whether an open bracket may stop above its leaf: a level halves a
+    bracket up to an ulp of its ends and its stop never grows, so one more
+    than 2**depth times wider than its stop cannot."""
+    if not _deeper(trees, 1, runs):
         return 1, False
     ratio = (width / stop)[active]
     widest, depth = ratio.max(), 1
-    while trees * (2 ** (depth + 1) - 1) <= _MULTISECTION_WIDTH and 2.0**depth < widest:
+    while depth < left and 2.0**depth < widest and _deeper(trees, depth, runs):
         depth += 1
     return depth, depth > 1 and ratio.min() <= 2.0**depth
 
@@ -563,13 +651,18 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     the number of its midpoints counted below the index; a tree whose counts
     dip, possible from the closed-form jumps near an eigenvalue, is walked
     level by level. As in plain bisection, a bracket stops at the first
-    closed node on its path. The shift budget, _MULTISECTION_WIDTH, counts
-    distinct brackets, each lane padded to the widest lane's count, so while
-    they are few (a full spectrum's first rounds, or one index per lane) a
-    round goes several levels deep, but no deeper than the widest open
-    bracket needs. From order _RUN_PLAN_MIN_ORDER up, a count jumps a lane's
-    uniform runs of rows in closed form, which can differ from walking every
-    row only at shifts within rounding of an eigenvalue. Below that order, a
+    closed node on its path. A round's depth counts distinct brackets, each
+    lane padded to the widest lane's count: below order _RUN_PLAN_MIN_ORDER
+    it is as deep as the shift budget _MULTISECTION_WIDTH allows, and from
+    that order up as deep as gives the most levels per unit of a round's
+    cost (_ROUND_COST plus one per shift, within _ROUND_MAX_SHIFTS). So
+    while brackets are few (a full spectrum's first rounds, or one index per
+    lane) a round goes several levels deep, but never deeper than the widest
+    open bracket needs nor past _MAX_BISECTION_STEPS levels in all, where a
+    bracket still open raises ConvergenceError. From order
+    _RUN_PLAN_MIN_ORDER up, a count jumps a lane's uniform runs of rows in
+    closed form, which can differ from walking every row only at shifts
+    within rounding of an eigenvalue. Below that order, a
     call whose lanes x distinct indices x order is at most _SCALAR_MAX_WORK
     runs no rounds: it walks each lane's tree one node at a time on Python
     floats (_scalar_bisection), with the same midpoints, counts and stops,
@@ -629,6 +722,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
     plan = _run_plan(lanes)
+    runs = m >= _RUN_PLAN_MIN_ORDER
     width, stop = _stops(lower, upper, tol)
     active = width > stop
     own = np.arange(lower.size)
@@ -652,7 +746,8 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             # a closed pair never moves, and open brackets once parted never
             # share again: once only closed pairs share, this layout holds
             shared = bool((active & ~distinct).any())
-        depth, may_stop = _tree_depth(trees, width, stop, active)
+        left = _MAX_BISECTION_STEPS - steps
+        depth, may_stop = _tree_depth(trees, width, stop, active, left, runs)
         steps += depth
         n = 2**depth
         # column r holds tree r's breakpoints in order: its ends, then level

@@ -373,11 +373,12 @@ class TestDistinctBrackets:
     rounds, with few distinct brackets, go several levels deep."""
 
     def test_full_spectrum_of_a_wide_quotient(self, monkeypatch):
-        # one bracket per index took 44 calls and 44,044 shifts; 21 calls
-        # and 9,569 shifts now
+        # one bracket per index took 44 calls and 44,044 shifts, and a
+        # 512-shift budget per round 21 calls and 9,569 shifts; with the
+        # depth set by a round's cost, 12 calls and 13,344 shifts
         tally = _count_calls(monkeypatch)
         tridiag_eigenvalues(bug_tridiagonal(BugSpec(10**6, 1000, 500), 0.6))
-        assert tally["calls"] <= 25 and tally["shifts"] <= 10_000
+        assert tally["calls"] <= 13 and tally["shifts"] <= 14_000
 
     def test_one_index_per_lane_costs_no_more(self, monkeypatch):
         # 11 calls and 3,300 shifts
@@ -411,6 +412,61 @@ class TestDistinctBrackets:
         picked = np.asarray(indices) - 1
         for row, t in zip(got, lanes):
             assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag)[picked])
+
+
+# bug quotients of order 64 to 1001, balanced and not, where rounds run on
+# run plans
+_RUN_PLAN_BUGS = [
+    BugSpec(100, 63, 31), BugSpec(500, 63, 2), BugSpec(10**4, 200, 100),
+    BugSpec(10**4, 200, 9), BugSpec(10**6, 1000, 500), BugSpec(10**6, 1000, 17),
+]
+
+
+class TestRoundDepth:
+    """On run plans a round's depth is set by its cost: a fixed part
+    (_ROUND_COST) plus one per shift. The midpoints are plain bisection's
+    at any depth, and a bracket stops at the first closed node on its
+    path, so no value moves. The 4-ulp stop (bisection_tol 1e-300) is
+    where stopping above the leaf matters: without it, values of every
+    quotient below would move."""
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-300])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
+    def test_values_match_one_level_per_round(self, monkeypatch, alpha, tol):
+        config = SolveConfig(bisection_tol=tol)
+        lanes = [bug_tridiagonal(b, alpha) for b in _RUN_PLAN_BUGS]
+        tally = _count_calls(monkeypatch)
+        got = [tridiag_eigenvalues(t, config) for t in lanes]
+        deep = tally["calls"]
+        monkeypatch.setattr(eigensolve, "_tree_depth", lambda *args: (1, False))
+        for t, values in zip(lanes, got):
+            assert t.order >= eigensolve._RUN_PLAN_MIN_ORDER
+            assert np.array_equal(values, tridiag_eigenvalues(t, config)), t.order
+        # one level per round took more than twice the calls
+        assert 2 * deep < tally["calls"] - deep
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-300])
+    def test_multi_lane_values_match_one_level_per_round(self, monkeypatch, tol):
+        config = SolveConfig(bisection_tol=tol)
+        lanes = [bug_tridiagonal(BugSpec(5000, 120, i), a) for i in (1, 7, 60) for a in (0.0, 0.5)]
+        indices = [1, 60, 121, 60, 2]
+        got = lane_eigenvalues(lanes, indices, config)
+        monkeypatch.setattr(eigensolve, "_tree_depth", lambda *args: (1, False))
+        assert np.array_equal(got, lane_eigenvalues(lanes, indices, config))
+
+    def test_depth_per_round(self):
+        def depth(trees, runs, left=2200):
+            width, stop = np.full(1, 2.0**60), np.ones(1)
+            return eigensolve._tree_depth(trees, width, stop, np.ones(1, dtype=bool), left, runs)[0]
+
+        # row steps keep the 512-shift budget: 9 levels for one tree
+        assert [depth(t, False) for t in (1, 6, 170, 171)] == [9, 6, 2, 1]
+        # run plans: the most levels per unit of cost
+        assert [depth(t, True) for t in (1, 100, 1001, 1199, 1200)] == [8, 3, 2, 2, 1]
+        assert depth(1, True, left=3) == 3 and depth(1, False, left=1) == 1
+        for trees in range(1, 5000):
+            shifts = trees * (2 ** depth(trees, True) - 1)
+            assert shifts <= max(trees, eigensolve._ROUND_MAX_SHIFTS), trees
 
 
 def _bisect_each(t: SymTridiag, indices, count) -> np.ndarray:
@@ -585,6 +641,69 @@ class TestRunPlanCounts:
             alone = lane_eigenvalues([t], indices)[0]
             assert np.array_equal(row, alone)
             assert np.array_equal(row, tridiag_eigenvalues(t)[np.asarray(indices) - 1])
+
+
+def _jump_both_ways(pivot, a, c, k, x):
+    """_jump with its own prelude and with one computed beforehand, used
+    twice as two runs of one count would use it."""
+    own = eigensolve._jump(pivot, a, c, k, x)
+    prelude = eigensolve._prelude(a, c, x)
+    shared = [eigensolve._jump(pivot, a, c, k, x, prelude) for _ in range(2)]
+    for run, last in shared:
+        assert np.array_equal(run, own[0])
+        assert last.tobytes() == own[1].tobytes()
+    return own
+
+
+class TestSharedPrelude:
+    """Runs of a plan group with equal a and c columns share the part of
+    the jump that reads only the shifts (_prelude), once per count."""
+
+    @pytest.mark.parametrize("shifts, regimes", [
+        ([-0.9, -0.5, 0.3, 1.0, 2.2, 2.99], "inside"),  # t = (1 - x)/2, |t| < 1
+        ([-40.0, -5.0, -1.5, 3.5, 7.0, 1e6], "outside"),
+        ([-1.0, 3.0], "edge"),  # t = 1 and t = -1
+        ([-5.0, -1.0, -0.5, 1.0, 3.0, 3.5, 1e6], "mixed"),
+    ])
+    def test_jump_with_a_prelude_matches_jump_without(self, shifts, regimes):
+        x = np.array([shifts, shifts[::-1]])
+        u = np.abs((1.0 - x) / 2.0)
+        holds = {"inside": u < 1.0, "outside": u > 1.0, "edge": u == 1.0}
+        if regimes == "mixed":
+            assert all(v.any() for v in holds.values())
+        else:
+            assert holds[regimes].all()
+        rng = np.random.default_rng(len(shifts))
+        a, c, k = np.ones((2, 1)), np.ones((2, 1)), np.array([[5], [200]])
+        for pivot in (rng.uniform(-3.0, 3.0, x.shape), np.zeros(x.shape), np.full(x.shape, -0.0)):
+            _jump_both_ways(pivot, a, c, k, x)
+
+    @pytest.mark.parametrize("t_sign", [1.0, -1.0])
+    def test_jump_ending_on_an_exact_zero_matches(self, t_sign):
+        # the run of test_run_ending_on_an_exact_zero_pivot: it ends on -0.0
+        # for t = 1 and +0.0 for t = -1
+        pivot, x = np.array([[t_sign * 63 / 64]]), np.array([[-2.0 * t_sign]])
+        _, pivot = _jump_both_ways(pivot, 0.0, np.ones((1, 1)), np.array([[63]]), x)
+        assert pivot[0, 0] == 0.0 and np.signbit(pivot[0, 0]) == (t_sign > 0)
+
+    def test_runs_share_a_prelude_only_when_a_and_c_are_equal(self):
+        def slots(lanes):
+            (_, steps), = eigensolve._run_plan(lanes)
+            marked = [step for block, _ in steps.blocks for step in block if step[2] is not None]
+            assert len(marked) == 2
+            assert steps.preludes == len({step[3] for step in marked})
+            return steps.preludes
+
+        # the two paths of a bug quotient, and two runs split by one cell
+        assert slots([bug_tridiagonal(BugSpec(1000, 200, 50), 0.3)]) == 1
+        same = SymTridiag.path(150, 1.0, 0.5, {70: 3.0}, {})
+        assert slots([same]) == 1
+        # runs that differ in a, in c, or in one lane of a group do not share
+        other_a = SymTridiag([1.0] * 70 + [2.0] * 80, np.ones(149))
+        other_c = SymTridiag(np.ones(150), [1.0] * 75 + [2.0] * 74)
+        assert slots([other_a]) == slots([other_c]) == 2
+        mixed = SymTridiag([1.0] * 70 + [3.0] + [2.0] * 79, np.full(149, 0.5))
+        assert slots([same, mixed]) == 2
 
 
 def _unit_pivot_lane(rng, m: int, zero_row: int) -> SymTridiag:
@@ -851,13 +970,20 @@ class TestScalarBisection:
                 tridiag_eigenvalues(t)
 
     def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
-        # GOLDEN's deepest bracket closes at level 44
-        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 43)
-        with pytest.raises(ConvergenceError, match="43 steps"):
-            tridiag_eigenvalues(GOLDEN)
-        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 44)
-        assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
+        # GOLDEN's deepest bracket closes at level 44, and so does the top
+        # one of an order-81 bug quotient. The walk and the rounds (with
+        # the work bound at 0), on row steps and on a run plan, raise at
+        # exactly the cap: a round takes no more levels than are left
+        wide = bug_tridiagonal(BugSpec(200, 80, 30), 0.5)
+        for work in (10**9, 0):
+            monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
+            for t, indices in ((GOLDEN, np.arange(1, 7)), (wide, [81]), (wide, np.arange(1, 82))):
+                monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 43)
+                with pytest.raises(ConvergenceError, match="43 steps"):
+                    lane_eigenvalues([t], indices)
+                monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 44)
+                lane_eigenvalues([t], indices)
+            assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
 
     def test_lanes_at_the_gate_stay_on_the_rounds(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
