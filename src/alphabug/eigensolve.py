@@ -9,7 +9,7 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   round evaluating the next levels of every distinct bracket's bisection
   tree once and moving each bracket down its tree in one step, as many
   levels as a shift budget allows below order 64 and, from order 64 up, as
-  give the most levels per unit of a round's cost; every count goes
+  many as give the most levels per unit of a round's cost; every count goes
   through one kernel, which forms x - a for up to 64 rows at a time, steps
   the negated pivot recurrence with two numpy calls per row, counts signs
   once per block, carries an exact zero pivot by IEEE signed zeros and
@@ -62,7 +62,8 @@ class SymTridiag:
             raise ValueError(
                 f"off-diagonal length {offdiag.size} does not fit diagonal length {diag.size}"
             )
-        self._store(diag, np.append(0.0, offdiag), np.ones(diag.size, dtype=np.intp))
+        self._store(np.array((diag, np.append(0.0, offdiag))), np.ones(diag.size, dtype=np.intp),
+                    diag.size)
 
     @classmethod
     def path(cls, m: int, diag: float, lead: float, diag_cells: dict, lead_cells: dict):
@@ -74,22 +75,28 @@ class SymTridiag:
         cells = sorted({0, *diag_cells, *lead_cells})
         if not (cells[0] == 0 and cells[-1] < m and 0 not in lead_cells and lead * lead > 0):
             raise ValueError(f"no path of order {m} with lead {lead} and special rows {cells}")
-        runs = []
+        diags, leads, reps = [], [], []
         for row, end in zip(cells, cells[1:] + [m]):
-            runs.append((diag_cells.get(row, diag), lead_cells.get(row, lead) if row else 0.0, 1))
+            diags.append(diag_cells.get(row, diag))
+            leads.append(lead_cells.get(row, lead) if row else 0.0)
+            reps.append(1)
             if end > row + 1:
-                runs.append((diag, lead, end - row - 1))
+                diags.append(diag)
+                leads.append(lead)
+                reps.append(end - row - 1)
+        columns = np.array((diags, leads), dtype=float)
         t = cls.__new__(cls)
-        t._store(*(np.array(c, dtype=k) for c, k in zip(zip(*runs), (float, float, np.intp))))
+        t._store(columns, np.array(reps, dtype=np.intp), m)
         return t
 
-    def _store(self, diag: np.ndarray, lead: np.ndarray, reps: np.ndarray):
-        if not (np.isfinite(diag).all() and np.isfinite(lead).all()):
+    def _store(self, columns: np.ndarray, reps: np.ndarray, order: int):
+        """Keep the runs: columns holds the diag and lead columns as rows."""
+        if not np.isfinite(columns).all():
             raise ValueError("matrix entries must be finite")
-        for column in (diag, lead, reps):
-            column.setflags(write=False)
-        object.__setattr__(self, "runs", (diag, lead, reps))
-        object.__setattr__(self, "order", int(reps.sum()))
+        columns.setflags(write=False)
+        reps.setflags(write=False)
+        object.__setattr__(self, "runs", (columns[0], columns[1], reps))
+        object.__setattr__(self, "order", order)
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         rows = np.repeat(values, self.runs[2])

@@ -756,3 +756,34 @@ def test_library_imports_only_numpy_of_the_optional_stack():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+DEPENDENCY_PROBE = """
+import contextlib, io, json, os, sys, tempfile
+from alphabug.cli import main
+jobs = [{"command": "spectrum", "n": 11, "d": 5, "i": 2, "alpha": 0.5}]
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    path = os.path.join(tmp, "jobs.json")
+    with open(path, "w") as handle:
+        json.dump(jobs, handle)
+    codes = [main(argv.split()) for argv in (
+        "spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method all",
+        "spectrum --n 1000000 --d 200 --i 100 --alpha 0.6 --format csv",
+        "sweep --n 11 --d 5 --i 2 --alphas 0,0.5",
+        "scan --n 10 --d 4 --alpha 0.5",
+        "verify --max-n 4",
+    )] + [main(["batch", path])]
+print(json.dumps([codes, sorted(m for m in ("scipy", "mpmath", "hypothesis", "pytest_benchmark")
+                                if m in sys.modules)]))
+"""
+
+
+def test_jobs_of_every_command_import_only_numpy_of_the_optional_stack():
+    """The library needs numpy and the standard library alone: a fresh
+    process that runs one job of each command through cli.main has loaded
+    none of the packages only the tests and the bench use."""
+    result = subprocess.run(
+        [sys.executable, "-c", DEPENDENCY_PROBE], capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0] * 6, []]

@@ -89,6 +89,38 @@ class TestSymTridiag:
         with pytest.raises(ValueError):
             SymTridiag.path(*args)
 
+    def test_path_runs_keep_the_bits_of_a_tuple_per_run(self, monkeypatch):
+        """path fills both columns with one np.array call; every run entry
+        and the order equal those of the construction that lists a
+        (diag, lead, reps) tuple per run, on bug, halved and inner matrices."""
+        built = []
+        original = SymTridiag.path.__func__
+
+        def spy(cls, m, diag, lead, diag_cells, lead_cells):
+            t = original(cls, m, diag, lead, diag_cells, lead_cells)
+            built.append((t, (m, diag, lead, diag_cells, lead_cells)))
+            return t
+
+        monkeypatch.setattr(SymTridiag, "path", classmethod(spy))
+        for n, d, i in [(7, 4, 2), (40, 12, 5), (41, 12, 6), (10**6, 200, 1), (10**6, 200, 100)]:
+            for alpha in (0.0, 0.3, 0.99):
+                bug_tridiagonal(BugSpec(n, d, i), alpha)
+                halved_tridiagonal(n, d, alpha)
+                if i == d // 2:
+                    proof_decomposition(BugSpec(n, d, i), alpha)
+        assert len(built) == 5 * 3 * 2 + 3 * 3 * 2
+        for t, (m, diag, lead, diag_cells, lead_cells) in built:
+            cells = sorted({0, *diag_cells, *lead_cells})
+            runs = []
+            for row, end in zip(cells, cells[1:] + [m]):
+                runs.append((diag_cells.get(row, diag), lead_cells.get(row, lead) if row else 0.0, 1))
+                if end > row + 1:
+                    runs.append((diag, lead, end - row - 1))
+            columns = [np.array(c, dtype=k) for c, k in zip(zip(*runs), (float, float, np.intp))]
+            assert t.order == m == int(columns[2].sum())
+            for got, want in zip(t.runs, columns):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_to_dense(self):
         t = SymTridiag([1.0, 2.0, 3.0], [0.5, 0.25])
         w = t.to_dense()
