@@ -148,8 +148,7 @@ class Spectrum:
         return np.repeat(self._arrays[0], self._arrays[1])
 
     def with_source(self, source: str) -> tuple[SpectrumEntry, ...]:
-        entries = self.entries
-        return tuple(entries[j] for j in np.flatnonzero(self._arrays[2] == source).tolist())
+        return tuple(e for e in self.entries if e.source == source)
 
     def __eq__(self, other):
         return self.entries == other.entries if isinstance(other, Spectrum) else NotImplemented
