@@ -389,6 +389,9 @@ def render_json(payload: dict) -> str:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     emit(payload, "\n")
+    # emit reaches itself through its closure; without this the cycle, and
+    # parts with it, would live until the next garbage collection
+    emit = None
     put("\n")
     return "".join(parts)
 

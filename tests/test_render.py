@@ -1,6 +1,7 @@
 """The renderers: 12-digit rounding in one array pass, the one-pass JSON
 writer, and CSV numbers."""
 
+import gc
 import json
 import math
 import struct
@@ -120,6 +121,18 @@ class TestRenderJson:
         text = render_json(payload)
         assert text == json.dumps(_jsonable(payload), indent=2) + "\n"
         assert '"\\u00e9": []' in text and "NaN" in text and "-Infinity" in text
+
+    def test_leaves_no_reference_cycle(self):
+        """The rendered parts are freed when render_json returns, not at the
+        next garbage collection: a cycle kept about 0.5 MB of them alive
+        over a bench pass."""
+        gc.collect()
+        gc.disable()
+        try:
+            render_json({"a": [0.5] * _ARRAY_MIN, "b": {"c": [1, "x", None]}, "d": 2.0})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCsvNumbers:
