@@ -54,6 +54,7 @@ class Spectrum:
 
     @classmethod
     def _from_arrays(cls, values: np.ndarray, multiplicities, sources: np.ndarray):
+        """A spectrum that keeps the given columns, after the same checks."""
         spectrum = cls.__new__(cls)
         spectrum._store(values, multiplicities, sources, None)
         return spectrum

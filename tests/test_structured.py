@@ -6,6 +6,8 @@ import pytest
 import alphabug.eigensolve as eigensolve
 from alphabug import (
     BugSpec,
+    Spectrum,
+    SpectrumEntry,
     SymTridiag,
     assemble_dense_alpha,
     bug_spectrum,
@@ -14,8 +16,6 @@ from alphabug import (
     halved_tridiagonal,
     jacobi_eigenvalues,
     lane_eigenvalues,
-    Spectrum,
-    SpectrumEntry,
     proof_decomposition,
     spectral_radius,
     sturm_count,
