@@ -9,9 +9,11 @@ and above its largest (999000000000000.0 and 1e15). A change to the
 solver, to the payloads or to the renderers that moves one printed byte
 fails here.
 
-The digests were recorded on x86-64 with numpy 2.4. The order-1001 cases
-jump runs of equal rows through numpy's sin and arccos, whose last bits
-may differ between numpy builds; every other case solves on Python floats.
+The digests were recorded on x86-64 (AVX-512) with numpy 2.4. The
+order-1001 cases jump runs of equal rows through numpy's sin, arctan2,
+log1p, arctanh and tanh, whose last bits may differ between numpy builds
+and CPUs, and so may those two digests; every other case solves on Python
+floats.
 """
 
 import hashlib
