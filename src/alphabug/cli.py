@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -331,69 +330,44 @@ def _jsonable(obj):
     return obj
 
 
+# json's text for the string "\x00", which stands in for a long float list
+_HELD = '"\\u0000"'
+
+
 def render_json(payload: dict) -> str:
-    """json.dumps(_jsonable(payload), indent=2) + "\\n", written in one pass:
-    the same bytes, with each long float list rounded and joined at once.
-    Keys are str, as in every payload."""
-    parts = []
-    put = parts.append
+    """json.dumps(_jsonable(payload), indent=2) + "\\n". json's indenting
+    encoder writes one float at a time, so each long float list goes in as a
+    stand-in string, and its rounded values are joined into the text after."""
 
-    def number(x: float) -> str:
-        # json writes non-finite floats as NaN and Infinity
-        if x - x == 0.0:
-            return float.__repr__(x)
-        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-    def emit(obj, pad: str):
-        if isinstance(obj, float):
-            put(number(float(f"{obj:.12g}") if obj else 0.0))
-        elif isinstance(obj, str):
-            put(encode_basestring_ascii(obj))
-        elif isinstance(obj, dict):
-            if not obj:
-                put("{}")
-                return
-            inner, lead = pad + "  ", "{"
-            for key, value in obj.items():
-                put(f"{lead}{inner}{encode_basestring_ascii(key)}: ")
-                emit(value, inner)
-                lead = ","
-            put(pad + "}")
-        elif isinstance(obj, list):
-            if not obj:
-                put("[]")
-                return
-            inner = pad + "  "
+    # _jsonable, but each long float list goes to held and "\x00" stands in
+    # for it. held comes as an argument: stand_in reaches itself through its
+    # closure, and the rounded lists should not live on in that cycle
+    def stand_in(obj, held: list):
+        if isinstance(obj, dict):
+            return {k: stand_in(v, held) for k, v in obj.items()}
+        if isinstance(obj, list):
             if len(obj) >= _ARRAY_MIN and set(map(type, obj)) == {float}:
-                rounded = _round12(obj)
-                text = ("," + inner).join(map(float.__repr__, rounded))
-                if "n" in text:  # nan or inf, which float.__repr__ spells in lower case
-                    text = ("," + inner).join(map(number, rounded))
-                put(f"[{inner}{text}{pad}]")
-                return
-            lead = "["
-            for value in obj:
-                put(lead + inner)
-                emit(value, inner)
-                lead = ","
-            put(pad + "]")
-        elif obj is None:
-            put("null")
-        elif obj is True:
-            put("true")
-        elif obj is False:
-            put("false")
-        elif isinstance(obj, int):
-            put(int.__repr__(obj))
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+                held.append(_round12(obj))
+                return "\x00"
+            return [stand_in(v, held) for v in obj]
+        if isinstance(obj, float):
+            return float(f"{obj:.12g}") if obj else 0.0
+        return obj
 
-    emit(payload, "\n")
-    # emit reaches itself through its closure; without this the cycle, and
-    # parts with it, would live until the next garbage collection
-    emit = None
-    put("\n")
-    return "".join(parts)
+    held = []
+    pieces = json.dumps(stand_in(payload, held), indent=2).split(_HELD)
+    if len(pieces) != len(held) + 1:  # the payload holds the stand-in itself
+        return json.dumps(_jsonable(payload), indent=2) + "\n"
+    out = [pieces[0]]
+    for values, before, after in zip(held, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        text = ("," + pad + "  ").join(map(float.__repr__, values))
+        if "n" in text:  # json writes nan and inf as NaN and Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        out += ("[", pad, "  ", text, pad, "]", after)
+    out.append("\n")
+    return "".join(out)
 
 
 def _fmt_num(x) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,6 +29,7 @@ class SpectrumEntry:
             raise ValueError("source label must be non-empty")
 
 
+@dataclass(frozen=True)
 class Spectrum:
     """A sorted eigenvalue multiset.
 
@@ -37,53 +37,16 @@ class Spectrum:
     construction time (via :meth:`from_entries`) by summing multiplicities,
     so the total multiplicity always equals the order of the underlying
     matrix or graph.
-
-    The multiset is held as three read-only arrays, one row per entry:
-    values (float), multiplicities (int64, or Python ints where one passes
-    int64) and source labels (str objects). ``entries`` is built from them
-    on first access.
     """
 
-    __slots__ = ("_arrays", "_order", "_entries")
+    entries: tuple[SpectrumEntry, ...]
 
-    def __init__(self, entries: Iterable[SpectrumEntry]):
-        entries = tuple(entries)
-        self._store(np.array([e.value for e in entries], dtype=float),
-                    [e.multiplicity for e in entries],
-                    np.array([e.source for e in entries], dtype=object), entries)
-
-    @classmethod
-    def _from_arrays(cls, values: np.ndarray, multiplicities, sources: np.ndarray):
-        """A spectrum that keeps the given columns, after the same checks."""
-        spectrum = cls.__new__(cls)
-        spectrum._store(values, multiplicities, sources, None)
-        return spectrum
-
-    def _store(self, values, multiplicities, sources, entries):
-        if not values.size:
+    def __post_init__(self):
+        if not self.entries:
             raise ValueError("spectrum must hold at least one eigenvalue")
-        # values that increase strictly (nan fails every comparison) between
-        # finite ends are all finite
-        if not ((values[1:] > values[:-1]).all() and math.isfinite(values[0])
-                and math.isfinite(values[-1])):
-            if not np.isfinite(values).all():
-                bad = values[~np.isfinite(values)][0]
-                raise ValueError(f"eigenvalue must be finite, got {float(bad)!r}")
+        values = [e.value for e in self.entries]
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
-        try:
-            multiplicities = np.array(multiplicities, dtype=np.int64)
-        except OverflowError:  # a multiplicity past int64 stays a Python int
-            multiplicities = np.array(multiplicities, dtype=object)
-        counts = multiplicities.tolist()
-        if min(counts) < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {min(counts)}")
-        if not all(sources):
-            raise ValueError("source label must be non-empty")
-        for column in (values, multiplicities, sources):
-            column.setflags(write=False)
-        self._arrays = (values, multiplicities, sources)
-        self._order = sum(counts)
-        self._entries = entries
 
     @classmethod
     def from_entries(cls, entries: Iterable[SpectrumEntry]) -> "Spectrum":
@@ -115,47 +78,31 @@ class Spectrum:
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:
             raise ValueError("cannot build a spectrum from no values")
-        starts = np.flatnonzero(np.diff(arr) > cluster_radius) + 1
-        bounds = np.concatenate(([0], starts, [arr.size]))
-        sizes = np.diff(bounds)
-        means = arr[bounds[:-1]]
-        # mean sums pairwise (np.add.reduceat would sum in order), so each
-        # cluster of more than one value takes its own mean
-        for j in np.flatnonzero(sizes > 1).tolist():
-            means[j] = arr[bounds[j]:bounds[j + 1]].mean()
-        return cls._from_arrays(means, sizes, np.full(sizes.size, source, dtype=object))
+        entries = []
+        start = 0
+        for j in range(1, arr.size + 1):
+            if j == arr.size or arr[j] - arr[j - 1] > cluster_radius:
+                chunk = arr[start:j]
+                entries.append(SpectrumEntry(float(chunk.mean()), int(chunk.size), source))
+                start = j
+        return cls(tuple(entries))
 
     @property
     def order(self) -> int:
         """Total multiplicity (the order of the underlying graph/matrix)."""
-        return self._order
+        return sum(e.multiplicity for e in self.entries)
 
     @property
     def rho(self) -> float:
         """The largest eigenvalue."""
-        return float(self._arrays[0][-1])
-
-    @property
-    def entries(self) -> tuple[SpectrumEntry, ...]:
-        if self._entries is None:
-            self._entries = tuple(map(SpectrumEntry, *(a.tolist() for a in self._arrays)))
-        return self._entries
+        return self.entries[-1].value
 
     def values(self) -> np.ndarray:
-        return self._arrays[0].copy()
+        return np.array([e.value for e in self.entries])
 
     def expand(self) -> np.ndarray:
         """Ascending eigenvalues repeated according to multiplicity."""
-        return np.repeat(self._arrays[0], self._arrays[1])
+        return np.repeat(self.values(), [e.multiplicity for e in self.entries])
 
     def with_source(self, source: str) -> tuple[SpectrumEntry, ...]:
         return tuple(e for e in self.entries if e.source == source)
-
-    def __eq__(self, other):
-        return self.entries == other.entries if isinstance(other, Spectrum) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"Spectrum(entries={self.entries!r})"

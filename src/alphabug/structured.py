@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .eigensolve import SolveConfig, SymTridiag, lane_eigenvalues, tridiag_eigenvalues
 from .graphs import BugSpec, _check_int, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
@@ -58,29 +56,12 @@ def closed_form(b: BugSpec, alpha: float) -> tuple[float, int]:
 
 
 def _spectrum_from_quotient(b: BugSpec, alpha: float, values) -> Spectrum:
-    """The bug's spectrum from already solved quotient eigenvalues.
-
-    Equal quotient values merge into one entry, and the closed-form value
-    goes in at its place. Where it equals a quotient value, from_entries
-    builds the spectrum instead, which merges and labels the two as it
-    always has."""
-    values = np.array(values, dtype=float)
-    values.sort(kind="stable")
-    starts = np.concatenate(([True], values[1:] != values[:-1])).nonzero()[0]
-    merged = values[starts]
-    counts = (np.concatenate((starts[1:], [values.size])) - starts).tolist()
+    """The bug's spectrum from already solved quotient eigenvalues."""
+    entries = [SpectrumEntry(float(v), 1, QUOTIENT) for v in values]
     value, multiplicity = closed_form(b, alpha)
-    j = int(merged.searchsorted(value))
-    if multiplicity >= 1 and j < merged.size and merged[j] == value:
-        entries = [SpectrumEntry(v, 1, QUOTIENT) for v in values.tolist()]
-        spectrum = Spectrum.from_entries([*entries, SpectrumEntry(value, multiplicity, CLOSED_FORM)])
-    else:
-        sources = np.full(merged.size + (multiplicity >= 1), QUOTIENT, dtype=object)
-        if multiplicity >= 1:
-            merged = np.concatenate((merged[:j], [value], merged[j:]))
-            counts.insert(j, multiplicity)
-            sources[j] = CLOSED_FORM
-        spectrum = Spectrum._from_arrays(merged, counts, sources)
+    if multiplicity >= 1:
+        entries.append(SpectrumEntry(value, multiplicity, CLOSED_FORM))
+    spectrum = Spectrum.from_entries(entries)
     assert spectrum.order == b.n
     return spectrum
 

@@ -67,16 +67,15 @@ def compare_spectra(structured: Spectrum, dense, tol: float) -> ComparisonReport
             f"cardinality mismatch: structured spectrum carries {expanded.size} "
             f"eigenvalues, dense carries {dense.size}"
         )
-    deviation = float(np.abs(expanded - dense).max())
+    deviation = float(np.max(np.abs(expanded - dense)))
     notes = []
-    values, multiplicities, sources = structured._arrays
-    for j in (multiplicities > 1).nonzero()[0].tolist():
-        value = float(values[j])
-        found = cluster_multiplicity(dense, value)
-        notes.append(
-            f"{sources[j]} value {value:.12g} expects multiplicity "
-            f"{multiplicities[j]}, dense cluster holds {found}"
-        )
+    for e in structured.entries:
+        if e.multiplicity > 1:
+            found = cluster_multiplicity(dense, e.value)
+            notes.append(
+                f"{e.source} value {e.value:.12g} expects multiplicity "
+                f"{e.multiplicity}, dense cluster holds {found}"
+            )
     diagnostics = "; ".join(notes) if notes else "all structured entries simple"
     pairing = tuple(zip(expanded.tolist(), dense.tolist()))
     return ComparisonReport(deviation <= tol, deviation, pairing, diagnostics)

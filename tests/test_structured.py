@@ -6,8 +6,6 @@ import pytest
 import alphabug.eigensolve as eigensolve
 from alphabug import (
     BugSpec,
-    Spectrum,
-    SpectrumEntry,
     SymTridiag,
     assemble_dense_alpha,
     bug_spectrum,
@@ -23,7 +21,7 @@ from alphabug import (
 )
 from alphabug.cli import _closed_form
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
-from alphabug.structured import _spectrum_from_quotient, closed_form
+from alphabug.structured import closed_form
 from oracles import alpha_matrix, bug_cells, bug_edges, cell_quotient, path_edges
 
 GOLDEN_BUG = BugSpec(11, 5, 2)
@@ -323,46 +321,13 @@ def test_path_built_matrices_solve_as_their_dense_form(d):
         assert np.array_equal(together[0], together[3])
 
 
-def entries_one_at_a_time(b, alpha, values):
-    """The bug's spectrum entries as from_entries builds them from one
-    SpectrumEntry per quotient value plus the closed-form entry."""
-    entries = [SpectrumEntry(float(v), 1, QUOTIENT) for v in values]
-    value, multiplicity = closed_form(b, alpha)
-    if multiplicity >= 1:
-        entries.append(SpectrumEntry(value, multiplicity, CLOSED_FORM))
-    return Spectrum.from_entries(entries).entries
-
-
-def test_bug_spectrum_entries_on_the_oracle_grid(oracle_grid):
-    for inst in oracle_grid.instances:
-        values = tridiag_eigenvalues(bug_tridiagonal(inst.bug, inst.alpha))
-        assert inst.structured.entries == entries_one_at_a_time(inst.bug, inst.alpha, values)
-        assert inst.structured.order == inst.bug.n
-
-
-def test_bug_spectrum_entries_where_the_closed_form_is_a_quotient_root():
+def test_bug_spectrum_where_the_closed_form_is_a_quotient_root():
     # every B(n, 2, 1) at alpha = 0.5 has the root (n-d+2)/2 - 1 in both
     # parts; at n = 420 the solved quotient value is that float exactly
-    b = BugSpec(420, 2, 1)
-    s = bug_spectrum(b, 0.5)
-    assert s.entries == entries_one_at_a_time(b, 0.5, tridiag_eigenvalues(bug_tridiagonal(b, 0.5)))
+    s = bug_spectrum(BugSpec(420, 2, 1), 0.5)
     assert [(e.value, e.multiplicity, e.source) for e in s.entries][1] == (
         209.0, 418, "closed-form+quotient")
-
-
-@pytest.mark.parametrize("values", [
-    [3.5, 3.5, -1.0, 6.0],  # two quotient values on the closed-form value fold into one label
-    [-0.0, 0.0, 1.0, 2.0],  # equal quotient values merge; the first one's value stays
-    [-1.0, 0.5, 0.5, 0.5],
-])
-def test_quotient_values_merge_as_from_entries_merges_them(values):
-    b = BugSpec(9, 5, 2)  # closed form 3.5 at alpha = 0.75, multiplicity 3
-    s = _spectrum_from_quotient(b, 0.75, values + [10.0, 11.0])
-    want = entries_one_at_a_time(b, 0.75, values + [10.0, 11.0])
-    assert s.entries == want
-    assert [math.copysign(1.0, e.value) for e in s.entries] == [
-        math.copysign(1.0, e.value) for e in want]
-    assert s.order == 9
+    assert s.order == 420
 
 
 def test_bug_spectrum_of_a_bug_past_int64():
