@@ -62,28 +62,3 @@ def test_with_source_filters_entries():
     assert s.with_source(QUOTIENT) == (SpectrumEntry(4.0, 1, QUOTIENT),)
     assert s.with_source(CLOSED_FORM)[0].multiplicity == 2
     assert s.with_source(DENSE) == ()
-
-
-def test_construction_checks():
-    with pytest.raises(ValueError, match="finite"):
-        Spectrum.from_values([1.0, np.nan, 3.0])
-    with pytest.raises(ValueError, match="finite"):
-        Spectrum.from_values([-np.inf, 1.0])
-    with pytest.raises(ValueError, match="non-empty"):
-        Spectrum.from_values([1.0], source="")
-    with pytest.raises(ValueError, match="at least one"):
-        Spectrum(())
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Spectrum((SpectrumEntry(1.0, 1, QUOTIENT), SpectrumEntry(1.0, 1, DENSE)))
-
-
-def test_multiplicities_past_int64_are_exact():
-    huge = 10**30
-    s = Spectrum((SpectrumEntry(-1.0, huge, CLOSED_FORM), SpectrumEntry(2.0, 2**63 - 1, QUOTIENT),
-                  SpectrumEntry(3.0, 2**63 - 1, QUOTIENT)))
-    assert s.order == huge + 2 * (2**63 - 1)
-    assert [e.multiplicity for e in s.with_source(QUOTIENT)] == [2**63 - 1] * 2
-    assert s.with_source(CLOSED_FORM)[0].multiplicity == huge
-    t = Spectrum((SpectrumEntry(0.0, 2**62, QUOTIENT), SpectrumEntry(1.0, 2**62, QUOTIENT),
-                  SpectrumEntry(2.0, 2**62, QUOTIENT)))
-    assert t.order == 3 * 2**62  # past int64, though each multiplicity fits

@@ -319,20 +319,3 @@ def test_path_built_matrices_solve_as_their_dense_form(d):
         for row, t in zip(together, mixed):
             assert np.array_equal(row, lane_eigenvalues([t], indices)[0])
         assert np.array_equal(together[0], together[3])
-
-
-def test_bug_spectrum_where_the_closed_form_is_a_quotient_root():
-    # every B(n, 2, 1) at alpha = 0.5 has the root (n-d+2)/2 - 1 in both
-    # parts; at n = 420 the solved quotient value is that float exactly
-    s = bug_spectrum(BugSpec(420, 2, 1), 0.5)
-    assert [(e.value, e.multiplicity, e.source) for e in s.entries][1] == (
-        209.0, 418, "closed-form+quotient")
-    assert s.order == 420
-
-
-def test_bug_spectrum_of_a_bug_past_int64():
-    b = BugSpec(10**30, 6, 3)
-    s = bug_spectrum(b, 0.5)
-    assert s.order == 10**30
-    entry, = s.with_source(CLOSED_FORM)
-    assert entry.multiplicity == 10**30 - 7 and type(entry.multiplicity) is int
