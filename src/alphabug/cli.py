@@ -316,15 +316,20 @@ def _round12(values) -> list[float]:
     return rounded
 
 
-def _jsonable(obj):
+def _jsonable(obj, held: list | None = None):
     """Deep-copy a payload into JSON with 12-digit floats. A payload holds
-    only dict, list, str, int, float, bool and None; -0.0 prints as 0.0."""
+    only dict, list, str, int, float, bool and None; -0.0 prints as 0.0.
+    Given held, each long float list is rounded onto held and the string
+    "\\x00" stands in for it."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, held) for k, v in obj.items()}
     if isinstance(obj, list):
         if len(obj) >= _ARRAY_MIN and set(map(type, obj)) == {float}:
-            return _round12(obj)
-        return [_jsonable(v) for v in obj]
+            if held is None:
+                return _round12(obj)
+            held.append(_round12(obj))
+            return "\x00"
+        return [_jsonable(v, held) for v in obj]
     if isinstance(obj, float):
         return float(f"{obj:.12g}") if obj else 0.0
     return obj
@@ -336,26 +341,11 @@ _HELD = '"\\u0000"'
 
 def render_json(payload: dict) -> str:
     """json.dumps(_jsonable(payload), indent=2) + "\\n". json's indenting
-    encoder writes one float at a time, so each long float list goes in as a
-    stand-in string, and its rounded values are joined into the text after."""
-
-    # _jsonable, but each long float list goes to held and "\x00" stands in
-    # for it. held comes as an argument: stand_in reaches itself through its
-    # closure, and the rounded lists should not live on in that cycle
-    def stand_in(obj, held: list):
-        if isinstance(obj, dict):
-            return {k: stand_in(v, held) for k, v in obj.items()}
-        if isinstance(obj, list):
-            if len(obj) >= _ARRAY_MIN and set(map(type, obj)) == {float}:
-                held.append(_round12(obj))
-                return "\x00"
-            return [stand_in(v, held) for v in obj]
-        if isinstance(obj, float):
-            return float(f"{obj:.12g}") if obj else 0.0
-        return obj
-
+    encoder writes one float at a time, so _jsonable holds each long float
+    list back behind a stand-in string, and its rounded values are joined
+    into the text after."""
     held = []
-    pieces = json.dumps(stand_in(payload, held), indent=2).split(_HELD)
+    pieces = json.dumps(_jsonable(payload, held), indent=2).split(_HELD)
     if len(pieces) != len(held) + 1:  # the payload holds the stand-in itself
         return json.dumps(_jsonable(payload), indent=2) + "\n"
     out = [pieces[0]]
@@ -426,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         job = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for field in command.fields:
-            job.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
+            job.add_argument("--" + field.replace("_", "-"), **_FIELDS[field][1])
         job.add_argument("--format", choices=_FORMATS, default="json", dest="fmt")
         job.add_argument("--output", default=None, help="output path (default: stdout)")
     batch = sub.add_parser(
@@ -485,30 +475,24 @@ def _method(key, value) -> str:
     return value
 
 
-_TYPES = {
-    **dict.fromkeys((*_BUG_FIELDS, "max_n"), _integer),
-    "alpha": _alpha,
-    "tol": _number,
-    "alphas": _alpha_list,
-    "timings": _boolean,
-    "method": _method,
-}
-# Each field's flag, as argparse keywords. No flag has a default: an absent
-# flag is None, like an absent batch field, and JobConfig holds the defaults.
-_FLAGS = {
-    "n": {"type": int, "help": "order of the bug"},
-    "d": {"type": int, "help": "diameter of the bug"},
-    "i": {"type": int, "help": "path split (first path length)"},
-    "p": {"type": int, "help": "clique order before edge removal"},
-    "q": {"type": int, "help": "first attached path length"},
-    "r": {"type": int, "help": "second attached path length"},
-    "alpha": {"type": float},
-    "method": {"metavar": "{" + ",".join(_METHODS) + "}"},
-    "timings": {"action": "store_true", "default": None,
-                "help": "include wall-clock milliseconds (makes output non-reproducible)"},
-    "alphas": {"help": "comma-separated alphas in [0,1)"},
-    "max_n": {"type": int},
-    "tol": {"type": float},
+# Each field's check, which job_from_dict applies, and its flag, as argparse
+# keywords. No flag has a default: an absent flag is None, like an absent
+# batch field, and JobConfig holds the defaults.
+_FIELDS = {
+    "n": (_integer, {"type": int, "help": "order of the bug"}),
+    "d": (_integer, {"type": int, "help": "diameter of the bug"}),
+    "i": (_integer, {"type": int, "help": "path split (first path length)"}),
+    "p": (_integer, {"type": int, "help": "clique order before edge removal"}),
+    "q": (_integer, {"type": int, "help": "first attached path length"}),
+    "r": (_integer, {"type": int, "help": "second attached path length"}),
+    "alpha": (_alpha, {"type": float}),
+    "method": (_method, {"metavar": "{" + ",".join(_METHODS) + "}"}),
+    "timings": (_boolean, {
+        "action": "store_true", "default": None,
+        "help": "include wall-clock milliseconds (makes output non-reproducible)"}),
+    "alphas": (_alpha_list, {"help": "comma-separated alphas in [0,1)"}),
+    "max_n": (_integer, {"type": int}),
+    "tol": (_number, {"type": float}),
 }
 
 
@@ -530,7 +514,7 @@ def job_from_dict(raw: dict) -> JobConfig:
         raise ValueError("per-job 'format'/'output' are not allowed in batch mode")
     if extra:
         raise ValueError(f"{command} does not take {sorted(extra)}")
-    fields = {k: _TYPES[k](k, v) for k, v in fields.items()}
+    fields = {k: _FIELDS[k][0](k, v) for k, v in fields.items()}
     missing = [k for k in spec.required if k not in fields]
     if missing:
         raise ValueError(f"{command} needs " + ", ".join(f"'{k}'" for k in missing))
@@ -551,7 +535,8 @@ def _run_batch(ns: argparse.Namespace, solve: SolveConfig) -> int:
             text = handle.read()
     try:
         jobs = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth
         raise ValueError(f"batch input is not valid JSON: {exc}") from None
     if not isinstance(jobs, list):
         raise ValueError("batch input must be a JSON array of job objects")

@@ -166,13 +166,12 @@ _MULTISECTION_WIDTH = 512
 # Python 3.11, numpy 2.4), a round's fixed part is 210-340 us (a count
 # kernel call about 150 us of it) and a shift 0.2-0.46 us, a ratio of
 # 470-1,700. In-process passes over the spectrum-large jobs took the same
-# time, within noise, for any value from 600 to 2,400.
+# time, within noise, for any value from 600 to 2,400. A round goes past one
+# level only while trees < _ROUND_COST, so a deeper round holds at most
+# 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees), and the
+# count kernel's buffer (_BLOCK_ROWS rows of shifts) stays within 2 MiB; one
+# level is always taken.
 _ROUND_COST = 1200
-# No round on a run plan goes deeper than this many shifts, so the count
-# kernel's buffer (_BLOCK_ROWS rows of shifts) stays within 2 MiB. At
-# _ROUND_COST 1200 the cost rule stays below it by itself (3,597 shifts at
-# most, two levels of 1,199 trees); one level is always taken.
-_ROUND_MAX_SHIFTS = 4096
 # Each bisection step at least halves a bracket (up to rounding) until it
 # is a few ulps wide, and float64 spans fewer than 2100 halvings from its
 # largest finite value to its smallest subnormal. A bracket still open after
@@ -548,13 +547,13 @@ def sturm_count(t: SymTridiag, x: float) -> int:
 def _deeper(trees: int, depth: int, runs: bool) -> bool:
     """Whether a round of trees trees takes one level more than depth: on a
     run plan, while that gives more levels per unit of round cost
-    (_ROUND_COST plus one per shift) and stays within _ROUND_MAX_SHIFTS;
-    on a plan of row steps, while it stays within _MULTISECTION_WIDTH."""
+    (_ROUND_COST plus one per shift); on a plan of row steps, while it
+    stays within _MULTISECTION_WIDTH."""
     more = trees * (2 ** (depth + 1) - 1)
     if not runs:
         return more <= _MULTISECTION_WIDTH
     cost = _ROUND_COST + trees * (2**depth - 1)
-    return more <= _ROUND_MAX_SHIFTS and (depth + 1) * cost > depth * (_ROUND_COST + more)
+    return (depth + 1) * cost > depth * (_ROUND_COST + more)
 
 
 def _tree_depth(
@@ -662,11 +661,12 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     lane padded to the widest lane's count: below order _RUN_PLAN_MIN_ORDER
     it is as deep as the shift budget _MULTISECTION_WIDTH allows, and from
     that order up as deep as gives the most levels per unit of a round's
-    cost (_ROUND_COST plus one per shift, within _ROUND_MAX_SHIFTS). So
-    while brackets are few (a full spectrum's first rounds, or one index per
-    lane) a round goes several levels deep, but never deeper than the widest
-    open bracket needs nor past _MAX_BISECTION_STEPS levels in all, where a
-    bracket still open raises ConvergenceError. From order
+    cost (_ROUND_COST plus one per shift); a round deeper than one level
+    then holds at most 3,597 shifts. So while brackets are few (a full
+    spectrum's first rounds, or one index per lane) a round goes several
+    levels deep, but never deeper than the widest open bracket needs nor
+    past _MAX_BISECTION_STEPS levels in all, where a bracket still open
+    raises ConvergenceError. From order
     _RUN_PLAN_MIN_ORDER up, a count jumps a lane's uniform runs of rows in
     closed form, which can differ from walking every row only at shifts
     within rounding of an eigenvalue. Below that order, a

@@ -340,6 +340,21 @@ class TestBatchCommand:
         source.write_text("not json")
         assert run_cli(capsys, "batch", str(source))[0] == 2
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '[{"command": "spectrum", "alpha": ' + "[" * 50_000 + "]" * 50_000 + "}]",
+    ], ids=["array", "field"])
+    def test_deep_nesting_is_a_usage_error(self, capsys, tmp_path, text):
+        # json.loads raises RecursionError past its depth; it must not
+        # escape main as a traceback with exit 1 (EXIT_VERIFY_FAILED's code)
+        source = tmp_path / "jobs.json"
+        source.write_text(text)
+        assert main(["batch", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: batch input is not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
     def test_verify_failure_propagates(self, capsys, tmp_path):
         source = tmp_path / "jobs.json"
         source.write_text(json.dumps([
@@ -448,18 +463,19 @@ def _non_plain(obj) -> list:
 
 def test_payloads_hold_only_plain_types(capsys, tmp_path, monkeypatch):
     """render_json and the batch stream round floats and pass every other
-    value through as it is, so each batch line, and the payload of every
-    command inside it, must hold only plain JSON types."""
+    value through as it is, so the payload of every command must hold only
+    plain JSON types."""
     import alphabug.cli as cli_module
 
-    rendered = []
-    original = cli_module._jsonable
+    payloads = []
+    original = cli_module.run_job
 
-    def spy(obj):
-        rendered.append(obj)
-        return original(obj)
+    def spy(cfg, solve):
+        payload, code = original(cfg, solve)
+        payloads.append(payload)
+        return payload, code
 
-    monkeypatch.setattr(cli_module, "_jsonable", spy)
+    monkeypatch.setattr(cli_module, "run_job", spy)
     jobs = [
         *({"command": "spectrum", "n": 10, "d": 4, "i": 2, "alpha": 0.3, "method": m}
           for m in ("structured", "dense", "halved", "all")),
@@ -474,10 +490,12 @@ def test_payloads_hold_only_plain_types(capsys, tmp_path, monkeypatch):
     source.write_text(json.dumps(jobs))
     code, out = run_cli(capsys, "batch", str(source))
     assert code == 1
-    lines = [obj for obj in rendered if isinstance(obj, dict) and "job_id" in obj]
-    assert len(lines) == len(jobs) == len(out.splitlines())
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(jobs)
     assert [line["status"] for line in lines] == ["ok"] * 8 + ["error"] * 2
-    assert {line["job_id"]: _non_plain(line) for line in lines} == {k: [] for k in range(10)}
+    # every job but the last, whose fields fail validation, runs to a payload
+    assert len(payloads) == len(jobs) - 1
+    assert [_non_plain(payload) for payload in payloads] == [[]] * len(payloads)
 
 
 class TestDenseSizeCap:

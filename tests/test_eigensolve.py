@@ -498,7 +498,7 @@ class TestRoundDepth:
         assert depth(1, True, left=3) == 3 and depth(1, False, left=1) == 1
         for trees in range(1, 5000):
             shifts = trees * (2 ** depth(trees, True) - 1)
-            assert shifts <= max(trees, eigensolve._ROUND_MAX_SHIFTS), trees
+            assert shifts <= max(trees, 3 * (eigensolve._ROUND_COST - 1)), trees
 
 
 def _bisect_each(t: SymTridiag, indices, count) -> np.ndarray:
