@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .graphs import _check_int
+from .graphs import _check_int, _check_positive
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -136,9 +136,7 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("bisection_tol", "jacobi_off_tol", "power_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
         for name in ("max_jacobi_sweeps", "max_power_iters"):
             cap = _check_int(name, getattr(self, name))
             if cap < 1:
@@ -155,7 +153,11 @@ DEFAULT_CONFIG = SolveConfig()
 # per-call overhead dominates. The budget counts distinct brackets' trees,
 # so a round with few takes several levels; from 171 up, one. On the bench
 # workloads (2-core x86-64, numpy 2.4) 512 beats 256 by 4-11 %, and 1024
-# loses 9 % to it on scans and sweeps.
+# loses 9 % to it on scans and sweeps. Row-step plans keep this budget, not
+# _deeper's run-plan cost rule: under that rule the radius-scan solves of
+# seeds 1-2 took 1,368 count calls (not 1,456) but 666,739 shifts (not
+# 581,381), and 1.01-1.07 times the time (paired medians of two
+# measurements).
 _MULTISECTION_WIDTH = 512
 # On run plans (from _RUN_PLAN_MIN_ORDER up) a round costs a fixed part, in
 # shifts' worth, plus one per shift, and _deeper takes the depth with the
@@ -653,11 +655,10 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     of the bisection tree of each distinct (lane, interval) bracket as
     sorted breakpoints, counts them in one pass of the kernel (_plan_counts,
     on the plan _run_plan cuts once per solve) and moves each bracket down
-    its tree in one step. Where a tree's counts rise, a bracket's leaf is
-    the number of its midpoints counted below the index; a tree whose counts
-    dip, possible from the closed-form jumps near an eigenvalue, is walked
-    level by level. As in plain bisection, a bracket stops at the first
-    closed node on its path. A round's depth counts distinct brackets, each
+    its tree in one descent, level by level as in plain bisection, whether
+    the counts rise or dip (possible from the closed-form jumps near an
+    eigenvalue); the descent stops a bracket at the first closed node on
+    its path. A round's depth counts distinct brackets, each
     lane padded to the widest lane's count: below order _RUN_PLAN_MIN_ORDER
     it is as deep as the shift budget _MULTISECTION_WIDTH allows, and from
     that order up as deep as gives the most levels per unit of a round's
@@ -732,9 +733,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     runs = m >= _RUN_PLAN_MIN_ORDER
     width, stop = _stops(lower, upper, tol)
     active = width > stop
-    own = np.arange(lower.size)
-    lift = (m + 1) * own  # puts each tree's counts above the tree before it
-    trees, tree_of, shared = own.size, own, shape[1] > 1
+    trees, tree_of, shared = lower.size, np.arange(lower.size), shape[1] > 1
     steps = 0
     while active.any():
         if steps >= _MAX_BISECTION_STEPS:
@@ -751,7 +750,9 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             trees = shape[0] * per_lane
             tree_of = (np.arange(shape[0])[:, None] * per_lane + slot).ravel()
             # a closed pair never moves, and open brackets once parted never
-            # share again: once only closed pairs share, this layout holds
+            # share again: once only closed pairs share, this layout holds.
+            # Recomputing it every round instead made the radius-scan solves
+            # 1.02-1.13 times slower (paired medians of three measurements)
             shared = bool((active & ~distinct).any())
         left = _MAX_BISECTION_STEPS - steps
         depth, may_stop = _tree_depth(trees, width, stop, active, left, runs)
@@ -765,32 +766,26 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
         for s in (n >> k for k in range(depth)):
             mid = ends[s // 2 :: s]
             np.multiply(np.add(ends[0:n:s], ends[s::s], out=mid), 0.5, out=mid)
-        counts = _plan_counts(plan, ends[1:n].T.reshape(shape[0], -1))
-        counts = counts.reshape(trees, n - 1)
-        # a bracket's leaf runs from breakpoint p to p + 1: in trees whose
-        # counts rise, one search over the rows laid end to end finds it
-        if depth > 1 and (counts[:, 1:] >= counts[:, :-1]).all():
-            p = np.searchsorted((counts + lift[:trees, None]).ravel(), need + lift[tree_of])
-            p -= (n - 1) * tree_of
-        else:
-            p = 0
-            for half in (n >> k for k in range(1, depth + 1)):
-                p = p + half * (counts[tree_of, p + half - 1] < need)
-        leaf = p * trees + tree_of
-        lower = np.where(active, ends.take(leaf), lower)
-        upper = np.where(active, ends.take(leaf + trees), upper)
-        if may_stop:
-            # a bracket stops at the first closed node above its leaf, even
-            # where the ulp part of a deeper node's stop would let it reopen
-            half = n >> np.arange(1, depth)
-            first = (p[:, None] & -half) * trees + tree_of[:, None]
-            path_lo, path_hi = ends.take(first), ends.take(first + half * trees)
-            closed = np.less_equal(*_stops(path_lo, path_hi, tol[:, None])) & active[:, None]
-            at = closed.argmax(axis=1)
-            lower = np.where(closed[own, at], path_lo[own, at], lower)
-            upper = np.where(closed[own, at], path_hi[own, at], upper)
-        width, stop = _stops(lower, upper, tol)
-        active = width > stop
+        # bracket j's tree has its count at breakpoint b in counts[base[j] + b]
+        counts = _plan_counts(plan, ends[1:n].T.reshape(shape[0], -1)).ravel()
+        base = tree_of * (n - 1) - 1
+        # each bracket descends its tree one level at a time, as plain
+        # bisection does, to node p .. p + half: left where the midpoint's
+        # count reaches its index, whether the counts rise or dip. An open
+        # bracket takes its node at the leaf and, where may_stop allows, at
+        # each level above it, so it stops at the first closed node on its
+        # path even where the ulp part of a deeper node's stop would let it
+        # reopen. Checking stops at every level of every round instead was
+        # 13 % slower on spectrum-large
+        p = 0
+        for half in (n >> k for k in range(1, depth + 1)):
+            p = p + half * (counts.take(base + p + half) < need)
+            if may_stop or half == 1:
+                node = p * trees + tree_of
+                lower = np.where(active, ends.take(node), lower)
+                upper = np.where(active, ends.take(node + half * trees), upper)
+                width, stop = _stops(lower, upper, tol)
+                active &= width > stop
     values = np.empty(shape)
     values[:, order] = (0.5 * (lower + upper)).reshape(shape)
     return values

@@ -8,23 +8,44 @@ list instead, so that comparing the two checks the reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# what int(), float() and math.isfinite() raise on a value that is no real
+# number (None, a string) or no finite one (an infinity, NaN): each check
+# below turns these into a ValueError that names the field
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+
 
 def check_alpha(alpha) -> float:
     """Validate the A_alpha weight: a finite real in [0, 1)."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
+    try:
+        if 0.0 <= float(alpha) < 1.0:
+            return float(alpha)
+    except _NOT_A_NUMBER:
+        pass
+    raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
 
 def _check_int(name, value) -> int:
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except _NOT_A_NUMBER:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive(name, value) -> float:
+    """value as a float, if it is a positive finite real (not a string)."""
+    try:
+        if math.isfinite(value) and value > 0.0:
+            return float(value)
+    except _NOT_A_NUMBER:
+        pass
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,12 @@ cluster multiplicities, and the extremal scan over the path split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues
-from .graphs import BugSpec, _check_int, assemble_dense_alpha, check_alpha
+from .graphs import BugSpec, _check_int, _check_positive, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
 from .structured import (_halvable, _spectrum_from_quotient, bug_tridiagonal, closed_form,
                          proof_decomposition)
@@ -202,9 +201,7 @@ def run_verification(
     alphas = tuple(check_alpha(a) for a in alphas)
     if not alphas:
         raise ValueError("alpha grid must be non-empty")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    tol = _check_positive("tolerance", tol)
     # (bug, alpha, halving) in the order the checks run: each bug's grid
     # alphas, then, for a balanced bug of even diameter >= 4, its halving
     # alphas

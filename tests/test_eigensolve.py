@@ -483,6 +483,10 @@ class TestRoundDepth:
         lanes = [bug_tridiagonal(BugSpec(5000, 120, i), a) for i in (1, 7, 60) for a in (0.0, 0.5)]
         indices = [1, 60, 121, 60, 2]
         got = lane_eigenvalues(lanes, indices, config)
+        # each lane's values are those of its own single-lane solve
+        for t, row in zip(lanes, got):
+            assert t.order >= eigensolve._RUN_PLAN_MIN_ORDER
+            assert np.array_equal(row, tridiag_eigenvalues(t, config)[np.subtract(indices, 1)])
         monkeypatch.setattr(eigensolve, "_tree_depth", lambda *args: (1, False))
         assert np.array_equal(got, lane_eigenvalues(lanes, indices, config))
 
@@ -522,8 +526,9 @@ def _bisect_each(t: SymTridiag, indices, count) -> np.ndarray:
 
 
 class TestDescent:
-    """Each bracket descends its tree in one step: where a tree's counts
-    rise, its leaf is the number of midpoints counted below its index."""
+    """Each bracket descends its tree level by level, as plain bisection
+    does, whether the tree's counts rise or dip, and stops at the first
+    closed node on its path."""
 
     def test_counts_that_dip_descend_as_plain_bisection(self, monkeypatch):
         # counts two too high on a window between the third and fourth

@@ -3,6 +3,7 @@ import pytest
 
 from alphabug import (
     BugSpec,
+    SolveConfig,
     assemble_dense_alpha,
     bug_spectrum,
     bug_tridiagonal,
@@ -172,6 +173,37 @@ class TestRunVerification:
 def test_sizes_must_be_integers(call, bad):
     # int() would truncate 10.5 to 10 and read True as 1
     with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda bad: BugSpec(bad, 5, 2), "n", id="bug-n"),
+    pytest.param(lambda bad: BugSpec(11, bad, 2), "d", id="bug-d"),
+    pytest.param(lambda bad: BugSpec(11, 5, bad), "i", id="bug-i"),
+    pytest.param(lambda bad: BugSpec.from_ndi(bad, 5, 2), "n", id="ndi-n"),
+    pytest.param(lambda bad: BugSpec.from_ndi(11, 5, bad), "i", id="ndi-i"),
+    pytest.param(lambda bad: BugSpec.from_pqr(bad, 2, 3), "p", id="pqr-p"),
+    pytest.param(lambda bad: BugSpec.from_pqr(8, 2, bad), "r", id="pqr-r"),
+    pytest.param(lambda bad: SolveConfig(max_jacobi_sweeps=bad), "max_jacobi_sweeps", id="sweeps"),
+    pytest.param(lambda bad: SolveConfig(max_power_iters=bad), "max_power_iters", id="iters"),
+    pytest.param(lambda bad: SolveConfig(bisection_tol=bad), "bisection_tol", id="bisection_tol"),
+    pytest.param(lambda bad: SolveConfig(jacobi_off_tol=bad), "jacobi_off_tol", id="jacobi_off_tol"),
+    pytest.param(lambda bad: SolveConfig(power_tol=bad), "power_tol", id="power_tol"),
+    pytest.param(lambda bad: enumerate_bugs(bad), "max_n", id="enumerate-max_n"),
+    pytest.param(lambda bad: run_verification(bad), "max_n", id="verify-max_n"),
+    pytest.param(lambda bad: run_verification(4, alphas=(0.5, bad)), "alpha", id="verify-alpha"),
+    pytest.param(lambda bad: run_verification(4, tol=bad), "tolerance", id="verify-tol"),
+    pytest.param(lambda bad: extremal_scan(bad, 4, 0.5), "n", id="scan-n"),
+    pytest.param(lambda bad: extremal_scan(10, 4, bad), "alpha", id="scan-alpha"),
+    pytest.param(lambda bad: halved_tridiagonal(10, bad, 0.5), "d", id="halved-d"),
+    pytest.param(lambda bad: halved_tridiagonal(10, 4, bad), "alpha", id="halved-alpha"),
+    pytest.param(lambda bad: bug_tridiagonal(BugSpec(11, 5, 2), bad), "alpha", id="quotient-alpha"),
+])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), None])
+def test_non_numbers_are_value_errors_naming_the_field(call, field, bad):
+    # int(), float() and math.isfinite() raise OverflowError on an infinity,
+    # a ValueError that names no field on NaN and TypeError on None
+    with pytest.raises(ValueError, match=f"^{field} must"):
         call(bad)
 
 
