@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from .eigensolve import (
     lane_eigenvalues,
     tridiag_eigenvalues,
 )
-from .graphs import BugSpec, assemble_dense_alpha, check_alpha
+from .graphs import BugSpec, _check_real, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
 from .structured import (_halvable, _spectrum_from_quotient, bug_tridiagonal, closed_form,
                          halved_tridiagonal)
@@ -99,15 +98,12 @@ def config_from_env(environ=None) -> SolveConfig:
     raw = environ.get(ENV_TOL)
     if raw is None:
         return DEFAULT_CONFIG
+    # SolveConfig checks the tolerance (graphs._check_positive)
     try:
         tol = float(raw)
+        return replace(DEFAULT_CONFIG, bisection_tol=tol, jacobi_off_tol=tol, power_tol=tol)
     except ValueError:
-        raise ValueError(f"{ENV_TOL} must be a number, got {raw!r}") from None
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{ENV_TOL} must be positive and finite, got {raw!r}")
-    return replace(
-        DEFAULT_CONFIG, bisection_tol=tol, jacobi_off_tol=tol, power_tol=tol
-    )
+        raise ValueError(f"{ENV_TOL} must be a positive finite number, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +441,7 @@ def _integer(key, value):
 def _number(key, value) -> float:
     """A finite int or float, not a bool. json.loads also reads NaN and
     Infinity, which JSON does not have."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return _check_real(f"'{key}'", value)
 
 
 def _alpha(key, value) -> float:

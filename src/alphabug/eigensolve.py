@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .graphs import _check_int, _check_positive
+from .graphs import _check_int, _check_positive, _check_real
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -136,7 +136,7 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("bisection_tol", "jacobi_off_tol", "power_tol"):
-            _check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         for name in ("max_jacobi_sweeps", "max_power_iters"):
             cap = _check_int(name, getattr(self, name))
             if cap < 1:
@@ -259,25 +259,25 @@ def _run_plan(lanes: list) -> list:
     diagonal entry and squared lead, and the lead is nonzero; every other
     row is a generic row, and row 0 is always one. Neighbouring stored runs
     merge by that rule, so the cut depends only on a lane's entries, not on
-    how it was built. Returns a list of groups (lanes, steps): lanes indexes
-    the group's lanes (an index array, or a slice when one group holds them
-    all), and each step is (a, c, k), columns of shape (len(lanes), 1)
-    holding a segment's diagonal entry, its squared lead (not read for row
-    0) and, for a run, its row count (None for a generic row). steps is a
-    _Steps list, which also holds the steps cut into blocks for the count
-    kernel. Below order _RUN_PLAN_MIN_ORDER no runs are sought: one group
-    holds every lane, with one generic step per row. A squared lead of 0
-    is read as the smallest subnormal, so no quotient of the recurrence is
-    0/0; that moves an eigenvalue by less than its square root, 2.3e-162.
-    A lead above sqrt of the largest float (about 1.34e154) would square to
-    inf and make every count wrong, so it raises ValueError.
+    how it was built. Returns a list of groups (lanes, blocks, preludes),
+    made by _group: lanes indexes the group's lanes (an index array, or a
+    slice when one group holds them all), and each step is (a, c, k),
+    columns of shape (len(lanes), 1) holding a segment's diagonal entry,
+    its squared lead (not read for row 0) and, for a run, its row count
+    (None for a generic row). Below order _RUN_PLAN_MIN_ORDER no runs are
+    sought: one group holds every lane, with one generic step per row. A
+    squared lead of 0 is read as the smallest subnormal, so no quotient of
+    the recurrence is 0/0; that moves an eigenvalue by less than its
+    square root, 2.3e-162. A lead above sqrt of the largest float (about
+    1.34e154) would square to inf and make every count wrong, so it raises
+    ValueError.
     """
     diag, lead, reps, first = _lane_runs(lanes)
     lead_sq, floored = _lead_squares(lead)
     if lanes[0].order < _RUN_PLAN_MIN_ORDER:
         diag, floored = (np.repeat(v, reps).reshape(len(lanes), -1) for v in (diag, floored))
         steps = [(diag[:, j:j + 1], floored[:, j:j + 1], None) for j in range(diag.shape[1])]
-        return [(slice(None), _Steps(steps))]
+        return [_group(slice(None), steps)]
     # a run continues the stretch of the run before it; row 0's lead of 0
     # keeps it and the lane's next run from joining anything
     joined = np.zeros(diag.size, dtype=bool)
@@ -299,7 +299,7 @@ def _run_plan(lanes: list) -> list:
             (a[:, s:s + 1], c[:, s:s + 1], k[:, s:s + 1] if run else None)
             for s, run in enumerate(shape)
         ]
-        plan.append((group, _Steps(steps)))
+        plan.append(_group(group, steps))
     return plan
 
 
@@ -369,7 +369,7 @@ def _prelude(a, c, shifts):
     b = sqrt(c); the flip, where t = (a - x)/(2b) is negative; and for each
     regime (_REGIMES) that holds some |t|, which shifts it holds (None when
     it holds all), its closed form and its angle. Runs of one plan group
-    with equal a and c columns share it within a count (_Steps)."""
+    with equal a and c columns share it within a count (_group)."""
     b = np.sqrt(c)
     t = (a - shifts) / (2.0 * b)
     flip = t < 0.0
@@ -384,7 +384,7 @@ def _prelude(a, c, shifts):
     return b, flip, parts
 
 
-def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude=None):
+def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
     """Negative pivots along a run of k rows of (a, c), and its last pivot.
 
     With b = sqrt(c), t = (a - x)/(2b) and q = pivot/b, the pivot map of one
@@ -393,9 +393,9 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude=None):
     s[0] = 1, s[1] = q. For t < 0 the sequence -q follows the same map at
     -t, so only |t| is solved, in the regime it falls in (_inside,
     _outside, _edge). Whatever reads only the shifts (b, the flip, the
-    regimes and their angles) is the prelude, _prelude(a, c, shifts); a
-    caller that jumps several runs of the same a and c passes it in, and
-    without it _jump computes its own. The bits are the same either way.
+    regimes and their angles) is the prelude, _prelude(a, c, shifts), which
+    a caller may compute once for several runs of the same a and c: the
+    bits are those of a fresh prelude.
 
     With cross[j] the sign changes of s[0..j], the run's count is
     cross[k+1] less one when the incoming pivot is negative (-0 included),
@@ -405,7 +405,7 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude=None):
     twice: a last pivot of the wrong sign is tiny, and the next row undoes
     it. A last pivot of 0 carries the sign it was counted with.
     """
-    b, flip, parts = prelude or _prelude(a, c, shifts)
+    b, flip, parts = prelude
     q = pivot / b
     np.negative(q, out=q, where=flip)
     before, after, ratio = np.empty((3,) + q.shape)
@@ -434,24 +434,20 @@ def _blocks(steps: list) -> list:
     ]
 
 
-class _Steps(list):
-    """A group's plan steps, and in blocks the same steps cut by _blocks:
-    a plan is made once per solve and counted once per bisection round, so
-    the blocks are cut and their entries stacked once. In blocks, each step
-    also holds the slot of its run's prelude (None for a generic row): runs
-    whose a and c columns are equal, as the two paths of a bug quotient
-    are, share a slot, and a count computes each slot's prelude once
-    (_prelude). preludes is the number of slots."""
-
-    def __init__(self, steps: list):
-        super().__init__(steps)
-        slots: dict[tuple, int] = {}
-        marked = []
-        for a, c, k in steps:
-            slot = None if k is None else slots.setdefault((a.tobytes(), c.tobytes()), len(slots))
-            marked.append((a, c, k, slot))
-        self.preludes = len(slots)
-        self.blocks = _blocks(marked)
+def _group(lanes, steps: list) -> tuple:
+    """A plan group: its lanes, its steps cut into blocks (_blocks) and the
+    number of prelude slots. A plan is made once per solve and counted once
+    per bisection round, so the blocks are cut and their entries stacked
+    once. Each step also holds the slot of its run's prelude (None for a
+    generic row): runs whose a and c columns are equal, as the two paths of
+    a bug quotient are, share a slot, and a count computes each slot's
+    prelude once (_prelude)."""
+    slots: dict[tuple, int] = {}
+    marked = []
+    for a, c, k in steps:
+        slot = None if k is None else slots.setdefault((a.tobytes(), c.tobytes()), len(slots))
+        marked.append((a, c, k, slot))
+    return lanes, _blocks(marked), len(slots)
 
 
 def _walk(steps, pivot, entries, x, rows, quotient, preludes):
@@ -509,22 +505,23 @@ def _plan_counts(plan: list, shifts: np.ndarray) -> np.ndarray:
     on +inf, which counts again, so sturm_count passes +0 instead.
     """
     counts = np.empty(shifts.shape, dtype=np.intp)
-    buffer = np.empty(min(_BLOCK_ROWS, max(len(steps) for _, steps in plan)) * shifts.size)
+    rows_most = max(len(entries) for _, blocks, _ in plan for _, entries in blocks)
+    buffer = np.empty(rows_most * shifts.size)
     quotient_buffer = np.empty(shifts.size)
     # a zero or subnormal pivot overflows the next quotient to inf; the
     # pivot after it is then inf of the sign its count needs
     with np.errstate(all="ignore"):
-        for lanes, steps in plan:
+        for lanes, blocks, slots in plan:
             x = shifts[lanes]
             quotient = quotient_buffer[: x.size].reshape(x.shape)
             below = 0
             pivot = None
-            preludes = [None] * steps.preludes
-            for b, (block, entries) in enumerate(steps.blocks):
+            preludes = [None] * slots
+            for b, (block, entries) in enumerate(blocks):
                 rows = buffer[: len(entries) * x.size].reshape((len(entries),) + x.shape)
                 jumped, pivot = _walk(block, pivot, entries, x, rows, quotient, preludes)
                 below = below + jumped + (rows >= 0.0).sum(axis=0)
-                if b + 1 < len(steps.blocks):
+                if b + 1 < len(blocks):
                     # the next block writes its pivots over rows
                     pivot = pivot.copy()
             counts[lanes] = below
@@ -538,11 +535,14 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     this is the number strictly below x. At an exact eigenvalue it is not
     that number under any zero-pivot rule: it lies between the numbers
     below x and at most x. x = -inf gives 0 and x = +inf the order; -0.0
-    counts as +0.0, and a NaN shift raises ValueError.
+    counts as +0.0. A NaN shift, or one that is no real number (a bool, a
+    string), raises ValueError.
     """
-    x = float(x) + 0.0  # -0.0 + 0.0 is +0.0
-    if math.isnan(x):
+    if x != x:
         raise ValueError("shift must not be NaN")
+    if x not in (-math.inf, math.inf):
+        x = _check_real("shift", x)
+    x = float(x) + 0.0  # -0.0 + 0.0 is +0.0
     return int(_plan_counts(_run_plan([t]), np.asarray([[x]]))[0, 0])
 
 
@@ -809,13 +809,19 @@ def _offdiag_norm(w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(stripped * stripped)))
 
 
-def _frobenius(w: np.ndarray) -> float:
-    """The Frobenius norm of w; ValueError if an entry or the norm is not finite."""
+def _symmetric(a) -> tuple[np.ndarray, float]:
+    """a as a float array, and its Frobenius norm; ValueError unless a is
+    square and symmetric and its entries and norm are finite."""
+    w = np.array(a, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    if not np.array_equal(w, w.T):
+        raise ValueError("matrix must be symmetric")
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.sqrt(np.sum(w * w)))
     if not math.isfinite(norm):
         raise ValueError("matrix entries and their Frobenius norm must be finite")
-    return norm
+    return w, norm
 
 
 def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
@@ -846,15 +852,11 @@ def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
     kernel serves every order.
     """
     cfg = config or DEFAULT_CONFIG
-    w = np.array(a, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    if not np.array_equal(w, w.T):
-        raise ValueError("matrix must be symmetric")
+    w, norm = _symmetric(a)
     m = w.shape[0]
     # A diagonal matrix, 1 x 1 and all-zero ones included, meets the stop
     # test before the first sweep and returns its sorted diagonal.
-    stop = cfg.jacobi_off_tol * _frobenius(w)
+    stop = cfg.jacobi_off_tol * norm
     # Entries below this cannot by themselves keep the off-norm above stop,
     # so skipping them is safe and saves the tail sweeps. max(m, 1) spares
     # the 0 x 0 matrix a division by zero.
@@ -908,14 +910,9 @@ def perron_pair(a, config: SolveConfig | None = None) -> tuple[float, np.ndarray
     leaving eigenvectors, Rayleigh quotients and residuals untouched.
     """
     cfg = config or DEFAULT_CONFIG
-    w = np.array(a, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    if not np.array_equal(w, w.T):
-        raise ValueError("matrix must be symmetric")
+    w, _ = _symmetric(a)
     if np.any(w < 0.0):
         raise ValueError("matrix must be entrywise nonnegative")
-    _frobenius(w)
     m = w.shape[0]
     v = np.full(m, 1.0 / math.sqrt(m))
     for _ in range(cfg.max_power_iters):

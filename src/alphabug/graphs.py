@@ -13,25 +13,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# what int(), float() and math.isfinite() raise on a value that is no real
-# number (None, a string) or no finite one (an infinity, NaN): each check
-# below turns these into a ValueError that names the field
+# what int() and math.isfinite() raise on a value that is no real number
+# (None, a string) or no finite one (an infinity, NaN): each check below
+# turns these into a ValueError that names the field
 _NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+# bool subclasses int, and numpy's bool converts to one: neither is a number
+_BOOLS = (bool, np.bool_)
+
+
+def _check_real(name, value) -> float:
+    """value as a float, if it is a finite real number, not a bool or a
+    string: the one such check of the library and the CLI. Every other
+    check of a real calls it and adds only its own range."""
+    try:
+        if not isinstance(value, _BOOLS) and math.isfinite(value):
+            return float(value)
+    except _NOT_A_NUMBER:
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_alpha(alpha) -> float:
     """Validate the A_alpha weight: a finite real in [0, 1)."""
-    try:
-        if 0.0 <= float(alpha) < 1.0:
-            return float(alpha)
-    except _NOT_A_NUMBER:
-        pass
+    value = _check_real("alpha", alpha)
+    if 0.0 <= value < 1.0:
+        return value
     raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
 
 def _check_int(name, value) -> int:
     try:
-        if not isinstance(value, bool) and int(value) == value:
+        if not isinstance(value, _BOOLS) and int(value) == value:
             return int(value)
     except _NOT_A_NUMBER:
         pass
@@ -39,12 +51,10 @@ def _check_int(name, value) -> int:
 
 
 def _check_positive(name, value) -> float:
-    """value as a float, if it is a positive finite real (not a string)."""
-    try:
-        if math.isfinite(value) and value > 0.0:
-            return float(value)
-    except _NOT_A_NUMBER:
-        pass
+    """value as a float, if it is a positive finite real (_check_real)."""
+    real = _check_real(name, value)
+    if real > 0.0:
+        return real
     raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -73,7 +83,7 @@ class BugSpec:
 
     def __post_init__(self):
         for name in ("n", "d", "i"):
-            _check_int(name, getattr(self, name))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.d < 2:
             raise ValueError(f"diameter must be >= 2, got {self.d}")
         if self.n < self.d + 1:

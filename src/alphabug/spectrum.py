@@ -7,6 +7,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .graphs import _check_real
+
 CLOSED_FORM = "closed-form"
 QUOTIENT = "quotient"
 DENSE = "dense"
@@ -21,8 +23,7 @@ class SpectrumEntry:
     source: str
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"eigenvalue must be finite, got {self.value!r}")
+        object.__setattr__(self, "value", _check_real("eigenvalue", self.value))
         if self.multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
         if not self.source:
@@ -73,7 +74,7 @@ class Spectrum:
         Consecutive sorted values whose gap is at most ``cluster_radius``
         are treated as one root; each entry's value is the cluster mean.
         """
-        if cluster_radius < 0.0:
+        if _check_real("cluster_radius", cluster_radius) < 0.0:
             raise ValueError("cluster_radius must be >= 0")
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:

@@ -105,7 +105,7 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
     when the middle clique collapses).
     """
     n, d = _check_int("n", n), _check_int("d", d)
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if d < 2:
         raise ValueError(f"diameter must be >= 2, got {d}")
     if n < d + 2:

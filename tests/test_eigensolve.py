@@ -44,6 +44,13 @@ def random_tridiag(rng, m):
     return SymTridiag(rng.uniform(-10, 10, m), rng.uniform(-10, 10, max(m - 1, 0)))
 
 
+def one_group(lanes):
+    """The one group _run_plan makes of lanes: its lanes, its steps as
+    (a, c, k, slot) read from its blocks, and its prelude slot count."""
+    (group, blocks, slots), = eigensolve._run_plan(lanes)
+    return group, [step for block, _ in blocks for step in block], slots
+
+
 class TestSymTridiag:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +217,15 @@ class TestSturmCount:
         assert sturm_count(t, math.inf) == m
         with pytest.raises(ValueError, match="NaN"):
             sturm_count(t, float("nan"))
+
+    @pytest.mark.parametrize("shift", ["3.5", True, False, np.True_, None],
+                             ids=["str", "True", "False", "np.True_", "None"])
+    def test_non_numbers_are_rejected(self, shift):
+        # float() would read "3.5" as 3.5 and True as 1.0
+        t = bug_tridiagonal(BugSpec(11, 5, 2), 0.5)
+        with pytest.raises(ValueError, match="^shift must"):
+            sturm_count(t, shift)
+        assert sturm_count(t, 3.5) == 4
 
 
 class TestTridiagEigenvalues:
@@ -635,9 +651,9 @@ class TestRowStepCounts:
 
     def test_one_step_per_row_in_one_group(self):
         t = bug_tridiagonal(BugSpec(300, _BELOW_GATE - 1, 20), 0.3)
-        (group, steps), = eigensolve._run_plan([t, t])
+        group, steps, _ = one_group([t, t])
         assert np.arange(2)[group].tolist() == [0, 1]
-        assert len(steps) == t.order and all(k is None for _, _, k in steps)
+        assert len(steps) == t.order and all(k is None for _, _, k, _ in steps)
 
 
 class TestRunPlanCounts:
@@ -657,9 +673,9 @@ class TestRunPlanCounts:
 
     def test_runs_are_jumped_in_closed_form(self):
         t = bug_tridiagonal(BugSpec(1000, 200, 50), 0.3)
-        (lanes, steps), = eigensolve._run_plan([t])
+        lanes, steps, _ = one_group([t])
         assert lanes.tolist() == [0]
-        assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [
+        assert [None if k is None else int(k[0, 0]) for _, _, k, _ in steps] == [
             None, 48, None, None, None, 148, None,
         ]
 
@@ -681,9 +697,9 @@ class TestRunPlanCounts:
 
 
 def _jump_both_ways(pivot, a, c, k, x):
-    """_jump with its own prelude and with one computed beforehand, used
+    """_jump with a fresh prelude and with one computed beforehand, used
     twice as two runs of one count would use it."""
-    own = eigensolve._jump(pivot, a, c, k, x)
+    own = eigensolve._jump(pivot, a, c, k, x, eigensolve._prelude(a, c, x))
     prelude = eigensolve._prelude(a, c, x)
     shared = [eigensolve._jump(pivot, a, c, k, x, prelude) for _ in range(2)]
     for run, last in shared:
@@ -725,11 +741,11 @@ class TestSharedPrelude:
 
     def test_runs_share_a_prelude_only_when_a_and_c_are_equal(self):
         def slots(lanes):
-            (_, steps), = eigensolve._run_plan(lanes)
-            marked = [step for block, _ in steps.blocks for step in block if step[2] is not None]
+            _, steps, slots = one_group(lanes)
+            marked = [step for step in steps if step[2] is not None]
             assert len(marked) == 2
-            assert steps.preludes == len({step[3] for step in marked})
-            return steps.preludes
+            assert slots == len({step[3] for step in marked})
+            return slots
 
         # the two paths of a bug quotient, and two runs split by one cell
         assert slots([bug_tridiagonal(BugSpec(1000, 200, 50), 0.3)]) == 1
@@ -788,8 +804,8 @@ class TestBlockedCounts:
     ])
     def test_exact_zero_pivots_match_the_row_loop(self, m, zero_row):
         t = _unit_pivot_lane(np.random.default_rng(m), m, zero_row)
-        (_, steps), = eigensolve._run_plan([t])
-        assert len(steps) == m and all(k is None for _, _, k in steps)
+        _, steps, _ = one_group([t])
+        assert len(steps) == m and all(k is None for _, _, k, _ in steps)
         # shift diag[0] zeroes row 0, shift 0 the middle row zero_row
         assert _first_zero_pivot(t, t.diag[0]) == 0
         assert _first_zero_pivot(t, 0.0) == zero_row
@@ -808,10 +824,12 @@ class TestBlockedCounts:
         x = -2.0 * t_sign
         diag = np.array([x + t_sign * 63 / 64] + [0.0] * 63 + [last])
         t = SymTridiag(diag, np.ones(64))
-        (_, steps), = eigensolve._run_plan([t])
-        assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [None, 63, None]
-        _, c, k = steps[1]
-        _, pivot = eigensolve._jump(np.array([[t_sign * 63 / 64]]), 0.0, c, k, np.array([[x]]))
+        _, steps, _ = one_group([t])
+        assert [None if k is None else int(k[0, 0]) for _, _, k, _ in steps] == [None, 63, None]
+        _, c, k, _ = steps[1]
+        shift = np.array([[x]])
+        prelude = eigensolve._prelude(0.0, c, shift)
+        _, pivot = eigensolve._jump(np.array([[t_sign * 63 / 64]]), 0.0, c, k, shift, prelude)
         assert pivot[0, 0] == 0.0 and np.signbit(pivot[0, 0]) == (t_sign > 0)
         expected = 1 if t_sign > 0 else 64
         assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x) == expected
@@ -830,8 +848,8 @@ class TestBlockedCounts:
             if diag[j] == diag[j - 1]:  # equal neighbours could form a run
                 diag[j] += 0.5
         t = SymTridiag(diag, rng.integers(-6, 7, 199) / 2)
-        (_, steps), = eigensolve._run_plan([t])
-        assert all(k is None for _, _, k in steps)
+        _, steps, _ = one_group([t])
+        assert all(k is None for _, _, k, _ in steps)
         assert t.order > 3 * eigensolve._BLOCK_ROWS
         shifts = [*np.arange(-12.0, 12.5, 0.5), *np.linalg.eigvalsh(t.to_dense())]
         for x in shifts:
@@ -906,8 +924,8 @@ class TestZeroPivots:
         # jumps in closed form at t = (1 - x)/2: 0.25, 1, -1, 1.75 and -1.75,
         # inside the band, on its edge and outside it, each mirrored or not
         t = SymTridiag([x] + [1.0] * 80, np.ones(80))
-        (_, steps), = eigensolve._run_plan([t])
-        assert [None if k is None else int(k[0, 0]) for _, _, k in steps] == [None, 80]
+        _, steps, _ = one_group([t])
+        assert [None if k is None else int(k[0, 0]) for _, _, k, _ in steps] == [None, 80]
         assert _first_zero_pivot(t, x) == 0
         assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x)
         for shift in (x, *np.arange(-1.5, 3.75, 0.25)):

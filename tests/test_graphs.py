@@ -101,6 +101,16 @@ def test_order_is_n():
     assert BugSpec.from_pqr(3, 1, 2).order == 4
 
 
+@pytest.mark.parametrize("n", [10.0, np.float64(10)], ids=["float", "np.float64"])
+def test_integral_floats_are_stored_as_ints(n):
+    # the checked int is kept, not the float it was given as
+    bug = BugSpec(n, 5, 2)
+    assert all(type(v) is int for v in (bug.n, bug.d, bug.i))
+    assert bug == BugSpec(10, 5, 2) and hash(bug) == hash(BugSpec(10, 5, 2))
+    assert type(bug.order) is int
+    assert assemble_dense_alpha(bug, 0.5).shape == (10, 10)
+
+
 def edge_list_matrix_in_package_order(bug, alpha):
     """The edge-list A_alpha with its vertices permuted into the package's
     numbering: the cells of the bug, in path order, one after another."""

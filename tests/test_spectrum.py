@@ -12,6 +12,11 @@ def test_entry_validation():
         SpectrumEntry(1.0, 0, QUOTIENT)
     with pytest.raises(ValueError):
         SpectrumEntry(1.0, 1, "")
+    for bad in ("1.0", True, None):
+        with pytest.raises(ValueError, match="^eigenvalue must"):
+            SpectrumEntry(bad, 1, QUOTIENT)
+    # the checked float is kept
+    assert type(SpectrumEntry(np.float64(1.0), 1, QUOTIENT).value) is float
 
 
 def test_entries_must_increase_strictly():
@@ -44,6 +49,10 @@ def test_from_values_clusters_by_radius():
     # radius zero keeps everything separate
     assert Spectrum.from_values(vals, DENSE, cluster_radius=0.0).order == 3
     assert len(Spectrum.from_values(vals, DENSE, cluster_radius=0.0).entries) == 3
+    # NaN would pass a plain `< 0` test and merge every value into one entry
+    for bad in (float("nan"), "0"):
+        with pytest.raises(ValueError, match="^cluster_radius must"):
+            Spectrum.from_values(vals, DENSE, cluster_radius=bad)
 
 
 def test_expand_and_rho():

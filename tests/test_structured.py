@@ -285,8 +285,9 @@ def test_halved_and_inner_matrices_fold_the_balanced_quotient():
 
 
 def _plan_steps(t):
-    (_, steps), = eigensolve._run_plan([t])
-    return [(a.tolist(), c.tolist(), None if k is None else k.tolist()) for a, c, k in steps]
+    (_, blocks, _), = eigensolve._run_plan([t])
+    steps = [step for block, _ in blocks for step in block]
+    return [(a.tolist(), c.tolist(), None if k is None else k.tolist()) for a, c, k, _ in steps]
 
 
 # d = 40: every matrix below the order-64 gate; d = 126: the quotient

@@ -199,10 +199,12 @@ def test_sizes_must_be_integers(call, bad):
     pytest.param(lambda bad: halved_tridiagonal(10, 4, bad), "alpha", id="halved-alpha"),
     pytest.param(lambda bad: bug_tridiagonal(BugSpec(11, 5, 2), bad), "alpha", id="quotient-alpha"),
 ])
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), None])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), None, "0.5", True,
+                                 False, pytest.param(np.True_, id="np.True_")])
 def test_non_numbers_are_value_errors_naming_the_field(call, field, bad):
     # int(), float() and math.isfinite() raise OverflowError on an infinity,
-    # a ValueError that names no field on NaN and TypeError on None
+    # a ValueError that names no field on NaN and TypeError on None; float()
+    # reads "0.5" as 0.5, and int() and float() read a bool as a number
     with pytest.raises(ValueError, match=f"^{field} must"):
         call(bad)
 
