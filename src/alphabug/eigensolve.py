@@ -165,10 +165,11 @@ _MULTISECTION_WIDTH = 512
 # to 1,199 and 1 from 1,200. Fitted over the rounds of full spectra solved
 # at that depth and at one level per round (B(10^6, 1000, 500) at alpha
 # 0.6, B(10^5, 300, 40) at 0.2, B(10^6, 150, 75) at 0.9; 2-core x86-64,
-# Python 3.11, numpy 2.4), a round's fixed part is 210-340 us (a count
-# kernel call about 150 us of it) and a shift 0.2-0.46 us, a ratio of
-# 470-1,700. In-process passes over the spectrum-large jobs took the same
-# time, within noise, for any value from 600 to 2,400. A round goes past one
+# Python 3.11, numpy 2.4; least CPU time of 41 solves per round), a round's
+# fixed part is 180-280 us (a count kernel call 120-170 us of it) and a
+# shift 0.11-0.27 us, a ratio of 700-2,100. In-process passes over the
+# spectrum-large jobs took the same time, within noise, for any value from
+# 600 to 2,400 (measured when a shift cost 0.2-0.46 us). A round goes past one
 # level only while trees < _ROUND_COST, so a deeper round holds at most
 # 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees), and the
 # count kernel's buffer (_BLOCK_ROWS rows of shifts) stays within 2 MiB; one
@@ -313,12 +314,17 @@ def _inside(angle, q, k):
     """|t| < 1: s[j] = sin(j theta + phi) with cos theta = |t|.
 
     Returns the sign changes of s[0..k] and of s[0..k+1], and s[k+1]/s[k].
+    With psi = k theta + phi that ratio is sin(psi + theta)/sin psi =
+    cos theta + sin theta/tan psi: one tan, about 2 ns a shift where a sine
+    takes 7-9 ns (numpy 2.4 on AVX-512 x86-64, angles up to 3,000). Its
+    sign at a pole of tan may be either; _jump reads only its magnitude,
+    and the sign from the floors.
     """
     u, sin_theta, theta = angle
     phi = np.arctan2(sin_theta, q - u)
     psi = k * theta + phi
     end = psi + theta
-    return np.floor(psi / np.pi), np.floor(end / np.pi), np.sin(end) / np.sin(psi)
+    return np.floor(psi / np.pi), np.floor(end / np.pi), u + sin_theta / np.tan(psi)
 
 
 def _hyperbolic(u):
@@ -366,22 +372,29 @@ _REGIMES = ((np.less, _band, _inside), (np.greater, _hyperbolic, _outside), (np.
 def _prelude(a, c, shifts):
     """The prelude of a jump along a run of (a, c): what it reads of the
     shifts alone, not of the incoming pivot or the run's length. Returns
-    b = sqrt(c); the flip, where t = (a - x)/(2b) is negative; and for each
-    regime (_REGIMES) that holds some |t|, which shifts it holds (None when
-    it holds all), its closed form and its angle. Runs of one plan group
+    b = sqrt(c); the flip, where t = (a - x)/(2b) is negative; the main
+    regime (_REGIMES), the one that holds the most |t| (the first on a
+    tie), with its closed form and its angle over every shift; and for
+    each other regime that holds some |t|, which shifts it holds, its
+    closed form and its angle over those. The main angle is NaN at the
+    other regimes' shifts, which _jump overwrites. Runs of one plan group
     with equal a and c columns share it within a count (_group)."""
     b = np.sqrt(c)
     t = (a - shifts) / (2.0 * b)
     flip = t < 0.0
     u = np.abs(t)
-    parts = []
-    for test, angle, regime in _REGIMES:
-        live = test(u, 1.0)
-        if live.all():
-            return b, flip, [(None, regime, angle(u) if angle else None)]
-        if live.any():
-            parts.append((live, regime, angle(u[live]) if angle else None))
-    return b, flip, parts
+    held = [(test(u, 1.0), angle, regime) for test, angle, regime in _REGIMES]
+    sizes = [np.count_nonzero(live) for live, _, _ in held]
+    main = sizes.index(max(sizes))
+    angle, regime = held[main][1:]
+    with np.errstate(invalid="ignore"):
+        whole = regime, angle(u) if angle else None
+    others = [
+        (live, regime, angle(u[live]) if angle else None)
+        for r, (live, angle, regime) in enumerate(held)
+        if r != main and sizes[r]
+    ]
+    return b, flip, whole, others
 
 
 def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
@@ -397,6 +410,12 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
     a caller may compute once for several runs of the same a and c: the
     bits are those of a fresh prelude.
 
+    The main regime's closed form runs on every shift, and each other
+    regime's on its own shifts, whose results overwrite the main one's
+    there: a count whose shifts mostly fall in the band gathers only the
+    few outside it. Each shift gets the bits it gets alone, where its
+    regime is the only one.
+
     With cross[j] the sign changes of s[0..j], the run's count is
     cross[k+1] less one when the incoming pivot is negative (-0 included),
     and its last pivot is negative exactly when cross[k+1] > cross[k].
@@ -405,17 +424,21 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
     twice: a last pivot of the wrong sign is tiny, and the next row undoes
     it. A last pivot of 0 carries the sign it was counted with.
     """
-    b, flip, parts = prelude
+    b, flip, (regime, angle), others = prelude
     q = pivot / b
     np.negative(q, out=q, where=flip)
-    before, after, ratio = np.empty((3,) + q.shape)
-    for live, regime, angle in parts:
-        if live is None:
+    if not others:
+        before, after, ratio = regime(angle, q, k)
+    else:
+        # the main closed form at other regimes' shifts gives NaN or inf,
+        # overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
             before, after, ratio = regime(angle, q, k)
-        else:
-            before[live], after[live], ratio[live] = regime(
-                angle, q[live], k.repeat(q.shape[1], axis=1)[live]
-            )
+        # _outside and _edge count in bools, _inside in floats
+        before, after = before.astype(float, copy=False), after.astype(float, copy=False)
+        lengths = np.broadcast_to(k, q.shape)
+        for live, regime, angle in others:
+            before[live], after[live], ratio[live] = regime(angle, q[live], lengths[live])
     below = np.maximum(after.astype(np.intp) - np.signbit(q), 0)
     last = np.abs(ratio)
     np.negative(last, out=last, where=after > before)

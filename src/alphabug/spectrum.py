@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import _check_real
+from .graphs import _check_int, _check_real
 
 CLOSED_FORM = "closed-form"
 QUOTIENT = "quotient"
@@ -24,8 +24,10 @@ class SpectrumEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "value", _check_real("eigenvalue", self.value))
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
+        multiplicity = _check_int("multiplicity", self.multiplicity)
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+        object.__setattr__(self, "multiplicity", multiplicity)
         if not self.source:
             raise ValueError("source label must be non-empty")
 

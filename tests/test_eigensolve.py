@@ -759,6 +759,70 @@ class TestSharedPrelude:
         assert slots([same, mixed]) == 2
 
 
+# |t| of each regime, all exact in x = a - 2bt and back in t = (a - x)/(2b)
+_REGIME_T = {
+    "inside": [0.0, 0.25, -0.5, 0.75, -0.9375, 0.125, -0.0625],
+    "outside": [1.5, -3.0, 2.0**20, -1.25, 7.0],
+    "edge": [1.0, -1.0],
+}
+
+
+class TestMainRegime:
+    """A count whose shifts fall in several regimes evaluates the regime
+    holding the most on every shift and overwrites the others' shifts with
+    their own closed forms."""
+
+    @pytest.mark.parametrize("main, held", [
+        ("inside", {"inside": 23, "outside": 5, "edge": 3}),
+        ("outside", {"inside": 6, "outside": 19, "edge": 4}),  # bool crossings take float ones
+        ("edge", {"inside": 5, "outside": 7, "edge": 17}),
+    ])
+    def test_mixed_jump_matches_each_shift_alone(self, main, held):
+        rng = np.random.default_rng(len(main))
+        a, c, k = np.array([[1.0], [0.5]]), np.array([[1.0], [4.0]]), np.array([[5], [200]])
+        kinds = [kind for kind, count in held.items() for _ in range(count)]
+        t = np.array([[rng.choice(_REGIME_T[kind]) for kind in rng.permutation(kinds)]
+                      for _ in range(2)])
+        x = a - 2.0 * np.sqrt(c) * t
+        prelude = eigensolve._prelude(a, c, x)
+        assert prelude[2][0] is getattr(eigensolve, f"_{main}")
+        assert len(prelude[3]) == 2
+        for pivot in (rng.uniform(-3.0, 3.0, x.shape), np.zeros(x.shape), np.full(x.shape, -0.0)):
+            run, last = eigensolve._jump(pivot, a, c, k, x, prelude)
+            for l, j in np.ndindex(x.shape):
+                one = (slice(l, l + 1), slice(j, j + 1))
+                alone = eigensolve._prelude(a[one[0]], c[one[0]], x[one])
+                assert not alone[3]
+                run_alone, last_alone = eigensolve._jump(
+                    pivot[one], a[one[0]], c[one[0]], k[one[0]], x[one], alone
+                )
+                assert run[l, j] == run_alone[0, 0], (l, j)
+                assert last[l, j].tobytes() == last_alone[0, 0].tobytes(), (l, j)
+
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("k", [2, 37, 999])
+    def test_inside_ratio_is_the_ratio_of_sines(self, u, k):
+        # psi = k theta + phi is steered next to j pi and j pi + pi/2, where
+        # one of the two sines is within 1e-9 of 0
+        angle = eigensolve._band(np.array([[u]]))
+        _, sin_theta, theta = (float(v[0, 0]) for v in angle)
+        base = math.floor(k * theta / math.pi) + 1
+        for target in (base * math.pi, (base - 0.5) * math.pi, (base + 0.5) * math.pi):
+            for offset in (-1e-9, -3e-10, 2e-10, 1e-9, 0.3, -0.2):
+                phi = target + offset - k * theta
+                if not 0.0 < phi < math.pi:
+                    continue
+                q = np.array([[u + sin_theta / math.tan(phi)]])
+                psi = k * theta + np.arctan2(sin_theta, q - u)
+                assert abs(float(psi[0, 0]) - (target + offset)) < 1e-11
+                ratio = eigensolve._inside(angle, q, np.array([[k]]))[2]
+                end = psi + theta
+                sines = np.sin(end) / np.sin(psi)
+                # the sines' own error: end is rounded to its ulp
+                slack = np.spacing(end) / abs(np.sin(psi))
+                assert abs(ratio - sines) <= 1e-12 * abs(sines) + slack, (target, offset)
+
+
 def _unit_pivot_lane(rng, m: int, zero_row: int) -> SymTridiag:
     """A run-free tridiagonal with integer entries whose pivot at shift 0 is
     exactly 1 on rows 1 .. zero_row - 1 and exactly 0 on zero_row, followed

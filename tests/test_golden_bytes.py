@@ -10,7 +10,7 @@ change to the solver, to the payloads or to the renderers that moves one
 printed byte fails here.
 
 A million-vertex spectrum of order 1001 jumps runs of equal rows through
-numpy's sin, arctan2, log1p, arctanh and tanh, whose last bits may differ
+numpy's tan, arctan2, log1p, arctanh and tanh, whose last bits may differ
 between numpy builds and CPUs, so no digest pins its output. Its stdout
 must equal the reference rendering, one value at a time, of the payload
 the same solve gives.

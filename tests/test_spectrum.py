@@ -15,8 +15,13 @@ def test_entry_validation():
     for bad in ("1.0", True, None):
         with pytest.raises(ValueError, match="^eigenvalue must"):
             SpectrumEntry(bad, 1, QUOTIENT)
-    # the checked float is kept
+    for bad in (1.5, True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="^multiplicity must"):
+            SpectrumEntry(1.0, bad, QUOTIENT)
+    # the checked float and int are kept
     assert type(SpectrumEntry(np.float64(1.0), 1, QUOTIENT).value) is float
+    entry = SpectrumEntry(1.0, 2.0, QUOTIENT)
+    assert type(entry.multiplicity) is int and entry.multiplicity == 2
 
 
 def test_entries_must_increase_strictly():
