@@ -165,16 +165,23 @@ _MULTISECTION_WIDTH = 512
 # to 1,199 and 1 from 1,200. Fitted over the rounds of full spectra solved
 # at that depth and at one level per round (B(10^6, 1000, 500) at alpha
 # 0.6, B(10^5, 300, 40) at 0.2, B(10^6, 150, 75) at 0.9; 2-core x86-64,
-# Python 3.11, numpy 2.4; least CPU time of 41 solves per round), a round's
-# fixed part is 180-280 us (a count kernel call 120-170 us of it) and a
-# shift 0.11-0.27 us, a ratio of 700-2,100. In-process passes over the
-# spectrum-large jobs took the same time, within noise, for any value from
-# 600 to 2,400 (measured when a shift cost 0.2-0.46 us). A round goes past one
+# Python 3.11, numpy 2.4; least CPU time of 41 solves per round, three
+# fits), a round's fixed part is 145-160 us (a count kernel call 105-120 us
+# of it) and a shift 0.12-0.14 us, a ratio of 1,100-1,250 (on a busier host
+# 160-290 us and 0.10-0.21 us). Interleaved in-process passes over the
+# spectrum-large jobs took 1.01-1.04, 0.99-1.01 and 1.02-1.04 times as long
+# at 800, 1,600 and 2,400 as at 1,200. A round goes past one
 # level only while trees < _ROUND_COST, so a deeper round holds at most
 # 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees), and the
 # count kernel's buffer (_BLOCK_ROWS rows of shifts) stays within 2 MiB; one
 # level is always taken.
 _ROUND_COST = 1200
+# lane_eigenvalues drops its shared-bracket layout once it saves fewer shifts
+# a round than this: laying it out costs 20-40 us, a shift 0.1-0.2 us. On
+# spectrum-large, 200 to 3,000 took 0.91-0.97 of the time of never dropping
+# it, and balanced bugs ran 1.04-1.08 times slower without it (interleaved
+# in-process passes; 2-core x86-64, numpy 2.4).
+_LAYOUT_COST = 200
 # Each bisection step at least halves a bracket (up to rounding) until it
 # is a few ulps wide, and float64 spans fewer than 2100 halvings from its
 # largest finite value to its smallest subnormal. A bracket still open after
@@ -220,7 +227,8 @@ def _lane_runs(lanes: list):
 
 
 def _lane_bounds(lanes: list):
-    """Gershgorin ends of each lane: two arrays of shape (L,).
+    """Gershgorin ends of each lane, and its largest |lead|: three arrays
+    of shape (L,).
 
     A run stands in for at most three rows: its first and inner rows have
     radius 2 |lead|, its last |lead| plus the next run's lead, which is the
@@ -229,26 +237,43 @@ def _lane_bounds(lanes: list):
     mag = np.abs(lead)
     radius = mag + np.append(mag[1:], 0.0)
     np.maximum(radius, mag + mag, out=radius, where=reps > 1)
-    return np.minimum.reduceat(diag - radius, first), np.maximum.reduceat(diag + radius, first)
+    return (
+        np.minimum.reduceat(diag - radius, first),
+        np.maximum.reduceat(diag + radius, first),
+        np.maximum.reduceat(mag, first),
+    )
 
 
 def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
     """A closed interval [lo, hi] containing every eigenvalue of t."""
-    lo, hi = _lane_bounds([t])
+    lo, hi, _ = _lane_bounds([t])
     return float(lo[0]), float(hi[0])
+
+
+# the largest |lead| whose square is finite: the next float up squares to inf
+_LEAD_MAX = math.sqrt(np.finfo(float).max)
+
+
+def _fitted(t: SymTridiag) -> tuple[SymTridiag, float]:
+    """t and 1.0, or, where t's largest |lead| exceeds _LEAD_MAX, t times a
+    power of two that brings it below 2**511 (so its square stays below
+    2**1022) and that power. Like LAPACK's scaling before dstebz, the
+    scaled counts and midpoints are the original ones times that power,
+    exactly for every entry and shift that stays normal."""
+    top = float(np.max(np.abs(t.runs[1])))
+    if top <= _LEAD_MAX:
+        return t, 1.0
+    scale = math.ldexp(1.0, 511 - math.frexp(top)[1])
+    fitted = SymTridiag.__new__(SymTridiag)
+    fitted._store(np.array(t.runs[:2]) * scale, t.runs[2], t.order)
+    return fitted, scale
 
 
 def _lead_squares(lead: np.ndarray):
     """Squared leads, and the same floored at the smallest subnormal (see
-    _run_plan); ValueError where a square overflows."""
-    with np.errstate(over="ignore"):
-        lead_sq = np.square(lead)
-    if not np.isfinite(lead_sq).all():
-        raise ValueError(
-            f"off-diagonal entry {float(np.max(np.abs(lead))):.3e} exceeds "
-            f"sqrt of the largest float ({math.sqrt(np.finfo(float).max):.3e}): "
-            "its square would overflow"
-        )
+    _run_plan). Every lead is at most _LEAD_MAX (_fitted), so no square
+    overflows."""
+    lead_sq = np.square(lead)
     return lead_sq, np.maximum(lead_sq, np.finfo(float).smallest_subnormal)
 
 
@@ -269,9 +294,8 @@ def _run_plan(lanes: list) -> list:
     sought: one group holds every lane, with one generic step per row. A
     squared lead of 0 is read as the smallest subnormal, so no quotient of
     the recurrence is 0/0; that moves an eigenvalue by less than its
-    square root, 2.3e-162. A lead above sqrt of the largest float (about
-    1.34e154) would square to inf and make every count wrong, so it raises
-    ValueError.
+    square root, 2.3e-162. A lead above _LEAD_MAX would square to inf and
+    make every count wrong: callers scale such lanes first (_fitted).
     """
     diag, lead, reps, first = _lane_runs(lanes)
     lead_sq, floored = _lead_squares(lead)
@@ -300,7 +324,7 @@ def _run_plan(lanes: list) -> list:
             (a[:, s:s + 1], c[:, s:s + 1], k[:, s:s + 1] if run else None)
             for s, run in enumerate(shape)
         ]
-        plan.append(_group(group, steps))
+        plan.append(_group(group if len(groups) > 1 else slice(None), steps))
     return plan
 
 
@@ -364,37 +388,51 @@ def _edge(angle, q, k):
     return falling & (w + k >= 0.0), falling & (w + k + 1.0 >= 0.0), 1.0 + 1.0 / (w + k)
 
 
-# each regime of a jump: which |t| it takes, what its closed form reads of
-# the shift alone (the angle theta or mu), and the closed form
-_REGIMES = ((np.less, _band, _inside), (np.greater, _hyperbolic, _outside), (np.equal, None, _edge))
+# each regime of a jump, in the order |t| < 1, |t| > 1, |t| = 1: what its
+# closed form reads of the shift alone (the angle theta or mu), and the
+# closed form
+_REGIMES = ((_band, _inside), (_hyperbolic, _outside), (None, _edge))
 
 
 def _prelude(a, c, shifts):
     """The prelude of a jump along a run of (a, c): what it reads of the
     shifts alone, not of the incoming pivot or the run's length. Returns
-    b = sqrt(c); the flip, where t = (a - x)/(2b) is negative; the main
-    regime (_REGIMES), the one that holds the most |t| (the first on a
-    tie), with its closed form and its angle over every shift; and for
-    each other regime that holds some |t|, which shifts it holds, its
-    closed form and its angle over those. The main angle is NaN at the
-    other regimes' shifts, which _jump overwrites. Runs of one plan group
-    with equal a and c columns share it within a count (_group)."""
+    the signed b (sqrt(c), negated where t = (a - x)/(2b) is negative);
+    that flip; the main regime (_REGIMES), the one that holds the most |t|
+    (the first on a tie), with its closed form and its angle over every
+    shift, NaN at the other regimes' shifts; and for each other regime that
+    holds some |t|, the flat indices of its shifts and their lanes, its
+    closed form and its angle over those. So the regimes are split once per
+    count, for every jump that shares the prelude: runs of one plan group
+    with equal a and c columns (_group)."""
     b = np.sqrt(c)
     t = (a - shifts) / (2.0 * b)
     flip = t < 0.0
+    signed = np.where(flip, -b, b)
     u = np.abs(t)
-    held = [(test(u, 1.0), angle, regime) for test, angle, regime in _REGIMES]
-    sizes = [np.count_nonzero(live) for live, _, _ in held]
+    held = [u < 1.0, u > 1.0]
+    sizes = [np.count_nonzero(live) for live in held]
+    # the rest have |t| = 1, as no shift or entry is NaN
+    sizes.append(u.size - sum(sizes))
     main = sizes.index(max(sizes))
-    angle, regime = held[main][1:]
+    angle, regime = _REGIMES[main]
     with np.errstate(invalid="ignore"):
         whole = regime, angle(u) if angle else None
-    others = [
-        (live, regime, angle(u[live]) if angle else None)
-        for r, (live, angle, regime) in enumerate(held)
-        if r != main and sizes[r]
-    ]
-    return b, flip, whole, others
+    others = []
+    for r, (angle, regime) in enumerate(_REGIMES):
+        if r != main and sizes[r]:
+            at = np.flatnonzero(held[r] if r < len(held) else u == 1.0)
+            others.append((at, at // u.shape[1], regime, angle(u.take(at)) if angle else None))
+    return signed, flip, whole, others
+
+
+def _run_end(q, before, after, ratio):
+    """A run's count at |t| and its last pivot over b, from a closed form's
+    crossings and ratio (see _jump)."""
+    below = np.maximum(after.astype(np.intp) - np.signbit(q), 0)
+    last = np.abs(ratio)
+    # np.where: a masked np.negative takes about three times as long
+    return below, np.where(after > before, -last, last)
 
 
 def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
@@ -405,16 +443,18 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
     solution of s[j+1] = 2t s[j] - s[j-1] (the Chebyshev recurrence) with
     s[0] = 1, s[1] = q. For t < 0 the sequence -q follows the same map at
     -t, so only |t| is solved, in the regime it falls in (_inside,
-    _outside, _edge). Whatever reads only the shifts (b, the flip, the
-    regimes and their angles) is the prelude, _prelude(a, c, shifts), which
-    a caller may compute once for several runs of the same a and c: the
-    bits are those of a fresh prelude.
+    _outside, _edge): q is the pivot over the signed b. Whatever reads only
+    the shifts (the signed b, the flip, the regimes and their angles) is
+    the prelude, _prelude(a, c, shifts), which a caller may compute once
+    for several runs of the same a and c: the bits are those of a fresh
+    prelude.
 
-    The main regime's closed form runs on every shift, and each other
-    regime's on its own shifts, whose results overwrite the main one's
-    there: a count whose shifts mostly fall in the band gathers only the
-    few outside it. Each shift gets the bits it gets alone, where its
-    regime is the only one.
+    The main regime's closed form runs on every shift. Each other regime's
+    runs on its own shifts, gathered by the prelude's indices (and the run
+    lengths by their lanes), and its counts and last pivots overwrite the
+    main one's there: a count whose shifts mostly fall in the band gathers
+    only the few outside it. Each shift gets the bits it gets alone, where
+    its regime is the only one.
 
     With cross[j] the sign changes of s[0..j], the run's count is
     cross[k+1] less one when the incoming pivot is negative (-0 included),
@@ -424,25 +464,18 @@ def _jump(pivot: np.ndarray, a, c, k, shifts: np.ndarray, prelude):
     twice: a last pivot of the wrong sign is tiny, and the next row undoes
     it. A last pivot of 0 carries the sign it was counted with.
     """
-    b, flip, (regime, angle), others = prelude
-    q = pivot / b
-    np.negative(q, out=q, where=flip)
-    if not others:
-        before, after, ratio = regime(angle, q, k)
-    else:
-        # the main closed form at other regimes' shifts gives NaN or inf,
-        # overwritten below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            before, after, ratio = regime(angle, q, k)
-        # _outside and _edge count in bools, _inside in floats
-        before, after = before.astype(float, copy=False), after.astype(float, copy=False)
-        lengths = np.broadcast_to(k, q.shape)
-        for live, regime, angle in others:
-            before[live], after[live], ratio[live] = regime(angle, q[live], lengths[live])
-    below = np.maximum(after.astype(np.intp) - np.signbit(q), 0)
-    last = np.abs(ratio)
-    np.negative(last, out=last, where=after > before)
-    return np.where(flip, k - below, below), np.where(flip, -b, b) * last
+    signed, flip, (regime, angle), others = prelude
+    q = pivot / signed
+    # the main closed form at other regimes' shifts gives NaN or inf,
+    # overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below, last = _run_end(q, *regime(angle, q, k))
+    for at, lane, regime, angle in others:
+        gathered = q.take(at)
+        counted, ended = _run_end(gathered, *regime(angle, gathered, k.take(lane)))
+        below.put(at, counted)
+        last.put(at, ended)
+    return np.where(flip, k - below, below), signed * last
 
 
 def _blocks(steps: list) -> list:
@@ -566,7 +599,8 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     if x not in (-math.inf, math.inf):
         x = _check_real("shift", x)
     x = float(x) + 0.0  # -0.0 + 0.0 is +0.0
-    return int(_plan_counts(_run_plan([t]), np.asarray([[x]]))[0, 0])
+    t, scale = _fitted(t)
+    return int(_plan_counts(_run_plan([t]), np.asarray([[x * scale]]))[0, 0])
 
 
 def _deeper(trees: int, depth: int, runs: bool) -> bool:
@@ -592,17 +626,21 @@ def _tree_depth(
     than 2**depth times wider than its stop cannot."""
     if not _deeper(trees, 1, runs):
         return 1, False
-    ratio = (width / stop)[active]
+    # an open bracket is wider than its stop and a closed one is not
+    ratio = width / stop
     widest, depth = ratio.max(), 1
     while depth < left and 2.0**depth < widest and _deeper(trees, depth, runs):
         depth += 1
-    return depth, depth > 1 and ratio.min() <= 2.0**depth
+    return depth, depth > 1 and ratio[active].min() <= 2.0**depth
 
 
-def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray):
-    """Width and stop (tol, or 4 ulps where larger) of brackets: open while width > stop."""
-    ulps = 4.0 * np.spacing(np.maximum(np.abs(lower), np.abs(upper)))
-    return upper - lower, np.maximum(tol, ulps)
+def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray, ulps: bool):
+    """Width and stop (tol, or 4 ulps where larger, read only if ulps) of
+    brackets: open while width > stop."""
+    if not ulps:
+        return upper - lower, tol
+    # max(-lower, upper) is max(|lower|, |upper|) as lower <= upper
+    return upper - lower, np.maximum(tol, 4.0 * np.spacing(np.maximum(-lower, upper)))
 
 
 def _scalar_bisection(lanes: list, wanted: list, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
@@ -673,37 +711,42 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     Every (lane, index) pair keeps its own bracket, started at the lane's
     padded Gershgorin interval and bisected until it is no wider than
     bisection_tol times max(1, Gershgorin span), or 4 ulps where that is
-    larger. All brackets advance in lockstep, and brackets on the same
-    interval of a lane share its midpoints: a round lays out the next levels
-    of the bisection tree of each distinct (lane, interval) bracket as
-    sorted breakpoints, counts them in one pass of the kernel (_plan_counts,
-    on the plan _run_plan cuts once per solve) and moves each bracket down
-    its tree in one descent, level by level as in plain bisection, whether
-    the counts rise or dip (possible from the closed-form jumps near an
+    larger (read only where 4 ulps of some lane's padded ends are larger).
+    All brackets advance in lockstep, and brackets on the same interval of
+    a lane share its midpoints: a round lays out the next levels of the
+    bisection tree of each distinct (lane, interval) bracket as sorted
+    breakpoints, counts them in one pass of the kernel (_plan_counts, on
+    the plan _run_plan cuts once per solve) and moves each bracket down its
+    tree in one descent, level by level as in plain bisection, whether the
+    counts rise or dip (possible from the closed-form jumps near an
     eigenvalue); the descent stops a bracket at the first closed node on
-    its path. A round's depth counts distinct brackets, each
-    lane padded to the widest lane's count: below order _RUN_PLAN_MIN_ORDER
-    it is as deep as the shift budget _MULTISECTION_WIDTH allows, and from
-    that order up as deep as gives the most levels per unit of a round's
-    cost (_ROUND_COST plus one per shift); a round deeper than one level
-    then holds at most 3,597 shifts. So while brackets are few (a full
-    spectrum's first rounds, or one index per lane) a round goes several
-    levels deep, but never deeper than the widest open bracket needs nor
-    past _MAX_BISECTION_STEPS levels in all, where a bracket still open
-    raises ConvergenceError. From order
+    its path. Parted brackets never share again: once sharing saves fewer
+    than _LAYOUT_COST shifts a round and one tree per bracket would take as
+    many levels, the call runs one tree per bracket. A round's depth counts
+    its trees, each lane padded to the widest lane's count: below order
+    _RUN_PLAN_MIN_ORDER it is as deep as the shift budget
+    _MULTISECTION_WIDTH allows, and from that order up as deep as gives the
+    most levels per unit of a round's cost (_ROUND_COST plus one per
+    shift); a round deeper than one level then holds at most 3,597 shifts.
+    So while brackets are few (a full spectrum's first rounds, or one index
+    per lane) a round goes several levels deep, but never deeper than the
+    widest open bracket needs nor past _MAX_BISECTION_STEPS levels in all,
+    where a bracket still open raises ConvergenceError. From order
     _RUN_PLAN_MIN_ORDER up, a count jumps a lane's uniform runs of rows in
     closed form, which can differ from walking every row only at shifts
-    within rounding of an eigenvalue. Below that order, a
-    call whose lanes x distinct indices x order is at most _SCALAR_MAX_WORK
-    runs no rounds: it walks each lane's tree one node at a time on Python
-    floats (_scalar_bisection), with the same midpoints, counts and stops,
-    so the same bits; its fixed cost is lower, and its cost per node
-    higher, than a round's (the constant has the crossover measurement). A
-    bracket's value depends only on its own lane and index, so asking for
-    one eigenvalue gives the same bits as reading it off the full spectrum.
+    within rounding of an eigenvalue. Below that order, a call whose lanes
+    x distinct indices x order is at most _SCALAR_MAX_WORK runs no rounds:
+    it walks each lane's tree one node at a time on Python floats
+    (_scalar_bisection), with the same midpoints, counts and stops, so the
+    same bits; its fixed cost is lower, and its cost per node higher, than
+    a round's (the constant has the crossover measurement). A bracket's
+    value depends only on its own lane and index, so asking for one
+    eigenvalue gives the same bits as reading it off the full spectrum.
     indices must be integers (not bools). A lane whose padded Gershgorin
     interval reaches past half the largest float raises ValueError: its
-    midpoints overflow.
+    midpoints overflow. A lane whose largest |lead| squares past the
+    largest float (above about 1.34e154) is solved times a power of two
+    and its values scaled back (_fitted); other lanes keep their bits.
     """
     cfg = config or DEFAULT_CONFIG
     lanes = list(lanes)
@@ -724,7 +767,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     # entries near the float limit overflow these sums to inf: such a lane
     # is rejected just below
     with np.errstate(over="ignore"):
-        lo, hi = _lane_bounds(lanes)
+        lo, hi, top = _lane_bounds(lanes)
         tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
@@ -736,6 +779,12 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             f"Gershgorin bound {reach:.3e} exceeds half the largest float: "
             "bisection midpoints would overflow"
         )
+    if top.max() > _LEAD_MAX:
+        # lanes whose squared leads overflow are solved scaled (_fitted),
+        # and their values scaled back
+        fitted = [_fitted(t) for t in lanes]
+        scales = np.array([scale for _, scale in fitted])
+        return lane_eigenvalues([t for t, _ in fitted], indices, cfg) / scales[:, None]
     if m < _RUN_PLAN_MIN_ORDER:
         picked = need.tolist()
         # a set, not np.unique, whose first call costs about 1 MB of RSS
@@ -750,13 +799,17 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     shape = (len(lanes), need.size)
     lower = np.repeat(lo, need.size)
     upper = np.repeat(hi, need.size)
+    # a bracket's 4 ulps are at most those of its lane's padded ends
+    ulps = not (4.0 * np.spacing(np.maximum(-lo, hi)) <= tol).all()
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
     plan = _run_plan(lanes)
     runs = m >= _RUN_PLAN_MIN_ORDER
-    width, stop = _stops(lower, upper, tol)
+    width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop
-    trees, tree_of, shared = lower.size, np.arange(lower.size), shape[1] > 1
+    # the layout: bracket j's tree is tree_of[j], each for one tree a bracket
+    each = np.arange(lower.size)
+    trees, tree_of, shared = lower.size, each, shape[1] > 1
     steps = 0
     while active.any():
         if steps >= _MAX_BISECTION_STEPS:
@@ -772,42 +825,55 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             per_lane = int(slot[:, -1].max()) + 1
             trees = shape[0] * per_lane
             tree_of = (np.arange(shape[0])[:, None] * per_lane + slot).ravel()
-            # a closed pair never moves, and open brackets once parted never
-            # share again: once only closed pairs share, this layout holds.
-            # Recomputing it every round instead made the radius-scan solves
-            # 1.02-1.13 times slower (paired medians of three measurements)
+            # a closed pair never moves: once only closed pairs share, this
+            # layout holds. Recomputing it every round instead made the
+            # radius-scan solves 1.02-1.13 times slower (paired medians of
+            # three measurements)
             shared = bool((active & ~distinct).any())
         left = _MAX_BISECTION_STEPS - steps
         depth, may_stop = _tree_depth(trees, width, stop, active, left, runs)
+        # parted brackets never share again, so the shifts a layout saves
+        # only fall: once too few, one tree per bracket for good
+        if (
+            tree_of is not each
+            and (lower.size - trees) * (2**depth - 1) < _LAYOUT_COST
+            and _tree_depth(lower.size, width, stop, active, left, runs)[0] == depth
+        ):
+            trees, tree_of, shared = lower.size, each, False
         steps += depth
         n = 2**depth
         # column r holds tree r's breakpoints in order: its ends, then level
         # by level the midpoint of every pair of neighbours s apart
         ends = np.zeros((n + 1, trees))
-        ends[0, tree_of] = lower
-        ends[n, tree_of] = upper
+        if tree_of is each:
+            ends[0], ends[n] = lower, upper
+        else:
+            ends[0, tree_of], ends[n, tree_of] = lower, upper
         for s in (n >> k for k in range(depth)):
             mid = ends[s // 2 :: s]
             np.multiply(np.add(ends[0:n:s], ends[s::s], out=mid), 0.5, out=mid)
-        # bracket j's tree has its count at breakpoint b in counts[base[j] + b]
-        counts = _plan_counts(plan, ends[1:n].T.reshape(shape[0], -1)).ravel()
-        base = tree_of * (n - 1) - 1
+        # counts[(b - 1) * trees + r] counts ends[b, r]: each lane's shifts
+        # go breakpoint by breakpoint, tree by tree
+        inner = ends[1:n].reshape(n - 1, shape[0], -1)
+        counts = _plan_counts(plan, inner.transpose(1, 0, 2).reshape(shape[0], -1))
+        counts = counts.reshape(shape[0], n - 1, -1).transpose(1, 0, 2).ravel()
         # each bracket descends its tree one level at a time, as plain
-        # bisection does, to node p .. p + half: left where the midpoint's
-        # count reaches its index, whether the counts rise or dip. An open
-        # bracket takes its node at the leaf and, where may_stop allows, at
-        # each level above it, so it stops at the first closed node on its
-        # path even where the ulp part of a deeper node's stop would let it
-        # reopen. Checking stops at every level of every round instead was
-        # 13 % slower on spectrum-large
-        p = 0
+        # bisection does, from node p = 0 to p .. p + half: right where the
+        # midpoint's count is below its index, whether the counts rise or
+        # dip. node carries p * trees + r, where ends holds p's value. An
+        # open bracket takes its node at the leaf and, where may_stop
+        # allows, at each level above it, so it stops at the first closed
+        # node on its path even where the ulp part of a deeper node's stop
+        # would let it reopen. Checking stops at every level of every round
+        # instead was 13 % slower on spectrum-large
+        node = tree_of
         for half in (n >> k for k in range(1, depth + 1)):
-            p = p + half * (counts.take(base + p + half) < need)
+            right = counts.take(node + (half - 1) * trees if half > 1 else node) < need
+            node = node + (half * trees) * right
             if may_stop or half == 1:
-                node = p * trees + tree_of
                 lower = np.where(active, ends.take(node), lower)
                 upper = np.where(active, ends.take(node + half * trees), upper)
-                width, stop = _stops(lower, upper, tol)
+                width, stop = _stops(lower, upper, tol, ulps)
                 active &= width > stop
     values = np.empty(shape)
     values[:, order] = (0.5 * (lower + upper)).reshape(shape)

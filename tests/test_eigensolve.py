@@ -375,16 +375,24 @@ class TestLaneEigenvalues:
             with pytest.raises(ValueError, match="half the largest float"):
                 lane_eigenvalues([SymTridiag(np.zeros(t.order), np.ones(t.order - 1)), t], [1])
 
-    def test_overflowing_offdiagonal_squares_are_rejected(self):
-        # the kernel reads squared off-diagonals: these squared to inf and
-        # gave [-2e160, 2e160, 2e160] with only a RuntimeWarning
+    def test_overflowing_offdiagonal_squares_are_scaled(self):
+        # the kernel reads squared off-diagonals: these square to inf (they
+        # once gave [-2e160, 2e160, 2e160] with only a RuntimeWarning, then
+        # raised), so such a lane is solved times a power of two
         t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
+        wide = SymTridiag(np.ones(6), [1e160] * 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for solve in (tridiag_eigenvalues, lambda t: sturm_count(t, 0.0),
-                          lambda t: lane_eigenvalues([GOLDEN, SymTridiag(np.ones(6), [1e160] * 5)], [1])):
-                with pytest.raises(ValueError, match="1.341e\\+154"):
-                    solve(t)
+            values = tridiag_eigenvalues(t)
+            together = lane_eigenvalues([GOLDEN, wide], [1, 6])
+            counts = [sturm_count(t, x) for x in (-2e160, -1e160, 0.5e160, 2e160)]
+        atol = 1e-12 * 1.5e160
+        assert np.allclose(values, np.linalg.eigvalsh(t.to_dense()), rtol=0.0, atol=atol)
+        expected = np.linalg.eigvalsh(wide.to_dense())[[0, 5]]
+        assert np.allclose(together[1], expected, rtol=0.0, atol=atol)
+        # the lane below the limit keeps its bits
+        assert np.array_equal(together[0], tridiag_eigenvalues(GOLDEN)[[0, 5]])
+        assert counts == [0, 1, 2, 3]
 
     def test_large_offdiagonal_below_the_limit_is_solved(self):
         t = SymTridiag([0.0, 1.0, 0.0], [1e150, 1e150])
@@ -505,6 +513,35 @@ class TestRoundDepth:
             assert np.array_equal(row, tridiag_eigenvalues(t, config)[np.subtract(indices, 1)])
         monkeypatch.setattr(eigensolve, "_tree_depth", lambda *args: (1, False))
         assert np.array_equal(got, lane_eigenvalues(lanes, indices, config))
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-300])
+    def test_dropped_layout_matches_one_level_per_round(self, monkeypatch, tol):
+        # an unbalanced quotient: its brackets share the layout in the first
+        # rounds, which it then drops while a pair still shares an interval
+        config = SolveConfig(bisection_tol=tol)
+        t = bug_tridiagonal(BugSpec(10**6, 1000, 37), 0.6)
+        kernel = eigensolve._plan_counts
+
+        def solve(cost, depth=eigensolve._tree_depth):
+            widths = []
+            monkeypatch.setattr(eigensolve, "_LAYOUT_COST", cost)
+            monkeypatch.setattr(eigensolve, "_tree_depth", depth)
+            monkeypatch.setattr(eigensolve, "_plan_counts",
+                                lambda plan, shifts: widths.append(shifts.size) or kernel(plan, shifts))
+            return tridiag_eigenvalues(t, config), widths
+
+        got, dropped = solve(eigensolve._LAYOUT_COST)
+        kept, shared = solve(0)
+        assert np.array_equal(got, kept)
+        assert len(dropped) == len(shared)
+        # 1001 brackets: one tree each once dropped, fewer where kept
+        later = [r for r, w in enumerate(dropped) if w % t.order == 0 and w > shared[r]]
+        assert later and 0 < later[0] < len(dropped) - 1
+        assert dropped[: later[0]] == shared[: later[0]]
+        assert np.array_equal(got, solve(eigensolve._LAYOUT_COST, lambda *args: (1, False))[0])
+        assert np.array_equal(got, solve(0, lambda *args: (1, False))[0])
+        for index in (1, 2, 37, 501, 1000, 1001):
+            assert lane_eigenvalues([t], [index], config)[0, 0] == got[index - 1]
 
     def test_depth_per_round(self):
         def depth(trees, runs, left=2200):
@@ -674,7 +711,8 @@ class TestRunPlanCounts:
     def test_runs_are_jumped_in_closed_form(self):
         t = bug_tridiagonal(BugSpec(1000, 200, 50), 0.3)
         lanes, steps, _ = one_group([t])
-        assert lanes.tolist() == [0]
+        # one group holds every lane by slice
+        assert lanes == slice(None)
         assert [None if k is None else int(k[0, 0]) for _, _, k, _ in steps] == [
             None, 48, None, None, None, 148, None,
         ]
@@ -821,6 +859,58 @@ class TestMainRegime:
                 # the sines' own error: end is rounded to its ulp
                 slack = np.spacing(end) / abs(np.sin(psi))
                 assert abs(ratio - sines) <= 1e-12 * abs(sines) + slack, (target, offset)
+
+
+def _lane_with_runs(runs, run_diag, run_lead, cells=(), m=96) -> SymTridiag:
+    """Order m: generic rows of diagonal 0 joined by leads 0.3 and 0.45 in
+    turn, except the runs, (start, rows) pairs of rows of diagonal run_diag
+    joined by run_lead, and the cells, (row, diagonal, lead) triples."""
+    diag, lead = np.zeros(m), np.resize([0.3, 0.45], m)
+    for start, rows in runs:
+        diag[start:start + rows], lead[start:start + rows] = run_diag, run_lead
+    for row, entry, joint in cells:
+        diag[row], lead[row] = entry, joint
+    return SymTridiag(diag, lead[1:])
+
+
+class TestRegimeSplit:
+    """A count finds each minority regime's shifts once, as flat indices and
+    their lanes, and every jump sharing its prelude gathers and writes back
+    by them: in a group of several lanes, each lane keeps its own bits."""
+
+    def test_multi_lane_group_matches_each_lane_alone(self, monkeypatch):
+        # one plan shape (two runs, 28 generic rows between them), with
+        # different run lengths per lane. Lane 0 lies within its runs'
+        # band |t| < 1, lane 1 mostly (two eigenvalues beyond it) and lane
+        # 2, whose runs sit at 50.123 with a lead of 1e-6, is asked for
+        # eigenvalues far from them
+        lanes = [
+            _lane_with_runs([(20, 2), (50, 4)], 0.0, 1.0),
+            _lane_with_runs([(20, 3), (51, 3)], 0.0, 1.0, [(40, 0.0, 2.5)]),
+            _lane_with_runs([(20, 4), (52, 2)], 50.123, 1e-6, [(60, 100.0, 0.45)]),
+        ]
+        indices = [1, 96, 48]
+        group, steps, slots = one_group(lanes)
+        assert group == slice(None) and slots == 1
+        assert [int(k[2, 0]) for _, _, k, _ in steps if k is not None] == [4, 2]
+        held = []
+        prelude = eigensolve._prelude
+
+        def spy(a, c, x):
+            u = np.abs((a - x) / (2.0 * np.sqrt(c)))
+            held.append([(int((row < 1.0).sum()), int((row > 1.0).sum())) for row in u])
+            return prelude(a, c, x)
+
+        monkeypatch.setattr(eigensolve, "_prelude", spy)
+        together = lane_eigenvalues(lanes, indices)
+        assert all(count[0][1] == 0 for count in held)
+        assert all(count[2][0] == 0 for count in held)
+        assert any(0 < count[1][1] < count[1][0] for count in held)
+        # the main regime is the band in some counts and outside it in others
+        assert {sum(i for i, _ in count) > sum(o for _, o in count) for count in held} == {True, False}
+        monkeypatch.undo()
+        for row, t in zip(together, lanes):
+            assert row.tobytes() == lane_eigenvalues([t], indices).tobytes()
 
 
 def _unit_pivot_lane(rng, m: int, zero_row: int) -> SymTridiag:
@@ -1080,13 +1170,18 @@ class TestScalarBisection:
             _, floats = _both_paths([t], np.arange(1, t.order + 1))
             assert np.array_equal(floats[0], plain_bisection_eigenvalues(t.diag, t.offdiag))
 
-    def test_overflowing_offdiagonal_squares_are_rejected(self, monkeypatch):
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
+    def test_overflowing_offdiagonal_squares_are_scaled(self, monkeypatch):
         t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="1.341e\\+154"):
-                tridiag_eigenvalues(t)
+        expected = np.linalg.eigvalsh(t.to_dense())
+        both = []
+        for work in (10**9, 0):
+            monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                both.append(tridiag_eigenvalues(t))
+            assert np.allclose(both[-1], expected, rtol=0.0, atol=1e-12 * 1.5e160)
+        # the walk and the rounds take the same scaled midpoints
+        assert both[0].tobytes() == both[1].tobytes()
 
     def test_step_cap_raises(self, monkeypatch):
         # GOLDEN's deepest bracket closes at level 44, and so does the top
