@@ -189,13 +189,13 @@ def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
     extremes = lane_eigenvalues(lanes, [1, bug.d + 1], solve)
     rows = []
     for alpha, (smallest, largest) in zip(cfg.alphas, extremes.tolist()):
-        closed = _closed_form(bug, alpha)
+        value, mult = closed_form(bug, alpha)
         rows.append(
             {
                 "alpha": alpha,
                 "rho": largest,
-                "closed_form": None if closed is None else closed["value"],
-                "closed_mult": 0 if closed is None else closed["multiplicity"],
+                "closed_form": value if mult else None,
+                "closed_mult": mult,
                 "min_quotient": smallest,
             }
         )
@@ -427,8 +427,18 @@ def _config_from_namespace(ns: argparse.Namespace) -> JobConfig:
     """The parsed flags as a job: the CLI and batch share one validator."""
     fields = {k: v for k, v in vars(ns).items() if k not in ("fmt", "output")}
     if fields.get("alphas") is not None:
-        fields["alphas"] = [float(s) for s in fields["alphas"].split(",") if s.strip()]
+        items = fields["alphas"].split(",")
+        fields["alphas"] = [_list_item("alphas", s) for s in items if s.strip()]
     return replace(job_from_dict(fields), fmt=ns.fmt, output=ns.output)
+
+
+def _list_item(key, text) -> float:
+    """One item of a comma-separated flag as a finite float. The error
+    names the field and echoes the item as given: "1e400" parses to inf."""
+    try:
+        return _check_real(f"'{key}'", float(text))
+    except ValueError:
+        raise ValueError(f"'{key}' must be a finite number, got {text!r}") from None
 
 
 def _integer(key, value):

@@ -89,9 +89,20 @@ class TestSpectrumCommand:
         mults = [e["multiplicity"] for e in payload["dense_spectrum"]]
         assert mults == [1, 3, 1]
 
-    def test_method_all_verifies(self, capsys):
-        code, payload = run_json(capsys, *GOLDEN_ARGS[:-2], "--alpha", "0.6",
-                                 "--method", "all")
+    @pytest.mark.parametrize("n, d, i, alpha", [
+        (11, 5, 2, 0.6),
+        # past the n <= 12 oracle grid, the bound of every other dense check
+        (40, 20, 7, 0.4),
+        # the one dense check of an edge list above the order-64 run-plan
+        # gate: the order-81 quotient is a run plan with two runs of equal
+        # entries (one shared jump prelude per count, rounds as deep as
+        # their cost sets)
+        (100, 80, 20, 0.4),
+    ])
+    def test_method_all_verifies(self, capsys, n, d, i, alpha):
+        """The dense edge-list spectrum matches the structured one."""
+        code, payload = run_json(capsys, "spectrum", "--n", str(n), "--d", str(d),
+                                 "--i", str(i), "--alpha", str(alpha), "--method", "all")
         assert code == 0
         v = payload["verification"]
         assert v["matched"] is True
@@ -220,6 +231,41 @@ class TestSweepCommand:
         code, _ = run_cli(capsys, "sweep", "--n", "11", "--d", "5", "--i", "2",
                           "--alphas", "0.2,1.0")
         assert code == 2
+
+    @pytest.mark.parametrize("item", ["abc", "1e400"])
+    def test_unreadable_alpha_names_the_field(self, capsys, item):
+        # "abc" gave float()'s message and "1e400" echoed the inf it parses to
+        code = main(["sweep", "--n", "11", "--d", "5", "--i", "2", "--alphas", "0.5," + item])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: 'alphas' must be a finite number, got '{item}'\n"
+
+    @pytest.mark.parametrize("n, d, i, alphas, tol", [
+        # at the 4-ulp stop, one multi-lane call on order-81 run plans, whose
+        # brackets stop above their leaves
+        (100000, 80, 20, "0,0.5,0.9", "1e-300"),
+        # order 1001 at the default stop: the sweep's counts mostly fall
+        # outside the band |t| < 1 and the full spectra's mostly inside it
+        # (each count solves the regime holding the most shifts on all of them)
+        (1000000, 1000, 500, "0,0.6,0.95", None),
+        # each spectrum (1 x 17 x 17 = 289) bisects on Python floats and the
+        # sweep (16 x 2 x 17 = 544) in multisection rounds: the two sides of
+        # _SCALAR_MAX_WORK, with no switch set
+        (40, 16, 5, ",".join(f"{k / 20:g}" for k in range(16)), None),
+    ], ids=["order-81-at-4-ulps", "order-1001", "two-bisection-paths"])
+    def test_rows_print_as_each_alphas_spectrum(self, capsys, monkeypatch, n, d, i, alphas, tol):
+        """Each sweep row prints its alpha's rho and smallest quotient
+        eigenvalue as that alpha's spectrum command does."""
+        if tol is not None:
+            monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", tol)
+        bug = ["--n", str(n), "--d", str(d), "--i", str(i)]
+        code, sweep = run_json(capsys, "sweep", *bug, "--alphas", alphas)
+        assert code == 0 and len(sweep["rows"]) == len(alphas.split(","))
+        for row, alpha in zip(sweep["rows"], alphas.split(",")):
+            code, spectrum = run_json(capsys, "spectrum", *bug, "--alpha", alpha)
+            assert code == 0 and row["alpha"] == spectrum["input"]["alpha"]
+            assert row["rho"] == spectrum["rho"], row
+            assert row["min_quotient"] == spectrum["quotient_eigenvalues"][0], row
 
 
 class TestScanCommand:
