@@ -17,10 +17,11 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   equal rows in closed form, computing what a jump reads of the shifts
   alone once for all runs of equal entries (the two paths of a bug
   quotient); a small call (below order 64, with
-  lanes x distinct indices x order at most _SCALAR_MAX_WORK, as for a
-  full spectrum of any bug with n <= 12 on its own) instead walks each
-  bisection tree on Python floats, one scalar Sturm count per node, with
-  the same bits,
+  lanes x distinct indices x order at most _SCALAR_MAX_WORK = 800, as for
+  a full spectrum up to order 28, an 8-alpha sweep up to order 50 or a
+  scan up to order 40) instead walks each bisection tree on Python floats,
+  one scalar Sturm count per node, with the same bits, in 0.66-1.01 of
+  the rounds' time per call at work 200-1000 (medians),
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -207,12 +208,15 @@ _RUN_PLAN_MIN_ORDER = 64
 # per tree node, instead of in multisection rounds, each a few dozen numpy
 # calls on arrays of a few rows. Per call, Python-float time over round time
 # on bug quotients (rho alone, full spectra, 8-alpha sweeps and scans of
-# order 4-63; 2-core x86-64, Python 3.11, numpy 2.4): 0.11-0.80 at work
-# below 200, 0.81-1.04 at 200-500, 0.90-1.50 at 500-800 and 1.28-2.77 from
-# 800 up. Work counts each leaf's row steps, the walk's cost, but not the
-# rounds' fixed cost, so it splits the calls only roughly; they cross near
-# 400.
-_SCALAR_MAX_WORK = 400
+# order 4-63, 240 calls; 2-core x86-64, Python 3.11, numpy 2.4; medians of
+# two measurements): 0.16-0.17 at work below 200, 0.66 at 200-400,
+# 0.79-0.83 at 400-600, 0.90-0.92 at 600-800, 0.96-1.01 at 800-1000 and
+# 1.30-1.35 at 1000-1400. Work counts each leaf's row steps, the walk's
+# cost, but not the rounds' fixed cost, so it splits the calls only roughly
+# (scans and full spectra cross near 700, sweeps near 1,000); summed over
+# those calls, and over the bench's radius-scan calls, the time is least
+# with the bound at 800-900.
+_SCALAR_MAX_WORK = 800
 # The count kernel forms a - x for up to this many generic rows in one
 # subtract and counts their signs in one pass, so its buffer is at most
 # this many rows of shifts, whatever the order.
@@ -226,14 +230,14 @@ def _lane_runs(lanes: list):
     return diag, lead, reps, first
 
 
-def _lane_bounds(lanes: list):
+def _lane_bounds(runs: tuple):
     """Gershgorin ends of each lane, and its largest |lead|: three arrays
-    of shape (L,).
+    of shape (L,), from the lanes' runs (_lane_runs).
 
     A run stands in for at most three rows: its first and inner rows have
     radius 2 |lead|, its last |lead| plus the next run's lead, which is the
     0 of the next lane's row 0 at a lane's end."""
-    diag, lead, reps, first = _lane_runs(lanes)
+    diag, lead, reps, first = runs
     mag = np.abs(lead)
     radius = mag + np.append(mag[1:], 0.0)
     np.maximum(radius, mag + mag, out=radius, where=reps > 1)
@@ -246,7 +250,7 @@ def _lane_bounds(lanes: list):
 
 def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
     """A closed interval [lo, hi] containing every eigenvalue of t."""
-    lo, hi, _ = _lane_bounds([t])
+    lo, hi, _ = _lane_bounds(_lane_runs([t]))
     return float(lo[0]), float(hi[0])
 
 
@@ -277,9 +281,10 @@ def _lead_squares(lead: np.ndarray):
     return lead_sq, np.maximum(lead_sq, np.finfo(float).smallest_subnormal)
 
 
-def _run_plan(lanes: list) -> list:
+def _run_plan(runs: tuple, order: int) -> list:
     """Cut each lane's rows into generic rows and uniform runs, and group
-    the lanes whose cuts have the same shape.
+    the lanes whose cuts have the same shape: runs are the lanes' runs
+    (_lane_runs) and order their order.
 
     A run is a maximal stretch of two or more rows j >= 1 that share their
     diagonal entry and squared lead, and the lead is nonzero; every other
@@ -297,10 +302,10 @@ def _run_plan(lanes: list) -> list:
     square root, 2.3e-162. A lead above _LEAD_MAX would square to inf and
     make every count wrong: callers scale such lanes first (_fitted).
     """
-    diag, lead, reps, first = _lane_runs(lanes)
+    diag, lead, reps, first = runs
     lead_sq, floored = _lead_squares(lead)
-    if lanes[0].order < _RUN_PLAN_MIN_ORDER:
-        diag, floored = (np.repeat(v, reps).reshape(len(lanes), -1) for v in (diag, floored))
+    if order < _RUN_PLAN_MIN_ORDER:
+        diag, floored = (np.repeat(v, reps).reshape(first.size, -1) for v in (diag, floored))
         steps = [(diag[:, j:j + 1], floored[:, j:j + 1], None) for j in range(diag.shape[1])]
         return [_group(slice(None), steps)]
     # a run continues the stretch of the run before it; row 0's lead of 0
@@ -313,7 +318,7 @@ def _run_plan(lanes: list) -> list:
     # lane l holds stretches bounds[l] .. bounds[l+1] - 1
     bounds = np.searchsorted(starts, np.append(first, diag.size))
     groups: dict[bytes, list] = {}
-    for lane in range(len(lanes)):
+    for lane in range(first.size):
         groups.setdefault(is_run[bounds[lane]:bounds[lane + 1]].tobytes(), []).append(lane)
     plan = []
     for shape, members in groups.items():
@@ -600,7 +605,7 @@ def sturm_count(t: SymTridiag, x: float) -> int:
         x = _check_real("shift", x)
     x = float(x) + 0.0  # -0.0 + 0.0 is +0.0
     t, scale = _fitted(t)
-    return int(_plan_counts(_run_plan([t]), np.asarray([[x * scale]]))[0, 0])
+    return int(_plan_counts(_run_plan(_lane_runs([t]), t.order), np.asarray([[x * scale]]))[0, 0])
 
 
 def _deeper(trees: int, depth: int, runs: bool) -> bool:
@@ -643,38 +648,45 @@ def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray, ulps: bool):
     return upper - lower, np.maximum(tol, 4.0 * np.spacing(np.maximum(-lower, upper)))
 
 
-def _scalar_bisection(lanes: list, wanted: list, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
+def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
     """The wanted eigenvalues (1-based indices, ascending and distinct) of
     lanes below _RUN_PLAN_MIN_ORDER, one dict per lane from index to value,
-    bisected on Python floats from lane_eigenvalues's brackets lo..hi and
-    tolerances tol.
+    bisected on Python floats from the lanes' runs (_lane_runs) and
+    lane_eigenvalues's brackets lo..hi, tolerances tol and 4-ulp flags ulps
+    (arrays of shape (L,)).
 
     Walks each lane's bisection tree one node at a time, with one Sturm
     count per node: the row loop of _walk on scalars, (x - a) - c/n with c
     the floored squared lead. A zero pivot's quotient is inf of its sign, as
-    c/(+-0) is in numpy. A node's indices go left where the count at its
-    midpoint reaches them, as in the tree descent, and a node stops where
-    _stops would close it, so every value has the multisection rounds' bits.
+    c/(+-0) is in numpy: Python raises ZeroDivisionError there, and the row
+    is finished from that inf. A node's indices go left where the count at
+    its midpoint reaches them, as in the tree descent, and a node stops
+    where _stops would close it, so every value has the multisection
+    rounds' bits.
     A node still open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
     """
-    diag, lead, reps, _ = _lane_runs(lanes)
-    shape = (len(lanes), -1)
+    diag, lead, reps, first = runs
+    shape = (first.size, -1)
     rows = np.repeat(diag, reps).reshape(shape).tolist()
     squares = np.repeat(_lead_squares(lead)[1], reps).reshape(shape).tolist()
     found = []
-    for a, c, start, end, stop in zip(rows, squares, lo.tolist(), hi.tolist(), tol.tolist()):
-        first, rest = a[0], list(zip(a[1:], c[1:]))
+    for a, c, start, end, stop, near in zip(
+        rows, squares, lo.tolist(), hi.tolist(), tol.tolist(), ulps.tolist()
+    ):
+        top, rest = a[0], list(zip(a[1:], c[1:]))
         values = {}
         # a node descends to its left child and leaves its right child here
         # when the indices split between them
         nodes = [(start, end, 0, wanted)]
         while nodes:
             lower, upper, depth, indices = nodes.pop()
+            least, most = indices[0], indices[-1]
             while True:
                 width = upper - lower
-                # _stops: max(-lower, upper) is max(|lower|, |upper|) as
-                # lower <= upper, and math.ulp is np.spacing on it
-                if width <= stop or width <= 4.0 * math.ulp(max(-lower, upper)):
+                # _stops, read only in a lane whose 4 ulps can bind:
+                # max(-lower, upper) is max(|lower|, |upper|) as lower <=
+                # upper, and math.ulp is np.spacing on it
+                if width <= stop or (near and width <= 4.0 * math.ulp(max(-lower, upper))):
                     values.update(dict.fromkeys(indices, 0.5 * (lower + upper)))
                     break
                 if depth >= _MAX_BISECTION_STEPS:
@@ -683,19 +695,31 @@ def _scalar_bisection(lanes: list, wanted: list, lo: np.ndarray, hi: np.ndarray,
                     )
                 depth += 1
                 x = (lower + upper) * 0.5
-                pivot = x - first
+                pivot = x - top
                 below = pivot >= 0.0
-                for entry, square in rest:
-                    pivot = (x - entry) - (square / pivot if pivot else math.copysign(math.inf, pivot))
-                    if pivot >= 0.0:
-                        below += 1
-                split = bisect.bisect_right(indices, below)
-                if split == 0:
+                steps = iter(rest)
+                while True:
+                    try:
+                        for entry, square in steps:
+                            pivot = (x - entry) - square / pivot
+                            if pivot >= 0.0:
+                                below += 1
+                        break
+                    except ZeroDivisionError:
+                        # the row's quotient is inf of the zero pivot's sign
+                        # (c > 0), so its pivot is -inf after +0 and +inf
+                        # after -0; the loop resumes at the next row
+                        pivot = -math.copysign(math.inf, pivot)
+                        below += pivot > 0.0
+                # the indices reached are those up to below
+                if below < least:
                     lower = x
                     continue
-                if split < len(indices):
+                if below < most:
+                    split = bisect.bisect_right(indices, below)
                     nodes.append((x, upper, depth, indices[split:]))
                     indices = indices[:split]
+                    most = indices[-1]
                 upper = x
         found.append(values)
     return found
@@ -767,7 +791,8 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     # entries near the float limit overflow these sums to inf: such a lane
     # is rejected just below
     with np.errstate(over="ignore"):
-        lo, hi, top = _lane_bounds(lanes)
+        runs = _lane_runs(lanes)
+        lo, hi, top = _lane_bounds(runs)
         tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
@@ -785,12 +810,15 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
         fitted = [_fitted(t) for t in lanes]
         scales = np.array([scale for _, scale in fitted])
         return lane_eigenvalues([t for t, _ in fitted], indices, cfg) / scales[:, None]
+    # a bracket's 4 ulps are at most those of its lane's padded ends, so the
+    # 4-ulp stop can bind only in lanes where those exceed tol
+    ulps = 4.0 * np.spacing(np.maximum(-lo, hi)) > tol
     if m < _RUN_PLAN_MIN_ORDER:
         picked = need.tolist()
         # a set, not np.unique, whose first call costs about 1 MB of RSS
         wanted = sorted(set(picked))
         if len(lanes) * len(wanted) * m <= _SCALAR_MAX_WORK:
-            found = _scalar_bisection(lanes, wanted, lo, hi, tol)
+            found = _scalar_bisection(runs, wanted, lo, hi, tol, ulps)
             return np.array([[values[k] for k in picked] for values in found])
     # one bracket per (lane, index), flattened lane-major and, within a
     # lane, in ascending index order: brackets that share an interval are
@@ -799,12 +827,11 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     shape = (len(lanes), need.size)
     lower = np.repeat(lo, need.size)
     upper = np.repeat(hi, need.size)
-    # a bracket's 4 ulps are at most those of its lane's padded ends
-    ulps = not (4.0 * np.spacing(np.maximum(-lo, hi)) <= tol).all()
+    ulps = bool(ulps.any())
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
-    plan = _run_plan(lanes)
-    runs = m >= _RUN_PLAN_MIN_ORDER
+    plan = _run_plan(runs, m)
+    jumps = m >= _RUN_PLAN_MIN_ORDER
     width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop
     # the layout: bracket j's tree is tree_of[j], each for one tree a bracket
@@ -831,13 +858,13 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             # three measurements)
             shared = bool((active & ~distinct).any())
         left = _MAX_BISECTION_STEPS - steps
-        depth, may_stop = _tree_depth(trees, width, stop, active, left, runs)
+        depth, may_stop = _tree_depth(trees, width, stop, active, left, jumps)
         # parted brackets never share again, so the shifts a layout saves
         # only fall: once too few, one tree per bracket for good
         if (
             tree_of is not each
             and (lower.size - trees) * (2**depth - 1) < _LAYOUT_COST
-            and _tree_depth(lower.size, width, stop, active, left, runs)[0] == depth
+            and _tree_depth(lower.size, width, stop, active, left, jumps)[0] == depth
         ):
             trees, tree_of, shared = lower.size, each, False
         steps += depth

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import alphabug.eigensolve as eigensolve
 from alphabug.cli import build_parser, main
 
 GOLDEN_ARGS = ["spectrum", "--n", "11", "--d", "5", "--i", "2", "--alpha", "0.6"]
@@ -240,30 +241,44 @@ class TestSweepCommand:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: 'alphas' must be a finite number, got '{item}'\n"
 
-    @pytest.mark.parametrize("n, d, i, alphas, tol", [
+    @pytest.mark.parametrize("n, d, i, alphas, tol, walks", [
         # at the 4-ulp stop, one multi-lane call on order-81 run plans, whose
         # brackets stop above their leaves
-        (100000, 80, 20, "0,0.5,0.9", "1e-300"),
+        (100000, 80, 20, "0,0.5,0.9", "1e-300", False),
         # order 1001 at the default stop: the sweep's counts mostly fall
         # outside the band |t| < 1 and the full spectra's mostly inside it
         # (each count solves the regime holding the most shifts on all of them)
-        (1000000, 1000, 500, "0,0.6,0.95", None),
+        (1000000, 1000, 500, "0,0.6,0.95", None, False),
         # each spectrum (1 x 17 x 17 = 289) bisects on Python floats and the
-        # sweep (16 x 2 x 17 = 544) in multisection rounds: the two sides of
-        # _SCALAR_MAX_WORK, with no switch set
-        (40, 16, 5, ",".join(f"{k / 20:g}" for k in range(16)), None),
+        # sweep (32 x 2 x 17 = 1,088) in multisection rounds: the two sides
+        # of _SCALAR_MAX_WORK (800), with no switch set
+        (40, 16, 5, ",".join(f"{k / 40:g}" for k in range(32)), None, True),
     ], ids=["order-81-at-4-ulps", "order-1001", "two-bisection-paths"])
-    def test_rows_print_as_each_alphas_spectrum(self, capsys, monkeypatch, n, d, i, alphas, tol):
+    def test_rows_print_as_each_alphas_spectrum(self, capsys, monkeypatch, n, d, i, alphas, tol,
+                                                walks):
         """Each sweep row prints its alpha's rho and smallest quotient
-        eigenvalue as that alpha's spectrum command does."""
+        eigenvalue as that alpha's spectrum command does. The sweep counts
+        in the count kernel, and each spectrum does too unless it walks on
+        Python floats."""
         if tol is not None:
             monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", tol)
+        tally = {"calls": 0}
+        kernel = eigensolve._plan_counts
+
+        def counted(plan, shifts):
+            tally["calls"] += 1
+            return kernel(plan, shifts)
+
+        monkeypatch.setattr(eigensolve, "_plan_counts", counted)
         bug = ["--n", str(n), "--d", str(d), "--i", str(i)]
         code, sweep = run_json(capsys, "sweep", *bug, "--alphas", alphas)
         assert code == 0 and len(sweep["rows"]) == len(alphas.split(","))
+        assert tally["calls"] > 0
         for row, alpha in zip(sweep["rows"], alphas.split(",")):
+            tally["calls"] = 0
             code, spectrum = run_json(capsys, "spectrum", *bug, "--alpha", alpha)
             assert code == 0 and row["alpha"] == spectrum["input"]["alpha"]
+            assert (tally["calls"] == 0) == walks
             assert row["rho"] == spectrum["rho"], row
             assert row["min_quotient"] == spectrum["quotient_eigenvalues"][0], row
 

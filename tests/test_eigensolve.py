@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import alphabug.eigensolve as eigensolve
 from alphabug import (
+    DEFAULT_CONFIG,
     BugSpec,
     ConvergenceError,
     SolveConfig,
@@ -47,7 +48,7 @@ def random_tridiag(rng, m):
 def one_group(lanes):
     """The one group _run_plan makes of lanes: its lanes, its steps as
     (a, c, k, slot) read from its blocks, and its prelude slot count."""
-    (group, blocks, slots), = eigensolve._run_plan(lanes)
+    (group, blocks, slots), = eigensolve._run_plan(eigensolve._lane_runs(lanes), lanes[0].order)
     return group, [step for block, _ in blocks for step in block], slots
 
 
@@ -1104,49 +1105,62 @@ class TestZeroPivots:
         assert sturm_count(t, 1e150) == 40
 
 
-def _both_paths(lanes, indices):
+def _both_paths(lanes, indices, config=None):
     """lane_eigenvalues in multisection rounds (work bound 0) and on Python
     floats (work bound past any call, and the count kernel forbidden below
-    the gate, where it must not run)."""
+    the gate, where it must not run), both with config."""
     def forbidden(plan, shifts):
         raise AssertionError("the count kernel ran on the Python-float path")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
-        rounds = lane_eigenvalues(lanes, indices)
+        rounds = lane_eigenvalues(lanes, indices, config)
         mp.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
         if lanes[0].order < eigensolve._RUN_PLAN_MIN_ORDER:
             mp.setattr(eigensolve, "_plan_counts", forbidden)
-        floats = lane_eigenvalues(lanes, indices)
+        floats = lane_eigenvalues(lanes, indices, config)
     assert rounds.shape == floats.shape == (len(lanes), len(indices))
     return rounds, floats
 
 
+# the default stop, and one below an ulp everywhere: every bracket then
+# stops at 4 ulps of its ends
+_BOTH_STOPS = (DEFAULT_CONFIG, SolveConfig(bisection_tol=1e-300))
+
+
 class TestScalarBisection:
     """Below the run-plan gate, a call whose lanes x distinct indices x
-    order is at most _SCALAR_MAX_WORK walks each bisection tree on Python
-    floats, one count per node. Its values have the rounds' bits."""
+    order is at most _SCALAR_MAX_WORK (800) walks each bisection tree on
+    Python floats, one count per node. Its values have the rounds' bits,
+    at the default stop and at the 4-ulp stop. Per call on bug quotients,
+    the walk took 0.66 of the rounds' time at work 200-400, 0.79-0.83 at
+    400-600, 0.90-0.92 at 600-800 and 0.96-1.01 at 800-1000 (medians of two
+    measurements; 1.30-1.35 at 1000-1400), which is why the bound sits
+    there."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_counts())
     def test_same_bits_on_small_counts(self, problem):
         t, _ = problem
-        rounds, floats = _both_paths([t], np.arange(1, t.order + 1))
-        assert rounds.tobytes() == floats.tobytes()
+        for config in _BOTH_STOPS:
+            rounds, floats = _both_paths([t], np.arange(1, t.order + 1), config)
+            assert rounds.tobytes() == floats.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(half_integer_counts())
     def test_same_bits_with_zero_offdiagonals_and_zero_pivots(self, problem):
         t, _ = problem
-        rounds, floats = _both_paths([t], np.arange(1, t.order + 1))
-        assert rounds.tobytes() == floats.tobytes()
+        for config in _BOTH_STOPS:
+            rounds, floats = _both_paths([t], np.arange(1, t.order + 1), config)
+            assert rounds.tobytes() == floats.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(ordered_lane_problems())
     def test_same_bits_on_lanes_with_repeated_unsorted_indices(self, problem):
         lanes, indices = problem
-        rounds, floats = _both_paths(lanes, indices)
-        assert rounds.tobytes() == floats.tobytes()
+        for config in _BOTH_STOPS:
+            rounds, floats = _both_paths(lanes, indices, config)
+            assert rounds.tobytes() == floats.tobytes()
 
     def test_same_bits_on_several_bug_lanes(self):
         lanes = [bug_tridiagonal(BugSpec(30, 12, i), alpha) for i in (1, 3, 6) for alpha in (0.0, 0.5)]
@@ -1160,8 +1174,46 @@ class TestScalarBisection:
                 if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
                     lanes.append(halved_tridiagonal(b.n, b.d, alpha))
                 for t in lanes:
-                    rounds, floats = _both_paths([t], np.arange(1, t.order + 1))
-                    assert rounds.tobytes() == floats.tobytes(), (b, alpha, t.order)
+                    for config in _BOTH_STOPS:
+                        rounds, floats = _both_paths([t], np.arange(1, t.order + 1), config)
+                        assert rounds.tobytes() == floats.tobytes(), (b, alpha, t.order, config)
+
+    def test_same_bits_where_the_ulp_stop_binds_in_one_lane(self):
+        # near 1e6 an ulp is 1.2e-10, so 4 ulps pass the default stop of
+        # 1e-13 times the span 3: that lane's brackets stop at 4 ulps. The
+        # other lane's 4 ulps stay below its stop, so there the clause
+        # never binds and the walk skips it
+        near = SymTridiag([1e6, 1e6 + 1, 1e6 + 2], [0.5, 0.5])
+        far = SymTridiag([0.0, 1.0, 2.0], [0.5, 0.5])
+        binds = []
+        for t in (near, far):
+            lo, hi = gershgorin_interval(t)
+            binds.append(4.0 * math.ulp(max(-lo, hi)) > DEFAULT_CONFIG.bisection_tol * (hi - lo))
+        assert binds == [True, False]
+        rounds, floats = _both_paths([near, far], [3, 1, 2, 1])
+        assert rounds.tobytes() == floats.tobytes()
+        for row, t in zip(floats, (near, far)):
+            expected = np.linalg.eigvalsh(t.to_dense())
+            assert np.allclose(row[[1, 2, 0]], expected, rtol=0, atol=1e-9)
+
+    def test_same_bits_where_a_zero_pivot_is_met_mid_walk(self):
+        # Each lane's Gershgorin interval is symmetric about 0 (padded
+        # alike at both ends), so its root midpoint is exactly 0. On
+        # path_zero the pivots at 0 are +0, then c/(+0) makes -inf, then
+        # (0 - 0) - 1/(-inf) = +0 again: rows 1 and 3 divide by +0. On
+        # later_zero the pivots at 0 are -1, then (0 - 1) - 1/(-1) = +0
+        # after a nonzero row, so row 2 divides by +0, and the last pivot is
+        # (0 + 1) - 1/1 = +0
+        path_zero = SymTridiag(np.zeros(5), np.ones(4))
+        later_zero = SymTridiag([1.0, 1.0, 0.0, -1.0, -1.0], np.ones(4))
+        for t in (path_zero, later_zero):
+            lo, hi = gershgorin_interval(t)
+            assert lo == -hi
+        assert sturm_count(path_zero, 0.0) == 3 and sturm_count(later_zero, 0.0) == 3
+        rounds, floats = _both_paths([path_zero, later_zero], np.arange(1, 6))
+        assert rounds.tobytes() == floats.tobytes()
+        for row, t in zip(floats, (path_zero, later_zero)):
+            assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag))
 
     @pytest.mark.parametrize("m", [2, 3, 7, 16, 40, _BELOW_GATE])
     def test_matches_plain_bisection(self, m):

@@ -285,7 +285,7 @@ def test_halved_and_inner_matrices_fold_the_balanced_quotient():
 
 
 def _plan_steps(t):
-    (_, blocks, _), = eigensolve._run_plan([t])
+    (_, blocks, _), = eigensolve._run_plan(eigensolve._lane_runs([t]), t.order)
     steps = [step for block, _ in blocks for step in block]
     return [(a.tolist(), c.tolist(), None if k is None else k.tolist()) for a, c, k, _ in steps]
 
