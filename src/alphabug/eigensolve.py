@@ -7,9 +7,8 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   bounds and count plans read directly: one routine solves selected
   eigenvalues of several tridiagonals of the same order in lockstep, each
   round evaluating the next levels of every distinct bracket's bisection
-  tree once and moving each bracket down its tree in one step, as many
-  levels as a shift budget allows below order 64 and, from order 64 up, as
-  many as give the most levels per unit of a round's cost; every count goes
+  tree once and moving each bracket down its tree in one step, as deep as
+  gives the most levels per unit of a round's cost; every count goes
   through one kernel, which forms x - a for up to 64 rows at a time, steps
   the negated pivot recurrence with two numpy calls per row, counts signs
   once per block, carries an exact zero pivot by IEEE signed zeros and
@@ -148,34 +147,25 @@ class SolveConfig:
 DEFAULT_CONFIG = SolveConfig()
 
 
-# Shifts per round on plans of row steps (below _RUN_PLAN_MIN_ORDER). Up to
-# several hundred, a Sturm row and a round's bookkeeping (a handful of numpy
-# calls, plus two per tree level) cost about the same however many: numpy's
-# per-call overhead dominates. The budget counts distinct brackets' trees,
-# so a round with few takes several levels; from 171 up, one. On the bench
-# workloads (2-core x86-64, numpy 2.4) 512 beats 256 by 4-11 %, and 1024
-# loses 9 % to it on scans and sweeps. Row-step plans keep this budget, not
-# _deeper's run-plan cost rule: under that rule the radius-scan solves of
-# seeds 1-2 took 1,368 count calls (not 1,456) but 666,739 shifts (not
-# 581,381), and 1.01-1.07 times the time (paired medians of two
-# measurements).
-_MULTISECTION_WIDTH = 512
-# On run plans (from _RUN_PLAN_MIN_ORDER up) a round costs a fixed part, in
-# shifts' worth, plus one per shift, and _deeper takes the depth with the
-# most levels per unit of that cost: 8 levels for one tree, 3 for 100, 2 up
-# to 1,199 and 1 from 1,200. Fitted over the rounds of full spectra solved
-# at that depth and at one level per round (B(10^6, 1000, 500) at alpha
-# 0.6, B(10^5, 300, 40) at 0.2, B(10^6, 150, 75) at 0.9; 2-core x86-64,
-# Python 3.11, numpy 2.4; least CPU time of 41 solves per round, three
-# fits), a round's fixed part is 145-160 us (a count kernel call 105-120 us
-# of it) and a shift 0.12-0.14 us, a ratio of 1,100-1,250 (on a busier host
-# 160-290 us and 0.10-0.21 us). Interleaved in-process passes over the
-# spectrum-large jobs took 1.01-1.04, 0.99-1.01 and 1.02-1.04 times as long
-# at 800, 1,600 and 2,400 as at 1,200. A round goes past one
-# level only while trees < _ROUND_COST, so a deeper round holds at most
-# 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees), and the
-# count kernel's buffer (_BLOCK_ROWS rows of shifts) stays within 2 MiB; one
-# level is always taken.
+# A round costs a fixed part, in shifts' worth, plus one per shift, and
+# _deeper takes the depth with the most levels per unit of that cost: 8 levels
+# for one tree, 3 for 100, 2 up to 1,199 and 1 from 1,200. On run plans (from
+# _RUN_PLAN_MIN_ORDER up), fitted over the rounds of full spectra solved at
+# that depth and at one level per round (B(10^6, 1000, 500) at alpha 0.6,
+# B(10^5, 300, 40) at 0.2, B(10^6, 150, 75) at 0.9; 2-core x86-64, Python
+# 3.11, numpy 2.4; least CPU time of 41 solves per round, three fits), a
+# round's fixed part is 145-160 us (a count kernel call 105-120 us of it) and
+# a shift 0.12-0.14 us, a ratio of 1,100-1,250 (on a busier host 160-290 us
+# and 0.10-0.21 us). Interleaved in-process passes over the spectrum-large
+# jobs took 1.01-1.04, 0.99-1.01 and 1.02-1.04 times as long at 800, 1,600 and
+# 2,400 as at 1,200. Plans of row steps take the same rule: their rounds serve
+# only calls above _SCALAR_MAX_WORK (15 of the bench workloads' seed-1 calls),
+# which took 1.01 times as long as under a 512-shift budget a round, 29.1 ms
+# against 28.8 (median CPU time of 21 interleaved passes, same host). A round
+# goes past one level only while trees < _ROUND_COST, so a deeper round holds
+# at most 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees),
+# and the count kernel's buffer (_BLOCK_ROWS = 64 rows of them, 1.8 MB) stays
+# within 2 MiB; one level is always taken.
 _ROUND_COST = 1200
 # lane_eigenvalues drops its shared-bracket layout once it saves fewer shifts
 # a round than this: laying it out costs 20-40 us, a shift 0.1-0.2 us. On
@@ -190,15 +180,14 @@ _LAYOUT_COST = 200
 # looping.
 _MAX_BISECTION_STEPS = 2200
 # From this order up, _run_plan cuts each lane into generic rows and uniform
-# runs, which the count kernel jumps in closed form; below it every row is
-# one step. The gate also picks the depth rule of a round (_deeper) and, below
-# it, lets small calls bisect on Python floats. A jump costs about forty numpy
-# calls against two per row. Measured on bug quotients (2-core x86-64, numpy
-# 2.4), jumps win from order about 56 for rho alone, 85 for a full spectrum,
-# 128 for an 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes
-# fall into four plan shapes. At order 64 they save 8 % on rho alone and
-# cost 1.2 times the row steps for a full spectrum and 1.6 times for a sweep
-# or a scan.
+# runs, which the count kernel jumps in closed form; below it every row is one
+# step. Below it, the gate also lets small calls bisect on Python floats. A
+# jump costs about forty numpy calls against two per row. Measured on bug
+# quotients (2-core x86-64, numpy 2.4), jumps win from order about 56 for rho
+# alone, 85 for a full spectrum, 128 for an 8-alpha sweep and 150 for a scan
+# of all d/2 splits, whose lanes fall into four plan shapes. At order 64 they
+# save 8 % on rho alone and cost 1.2 times the row steps for a full spectrum
+# and 1.6 times for a sweep or a scan.
 # The gate is on the order, not on run length: lane i of a scan has a left
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
@@ -608,33 +597,26 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     return int(_plan_counts(_run_plan(_lane_runs([t]), t.order), np.asarray([[x * scale]]))[0, 0])
 
 
-def _deeper(trees: int, depth: int, runs: bool) -> bool:
-    """Whether a round of trees trees takes one level more than depth: on a
-    run plan, while that gives more levels per unit of round cost
-    (_ROUND_COST plus one per shift); on a plan of row steps, while it
-    stays within _MULTISECTION_WIDTH."""
-    more = trees * (2 ** (depth + 1) - 1)
-    if not runs:
-        return more <= _MULTISECTION_WIDTH
-    cost = _ROUND_COST + trees * (2**depth - 1)
-    return (depth + 1) * cost > depth * (_ROUND_COST + more)
+def _deeper(trees: int, depth: int) -> bool:
+    """Whether a round of trees trees takes one level more than depth: while
+    that gives more levels per unit of round cost (_ROUND_COST plus one per
+    shift), so while that cost exceeds depth times the next level's shifts."""
+    return _ROUND_COST + trees * (2**depth - 1) > depth * trees * 2**depth
 
 
-def _tree_depth(
-    trees: int, width: np.ndarray, stop: np.ndarray, active: np.ndarray, left: int, runs: bool
-):
+def _tree_depth(trees: int, width: np.ndarray, stop: np.ndarray, active: np.ndarray, left: int):
     """Levels of each tree to evaluate this round: as many as _deeper
     allows, but no more than the open bracket widest against its stop
     needs, nor than left, the steps left below _MAX_BISECTION_STEPS. Also
     whether an open bracket may stop above its leaf: a level halves a
     bracket up to an ulp of its ends and its stop never grows, so one more
     than 2**depth times wider than its stop cannot."""
-    if not _deeper(trees, 1, runs):
+    if not _deeper(trees, 1):
         return 1, False
     # an open bracket is wider than its stop and a closed one is not
     ratio = width / stop
     widest, depth = ratio.max(), 1
-    while depth < left and 2.0**depth < widest and _deeper(trees, depth, runs):
+    while depth < left and 2.0**depth < widest and _deeper(trees, depth):
         depth += 1
     return depth, depth > 1 and ratio[active].min() <= 2.0**depth
 
@@ -747,11 +729,10 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     its path. Parted brackets never share again: once sharing saves fewer
     than _LAYOUT_COST shifts a round and one tree per bracket would take as
     many levels, the call runs one tree per bracket. A round's depth counts
-    its trees, each lane padded to the widest lane's count: below order
-    _RUN_PLAN_MIN_ORDER it is as deep as the shift budget
-    _MULTISECTION_WIDTH allows, and from that order up as deep as gives the
-    most levels per unit of a round's cost (_ROUND_COST plus one per
-    shift); a round deeper than one level then holds at most 3,597 shifts.
+    its trees, each lane padded to the widest lane's count: it is as deep
+    as gives the most levels per unit of a round's cost (_ROUND_COST plus
+    one per shift), and a round deeper than one level holds at most 3,597
+    shifts.
     So while brackets are few (a full spectrum's first rounds, or one index
     per lane) a round goes several levels deep, but never deeper than the
     widest open bracket needs nor past _MAX_BISECTION_STEPS levels in all,
@@ -831,12 +812,12 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], len(lanes))
     plan = _run_plan(runs, m)
-    jumps = m >= _RUN_PLAN_MIN_ORDER
     width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop
-    # the layout: bracket j's tree is tree_of[j], each for one tree a bracket
+    # the layout: bracket j's tree is tree_of[j], each for one tree a bracket;
+    # a shared layout (None before the first round) is laid out every round
     each = np.arange(lower.size)
-    trees, tree_of, shared = lower.size, each, shape[1] > 1
+    trees, tree_of = lower.size, each if shape[1] == 1 else None
     steps = 0
     while active.any():
         if steps >= _MAX_BISECTION_STEPS:
@@ -844,7 +825,7 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
                 f"bisection did not converge in {steps} steps; "
                 f"widest bracket {float(np.max(upper - lower)):.3e}"
             )
-        if shared:
+        if tree_of is not each:
             distinct = np.append(True, (lower[1:] != lower[:-1]) | (upper[1:] != upper[:-1]))
             distinct[:: shape[1]] = True
             # each lane is padded to the widest lane's count: shifts stay (L, k)
@@ -852,21 +833,16 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
             per_lane = int(slot[:, -1].max()) + 1
             trees = shape[0] * per_lane
             tree_of = (np.arange(shape[0])[:, None] * per_lane + slot).ravel()
-            # a closed pair never moves: once only closed pairs share, this
-            # layout holds. Recomputing it every round instead made the
-            # radius-scan solves 1.02-1.13 times slower (paired medians of
-            # three measurements)
-            shared = bool((active & ~distinct).any())
         left = _MAX_BISECTION_STEPS - steps
-        depth, may_stop = _tree_depth(trees, width, stop, active, left, jumps)
+        depth, may_stop = _tree_depth(trees, width, stop, active, left)
         # parted brackets never share again, so the shifts a layout saves
         # only fall: once too few, one tree per bracket for good
         if (
             tree_of is not each
             and (lower.size - trees) * (2**depth - 1) < _LAYOUT_COST
-            and _tree_depth(lower.size, width, stop, active, left, jumps)[0] == depth
+            and _tree_depth(lower.size, width, stop, active, left)[0] == depth
         ):
-            trees, tree_of, shared = lower.size, each, False
+            trees, tree_of = lower.size, each
         steps += depth
         n = 2**depth
         # column r holds tree r's breakpoints in order: its ends, then level
@@ -931,12 +907,13 @@ def _symmetric(a) -> tuple[np.ndarray, float]:
     w = np.array(a, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    if not np.array_equal(w, w.T):
-        raise ValueError("matrix must be symmetric")
+    # first, so a NaN entry, which equals nothing, is not called asymmetric
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.sqrt(np.sum(w * w)))
     if not math.isfinite(norm):
         raise ValueError("matrix entries and their Frobenius norm must be finite")
+    if not np.array_equal(w, w.T):
+        raise ValueError("matrix must be symmetric")
     return w, norm
 
 
@@ -1030,6 +1007,8 @@ def perron_pair(a, config: SolveConfig | None = None) -> tuple[float, np.ndarray
     if np.any(w < 0.0):
         raise ValueError("matrix must be entrywise nonnegative")
     m = w.shape[0]
+    if m == 0:
+        raise ValueError("matrix is empty: it has no dominant eigenpair")
     v = np.full(m, 1.0 / math.sqrt(m))
     for _ in range(cfg.max_power_iters):
         image = w @ v
