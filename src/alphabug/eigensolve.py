@@ -16,11 +16,13 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   equal rows in closed form, computing what a jump reads of the shifts
   alone once for all runs of equal entries (the two paths of a bug
   quotient); a small call (below order 64, with
-  lanes x distinct indices x order at most _SCALAR_MAX_WORK = 800, as for
-  a full spectrum up to order 28, an 8-alpha sweep up to order 50 or a
-  scan up to order 40) instead walks each bisection tree on Python floats,
-  one scalar Sturm count per node, with the same bits, in 0.66-1.01 of
-  the rounds' time per call at work 200-1000 (medians),
+  lanes x distinct indices x order at most _SCALAR_MAX_WORK = 840, as for
+  a full spectrum up to order 28, an 8-alpha sweep up to order 52 or a
+  scan up to order 42) instead walks each bisection tree on Python floats,
+  one scalar Sturm count per node, with the same bits, which a node of rho
+  alone or of the smallest value alone stops at its first deciding pivot:
+  sweeps and scans walk in 0.47-0.65 and full spectra in 0.61-1.11 of the
+  rounds' time per call at work 200-800 (medians),
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -159,9 +161,10 @@ DEFAULT_CONFIG = SolveConfig()
 # and 0.10-0.21 us). Interleaved in-process passes over the spectrum-large
 # jobs took 1.01-1.04, 0.99-1.01 and 1.02-1.04 times as long at 800, 1,600 and
 # 2,400 as at 1,200. Plans of row steps take the same rule: their rounds serve
-# only calls above _SCALAR_MAX_WORK (15 of the bench workloads' seed-1 calls),
-# which took 1.01 times as long as under a 512-shift budget a round, 29.1 ms
-# against 28.8 (median CPU time of 21 interleaved passes, same host). A round
+# only calls above _SCALAR_MAX_WORK (13 of the bench workloads' seed-1 calls;
+# 15 at the bound of 800 this was measured at), and those 15 took 1.01 times
+# as long as under a 512-shift budget a round, 29.1 ms against 28.8 (median
+# CPU time of 21 interleaved passes, same host). A round
 # goes past one level only while trees < _ROUND_COST, so a deeper round holds
 # at most 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees),
 # and the count kernel's buffer (_BLOCK_ROWS = 64 rows of them, 1.8 MB) stays
@@ -198,14 +201,15 @@ _RUN_PLAN_MIN_ORDER = 64
 # calls on arrays of a few rows. Per call, Python-float time over round time
 # on bug quotients (rho alone, full spectra, 8-alpha sweeps and scans of
 # order 4-63, 240 calls; 2-core x86-64, Python 3.11, numpy 2.4; medians of
-# two measurements): 0.16-0.17 at work below 200, 0.66 at 200-400,
-# 0.79-0.83 at 400-600, 0.90-0.92 at 600-800, 0.96-1.01 at 800-1000 and
-# 1.30-1.35 at 1000-1400. Work counts each leaf's row steps, the walk's
-# cost, but not the rounds' fixed cost, so it splits the calls only roughly
-# (scans and full spectra cross near 700, sweeps near 1,000); summed over
-# those calls, and over the bench's radius-scan calls, the time is least
-# with the bound at 800-900.
-_SCALAR_MAX_WORK = 800
+# three measurements): 0.14-0.16 at work below 200, 0.53-0.55 at 200-400,
+# 0.61-0.63 at 400-800, 0.65-0.66 at 800-1000, 0.76-0.78 at 1000-1200 and
+# 1.10-1.15 at 1200-1400. Nodes of rho alone or of the smallest value alone
+# stop their counts early, so full spectra cross near 700-800 (1.14-1.20 at
+# 800-1000, where sweeps read 0.62-0.63 and scans 0.67-0.71). Summed over
+# those calls and the bench's radius-scan calls, the time falls up to a
+# bound of about 1,200; but past 840 full spectra walk too (order 29 at
+# 841; verify's multi-lane ones at 960 and 1,080), and they slow.
+_SCALAR_MAX_WORK = 840
 # The count kernel forms a - x for up to this many generic rows in one
 # subtract and counts their signs in one pass, so its buffer is at most
 # this many rows of shifts, whatever the order.
@@ -644,13 +648,17 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
     is finished from that inf. A node's indices go left where the count at
     its midpoint reaches them, as in the tree descent, and a node stops
     where _stops would close it, so every value has the multisection
-    rounds' bits.
+    rounds' bits. A node of index m (rho) alone goes right at its first
+    negative pivot, one of index 1 alone left at its first non-negative
+    one, each the other way if there is none: the full count's decision,
+    from 65 % and 75 % of the rows on the bench's radius-scan calls.
     A node still open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
     """
     diag, lead, reps, first = runs
     shape = (first.size, -1)
     rows = np.repeat(diag, reps).reshape(shape).tolist()
     squares = np.repeat(_lead_squares(lead)[1], reps).reshape(shape).tolist()
+    m = len(rows[0])
     found = []
     for a, c, start, end, stop, near in zip(
         rows, squares, lo.tolist(), hi.tolist(), tol.tolist(), ulps.tolist()
@@ -663,6 +671,8 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
         while nodes:
             lower, upper, depth, indices = nodes.pop()
             least, most = indices[0], indices[-1]
+            # index m alone, or 1 alone: the node stops its count early
+            extreme = least == m or most == 1
             while True:
                 width = upper - lower
                 # _stops, read only in a lane whose 4 ulps can bind:
@@ -682,17 +692,36 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
                 steps = iter(rest)
                 while True:
                     try:
-                        for entry, square in steps:
-                            pivot = (x - entry) - square / pivot
+                        if not extreme:
+                            for entry, square in steps:
+                                pivot = (x - entry) - square / pivot
+                                if pivot >= 0.0:
+                                    below += 1
+                        elif least == m:
+                            # below m from the first negative pivot on
                             if pivot >= 0.0:
-                                below += 1
+                                for entry, square in steps:
+                                    pivot = (x - entry) - square / pivot
+                                    if pivot < 0.0:
+                                        break
+                        elif pivot < 0.0:
+                            # above 0 from the first non-negative pivot on
+                            for entry, square in steps:
+                                pivot = (x - entry) - square / pivot
+                                if pivot >= 0.0:
+                                    break
                         break
                     except ZeroDivisionError:
                         # the row's quotient is inf of the zero pivot's sign
                         # (c > 0), so its pivot is -inf after +0 and +inf
-                        # after -0; the loop resumes at the next row
+                        # after -0; the loop resumes at the next row, or an
+                        # extreme node's stops there by the sign tests above
                         pivot = -math.copysign(math.inf, pivot)
                         below += pivot > 0.0
+                if extreme:
+                    # the last pivot taken is negative just where the
+                    # count is below the node's one index
+                    below = least - (pivot < 0.0)
                 # the indices reached are those up to below
                 if below < least:
                     lower = x
@@ -702,6 +731,7 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
                     nodes.append((x, upper, depth, indices[split:]))
                     indices = indices[:split]
                     most = indices[-1]
+                    extreme = most == 1
                 upper = x
         found.append(values)
     return found
@@ -744,7 +774,9 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     it walks each lane's tree one node at a time on Python floats
     (_scalar_bisection), with the same midpoints, counts and stops, so the
     same bits; its fixed cost is lower, and its cost per node higher, than
-    a round's (the constant has the crossover measurement). A bracket's
+    a round's, and a node of the largest or the smallest index alone stops
+    its count at the first pivot that decides it (the constant has the
+    crossover measurement). A bracket's
     value depends only on its own lane and index, so asking for one
     eigenvalue gives the same bits as reading it off the full spectrum.
     indices must be integers (not bools). A lane whose padded Gershgorin

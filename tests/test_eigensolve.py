@@ -1133,15 +1133,48 @@ def _both_paths(lanes, indices, config=None):
 _BOTH_STOPS = (DEFAULT_CONFIG, SolveConfig(bisection_tol=1e-300))
 
 
+def _sweep_lanes(t):
+    """Eight lanes of t's order: t and t reversed, each negated or not, and
+    each as it is or shifted to centre its Gershgorin interval on 0, where
+    its root midpoint then falls exactly."""
+    lanes = []
+    for diag, offdiag in ((t.diag, t.offdiag), (t.diag[::-1], t.offdiag[::-1])):
+        for sign in (1.0, -1.0):
+            lane = SymTridiag(sign * diag, offdiag)
+            lo, hi = gershgorin_interval(lane)
+            lanes += [lane, SymTridiag(sign * diag - 0.5 * (lo + hi), offdiag)]
+    return lanes
+
+
+def _check_extreme_calls(lanes):
+    """Index m alone on up to four lanes (a scan's shape), index 1 alone on
+    one, and both on every lane (an 8-alpha sweep's shape): the walk's bits
+    are the rounds' at both stops and, below the gate, the first lane's are
+    plain bisection's at the default stop."""
+    m = lanes[0].order
+    expected = None
+    if m < eigensolve._RUN_PLAN_MIN_ORDER:
+        expected = plain_bisection_eigenvalues(lanes[0].diag, lanes[0].offdiag)
+    for count, indices in ((4, [m]), (1, [1]), (len(lanes), [1, m])):
+        for config in _BOTH_STOPS:
+            rounds, floats = _both_paths(lanes[:count], indices, config)
+            assert rounds.tobytes() == floats.tobytes(), (indices, config)
+            if expected is not None and config is DEFAULT_CONFIG:
+                first = expected[[k - 1 for k in indices]]
+                assert floats[0].tobytes() == first.tobytes(), indices
+
+
 class TestScalarBisection:
     """Below the run-plan gate, a call whose lanes x distinct indices x
-    order is at most _SCALAR_MAX_WORK (800) walks each bisection tree on
-    Python floats, one count per node. Its values have the rounds' bits,
-    at the default stop and at the 4-ulp stop. Per call on bug quotients,
-    the walk took 0.66 of the rounds' time at work 200-400, 0.79-0.83 at
-    400-600, 0.90-0.92 at 600-800 and 0.96-1.01 at 800-1000 (medians of two
-    measurements; 1.30-1.35 at 1000-1400), which is why the bound sits
-    there."""
+    order is at most _SCALAR_MAX_WORK (840) walks each bisection tree on
+    Python floats, one count per node; a node of index m alone or of index
+    1 alone stops its count at the first pivot that decides it. Its values
+    have the rounds' bits, at the default stop and at the 4-ulp stop. Per
+    call on bug quotients, the walk took 0.53-0.55 of the rounds' time at
+    work 200-400, 0.61-0.63 at 400-800 and 0.65-0.66 at 800-1000 (medians
+    of three measurements). Full spectra, where only two of m indices stop
+    early, cross near 700-800, and above 840 more of them would walk,
+    which is why the bound sits there."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_counts())
@@ -1219,6 +1252,39 @@ class TestScalarBisection:
         assert rounds.tobytes() == floats.tobytes()
         for row, t in zip(floats, (path_zero, later_zero)):
             assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_counts())
+    def test_same_bits_for_extreme_indices_on_small_counts(self, problem):
+        t, _ = problem
+        _check_extreme_calls(_sweep_lanes(t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(half_integer_counts())
+    def test_same_bits_for_extreme_indices_with_zero_pivots(self, problem):
+        t, _ = problem
+        _check_extreme_calls(_sweep_lanes(t))
+
+    def test_same_bits_where_a_zero_pivot_decides_an_extreme_node(self):
+        # Each lane's Gershgorin interval is symmetric about 0, so its root
+        # midpoint is exactly 0 (path_zero and later_zero as above). At 0,
+        # mirrored_zero's pivots are 1, +0, -inf, -1, +0: index 5 goes
+        # right at the -inf, though the last pivot is not negative.
+        # bottom_zero's are -1, +0, -inf, -1, -0.75 and first_zero's +0,
+        # -inf, -1, -0.75, -2/3: index 1 goes left at the +0, though every
+        # later pivot is negative
+        path_zero = SymTridiag(np.zeros(5), np.ones(4))
+        later_zero = SymTridiag([1.0, 1.0, 0.0, -1.0, -1.0], np.ones(4))
+        mirrored_zero = SymTridiag([-1.0, -1.0, 0.0, 1.0, 1.0], np.ones(4))
+        bottom_zero = SymTridiag([1.0, 1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.5])
+        first_zero = SymTridiag([0.0, -0.5, 1.0, 1.0, 1.0], [1.0, 1.0, 0.5, 0.5])
+        lanes = [path_zero, later_zero, mirrored_zero, bottom_zero, first_zero]
+        for t in lanes:
+            lo, hi = gershgorin_interval(t)
+            assert lo == -hi
+        assert [row_loop_count(t.diag, t.offdiag, 0.0) for t in lanes] == [3, 3, 3, 1, 1]
+        for k in range(len(lanes)):
+            _check_extreme_calls(lanes[k:] + lanes[:k])
 
     @pytest.mark.parametrize("m", [2, 3, 7, 16, 40, _BELOW_GATE])
     def test_matches_plain_bisection(self, m):
