@@ -27,14 +27,14 @@ from .eigensolve import (
     DEFAULT_CONFIG,
     ConvergenceError,
     SolveConfig,
+    _run_eigenvalues,
     jacobi_eigenvalues,
-    lane_eigenvalues,
     tridiag_eigenvalues,
 )
 from .graphs import BugSpec, _check_real, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
-from .structured import (_halvable, _spectrum_from_quotient, bug_tridiagonal, closed_form,
-                         halved_tridiagonal)
+from .structured import (_bug_runs, _halvable, _spectrum_from_quotient, bug_tridiagonal,
+                         closed_form, halved_tridiagonal)
 from .verify import DEFAULT_ALPHAS, compare_spectra, extremal_scan, run_verification
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ COMPARE_TOL = 1e-8
 # numpy 2.4). Without a cap, n = 10**6 would ask for an 8 TB matrix.
 DENSE_MAX_N = 200
 # Largest d of any job. A spectrum solves d+1 eigenvalues and a scan d/2
-# quotients: at d = 10**6 they took 5.5 s / 464 MB and 31 s / 740 MB peak
+# quotients: at d = 10**6 they took 5.5 s / 464 MB and 8.2 s / 803 MB peak
 # RSS in a fresh process (2-core x86-64, Python 3.11, numpy 2.4).
 D_MAX = 10**6
 
@@ -185,8 +185,8 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
 
 def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
     bug = cfg.bug
-    lanes = [bug_tridiagonal(bug, alpha) for alpha in cfg.alphas]
-    extremes = lane_eigenvalues(lanes, [1, bug.d + 1], solve)
+    runs = _bug_runs(bug.n, bug.d, bug.i, cfg.alphas)
+    extremes = _run_eigenvalues(runs, bug.d + 1, np.array([1, bug.d + 1]), solve)
     rows = []
     for alpha, (smallest, largest) in zip(cfg.alphas, extremes.tolist()):
         value, mult = closed_form(bug, alpha)

@@ -251,19 +251,18 @@ def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
 _LEAD_MAX = math.sqrt(np.finfo(float).max)
 
 
-def _fitted(t: SymTridiag) -> tuple[SymTridiag, float]:
-    """t and 1.0, or, where t's largest |lead| exceeds _LEAD_MAX, t times a
-    power of two that brings it below 2**511 (so its square stays below
-    2**1022) and that power. Like LAPACK's scaling before dstebz, the
-    scaled counts and midpoints are the original ones times that power,
-    exactly for every entry and shift that stays normal."""
-    top = float(np.max(np.abs(t.runs[1])))
-    if top <= _LEAD_MAX:
-        return t, 1.0
-    scale = math.ldexp(1.0, 511 - math.frexp(top)[1])
-    fitted = SymTridiag.__new__(SymTridiag)
-    fitted._store(np.array(t.runs[:2]) * scale, t.runs[2], t.order)
-    return fitted, scale
+def _fitted(runs: tuple) -> tuple[tuple, np.ndarray]:
+    """The lanes' runs (_lane_runs), each lane whose largest |lead| exceeds
+    _LEAD_MAX times a power of two that brings it below 2**511 (so its
+    square stays below 2**1022), and each lane's power (1.0 where none is
+    needed). Like LAPACK's scaling before dstebz, the scaled counts and
+    midpoints are the original ones times that power, exactly for every
+    entry and shift that stays normal."""
+    diag, lead, reps, first = runs
+    top = np.maximum.reduceat(np.abs(lead), first)
+    scales = np.ldexp(1.0, np.where(top > _LEAD_MAX, 511 - np.frexp(top)[1], 0))
+    per_run = np.repeat(scales, np.diff(first, append=diag.size))
+    return (diag * per_run, lead * per_run, reps, first), scales
 
 
 def _lead_squares(lead: np.ndarray):
@@ -597,8 +596,8 @@ def sturm_count(t: SymTridiag, x: float) -> int:
     if x not in (-math.inf, math.inf):
         x = _check_real("shift", x)
     x = float(x) + 0.0  # -0.0 + 0.0 is +0.0
-    t, scale = _fitted(t)
-    return int(_plan_counts(_run_plan(_lane_runs([t]), t.order), np.asarray([[x * scale]]))[0, 0])
+    runs, scales = _fitted(_lane_runs([t]))
+    return int(_plan_counts(_run_plan(runs, t.order), scales[:, None] * x)[0, 0])
 
 
 def _deeper(trees: int, depth: int) -> bool:
@@ -784,8 +783,9 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     midpoints overflow. A lane whose largest |lead| squares past the
     largest float (above about 1.34e154) is solved times a power of two
     and its values scaled back (_fitted); other lanes keep their bits.
+    This function checks the lanes and indices, and _run_eigenvalues
+    solves the lanes' runs.
     """
-    cfg = config or DEFAULT_CONFIG
     lanes = list(lanes)
     if not lanes:
         raise ValueError("need at least one tridiagonal")
@@ -799,30 +799,50 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     if not integers or need.size == 0 or need.min() < 1 or need.max() > m:
         shown = list(given) or need.tolist()
         raise ValueError(f"eigenvalue indices must be integers in 1..{m}, got {shown}")
-    if m == 1:
-        return np.repeat(np.stack([t.diag for t in lanes]), need.size, axis=1)
+    return _run_eigenvalues(_lane_runs(lanes), m, need, config)
+
+
+def _brackets(runs: tuple, cfg: SolveConfig):
+    """Each lane's padded Gershgorin ends lo and hi, its stop tol and its
+    largest |lead| (lane_eigenvalues), from the lanes' runs (_lane_runs):
+    arrays of shape (L,)."""
     # entries near the float limit overflow these sums to inf: such a lane
-    # is rejected just below
+    # is rejected by _run_eigenvalues
     with np.errstate(over="ignore"):
-        runs = _lane_runs(lanes)
         lo, hi, top = _lane_bounds(runs)
         tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
         pad = tol + 16.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        lo, hi = lo - pad, hi + pad
+        return lo - pad, hi + pad, tol, top
+
+
+def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig | None = None):
+    """lane_eigenvalues of lanes of order m given as their runs
+    (_lane_runs), at need, an array of indices already checked: the solve
+    that scans and sweeps call on quotients built as runs
+    (structured._bug_runs)."""
+    cfg = config or DEFAULT_CONFIG
+    if m == 1:
+        return np.repeat(runs[0][:, None], need.size, axis=1)
+    lo, hi, tol, top = _brackets(runs, cfg)
     reach = float(np.max(np.maximum(-lo, hi)))
     if not reach <= 0.5 * np.finfo(float).max:
         raise ValueError(
             f"Gershgorin bound {reach:.3e} exceeds half the largest float: "
             "bisection midpoints would overflow"
         )
-    if top.max() > _LEAD_MAX:
-        # lanes whose squared leads overflow are solved scaled (_fitted),
-        # and their values scaled back
-        fitted = [_fitted(t) for t in lanes]
-        scales = np.array([scale for _, scale in fitted])
-        return lane_eigenvalues([t for t, _ in fitted], indices, cfg) / scales[:, None]
+    if top.max() <= _LEAD_MAX:
+        return _bisect(runs, m, need, lo, hi, tol)
+    # lanes whose squared leads overflow are solved scaled (_fitted), and
+    # their values scaled back
+    runs, scales = _fitted(runs)
+    return _bisect(runs, m, need, *_brackets(runs, cfg)[:3]) / scales[:, None]
+
+
+def _bisect(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
+    """The values of _run_eigenvalues, from the brackets lo..hi and stops
+    tol of _brackets, by the Python-float walk or by rounds."""
     # a bracket's 4 ulps are at most those of its lane's padded ends, so the
     # 4-ulp stop can bind only in lanes where those exceed tol
     ulps = 4.0 * np.spacing(np.maximum(-lo, hi)) > tol
@@ -830,19 +850,19 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
         picked = need.tolist()
         # a set, not np.unique, whose first call costs about 1 MB of RSS
         wanted = sorted(set(picked))
-        if len(lanes) * len(wanted) * m <= _SCALAR_MAX_WORK:
+        if lo.size * len(wanted) * m <= _SCALAR_MAX_WORK:
             found = _scalar_bisection(runs, wanted, lo, hi, tol, ulps)
             return np.array([[values[k] for k in picked] for values in found])
     # one bracket per (lane, index), flattened lane-major and, within a
     # lane, in ascending index order: brackets that share an interval are
     # then neighbours, and once parted they never share again
     order = np.argsort(need, kind="stable")
-    shape = (len(lanes), need.size)
+    shape = (lo.size, need.size)
     lower = np.repeat(lo, need.size)
     upper = np.repeat(hi, need.size)
     ulps = bool(ulps.any())
     tol = np.repeat(tol, need.size)
-    need = np.tile(need[order], len(lanes))
+    need = np.tile(need[order], lo.size)
     plan = _run_plan(runs, m)
     width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop

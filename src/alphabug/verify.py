@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SolveConfig, jacobi_eigenvalues, lane_eigenvalues
+from .eigensolve import SolveConfig, _run_eigenvalues, jacobi_eigenvalues, lane_eigenvalues
 from .graphs import BugSpec, _check_int, _check_positive, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import (_halvable, _spectrum_from_quotient, bug_tridiagonal, closed_form,
-                         proof_decomposition)
+from .structured import (_bug_runs, _halvable, _spectrum_from_quotient, bug_tridiagonal,
+                         closed_form, proof_decomposition)
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
@@ -98,11 +98,11 @@ def check_interlacing(inner, outer, strict_margin: float = 1e-10) -> bool:
 def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRow]:
     """Spectral radius across every canonical split i = 1..d//2.
 
-    The d//2 quotients share the order d+1, so their top eigenvalues are
-    bisected together as lanes of one lane_eigenvalues call; each rho is
-    bit-identical to spectral_radius of its split. Ties on rho go to the
-    larger i, so the balanced bug wins when splits coincide (as they do
-    when the middle clique collapses).
+    The d//2 quotients share the order d+1, so they are built as one set
+    of runs (_bug_runs) and their top eigenvalues bisected together as
+    lanes of one solve; each rho is bit-identical to spectral_radius of its
+    split. Ties on rho go to the larger i, so the balanced bug wins when
+    splits coincide (as they do when the middle clique collapses).
     """
     n, d = _check_int("n", n), _check_int("d", d)
     alpha = check_alpha(alpha)
@@ -110,8 +110,8 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
         raise ValueError(f"diameter must be >= 2, got {d}")
     if n < d + 2:
         raise ValueError(f"scan needs n >= d+2 so the splits differ, got n={n}, d={d}")
-    lanes = [bug_tridiagonal(BugSpec(n, d, i), alpha) for i in range(1, d // 2 + 1)]
-    rhos = lane_eigenvalues(lanes, [d + 1], config)[:, 0].tolist()
+    runs = _bug_runs(n, d, np.arange(1, d // 2 + 1), alpha)
+    rhos = _run_eigenvalues(runs, d + 1, np.array([d + 1]), config)[:, 0].tolist()
     best = max(range(len(rhos)), key=lambda j: (rhos[j], j))
     return [ScanRow(j + 1, rho, j == best) for j, rho in enumerate(rhos)]
 

@@ -286,11 +286,13 @@ def test_million_vertex_structured_solve():
     assert spectrum.rho > bug.n - bug.d - 1
 
 
-# An address-space limit well above what the scan and the sweep below need
-# (a virtual peak of about 150 MB with one BLAS thread, on x86-64 Linux)
-# and below what building them as dense lanes did: 1.8 GB of RSS for a
-# 33-alpha sweep at d = 10**6, and about 1.7 GB for a scan at d = 8,000.
-_ADDRESS_SPACE_LIMIT = 2**30
+# An address-space limit well above what the scans and the sweep below need
+# (a virtual peak of about 385 MB with one BLAS thread, on x86-64 Linux,
+# most of it for the scan of 300,000 splits) and below what building them
+# as objects per lane did: a virtual peak of about 610 MB with a BugSpec and
+# a SymTridiag per split, 1.8 GB of RSS for a 33-alpha sweep at d = 10**6 as
+# dense lanes, and about 1.7 GB for a scan at d = 8,000.
+_ADDRESS_SPACE_LIMIT = 2**29
 _SCAN_AND_SWEEP = f"""
 import resource
 resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE_LIMIT}, {_ADDRESS_SPACE_LIMIT}))
@@ -300,13 +302,16 @@ rows = extremal_scan(640_000, 64_000, 0.5)
 bug = BugSpec(2_000_000, 1_000_000, 2)
 extremes = lane_eigenvalues([bug_tridiagonal(bug, k / 100) for k in range(40)], [1, bug.d + 1])
 print(len(rows), sum(row.is_argmax for row in rows), extremes.shape)
+rows = extremal_scan(6_000_000, 600_000, 0.5)
+print(len(rows), rows[-1].is_argmax)
 """
 
 
 def test_scan_and_sweep_memory_does_not_grow_with_lanes_times_order():
-    """A scan of 32,000 splits of order 64,001 and a 40-alpha sweep at
-    d = 10**6 complete under a 1 GiB address-space limit. The limit is set
-    in a child process, never on the test runner."""
+    """A scan of 32,000 splits of order 64,001, a 40-alpha sweep at
+    d = 10**6 and a scan of 300,000 splits of order 600,001 complete under
+    a 512 MiB address-space limit. The limit is set in a child process,
+    never on the test runner."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     package_root = str(Path(alphabug.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -315,4 +320,4 @@ def test_scan_and_sweep_memory_does_not_grow_with_lanes_times_order():
         env=env, capture_output=True, text=True, check=False, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["32000", "1", "(40,", "2)"]
+    assert result.stdout.split() == ["32000", "1", "(40,", "2)", "300000", "True"]

@@ -700,6 +700,9 @@ class TestLaneCellCap:
 
     @pytest.fixture
     def no_lanes(self, monkeypatch):
+        """Building a quotient raises Built: spectrum builds one with
+        bug_tridiagonal, scan and sweep build theirs as runs with
+        _bug_runs."""
         import alphabug.cli as cli_module
         import alphabug.verify as verify_module
 
@@ -707,10 +710,11 @@ class TestLaneCellCap:
             pass
 
         def refuse(*args, **kwargs):
-            raise Built("bug_tridiagonal was called")
+            raise Built("a quotient was built")
 
         monkeypatch.setattr(cli_module, "bug_tridiagonal", refuse)
-        monkeypatch.setattr(verify_module, "bug_tridiagonal", refuse)
+        monkeypatch.setattr(cli_module, "_bug_runs", refuse)
+        monkeypatch.setattr(verify_module, "_bug_runs", refuse)
         return cli_module.D_MAX, Built
 
     @pytest.mark.parametrize("argv", [
@@ -761,7 +765,19 @@ class TestUsageErrors:
         assert main(["polish"]) == 2
 
     def test_integer_too_large_for_a_float(self, capsys):
-        assert main(["scan", "--n", "1" + "0" * 400, "--d", "4", "--alpha", "0.5"]) == 2
+        for argv in (
+            ["scan", "--d", "4", "--alpha", "0.5"],
+            ["sweep", "--d", "4", "--i", "2", "--alphas", "0,0.5"],
+            ["spectrum", "--d", "4", "--i", "2", "--alpha", "0.5"],
+            ["spectrum", "--d", "4", "--i", "2", "--alpha", "0.5", "--method", "halved"],
+        ):
+            # each printed "error: int too large to convert to float"
+            code = main([*argv, "--n", "1" + "0" * 400])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: n is too large"), argv
+            assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", HUGE_JOBS)
     def test_bounds_past_half_the_largest_float_exit_two(self, capsys, argv):

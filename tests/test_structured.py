@@ -21,7 +21,7 @@ from alphabug import (
 )
 from alphabug.cli import _closed_form
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
-from alphabug.structured import closed_form
+from alphabug.structured import _bug_runs, closed_form
 from oracles import alpha_matrix, bug_cells, bug_edges, cell_quotient, path_edges
 
 GOLDEN_BUG = BugSpec(11, 5, 2)
@@ -259,6 +259,41 @@ def test_closed_form_is_one_helper_for_spectrum_and_cli():
     assert _closed_form(b, 0.3) == {"value": value, "multiplicity": multiplicity}
     path = BugSpec(7, 6, 3)  # a one-vertex clique carries no closed-form eigenvalue
     assert closed_form(path, 0.3)[1] == 0 and _closed_form(path, 0.3) is None
+
+
+def _runs_of_lane(runs, lane):
+    diag, lead, reps, first = runs
+    part = slice(first[lane], first[lane + 1] if lane + 1 < first.size else diag.size)
+    return diag[part], lead[part], reps[part]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# d = 2 and 3: the clique's neighbours end the path on one side or both;
+# 48 and 63 below the order-64 gate, 64 at it
+@pytest.mark.parametrize("d", [2, 3, 4, 48, 63, 64])
+def test_bug_runs_are_bug_tridiagonal_lanes_bit_for_bit(d):
+    splits = sorted({1, d // 2})
+    sweep_alphas = (0.3, 0.0, 0.99, 0.3)
+    for n in (d + 2, d + 3, 10 * d + 7, 10**6 + 3, 10**15):
+        built = {}
+        for alpha in (0.0, 0.3, 0.99):
+            scan = _bug_runs(n, d, np.array(splits), alpha)
+            built.update({(i, alpha): _runs_of_lane(scan, k) for k, i in enumerate(splits)})
+        for i in splits:
+            sweep = _bug_runs(n, d, i, sweep_alphas)
+            for k, alpha in enumerate(sweep_alphas):
+                assert all(map(np.array_equal, _runs_of_lane(sweep, k), built[i, alpha]))
+        for (i, alpha), (diag, lead, reps) in built.items():
+            t = bug_tridiagonal(BugSpec(n, d, i), alpha)
+            assert diag.size <= 7 and reps.min() >= 1 and reps.sum() == d + 1
+            # the same runs, so the same Gershgorin bounds and the same plan
+            assert [_bits(diag), _bits(lead), reps.tolist()] == [
+                _bits(t.runs[0]), _bits(t.runs[1]), t.runs[2].tolist()]
+            assert _bits(np.repeat(diag, reps)) == _bits(t.diag)
+            assert _bits(np.repeat(lead, reps)[1:]) == _bits(t.offdiag)
 
 
 FOLD_ALPHAS = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 0.99)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from alphabug import (
     jacobi_eigenvalues,
     proof_decomposition,
     run_verification,
+    spectral_radius,
     tridiag_eigenvalues,
 )
+from alphabug.structured import closed_form
 from alphabug.verify import MAX_FAILURES_LISTED, VERIFY_MAX_N, _full_spectra
 
 
@@ -207,6 +211,31 @@ def test_non_numbers_are_value_errors_naming_the_field(call, field, bad):
     # reads "0.5" as 0.5, and int() and float() read a bool as a number
     with pytest.raises(ValueError, match=f"^{field} must"):
         call(bad)
+
+
+# n - d + 2 past the largest float: float() raises OverflowError on it
+HUGE_N = 10**400
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: extremal_scan(HUGE_N, 4, 0.5), id="scan"),
+    pytest.param(lambda: halved_tridiagonal(HUGE_N, 4, 0.5), id="halved"),
+    pytest.param(lambda: proof_decomposition(BugSpec(HUGE_N, 4, 2), 0.5), id="decomposition"),
+    pytest.param(lambda: bug_tridiagonal(BugSpec(HUGE_N, 4, 2), 0.5), id="quotient"),
+    pytest.param(lambda: spectral_radius(BugSpec(HUGE_N, 4, 2), 0.5), id="radius"),
+    pytest.param(lambda: bug_spectrum(BugSpec(HUGE_N, 4, 2), 0.5), id="spectrum"),
+    pytest.param(lambda: closed_form(BugSpec(HUGE_N, 4, 2), 0.5), id="closed-form"),
+])
+def test_an_order_past_the_float_range_is_a_value_error_naming_n(call):
+    with pytest.raises(ValueError, match="^n is too large"):
+        call()
+
+
+def test_the_largest_order_that_fits_a_float_keeps_its_closed_form():
+    n = 4 - 2 + int(sys.float_info.max)
+    assert closed_form(BugSpec(n, 4, 2), 0.5) == (sys.float_info.max * 0.5 - 1.0, n - 5)
+    with pytest.raises(ValueError, match="^n is too large"):
+        closed_form(BugSpec(n + 2**971, 4, 2), 0.5)
 
 
 def test_closed_form_cluster_can_absorb_a_quotient_eigenvalue():
