@@ -28,13 +28,13 @@ from .eigensolve import (
     ConvergenceError,
     SolveConfig,
     _run_eigenvalues,
+    _run_spectrum,
     jacobi_eigenvalues,
-    tridiag_eigenvalues,
 )
 from .graphs import BugSpec, _check_real, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
-from .structured import (_bug_runs, _halvable, _spectrum_from_quotient, bug_tridiagonal,
-                         closed_form, halved_tridiagonal)
+from .structured import (_bug_runs, _halvable, _halving_slots, _pack, _spectrum_from_quotient,
+                         closed_form)
 from .verify import DEFAULT_ALPHAS, compare_spectra, extremal_scan, run_verification
 
 EXIT_OK = 0
@@ -144,10 +144,10 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
     quotient = dense_entries = verification = None
     if method != "dense":
         if method == "halved":
-            tridiagonal = halved_tridiagonal(bug.n, bug.d, alpha)
+            m, runs = bug.d // 2 + 1, _pack(*_halving_slots(bug.n, bug.d, alpha))
         else:
-            tridiagonal = bug_tridiagonal(bug, alpha)
-        quotient = tridiag_eigenvalues(tridiagonal, solve).tolist()
+            m, runs = bug.d + 1, _bug_runs(bug.n, bug.d, bug.i, alpha)
+        quotient = _run_spectrum(runs, m, solve)[0].tolist()
         rho = quotient[-1]
     if method in ("dense", "all"):
         dense_values = jacobi_eigenvalues(assemble_dense_alpha(bug, alpha), solve)

@@ -64,41 +64,41 @@ class SymTridiag:
             raise ValueError(
                 f"off-diagonal length {offdiag.size} does not fit diagonal length {diag.size}"
             )
-        self._store(np.array((diag, np.append(0.0, offdiag))), np.ones(diag.size, dtype=np.intp),
-                    diag.size)
+        self._store(diag, np.append(0.0, offdiag), np.ones(diag.size, dtype=np.intp))
 
     @classmethod
     def path(cls, m: int, diag: float, lead: float, diag_cells: dict, lead_cells: dict):
         """Order m, each row with diagonal entry diag and joined to the row
         above by lead (whose square must be nonzero), except the special
-        cells: diag_cells and lead_cells map rows to their own diagonal
-        entry and lead. Its runs are the special rows and the stretches
-        between them, whatever m is."""
-        cells = sorted({0, *diag_cells, *lead_cells})
+        cells: diag_cells and lead_cells map rows, integers (not bools), to
+        their own diagonal entry and lead. Its runs are the special rows and
+        the stretches between them, whatever m is."""
+        m = _check_int("order m", m)
+        cells = sorted({0, *(_check_int("row", row) for row in (*diag_cells, *lead_cells))})
         if not (cells[0] == 0 and cells[-1] < m and 0 not in lead_cells and lead * lead > 0):
             raise ValueError(f"no path of order {m} with lead {lead} and special rows {cells}")
-        diags, leads, reps = [], [], []
+        runs = []
         for row, end in zip(cells, cells[1:] + [m]):
-            diags.append(diag_cells.get(row, diag))
-            leads.append(lead_cells.get(row, lead) if row else 0.0)
-            reps.append(1)
+            runs.append((diag_cells.get(row, diag), lead_cells.get(row, lead) if row else 0.0, 1))
             if end > row + 1:
-                diags.append(diag)
-                leads.append(lead)
-                reps.append(end - row - 1)
-        columns = np.array((diags, leads), dtype=float)
-        t = cls.__new__(cls)
-        t._store(columns, np.array(reps, dtype=np.intp), m)
-        return t
+                runs.append((diag, lead, end - row - 1))
+        diags, leads, reps = zip(*runs)
+        return cls._from_runs(*np.array((diags, leads), dtype=float), np.array(reps, dtype=np.intp))
 
-    def _store(self, columns: np.ndarray, reps: np.ndarray, order: int):
-        """Keep the runs: columns holds the diag and lead columns as rows."""
-        if not np.isfinite(columns).all():
+    @classmethod
+    def _from_runs(cls, diag: np.ndarray, lead: np.ndarray, reps: np.ndarray):
+        """The matrix whose runs are (diag, lead, reps), kept as given."""
+        return cls.__new__(cls)._store(diag, lead, reps)
+
+    def _store(self, diag: np.ndarray, lead: np.ndarray, reps: np.ndarray):
+        """Keep the runs, read-only, and their order; return self."""
+        if not (np.isfinite(diag).all() and np.isfinite(lead).all()):
             raise ValueError("matrix entries must be finite")
-        columns.setflags(write=False)
-        reps.setflags(write=False)
-        object.__setattr__(self, "runs", (columns[0], columns[1], reps))
-        object.__setattr__(self, "order", order)
+        for column in (diag, lead, reps):
+            column.setflags(write=False)
+        object.__setattr__(self, "runs", (diag, lead, reps))
+        object.__setattr__(self, "order", int(reps.sum()))
+        return self
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         rows = np.repeat(values, self.runs[2])
@@ -775,16 +775,15 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     same bits; its fixed cost is lower, and its cost per node higher, than
     a round's, and a node of the largest or the smallest index alone stops
     its count at the first pivot that decides it (the constant has the
-    crossover measurement). A bracket's
-    value depends only on its own lane and index, so asking for one
-    eigenvalue gives the same bits as reading it off the full spectrum.
-    indices must be integers (not bools). A lane whose padded Gershgorin
-    interval reaches past half the largest float raises ValueError: its
-    midpoints overflow. A lane whose largest |lead| squares past the
-    largest float (above about 1.34e154) is solved times a power of two
-    and its values scaled back (_fitted); other lanes keep their bits.
-    This function checks the lanes and indices, and _run_eigenvalues
-    solves the lanes' runs.
+    crossover measurement). A bracket's value depends only on its own lane
+    and index, so asking for one eigenvalue gives the same bits as reading
+    it off the full spectrum. indices must be integers (not bools). A lane
+    whose padded Gershgorin interval reaches past half the largest float
+    raises ValueError (_brackets): its midpoints overflow. A lane whose
+    largest |lead| squares past the largest float (above about 1.34e154)
+    is solved times a power of two and its values scaled back (_fitted);
+    other lanes keep their bits. This function checks the lanes and
+    indices, and _run_eigenvalues solves the lanes' runs.
     """
     lanes = list(lanes)
     if not lanes:
@@ -805,15 +804,24 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
 def _brackets(runs: tuple, cfg: SolveConfig):
     """Each lane's padded Gershgorin ends lo and hi, its stop tol and its
     largest |lead| (lane_eigenvalues), from the lanes' runs (_lane_runs):
-    arrays of shape (L,)."""
-    # entries near the float limit overflow these sums to inf: such a lane
-    # is rejected by _run_eigenvalues
+    arrays of shape (L,). An end padded past half the largest float, where
+    midpoints overflow, raises a ValueError that names bisection_tol if
+    the ends padded by ulps alone stay in range."""
+    # entries near the float limit overflow these sums to inf
     with np.errstate(over="ignore"):
         lo, hi, top = _lane_bounds(runs)
         tol = cfg.bisection_tol * np.maximum(1.0, hi - lo)
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
-        pad = tol + 16.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        ulps = 16.0 * np.finfo(float).eps * np.maximum(1.0, reach)
+        pad, limit = tol + ulps, 0.5 * np.finfo(float).max
+        # reach + pad is max(-lo, hi) after padding, bit for bit
+        if not np.max(reach + pad) <= limit:
+            blame = (f"bisection_tol {cfg.bisection_tol:g}" if np.max(reach + ulps) <= limit
+                     else f"Gershgorin bound {np.max(reach):.3e}")
+            raise ValueError(f"{blame} takes the padded brackets past half the largest float: "
+                             "bisection midpoints would overflow")
         return lo - pad, hi + pad, tol, top
 
 
@@ -826,12 +834,6 @@ def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig 
     if m == 1:
         return np.repeat(runs[0][:, None], need.size, axis=1)
     lo, hi, tol, top = _brackets(runs, cfg)
-    reach = float(np.max(np.maximum(-lo, hi)))
-    if not reach <= 0.5 * np.finfo(float).max:
-        raise ValueError(
-            f"Gershgorin bound {reach:.3e} exceeds half the largest float: "
-            "bisection midpoints would overflow"
-        )
     if top.max() <= _LEAD_MAX:
         return _bisect(runs, m, need, lo, hi, tol)
     # lanes whose squared leads overflow are solved scaled (_fitted), and
@@ -941,7 +943,13 @@ def tridiag_eigenvalues(t: SymTridiag, config: SolveConfig | None = None) -> np.
     One lane of lane_eigenvalues with every index. The result is
     deterministic: no seeds, no rotation order, just interval halving.
     """
-    return np.sort(lane_eigenvalues([t], np.arange(1, t.order + 1), config)[0])
+    return _run_spectrum(_lane_runs([t]), t.order, config)[0]
+
+
+def _run_spectrum(runs: tuple, m: int, config: SolveConfig | None = None) -> np.ndarray:
+    """tridiag_eigenvalues of each lane of order m whose runs (_lane_runs)
+    are given, one row a lane: the full spectra of quotients built as runs."""
+    return np.sort(_run_eigenvalues(runs, m, np.arange(1, m + 1), config), axis=1)
 
 
 def _offdiag_norm(w: np.ndarray) -> float:

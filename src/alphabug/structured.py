@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .eigensolve import SolveConfig, SymTridiag, lane_eigenvalues, tridiag_eigenvalues
+from .eigensolve import SolveConfig, SymTridiag, _run_eigenvalues, _run_spectrum
 from .graphs import BugSpec, _check_int, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
 
@@ -32,66 +32,57 @@ def _clique_counts(n: int, d: int) -> tuple[float, float, float, float]:
         ) from None
 
 
-def _cells(n: int, d: int, alpha):
-    """The entries of the bug quotient at (n, d) other than the path's 2
-    alpha on the diagonal: beta = 1 - alpha, the path's lead; alpha w for a
-    clique neighbour that ends the path and alpha (w + 1) for one inside
-    it; 2 alpha + w - 1 for the clique cell; beta sqrt(w), the clique
-    cell's two leads. alpha is a float or an array of them."""
+def _bug_slots(n: int, d: int, i, alpha) -> tuple:
+    """The quotient of B(n, d, i) at alpha as seven slots (diagonal entry,
+    lead, rows), row 0 first: the only place that states its entries. The
+    path's rows hold 2 alpha, joined by beta = 1 - alpha; the clique cell i
+    holds 2 alpha + w - 1, joined to both neighbours by beta sqrt(w); a
+    clique neighbour holds alpha (w + 1) inside the path and alpha w at its
+    end, which overwrites that end's alpha. i and alpha are numbers or
+    arrays that broadcast; a slot holds rows where its count is positive."""
     below, w, above, _ = _clique_counts(n, d)
-    beta = 1.0 - alpha
-    return beta, alpha * w, alpha * above, 2.0 * alpha + below, beta * math.sqrt(w)
-
-
-def bug_tridiagonal(b: BugSpec, alpha) -> SymTridiag:
-    """Order d+1 tridiagonal carrying the simple part of the bug spectrum.
-
-    Built from (n, d, i) by SymTridiag.path; the tests check it entrywise
-    against the symmetrized quotient of the cell partition built from the
-    edge list. Cells i-1, i, i+1 (0-based) are the deleted-edge endpoints
-    around the middle clique; endpoints that coincide with a path end lose
-    one neighbor cell, hence their alpha*w (_cells). _bug_runs builds the
-    same rows for many splits or alphas at once.
-    """
-    alpha = check_alpha(alpha)
-    d, i = b.d, b.i
-    beta, end, beside, clique, side = _cells(b.n, d, alpha)
-    # a neighbour of the clique at a path end overwrites that end's alpha
-    cells = {0: alpha, d: alpha, i - 1: beside if i > 1 else end,
-             i + 1: beside if i + 1 < d else end, i: clique}
-    return SymTridiag.path(d + 1, 2.0 * alpha, beta, cells, {i: side, i + 1: side})
-
-
-def _bug_runs(n: int, d: int, splits, alphas) -> tuple:
-    """The quotients of the bugs B(n, d, i) at alpha, one lane for each
-    (i, alpha) of splits and alphas broadcast together, as the runs
-    (diag, lead, reps, first) that eigensolve's lane solve reads
-    (_lane_runs): the runs of every lane back to back, and the run each
-    starts at. A lane's runs are bug_tridiagonal's, bit for bit: seven
-    slots, each dropped where it holds no row. No object is made per lane.
-    The caller checks the splits and alphas."""
-    i, alpha = np.asarray(splits), np.asarray(alphas, dtype=float)
-    beta, end, beside, clique, side = _cells(n, d, alpha)
-    two = 2.0 * alpha
-    inner = i + 1 < d
-    slots = (  # (diagonal entry, lead, rows) of
-        (np.where(i > 1, alpha, end), 0.0, 1),  # row 0
-        (two, beta, np.maximum(i - 2, 0)),  # rows 1 .. i - 2
-        (beside, beta, i > 1),  # row i - 1
-        (clique, side, 1),  # row i
+    beta, two, end, beside = 1.0 - alpha, 2.0 * alpha, alpha * w, alpha * above
+    side, left, inner = beta * math.sqrt(w), i > 1, i + 1 < d
+    return (
+        (np.where(left, alpha, end), 0.0, 1),  # row 0
+        (two, beta, (i - 2) * left),  # rows 1 .. i - 2
+        (beside, beta, left),  # row i - 1
+        (two + below, side, 1),  # row i
         (np.where(inner, beside, end), side, 1),  # row i + 1
-        (two, beta, np.maximum(d - i - 2, 0)),  # rows i + 2 .. d - 1
+        (two, beta, (d - i - 2) * inner),  # rows i + 2 .. d - 1
         (alpha, beta, inner),  # row d
     )
-    lanes = np.broadcast(i, alpha).size
-    diag, lead = np.empty((lanes, 7)), np.empty((lanes, 7))
-    reps = np.empty((lanes, 7), dtype=np.intp)
+
+
+def _pack(slots: tuple, lanes: int) -> tuple:
+    """The runs (diag, lead, reps, first) that eigensolve's lane solve
+    reads (_lane_runs) of lanes lanes given as slots: each slot one run,
+    dropped where it holds no row, the runs of every lane back to back and
+    first the run each lane starts at. No object is made per lane."""
+    diag, lead = np.empty((lanes, len(slots))), np.empty((lanes, len(slots)))
+    reps = np.empty((lanes, len(slots)), dtype=np.intp)
     for slot, (a, b, k) in enumerate(slots):
         diag[:, slot], lead[:, slot], reps[:, slot] = a, b, k
     keep = reps > 0
     first = np.zeros(lanes, dtype=np.intp)
-    np.cumsum(np.count_nonzero(keep[:-1], axis=1), out=first[1:])
+    np.cumsum(keep[:-1].sum(axis=1), out=first[1:])
     return diag[keep], lead[keep], reps[keep], first
+
+
+def _bug_runs(n: int, d: int, splits, alphas) -> tuple:
+    """The quotients of the bugs B(n, d, i) at alpha, one lane for each
+    (i, alpha) of splits and alphas broadcast together, as runs (_pack)
+    of all seven slots. The caller checks the splits and alphas."""
+    i, alpha = np.asarray(splits), np.asarray(alphas, dtype=float)
+    # [()] makes a 0-d array a scalar, whose arithmetic costs less
+    return _pack(_bug_slots(n, d, i[()], alpha[()]), np.broadcast(i, alpha).size)
+
+
+def bug_tridiagonal(b: BugSpec, alpha) -> SymTridiag:
+    """Order d+1 tridiagonal carrying the simple part of the bug spectrum:
+    one lane of _bug_runs. The tests check it entrywise against the
+    symmetrized quotient of the cell partition built from the edge list."""
+    return SymTridiag._from_runs(*_bug_runs(b.n, b.d, b.i, check_alpha(alpha))[:3])
 
 
 def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectrum:
@@ -102,7 +93,7 @@ def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectr
     d+1 eigenvalues are the simple spectrum of the tridiagonal quotient.
     """
     alpha = check_alpha(alpha)
-    values = tridiag_eigenvalues(bug_tridiagonal(b, alpha), config)
+    values = _run_spectrum(_bug_runs(b.n, b.d, b.i, alpha), b.d + 1, config)[0]
     return _spectrum_from_quotient(b, alpha, values)
 
 
@@ -128,6 +119,17 @@ def _halvable(d: int, i: int) -> bool:
     return d % 2 == 0 and d >= 4 and i == d // 2
 
 
+def _halving_slots(n: int, d: int, alphas) -> tuple[tuple, int]:
+    """The halved matrices of the balanced bug B(n, d, d/2) at alphas as
+    slots, and their count: slots 0-3 of its quotient, whose row d/2 is
+    joined by beta sqrt(2 w) instead. The first three slots are the inner
+    blocks of proof_decomposition. The caller checks n, d and alphas."""
+    alpha = np.asarray(alphas, dtype=float)
+    head = _bug_slots(n, d, d // 2, alpha[()])[:4]
+    fold = (1.0 - alpha[()]) * math.sqrt(2.0 * _clique_counts(n, d)[1])
+    return (*head[:3], (head[3][0], fold, 1)), alpha.size
+
+
 def halved_tridiagonal(n, d, alpha) -> SymTridiag:
     """Order d/2+1 tridiagonal of the balanced bug (i = d/2, d even), the
     part of its quotient that is symmetric under the bug's reflection.
@@ -136,37 +138,24 @@ def halved_tridiagonal(n, d, alpha) -> SymTridiag:
     block of proof_decomposition, so all d/2+1 eigenvalues belong to the
     bug's spectrum, and the largest is rho_alpha.
     """
-    n, d = _check_int("n", n), _check_int("d", d)
-    alpha = check_alpha(alpha)
-    if not _halvable(d, d // 2):
-        raise ValueError(f"halving requires an even diameter >= 4, got d={d}")
-    if n < d + 1:
-        raise ValueError(f"order n={n} too small for diameter d={d} (need n >= d+1)")
-    beta = 1.0 - alpha
-    below, w, above, _ = _clique_counts(n, d)
-    half = d // 2 + 1
-    cells = {0: alpha, half - 2: alpha * above, half - 1: 2.0 * alpha + below}
-    return SymTridiag.path(half, 2.0 * alpha, beta, cells, {half - 1: beta * math.sqrt(2.0 * w)})
+    d = _check_int("d", d)
+    return proof_decomposition(BugSpec(n, d, d // 2), alpha)[0]
 
 
 def proof_decomposition(b: BugSpec, alpha) -> tuple[SymTridiag, SymTridiag]:
     """Split the balanced bug's quotient into the halved (bordered) matrix
-    and its inner block S.
+    and its inner block S, the quotient's first d/2 rows.
 
     The order-(d+1) quotient is orthogonally similar to the direct sum of
     the bordered matrix (= halved_tridiagonal) and S, so their spectra
     union to the quotient's, and the eigenvalues of S strictly interlace
     the bordered ones.
     """
-    alpha = check_alpha(alpha)
-    if not _halvable(b.d, b.d // 2):
-        raise ValueError(f"decomposition requires an even diameter >= 4, got d={b.d}")
     if not _halvable(b.d, b.i):
-        raise ValueError(f"decomposition applies to balanced bugs (i = d/2), got i={b.i}")
-    half = b.d // 2
-    cells = {0: alpha, half - 1: alpha * _clique_counts(b.n, b.d)[2]}
-    inner = SymTridiag.path(half, 2.0 * alpha, 1.0 - alpha, cells, {})
-    return halved_tridiagonal(b.n, b.d, alpha), inner
+        raise ValueError("halving applies to balanced bugs (i = d/2) of even diameter >= 4, "
+                         f"got d={b.d}, i={b.i}")
+    slots, _ = _halving_slots(b.n, b.d, check_alpha(alpha))
+    return tuple(SymTridiag._from_runs(*_pack(part, 1)[:3]) for part in (slots, slots[:3]))
 
 
 def spectral_radius(b: BugSpec, alpha, config: SolveConfig | None = None) -> float:
@@ -178,5 +167,5 @@ def spectral_radius(b: BugSpec, alpha, config: SolveConfig | None = None) -> flo
     is bisected; the value is bit-identical to the top of the full
     quotient spectrum.
     """
-    values = lane_eigenvalues([bug_tridiagonal(b, alpha)], [b.d + 1], config)
-    return float(values[0, 0])
+    runs = _bug_runs(b.n, b.d, b.i, check_alpha(alpha))
+    return float(_run_eigenvalues(runs, b.d + 1, np.array([b.d + 1]), config)[0, 0])

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SolveConfig, _run_eigenvalues, jacobi_eigenvalues, lane_eigenvalues
+from .eigensolve import SolveConfig, _run_eigenvalues, _run_spectrum, jacobi_eigenvalues
 from .graphs import BugSpec, _check_int, _check_positive, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import (_bug_runs, _halvable, _spectrum_from_quotient, bug_tridiagonal,
-                         closed_form, proof_decomposition)
+from .structured import (_bug_runs, _halvable, _halving_slots, _pack, _spectrum_from_quotient,
+                         closed_form)
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
@@ -116,19 +116,22 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
     return [ScanRow(j + 1, rho, j == best) for j, rho in enumerate(rhos)]
 
 
-def _full_spectra(lanes, config: SolveConfig | None) -> list[np.ndarray]:
-    """The ascending spectrum of each tridiagonal, solved as one
-    lane_eigenvalues call per order. A lane's values depend only on its
-    own entries, so each equals tridiag_eigenvalues of that tridiagonal
-    bit for bit."""
-    by_order: dict[int, list[int]] = {}
-    for k, t in enumerate(lanes):
-        by_order.setdefault(t.order, []).append(k)
-    spectra: list[np.ndarray] = [None] * len(lanes)
-    for m, members in by_order.items():
-        values = lane_eigenvalues([lanes[k] for k in members], np.arange(1, m + 1), config)
-        for k, row in zip(members, np.sort(values, axis=1)):
-            spectra[k] = row
+def _full_spectra(sets, config: SolveConfig | None) -> list[list[np.ndarray]]:
+    """The ascending spectra of the lanes of each (order, runs) set, one
+    array a lane, solved as one _run_spectrum call per order. A lane's
+    values depend only on its own entries, so each array equals
+    tridiag_eigenvalues of that lane bit for bit."""
+    spectra: list[list[np.ndarray]] = [None] * len(sets)
+    for m in sorted({m for m, _ in sets}):
+        members = [k for k, (order, _) in enumerate(sets) if order == m]
+        parts = [sets[k][1] for k in members]
+        # the sets' runs back to back, each set's first moved past the runs before it
+        shift = np.cumsum([0] + [part[0].size for part in parts[:-1]])
+        runs = (*(np.concatenate(column) for column in list(zip(*parts))[:3]),
+                np.concatenate([part[3] + at for part, at in zip(parts, shift)]))
+        values = iter(_run_spectrum(runs, m, config))
+        for k, part in zip(members, parts):
+            spectra[k] = [next(values) for _ in part[3]]
     return spectra
 
 
@@ -187,9 +190,9 @@ def run_verification(
     exponentially in the path length, so the genuine gap drops below any
     fixed noise margin even though strict interlacing still holds exactly.
 
-    Every quotient spectrum is solved before the checks run, as one
-    lane_eigenvalues call per order (_full_spectra); the values are those
-    of solving each quotient alone. At most MAX_FAILURES_LISTED failure
+    Every quotient spectrum is built as runs and solved before the checks
+    run, one lane solve per order (_full_spectra); the values are those of
+    solving each quotient alone. At most MAX_FAILURES_LISTED failure
     messages are kept, and failures_dropped counts the rest.
 
     max_n may not exceed VERIFY_MAX_N, and tol must be positive and finite;
@@ -202,25 +205,23 @@ def run_verification(
     if not alphas:
         raise ValueError("alpha grid must be non-empty")
     tol = _check_positive("tolerance", tol)
-    # (bug, alpha, halving) in the order the checks run: each bug's grid
-    # alphas, then, for a balanced bug of even diameter >= 4, its halving
-    # alphas
-    plan = []
-    for b in enumerate_bugs(max_n):
-        plan.extend((b, alpha, False) for alpha in alphas)
-        if _halvable(b.d, b.i):
-            plan.extend((b, alpha, True) for alpha in HALVING_ALPHAS)
-    lanes = []
-    for b, alpha, halving in plan:
+    # (order, runs) sets in the order the checks read them: a bug's
+    # quotients at its grid and halving alphas, then its halved matrices and
+    # their inner blocks at the halving alphas
+    bugs, sets = list(enumerate_bugs(max_n)), []
+    for b in bugs:
+        halving = HALVING_ALPHAS if _halvable(b.d, b.i) else ()
+        sets.append((b.d + 1, _bug_runs(b.n, b.d, b.i, alphas + halving)))
         if halving:
-            lanes.extend(proof_decomposition(b, alpha))
-        lanes.append(bug_tridiagonal(b, alpha))
-    spectra = iter(_full_spectra(lanes, config))
+            slots, lanes = _halving_slots(b.n, b.d, halving)
+            sets += [(b.d // 2 + 1, _pack(slots, lanes)), (b.d // 2, _pack(slots[:3], lanes))]
+    spectra = iter(_full_spectra(sets, config))
 
     checks = []  # (passed, deviation, failure message), in the order run
-    for b, alpha, halving in plan:
-        if not halving:
-            structured = _spectrum_from_quotient(b, alpha, next(spectra))
+    for b in bugs:
+        quotients = next(spectra)
+        for alpha, values in zip(alphas, quotients):
+            structured = _spectrum_from_quotient(b, alpha, values)
             dense = jacobi_eigenvalues(assemble_dense_alpha(b, alpha), config)
             report = compare_spectra(structured, dense, tol)
             checks.append((report.matched, report.max_abs_deviation,
@@ -233,21 +234,23 @@ def run_verification(
                 checks.append((found == expected, 0.0,
                                f"closed-form cluster for n={b.n} d={b.d} i={b.i} "
                                f"alpha={alpha}: expected {expected}, found {found}"))
+        if not _halvable(b.d, b.i):
             continue
-        outer_vals, inner_vals, full_vals = next(spectra), next(spectra), next(spectra)
-        union = np.sort(np.concatenate([outer_vals, inner_vals]))
-        deviation = float(np.max(np.abs(union - full_vals)))
-        checks.append((deviation <= tol, deviation,
-                       f"halving union for n={b.n} d={b.d} alpha={alpha}: "
-                       f"deviation {deviation:.3e}"))
-        checks.append((check_interlacing(inner_vals, outer_vals), 0.0,
-                       f"interlacing failed for n={b.n} d={b.d} alpha={alpha}"))
-        checks.append((abs(float(outer_vals[-1]) - float(full_vals[-1])) <= 1e-9, 0.0,
-                       f"halved radius for n={b.n} d={b.d} alpha={alpha} "
-                       f"drifts from the full quotient radius"))
+        blocks = zip(HALVING_ALPHAS, next(spectra), next(spectra), quotients[len(alphas):])
+        for alpha, outer_vals, inner_vals, full_vals in blocks:
+            union = np.sort(np.concatenate([outer_vals, inner_vals]))
+            deviation = float(np.max(np.abs(union - full_vals)))
+            checks.append((deviation <= tol, deviation,
+                           f"halving union for n={b.n} d={b.d} alpha={alpha}: "
+                           f"deviation {deviation:.3e}"))
+            checks.append((check_interlacing(inner_vals, outer_vals), 0.0,
+                           f"interlacing failed for n={b.n} d={b.d} alpha={alpha}"))
+            checks.append((abs(float(outer_vals[-1]) - float(full_vals[-1])) <= 1e-9, 0.0,
+                           f"halved radius for n={b.n} d={b.d} alpha={alpha} "
+                           f"drifts from the full quotient radius"))
     failures = [message for passed, _, message in checks if not passed]
     return VerificationSummary(
-        instances=sum(not halving for _, _, halving in plan),
+        instances=len(bugs) * len(alphas),
         checks_run=len(checks),
         checks_passed=len(checks) - len(failures),
         worst_deviation=max((deviation for _, deviation, _ in checks), default=0.0),

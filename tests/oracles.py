@@ -70,6 +70,35 @@ def cell_quotient(n: int, edges, cells, alpha: float) -> np.ndarray:
     return quotient
 
 
+def quotient_layouts(n: int, d: int, i: int, alpha: float) -> dict:
+    """The bug quotient at (n, d, i, alpha) as a path with a few special
+    cells, the arguments (order, diagonal, lead, diagonal cells, lead
+    cells) of SymTridiag.path, and for a balanced bug (i = d/2, d even and
+    >= 4) the halved matrix and its inner block too, keyed "bug", "halved"
+    and "inner". A second statement of the entries the library writes as
+    slot rows: beta = 1 - alpha on the path, 2 alpha + w - 1 and
+    beta sqrt(w) at the clique cell i, alpha (w + 1) at a clique neighbour
+    inside the path and alpha w at one that ends it; the halved matrix is
+    rows 0..d/2 with last lead beta sqrt(2 w), the inner block rows
+    0..d/2 - 1. The arithmetic is the library's, so the runs agree bit for
+    bit."""
+    below, w, above = float(n - d - 1), float(n - d), float(n - d + 1)
+    beta = 1.0 - alpha
+    beside, end = alpha * above, alpha * w
+    # a neighbour of the clique at a path end overwrites that end's alpha
+    cells = {0: alpha, d: alpha, i - 1: beside if i > 1 else end,
+             i + 1: beside if i + 1 < d else end, i: 2.0 * alpha + below}
+    side = beta * math.sqrt(w)
+    layouts = {"bug": (d + 1, 2.0 * alpha, beta, cells, {i: side, i + 1: side})}
+    if d % 2 == 0 and d >= 4 and i == d // 2:
+        half = d // 2
+        layouts["halved"] = (half + 1, 2.0 * alpha, beta,
+                             {0: alpha, half - 1: beside, half: 2.0 * alpha + below},
+                             {half: beta * math.sqrt(2.0 * w)})
+        layouts["inner"] = (half, 2.0 * alpha, beta, {0: alpha, half - 1: beside}, {})
+    return layouts
+
+
 def path_edges(n: int) -> list[tuple[int, int]]:
     return [(j, j + 1) for j in range(n - 1)]
 

@@ -113,13 +113,13 @@ class TestSpectrumCommand:
         import alphabug.eigensolve as eigensolve
 
         solves = []
-        original = eigensolve.lane_eigenvalues
+        original = eigensolve._run_eigenvalues
 
         def counting(*args, **kwargs):
             solves.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(eigensolve, "lane_eigenvalues", counting)
+        monkeypatch.setattr(eigensolve, "_run_eigenvalues", counting)
         code, payload = run_json(capsys, *GOLDEN_ARGS, "--method", "all")
         assert code == 0 and payload["verification"]["matched"] is True
         assert len(solves) == 1
@@ -670,6 +670,18 @@ class TestEnvironmentOverride:
                           "--alphas", "0.2,0.5")
         assert code == 3
 
+    def test_tolerance_that_overflows_the_brackets_is_named(self, capsys, monkeypatch):
+        # only the stop's padding takes the brackets past the float range,
+        # so the message names the tolerance, not the matrix's bound
+        monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", "1e308")
+        for method in ("structured", "halved", "all"):
+            code = main(["spectrum", "--n", "12", "--d", "6", "--i", "3", "--alpha", "0.5",
+                         "--method", method])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: bisection_tol 1e+308 takes")
+            assert captured.err.count("\n") == 1
+
     def test_loose_tolerance_still_accurate(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", "1e-6")
         code, payload = run_json(capsys, *GOLDEN_ARGS)
@@ -700,9 +712,9 @@ class TestLaneCellCap:
 
     @pytest.fixture
     def no_lanes(self, monkeypatch):
-        """Building a quotient raises Built: spectrum builds one with
-        bug_tridiagonal, scan and sweep build theirs as runs with
-        _bug_runs."""
+        """Building a quotient raises Built: spectrum, scan and sweep
+        build theirs as runs with _bug_runs, and spectrum's halved method
+        packs its slots with _pack."""
         import alphabug.cli as cli_module
         import alphabug.verify as verify_module
 
@@ -712,8 +724,8 @@ class TestLaneCellCap:
         def refuse(*args, **kwargs):
             raise Built("a quotient was built")
 
-        monkeypatch.setattr(cli_module, "bug_tridiagonal", refuse)
         monkeypatch.setattr(cli_module, "_bug_runs", refuse)
+        monkeypatch.setattr(cli_module, "_pack", refuse)
         monkeypatch.setattr(verify_module, "_bug_runs", refuse)
         return cli_module.D_MAX, Built
 
@@ -734,6 +746,9 @@ class TestLaneCellCap:
     @pytest.mark.parametrize("argv", [
         ["scan", "--n", str(10**7), "--d", str(10**6), "--alpha", "0.5"],
         ["sweep", "--n", "2000000", "--d", "1000000", "--i", "2", "--alphas", FORTY_ALPHAS],
+        ["spectrum", "--n", str(10**7), "--d", str(10**6), "--i", "5", "--alpha", "0.5"],
+        ["spectrum", "--n", str(10**7), "--d", str(10**6), "--i", str(5 * 10**5),
+         "--alpha", "0.5", "--method", "halved"],
     ])
     def test_at_cap_reaches_the_lanes(self, capsys, no_lanes, argv):
         with pytest.raises(no_lanes[1]):

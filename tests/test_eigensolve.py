@@ -16,11 +16,13 @@ from alphabug import (
     SolveConfig,
     SymTridiag,
     assemble_dense_alpha,
+    bug_spectrum,
     bug_tridiagonal,
     gershgorin_interval,
     jacobi_eigenvalues,
     lane_eigenvalues,
     perron_pair,
+    spectral_radius,
     sturm_count,
     tridiag_eigenvalues,
 )
@@ -29,6 +31,7 @@ from alphabug.verify import enumerate_bugs, extremal_scan
 from oracles import (
     exact_inertia_bounds,
     plain_bisection_eigenvalues,
+    quotient_layouts,
     row_loop_count,
     two_pass_jacobi_eigenvalues,
 )
@@ -92,32 +95,29 @@ class TestSymTridiag:
         (3, 1.0, 1.0, {1: np.inf}, {}),
         (3, np.nan, 1.0, {}, {}),
         (0, 1.0, 1.0, {}, {}),
+        (4, 1.0, 0.5, {1.5: 2.0}, {}),  # stored a run of 0 rows: 3 rows at order 4
+        (4, 1.0, 0.5, {}, {2.5: 2.0}),
+        (4, 1.0, 0.5, {True: 2.0}, {}),
+        (3.5, 1.0, 0.5, {}, {}),
+        (True, 1.0, 0.5, {}, {}),
+        (np.float64(4.5), 1.0, 0.5, {}, {}),
     ])
     def test_path_rejects_bad_cells(self, args):
         with pytest.raises(ValueError):
             SymTridiag.path(*args)
 
-    def test_path_runs_keep_the_bits_of_a_tuple_per_run(self, monkeypatch):
+    def test_path_runs_keep_the_bits_of_a_tuple_per_run(self):
         """path fills both columns with one np.array call; every run entry
         and the order equal those of the construction that lists a
-        (diag, lead, reps) tuple per run, on bug, halved and inner matrices."""
-        built = []
-        original = SymTridiag.path.__func__
-
-        def spy(cls, m, diag, lead, diag_cells, lead_cells):
-            t = original(cls, m, diag, lead, diag_cells, lead_cells)
-            built.append((t, (m, diag, lead, diag_cells, lead_cells)))
-            return t
-
-        monkeypatch.setattr(SymTridiag, "path", classmethod(spy))
+        (diag, lead, reps) tuple per run, on the layouts of bug, halved and
+        inner matrices (oracles.quotient_layouts)."""
+        layouts = []
         for n, d, i in [(7, 4, 2), (40, 12, 5), (41, 12, 6), (10**6, 200, 1), (10**6, 200, 100)]:
             for alpha in (0.0, 0.3, 0.99):
-                bug_tridiagonal(BugSpec(n, d, i), alpha)
-                halved_tridiagonal(n, d, alpha)
-                if i == d // 2:
-                    proof_decomposition(BugSpec(n, d, i), alpha)
-        assert len(built) == 5 * 3 * 2 + 3 * 3 * 2
-        for t, (m, diag, lead, diag_cells, lead_cells) in built:
+                layouts.extend(quotient_layouts(n, d, i, alpha).values())
+        assert len(layouts) == 5 * 3 + 3 * 3 * 2
+        for m, diag, lead, diag_cells, lead_cells in layouts:
+            t = SymTridiag.path(m, diag, lead, diag_cells, lead_cells)
             cells = sorted({0, *diag_cells, *lead_cells})
             runs = []
             for row, end in zip(cells, cells[1:] + [m]):
@@ -128,6 +128,15 @@ class TestSymTridiag:
             assert t.order == m == int(columns[2].sum())
             for got, want in zip(t.runs, columns):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_path_takes_integral_rows_of_any_number_type(self):
+        plain = SymTridiag.path(6, 1.0, 0.5, {0: 3.0, 2: 4.0}, {2: 2.0})
+        for rows in ({np.int64(2): 4.0}, {2.0: 4.0}):
+            for t in (SymTridiag.path(np.int64(6), 1.0, 0.5, {0: 3.0, **rows}, {2.0: 2.0}),
+                      SymTridiag.path(6.0, 1.0, 0.5, {0: 3.0, **rows}, {np.int64(2): 2.0})):
+                assert t.order == 6 and type(t.order) is int
+                for got, want in zip(t.runs, plain.runs):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_to_dense(self):
         t = SymTridiag([1.0, 2.0, 3.0], [0.5, 0.25])
@@ -375,6 +384,26 @@ class TestLaneEigenvalues:
                 tridiag_eigenvalues(t)
             with pytest.raises(ValueError, match="half the largest float"):
                 lane_eigenvalues([SymTridiag(np.zeros(t.order), np.ones(t.order - 1)), t], [1])
+
+    def test_a_stop_too_large_for_the_brackets_is_named(self):
+        # the padded brackets overflow only through the stop, so the error
+        # names bisection_tol, not the matrix's Gershgorin bound
+        huge = SolveConfig(bisection_tol=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: tridiag_eigenvalues(GOLDEN, huge),
+                          lambda: lane_eigenvalues([GOLDEN], [6], huge),
+                          lambda: bug_spectrum(BugSpec(12, 6, 2), 0.5, huge),
+                          lambda: spectral_radius(BugSpec(12, 6, 2), 0.5, huge)):
+                with pytest.raises(ValueError, match="^bisection_tol 1e[+]308 takes") as raised:
+                    solve()
+                assert "Gershgorin bound" not in str(raised.value)
+            # a matrix past the bound is still blamed whatever the stop
+            with pytest.raises(ValueError, match="^Gershgorin bound"):
+                tridiag_eigenvalues(SymTridiag([9e307] * 3, [1.0, 1.0]), huge)
+        # a stop that keeps the brackets finite stops at once, as before
+        loose = tridiag_eigenvalues(GOLDEN, SolveConfig(bisection_tol=1e300))
+        assert loose.size == 6 and np.isfinite(loose).all()
 
     def test_overflowing_offdiagonal_squares_are_scaled(self):
         # the kernel reads squared off-diagonals: these square to inf (they

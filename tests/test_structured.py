@@ -22,7 +22,8 @@ from alphabug import (
 from alphabug.cli import _closed_form
 from alphabug.spectrum import CLOSED_FORM, QUOTIENT
 from alphabug.structured import _bug_runs, closed_form
-from oracles import alpha_matrix, bug_cells, bug_edges, cell_quotient, path_edges
+from oracles import (alpha_matrix, bug_cells, bug_edges, cell_quotient, path_edges,
+                     quotient_layouts)
 
 GOLDEN_BUG = BugSpec(11, 5, 2)
 GOLDEN_ALPHA = 0.6
@@ -267,33 +268,45 @@ def _runs_of_lane(runs, lane):
     return diag[part], lead[part], reps[part]
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
+def _same_runs(got, want):
+    """Equal runs as bytes: the same Gershgorin bounds and the same plan."""
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 # d = 2 and 3: the clique's neighbours end the path on one side or both;
-# 48 and 63 below the order-64 gate, 64 at it
-@pytest.mark.parametrize("d", [2, 3, 4, 48, 63, 64])
+# 48 and 63 below the order-64 gate, 64 at it, 200 above it
+@pytest.mark.parametrize("d", [2, 3, 4, 48, 63, 64, 200])
 def test_bug_runs_are_bug_tridiagonal_lanes_bit_for_bit(d):
-    splits = sorted({1, d // 2})
+    """Every lane of a scan's and a sweep's _bug_runs, bug_tridiagonal,
+    halved_tridiagonal and both blocks of proof_decomposition have the
+    runs that SymTridiag.path builds from the cell layout of
+    oracles.quotient_layouts, as bytes."""
+    splits = sorted({1, 2, d // 2 - 1, d // 2} & set(range(1, d // 2 + 1)))
+    alphas = (0.0, 0.3, 0.99)
     sweep_alphas = (0.3, 0.0, 0.99, 0.3)
-    for n in (d + 2, d + 3, 10 * d + 7, 10**6 + 3, 10**15):
-        built = {}
-        for alpha in (0.0, 0.3, 0.99):
+    for n in (d + 1, d + 2, d + 3, 10 * d + 7, 10**6 + 3, 10**15):
+        layout = {(i, alpha): {name: SymTridiag.path(*args).runs for name, args
+                               in quotient_layouts(n, d, i, alpha).items()}
+                  for i in splits for alpha in alphas}
+        for alpha in alphas:
             scan = _bug_runs(n, d, np.array(splits), alpha)
-            built.update({(i, alpha): _runs_of_lane(scan, k) for k, i in enumerate(splits)})
+            for k, i in enumerate(splits):
+                assert _same_runs(_runs_of_lane(scan, k), layout[i, alpha]["bug"])
         for i in splits:
             sweep = _bug_runs(n, d, i, sweep_alphas)
             for k, alpha in enumerate(sweep_alphas):
-                assert all(map(np.array_equal, _runs_of_lane(sweep, k), built[i, alpha]))
-        for (i, alpha), (diag, lead, reps) in built.items():
-            t = bug_tridiagonal(BugSpec(n, d, i), alpha)
-            assert diag.size <= 7 and reps.min() >= 1 and reps.sum() == d + 1
-            # the same runs, so the same Gershgorin bounds and the same plan
-            assert [_bits(diag), _bits(lead), reps.tolist()] == [
-                _bits(t.runs[0]), _bits(t.runs[1]), t.runs[2].tolist()]
-            assert _bits(np.repeat(diag, reps)) == _bits(t.diag)
-            assert _bits(np.repeat(lead, reps)[1:]) == _bits(t.offdiag)
+                assert _same_runs(_runs_of_lane(sweep, k), layout[i, alpha]["bug"])
+        for (i, alpha), want in layout.items():
+            b = BugSpec(n, d, i)
+            t = bug_tridiagonal(b, alpha)
+            assert t.order == d + 1 and t.runs[0].size <= 7 and t.runs[2].min() >= 1
+            assert _same_runs(t.runs, want["bug"])
+            if "halved" in want:
+                halved, inner = proof_decomposition(b, alpha)
+                assert (halved.order, inner.order) == (d // 2 + 1, d // 2)
+                assert _same_runs(halved.runs, want["halved"])
+                assert _same_runs(halved_tridiagonal(n, d, alpha).runs, want["halved"])
+                assert _same_runs(inner.runs, want["inner"])
 
 
 FOLD_ALPHAS = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 0.99)

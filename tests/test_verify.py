@@ -21,7 +21,7 @@ from alphabug import (
     spectral_radius,
     tridiag_eigenvalues,
 )
-from alphabug.structured import closed_form
+from alphabug.structured import _bug_runs, closed_form
 from alphabug.verify import MAX_FAILURES_LISTED, VERIFY_MAX_N, _full_spectra
 
 
@@ -270,11 +270,21 @@ def test_interlacing_margin_collapses_near_alpha_one():
 
 
 def test_lane_spectra_match_solving_each_quotient_alone():
-    lanes = []
+    # sets of several lanes (a bug's alphas) and of one, of orders 2-8,
+    # interleaved: each lane's spectrum is that of its quotient alone
+    alphas = (0.0, 0.3, 0.99)
+    sets, quotients = [], []
     for b in enumerate_bugs(8):
-        for alpha in (0.0, 0.3, 0.99):
-            lanes.append(bug_tridiagonal(b, alpha))
-            if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
-                lanes.extend(proof_decomposition(b, alpha))
-    for t, values in zip(lanes, _full_spectra(lanes, None)):
-        assert np.array_equal(values, tridiag_eigenvalues(t))
+        sets.append((b.d + 1, _bug_runs(b.n, b.d, b.i, alphas)))
+        quotients.append([bug_tridiagonal(b, alpha) for alpha in alphas])
+        if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
+            for alpha in alphas:
+                for t in proof_decomposition(b, alpha):
+                    sets.append((t.order, (*t.runs, np.zeros(1, dtype=np.intp))))
+                    quotients.append([t])
+    spectra = _full_spectra(sets, None)
+    assert len(spectra) == len(sets) and {m for m, _ in sets} == set(range(2, 9))
+    for lanes, values in zip(quotients, spectra):
+        assert len(values) == len(lanes)
+        for t, row in zip(lanes, values):
+            assert np.array_equal(row, tridiag_eigenvalues(t))
