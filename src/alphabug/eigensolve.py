@@ -2,27 +2,15 @@
 
 Three kernels, deliberately independent of any LAPACK-backed routine:
 
-* Sturm-count bisection for symmetric tridiagonal matrices (the fast
-  structured path), stored as runs of equal rows that the Gershgorin
-  bounds and count plans read directly: one routine solves selected
-  eigenvalues of several tridiagonals of the same order in lockstep, each
-  round evaluating the next levels of every distinct bracket's bisection
-  tree once and moving each bracket down its tree in one step, as deep as
-  gives the most levels per unit of a round's cost; every count goes
-  through one kernel, which forms x - a for up to 64 rows at a time, steps
-  the negated pivot recurrence with two numpy calls per row, counts signs
-  once per block, carries an exact zero pivot by IEEE signed zeros and
-  infinities with no test for it and, from order 64 up, jumps runs of
-  equal rows in closed form, computing what a jump reads of the shifts
-  alone once for all runs of equal entries (the two paths of a bug
-  quotient); a small call (below order 64, with
-  lanes x distinct indices x order at most _SCALAR_MAX_WORK = 840, as for
-  a full spectrum up to order 28, an 8-alpha sweep up to order 52 or a
-  scan up to order 42) instead walks each bisection tree on Python floats,
-  one scalar Sturm count per node, with the same bits, which a node of rho
-  alone or of the smallest value alone stops at its first deciding pivot:
-  sweeps and scans walk in 0.47-0.65 and full spectra in 0.61-1.11 of the
-  rounds' time per call at work 200-800 (medians),
+* Sturm-count bisection for symmetric tridiagonal matrices stored as runs
+  of equal rows (the fast structured path): lane_eigenvalues solves
+  selected eigenvalues of several tridiagonals of one order in lockstep,
+  in rounds that each count the next levels of every distinct bracket's
+  bisection tree in one pass of one kernel (_plan_counts), which jumps
+  runs of equal rows in closed form from order 64 up. Below that order
+  the largest eigenvalue comes from Laguerre steps certified by a count,
+  and small calls walk each bisection tree on Python floats instead of
+  running rounds, with the same bits,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -125,9 +113,10 @@ class SolveConfig:
     """Stopping rules for the iterative kernels.
 
     bisection_tol is relative to the Gershgorin span (and never tighter
-    than 4 ulps), jacobi_off_tol to the Frobenius norm, power_tol to
-    max(1, rho). Every tolerance must be positive and finite, and each
-    iteration cap an integer >= 1 (not a bool).
+    than 4 ulps; below order 64 the largest eigenvalue is not bisected),
+    jacobi_off_tol to the Frobenius norm, power_tol to max(1, rho). Every
+    tolerance must be positive and finite, and each iteration cap an
+    integer >= 1 (not a bool).
     """
 
     bisection_tol: float = 1e-13
@@ -160,11 +149,7 @@ DEFAULT_CONFIG = SolveConfig()
 # a shift 0.12-0.14 us, a ratio of 1,100-1,250 (on a busier host 160-290 us
 # and 0.10-0.21 us). Interleaved in-process passes over the spectrum-large
 # jobs took 1.01-1.04, 0.99-1.01 and 1.02-1.04 times as long at 800, 1,600 and
-# 2,400 as at 1,200. Plans of row steps take the same rule: their rounds serve
-# only calls above _SCALAR_MAX_WORK (13 of the bench workloads' seed-1 calls;
-# 15 at the bound of 800 this was measured at), and those 15 took 1.01 times
-# as long as under a 512-shift budget a round, 29.1 ms against 28.8 (median
-# CPU time of 21 interleaved passes, same host). A round
+# 2,400 as at 1,200. Plans of row steps take the same rule. A round
 # goes past one level only while trees < _ROUND_COST, so a deeper round holds
 # at most 3 * (_ROUND_COST - 1) = 3,597 shifts (two levels of 1,199 trees),
 # and the count kernel's buffer (_BLOCK_ROWS = 64 rows of them, 1.8 MB) stays
@@ -184,32 +169,31 @@ _LAYOUT_COST = 200
 _MAX_BISECTION_STEPS = 2200
 # From this order up, _run_plan cuts each lane into generic rows and uniform
 # runs, which the count kernel jumps in closed form; below it every row is one
-# step. Below it, the gate also lets small calls bisect on Python floats. A
-# jump costs about forty numpy calls against two per row. Measured on bug
-# quotients (2-core x86-64, numpy 2.4), jumps win from order about 56 for rho
-# alone, 85 for a full spectrum, 128 for an 8-alpha sweep and 150 for a scan
-# of all d/2 splits, whose lanes fall into four plan shapes. At order 64 they
-# save 8 % on rho alone and cost 1.2 times the row steps for a full spectrum
-# and 1.6 times for a sweep or a scan.
+# step. Below it, the gate also lets small calls bisect on Python floats, and
+# rho comes from Laguerre steps. A jump costs about forty numpy calls against
+# two per row. Measured on bug quotients (2-core x86-64, numpy 2.4), jumps
+# win from order about 56 for rho alone, 85 for a full spectrum, 128 for an
+# 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes fall into
+# four plan shapes.
 # The gate is on the order, not on run length: lane i of a scan has a left
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
-# Below _RUN_PLAN_MIN_ORDER, a call whose lanes x distinct indices x order
-# is at most this bisects on Python floats (_scalar_bisection), one count
-# per tree node, instead of in multisection rounds, each a few dozen numpy
-# calls on arrays of a few rows. Per call, Python-float time over round time
-# on bug quotients (rho alone, full spectra, 8-alpha sweeps and scans of
-# order 4-63, 240 calls; 2-core x86-64, Python 3.11, numpy 2.4; medians of
-# three measurements): 0.14-0.16 at work below 200, 0.53-0.55 at 200-400,
-# 0.61-0.63 at 400-800, 0.65-0.66 at 800-1000, 0.76-0.78 at 1000-1200 and
-# 1.10-1.15 at 1200-1400. Nodes of rho alone or of the smallest value alone
-# stop their counts early, so full spectra cross near 700-800 (1.14-1.20 at
-# 800-1000, where sweeps read 0.62-0.63 and scans 0.67-0.71). Summed over
-# those calls and the bench's radius-scan calls, the time falls up to a
-# bound of about 1,200; but past 840 full spectra walk too (order 29 at
-# 841; verify's multi-lane ones at 960 and 1,080), and they slow.
-_SCALAR_MAX_WORK = 840
+# Below _RUN_PLAN_MIN_ORDER, a call whose lanes x distinct indices (m left out)
+# x order is at most this walks each tree on Python floats (_scalar_bisection).
+# Walk time over round time per call on bug quotients (2-core x86-64, Python
+# 3.11, numpy 2.4; medians of 7): one-lane full spectra 0.31 at work 56, 0.63
+# at 380, 0.79 at 552 and 0.91-1.14 at 756-870; 8-alpha sweeps 0.33-0.66 at
+# 128-504; spectra of 10-30 lanes 0.80-0.97 at 200-300 and 1.25-2.1 at 400-840.
+_SCALAR_MAX_WORK = 560
+# A call of at most this many lanes takes rho by Laguerre steps on Python
+# floats (_scalar_top), one of more on lane arrays (_lane_tops): the first
+# took 0.53-0.61 of the second's time at 24 lanes, 0.68-0.78 at 32, 0.81-0.96
+# at 40, 0.95-1.15 at 48 and 1.09-1.39 at 56 (bug quotients of order 9-63).
+_LAGUERRE_LANES = 40
+# A lane still stepping after this many is bisected: bug quotients stop after
+# 2-6, random tridiagonals after 12 at most, a (linear) double top after 27-33.
+_LAGUERRE_MAX_STEPS = 16
 # The count kernel forms a - x for up to this many generic rows in one
 # subtract and counts their signs in one pass, so its buffer is at most
 # this many rows of shifts, whatever the order.
@@ -309,13 +293,21 @@ def _run_plan(runs: tuple, order: int) -> list:
     is_run = sizes > 1
     # lane l holds stretches bounds[l] .. bounds[l+1] - 1
     bounds = np.searchsorted(starts, np.append(first, diag.size))
-    groups: dict[bytes, list] = {}
-    for lane in range(first.size):
-        groups.setdefault(is_run[bounds[lane]:bounds[lane + 1]].tobytes(), []).append(lane)
+    groups = [np.zeros(1, dtype=np.intp)]
+    if first.size > 1:
+        # each lane's stretch kinds (1 a run) as a row padded with 2, sorted
+        # stably to put equal shapes together in lane order
+        counts = np.diff(bounds)
+        shapes = np.full((first.size, counts.max()), 2, dtype=np.int8)
+        lane_at = np.arange(first.size) * shapes.shape[1] - bounds[:-1]
+        shapes.reshape(-1)[np.arange(starts.size) + np.repeat(lane_at, counts)] = is_run
+        order = np.lexsort(shapes.T[::-1])
+        ranked = shapes[order]
+        groups = np.split(order, np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1)
     plan = []
-    for shape, members in groups.items():
-        group = np.array(members)
-        at = bounds[group][:, None] + np.arange(len(shape))
+    for group in groups:
+        shape = is_run[bounds[group[0]]:bounds[group[0] + 1]]
+        at = bounds[group][:, None] + np.arange(shape.size)
         a, c, k = diag[starts[at]], floored[starts[at]], sizes[at]
         steps = [
             (a[:, s:s + 1], c[:, s:s + 1], k[:, s:s + 1] if run else None)
@@ -633,36 +625,50 @@ def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray, ulps: bool):
     return upper - lower, np.maximum(tol, 4.0 * np.spacing(np.maximum(-lower, upper)))
 
 
-def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
+def _row_lists(runs: tuple) -> list:
+    """Each lane's rows from its runs (_lane_runs) as Python floats (diagonal
+    entry, floored squared lead), row 0's with 0: after a pivot of 1, x - a."""
+    diag, lead, reps, first = runs
+    a, c = (np.repeat(v, reps).reshape(first.size, -1) for v in (diag, _lead_squares(lead)[1]))
+    c[:, 0] = 0.0
+    return [list(zip(*lane)) for lane in zip(a.tolist(), c.tolist())]
+
+
+def _under_top(x: float, row: list) -> bool:
+    """Whether a lane's count at x (_plan_counts) is below its order, from its
+    rows (_row_lists): a pivot is negative, or a zero one (+0) is not last."""
+    pivot = 1.0
+    for entry, square in row:
+        if pivot == 0.0:
+            return True
+        pivot = (x - entry) - square / pivot
+        if pivot < 0.0:
+            return True
+    return False
+
+
+def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
     """The wanted eigenvalues (1-based indices, ascending and distinct) of
     lanes below _RUN_PLAN_MIN_ORDER, one dict per lane from index to value,
-    bisected on Python floats from the lanes' runs (_lane_runs) and
-    lane_eigenvalues's brackets lo..hi, tolerances tol and 4-ulp flags ulps
-    (arrays of shape (L,)).
+    bisected on Python floats from the lanes' rows (_row_lists) and
+    lane_eigenvalues's brackets lo..hi and tolerances tol (arrays of shape
+    (L,)).
 
     Walks each lane's bisection tree one node at a time, with one Sturm
-    count per node: the row loop of _walk on scalars, (x - a) - c/n with c
-    the floored squared lead. A zero pivot's quotient is inf of its sign, as
-    c/(+-0) is in numpy: Python raises ZeroDivisionError there, and the row
-    is finished from that inf. A node's indices go left where the count at
-    its midpoint reaches them, as in the tree descent, and a node stops
-    where _stops would close it, so every value has the multisection
-    rounds' bits. A node of index m (rho) alone goes right at its first
-    negative pivot, one of index 1 alone left at its first non-negative
-    one, each the other way if there is none: the full count's decision,
-    from 65 % and 75 % of the rows on the bench's radius-scan calls.
-    A node still open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
+    count per node: the row loop of _walk on scalars, where a zero pivot's
+    quotient is inf of its sign, as in numpy (Python raises
+    ZeroDivisionError). A node's indices go left where the count at its
+    midpoint reaches them, as in the tree descent, and a node stops where
+    _stops would close it, so every value has the rounds' bits. A node of
+    index 1 alone goes left at its first non-negative pivot, right if there
+    is none: the full count's decision, from fewer rows. A node still open
+    at depth _MAX_BISECTION_STEPS raises ConvergenceError.
     """
-    diag, lead, reps, first = runs
-    shape = (first.size, -1)
-    rows = np.repeat(diag, reps).reshape(shape).tolist()
-    squares = np.repeat(_lead_squares(lead)[1], reps).reshape(shape).tolist()
-    m = len(rows[0])
     found = []
-    for a, c, start, end, stop, near in zip(
-        rows, squares, lo.tolist(), hi.tolist(), tol.tolist(), ulps.tolist()
-    ):
-        top, rest = a[0], list(zip(a[1:], c[1:]))
+    for row, start, end, stop in zip(rows, lo.tolist(), hi.tolist(), tol.tolist()):
+        # a bracket's 4 ulps are at most those of its lane's padded ends,
+        # so the 4-ulp stop can bind only where those exceed its stop
+        near = 4.0 * math.ulp(max(-start, end)) > stop
         values = {}
         # a node descends to its left child and leaves its right child here
         # when the indices split between them
@@ -670,8 +676,8 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
         while nodes:
             lower, upper, depth, indices = nodes.pop()
             least, most = indices[0], indices[-1]
-            # index m alone, or 1 alone: the node stops its count early
-            extreme = least == m or most == 1
+            # index 1 alone: the node stops its count early
+            bottom = most == 1
             while True:
                 width = upper - lower
                 # _stops, read only in a lane whose 4 ulps can bind:
@@ -686,41 +692,27 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
                     )
                 depth += 1
                 x = (lower + upper) * 0.5
-                pivot = x - top
-                below = pivot >= 0.0
-                steps = iter(rest)
-                while True:
-                    try:
-                        if not extreme:
+                if bottom:
+                    # the first pivot >= 0 ends it, before any division by 0
+                    pivot, below = 1.0, False
+                    for entry, square in row:
+                        pivot = (x - entry) - square / pivot
+                        if pivot >= 0.0:
+                            below = True
+                            break
+                else:
+                    pivot, below, steps = 1.0, 0, iter(row)
+                    while True:
+                        try:
                             for entry, square in steps:
                                 pivot = (x - entry) - square / pivot
                                 if pivot >= 0.0:
                                     below += 1
-                        elif least == m:
-                            # below m from the first negative pivot on
-                            if pivot >= 0.0:
-                                for entry, square in steps:
-                                    pivot = (x - entry) - square / pivot
-                                    if pivot < 0.0:
-                                        break
-                        elif pivot < 0.0:
-                            # above 0 from the first non-negative pivot on
-                            for entry, square in steps:
-                                pivot = (x - entry) - square / pivot
-                                if pivot >= 0.0:
-                                    break
-                        break
-                    except ZeroDivisionError:
-                        # the row's quotient is inf of the zero pivot's sign
-                        # (c > 0), so its pivot is -inf after +0 and +inf
-                        # after -0; the loop resumes at the next row, or an
-                        # extreme node's stops there by the sign tests above
-                        pivot = -math.copysign(math.inf, pivot)
-                        below += pivot > 0.0
-                if extreme:
-                    # the last pivot taken is negative just where the
-                    # count is below the node's one index
-                    below = least - (pivot < 0.0)
+                            break
+                        except ZeroDivisionError:
+                            # -inf after +0, +inf after -0 (c > 0); on to the next row
+                            pivot = -math.copysign(math.inf, pivot)
+                            below += pivot > 0.0
                 # the indices reached are those up to below
                 if below < least:
                     lower = x
@@ -730,10 +722,88 @@ def _scalar_bisection(runs: tuple, wanted: list, lo, hi, tol, ulps):
                     nodes.append((x, upper, depth, indices[split:]))
                     indices = indices[:split]
                     most = indices[-1]
-                    extreme = most == 1
+                    bottom = most == 1
                 upper = x
         found.append(values)
     return found
+
+
+def _scalar_top(row: list, x: float) -> float:
+    """_lane_tops of one lane, on Python floats from its rows (_row_lists)."""
+    m = len(row)
+    for _ in range(_LAGUERRE_MAX_STEPS):
+        p, r, v, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
+        for entry, square in row:
+            t = square / p
+            p = (x - entry) - t
+            if not p > 0.0:
+                break
+            t /= p
+            g = t * (r * r + v)
+            r = 1.0 / p + t * r
+            v = r * r + g
+            s1 += r
+            s2 += v
+        else:
+            disc = (m - 1) * (m * s2 - s1 * s1)
+            step = m / (s1 + math.sqrt(disc if disc > 0.0 else 0.0))
+            if step > 2.0 * math.ulp(x):
+                x -= step
+                continue
+        # x ends a 4-ulp bracket, its lower end where its count is below m
+        under = not p > 0.0 and (p < 0.0 or _under_top(x, row))
+        end = x + (4.0 if under else -4.0) * math.ulp(x)
+        return 0.5 * (x + end) if _under_top(end, row) != under else math.nan
+    return math.nan
+
+
+def _lane_tops(runs: tuple, m: int, x: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of each lane (runs: _lane_runs) of order m below
+    _RUN_PLAN_MIN_ORDER by Laguerre steps down from x, or NaN where it must
+    be bisected. The pivots n = (x - a) - c/n' carry r = n'/n and v = r^2 -
+    n''/n, summed into S1 = sum 1/(x - l) and S2 = sum 1/(x - l)^2; above the
+    eigenvalues l, x - m/(S1 + sqrt((m - 1)(m S2 - S1^2))) falls to the top
+    cubically (Li and Zeng, SIAM J. Sci. Comput. 15, 1994). The steps stop at
+    one of 2 ulps or less, at a pivot not above 0 (a last step lands below
+    the top about half the time) or at a non-finite S1 or S2; counts at x and
+    x -+ 4 ulp(x) certify the top in that bracket, whose midpoint is the
+    value, or give NaN, as do more than _LAGUERRE_MAX_STEPS steps. Lanes step
+    as arrays with _scalar_top's operations in its order, so its bits."""
+    diag, lead, reps, first = runs
+    a, c = (np.repeat(v, reps).reshape(first.size, m).T.copy()
+            for v in (diag, _lead_squares(lead)[1]))
+    c[0] = 0.0
+    x, done, live = x.copy(), np.zeros(x.size, dtype=bool), np.arange(x.size)
+    # rows past a pivot not above 0 make infs and NaNs that no lane reads
+    with np.errstate(all="ignore"):
+        for _ in range(_LAGUERRE_MAX_STEPS):
+            at = x[live]
+            n = at - a
+            p, r, v, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
+            for k in range(m):
+                t = c[k] / p
+                p = np.subtract(n[k], t, out=n[k])
+                t = t / p
+                g = t * (r * r + v)
+                r = 1.0 / p + t * r
+                v = r * r + g
+                s1, s2 = s1 + r, s2 + v
+            hit = ~(n > 0.0).all(axis=0)
+            disc = (m - 1) * (m * s2 - s1 * s1)
+            step = m / (s1 + np.sqrt(np.where(disc > 0.0, disc, 0.0)))
+            moving = step > 2.0 * np.spacing(np.abs(at))
+            done[live[hit | ~moving]] = True
+            go = ~hit & moving
+            x[live[go]] = (at - step)[go]
+            live = live[go]
+            if not live.size:
+                break
+            a, c = a[:, go], c[:, go]
+        ulps = 4.0 * np.spacing(np.abs(x))
+        below = _plan_counts(_run_plan(runs, m), np.stack([x - ulps, x, x + ulps], axis=1)) < m
+        end = np.where(below[:, 1], x + ulps, x - ulps)
+        done &= np.where(below[:, 1], below[:, 2], below[:, 0]) != below[:, 1]
+    return np.where(done, 0.5 * (x + end), np.nan)
 
 
 def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.ndarray:
@@ -756,28 +826,23 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     counts rise or dip (possible from the closed-form jumps near an
     eigenvalue); the descent stops a bracket at the first closed node on
     its path. Parted brackets never share again: once sharing saves fewer
-    than _LAYOUT_COST shifts a round and one tree per bracket would take as
-    many levels, the call runs one tree per bracket. A round's depth counts
-    its trees, each lane padded to the widest lane's count: it is as deep
-    as gives the most levels per unit of a round's cost (_ROUND_COST plus
-    one per shift), and a round deeper than one level holds at most 3,597
-    shifts.
-    So while brackets are few (a full spectrum's first rounds, or one index
-    per lane) a round goes several levels deep, but never deeper than the
-    widest open bracket needs nor past _MAX_BISECTION_STEPS levels in all,
-    where a bracket still open raises ConvergenceError. From order
+    than _LAYOUT_COST shifts a round, the call runs one tree per bracket. A
+    round is as deep as gives the most levels per unit of its cost
+    (_ROUND_COST plus one per shift), but never deeper than the widest open
+    bracket needs nor past _MAX_BISECTION_STEPS levels in all, where a
+    bracket still open raises ConvergenceError. From order
     _RUN_PLAN_MIN_ORDER up, a count jumps a lane's uniform runs of rows in
     closed form, which can differ from walking every row only at shifts
-    within rounding of an eigenvalue. Below that order, a call whose lanes
-    x distinct indices x order is at most _SCALAR_MAX_WORK runs no rounds:
-    it walks each lane's tree one node at a time on Python floats
-    (_scalar_bisection), with the same midpoints, counts and stops, so the
-    same bits; its fixed cost is lower, and its cost per node higher, than
-    a round's, and a node of the largest or the smallest index alone stops
-    its count at the first pivot that decides it (the constant has the
-    crossover measurement). A bracket's value depends only on its own lane
-    and index, so asking for one eigenvalue gives the same bits as reading
-    it off the full spectrum. indices must be integers (not bools). A lane
+    within rounding of an eigenvalue. Below that order, the largest
+    eigenvalue (index m) is not bisected, whatever bisection_tol says: it
+    comes from Laguerre steps down from the padded Gershgorin top, certified
+    by counts to a 4-ulp bracket whose midpoint it is (_lane_tops), and is
+    bisected only in a lane where they fail. There a call whose lanes x
+    other distinct indices x order is at most _SCALAR_MAX_WORK walks each
+    lane's tree on Python floats (_scalar_bisection) instead of running
+    rounds, with the same bits. A value depends only on its own lane and
+    index, so asking for one eigenvalue gives the same bits as reading it
+    off the full spectrum. indices must be integers (not bools). A lane
     whose padded Gershgorin interval reaches past half the largest float
     raises ValueError (_brackets): its midpoints overflow. A lane whose
     largest |lead| squares past the largest float (above about 1.34e154)
@@ -835,26 +900,49 @@ def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig 
         return np.repeat(runs[0][:, None], need.size, axis=1)
     lo, hi, tol, top = _brackets(runs, cfg)
     if top.max() <= _LEAD_MAX:
-        return _bisect(runs, m, need, lo, hi, tol)
+        return _solve(runs, m, need, lo, hi, tol)
     # lanes whose squared leads overflow are solved scaled (_fitted), and
     # their values scaled back
     runs, scales = _fitted(runs)
-    return _bisect(runs, m, need, *_brackets(runs, cfg)[:3]) / scales[:, None]
+    return _solve(runs, m, need, *_brackets(runs, cfg)[:3]) / scales[:, None]
 
 
-def _bisect(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
-    """The values of _run_eigenvalues, from the brackets lo..hi and stops
-    tol of _brackets, by the Python-float walk or by rounds."""
-    # a bracket's 4 ulps are at most those of its lane's padded ends, so the
-    # 4-ulp stop can bind only in lanes where those exceed tol
-    ulps = 4.0 * np.spacing(np.maximum(-lo, hi)) > tol
-    if m < _RUN_PLAN_MIN_ORDER:
-        picked = need.tolist()
-        # a set, not np.unique, whose first call costs about 1 MB of RSS
-        wanted = sorted(set(picked))
-        if lo.size * len(wanted) * m <= _SCALAR_MAX_WORK:
-            found = _scalar_bisection(runs, wanted, lo, hi, tol, ulps)
-            return np.array([[values[k] for k in picked] for values in found])
+def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
+    """The values of _run_eigenvalues from the brackets lo..hi and stops tol
+    of _brackets. Below _RUN_PLAN_MIN_ORDER, index m comes from Laguerre steps
+    from hi, or where they fail from a walk (the rounds' bits); the others
+    are walked or, above _SCALAR_MAX_WORK, bisected in rounds."""
+    if m >= _RUN_PLAN_MIN_ORDER:
+        return _rounds(runs, m, need, lo, hi, tol)
+    picked = need.tolist()
+    # a set, not np.unique, whose first call costs about 1 MB of RSS
+    wanted = sorted(set(picked) - {m})
+    walk = lo.size * len(wanted) * m <= _SCALAR_MAX_WORK
+    few = lo.size <= _LAGUERRE_LANES
+    rows = _row_lists(runs) if few or walk and wanted else None
+    if walk:
+        found = _scalar_bisection(rows, wanted, lo, hi, tol) if wanted else [{} for _ in hi]
+    else:
+        rounds = _rounds(runs, m, np.array(wanted), lo, hi, tol).tolist()
+        found = [dict(zip(wanted, row)) for row in rounds]
+    if m in picked:
+        top = ([_scalar_top(row, x) for row, x in zip(rows, hi.tolist())] if few
+               else _lane_tops(runs, m, hi).tolist())
+        failed = [j for j, value in enumerate(top) if value != value]
+        if failed:
+            rows = rows or _row_lists(runs)
+            walked = _scalar_bisection([rows[j] for j in failed], [m], lo[failed], hi[failed],
+                                       tol[failed])
+            for j, values in zip(failed, walked):
+                top[j] = values[m]
+        for values, value in zip(found, top):
+            values[m] = value
+    return np.array([[values[k] for k in picked] for values in found])
+
+
+def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
+    """The values of _run_eigenvalues at need, bisected in multisection
+    rounds from the brackets lo..hi and stops tol of _brackets."""
     # one bracket per (lane, index), flattened lane-major and, within a
     # lane, in ascending index order: brackets that share an interval are
     # then neighbours, and once parted they never share again
@@ -862,7 +950,9 @@ def _bisect(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
     shape = (lo.size, need.size)
     lower = np.repeat(lo, need.size)
     upper = np.repeat(hi, need.size)
-    ulps = bool(ulps.any())
+    # a bracket's 4 ulps are at most those of its lane's padded ends, so the
+    # 4-ulp stop can bind only if those exceed tol in some lane
+    ulps = bool((4.0 * np.spacing(np.maximum(-lo, hi)) > tol).any())
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], lo.size)
     plan = _run_plan(runs, m)

@@ -164,8 +164,9 @@ def spectral_radius(b: BugSpec, alpha, config: SolveConfig | None = None) -> flo
     Always attained in the quotient part: the diagonal entry for the
     clique cell already exceeds the closed-form eigenvalue by
     (n-d)(1-alpha) > 0. Only that eigenvalue (index d+1 of the quotient)
-    is bisected; the value is bit-identical to the top of the full
-    quotient spectrum.
+    is solved: below order 64 by certified Laguerre steps, to a 4-ulp
+    bracket, and from 64 up by bisection. The value is bit-identical to
+    the top of the full quotient spectrum.
     """
     runs = _bug_runs(b.n, b.d, b.i, check_alpha(alpha))
     return float(_run_eigenvalues(runs, b.d + 1, np.array([b.d + 1]), config)[0, 0])

@@ -99,10 +99,11 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
     """Spectral radius across every canonical split i = 1..d//2.
 
     The d//2 quotients share the order d+1, so they are built as one set
-    of runs (_bug_runs) and their top eigenvalues bisected together as
-    lanes of one solve; each rho is bit-identical to spectral_radius of its
-    split. Ties on rho go to the larger i, so the balanced bug wins when
-    splits coincide (as they do when the middle clique collapses).
+    of runs (_bug_runs) and their top eigenvalues solved together as lanes
+    of one call: below order 64 by certified Laguerre steps, from 64 up by
+    bisection. Each rho is bit-identical to spectral_radius of its split.
+    Ties on rho go to the larger i, so the balanced bug wins when splits
+    coincide (as they do when the middle clique collapses).
     """
     n, d = _check_int("n", n), _check_int("d", d)
     alpha = check_alpha(alpha)

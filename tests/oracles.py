@@ -303,3 +303,37 @@ def two_pass_jacobi_eigenvalues(
     if _offdiag_norm(w) <= stop:
         return np.sort(w.diagonal().copy())
     raise RuntimeError(f"Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def longdouble_tops(diags, offdiags) -> np.ndarray:
+    """The largest eigenvalue of each of L symmetric tridiagonals of one
+    order, rounded to float: bisection in np.longdouble (a 64-bit mantissa
+    on x86-64) from the Gershgorin ends until no bracket shrinks, with one
+    Sturm count a level by the scalar pivot recurrence, run on all L at
+    once. diags is (L, m) and offdiags (L, m - 1). Only meaningful where
+    np.finfo(np.longdouble).nmant >= 63.
+
+    x lies above the largest eigenvalue exactly when every pivot of T - x
+    is negative. A zero pivot makes x an eigenvalue of a leading block, so
+    by interlacing not above the largest: it, and the inf or NaN it hands
+    on, are not negative and need no test."""
+    a = np.asarray(diags, dtype=np.longdouble)
+    b = np.asarray(offdiags, dtype=np.longdouble)
+    squares = b * b
+    radius = np.zeros(a.shape, dtype=np.longdouble)
+    radius[:, :-1] += np.abs(b)
+    radius[:, 1:] += np.abs(b)
+    lo, hi = (a - radius).min(axis=1), (a + radius).max(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            x = (lo + hi) / 2
+            if not ((lo < x) & (x < hi)).any():
+                return ((lo + hi) / 2).astype(float)
+            pivot = a[:, 0] - x
+            most = pivot
+            for j in range(1, a.shape[1]):
+                pivot = (a[:, j] - x) - squares[:, j - 1] / pivot
+                # NaN compares false, so np.fmax would drop it: keep it
+                most = np.maximum(most, pivot)
+            above = most < 0
+            hi, lo = np.where(above, x, hi), np.where(above, lo, x)

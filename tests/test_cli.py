@@ -249,10 +249,11 @@ class TestSweepCommand:
         # outside the band |t| < 1 and the full spectra's mostly inside it
         # (each count solves the regime holding the most shifts on all of them)
         (1000000, 1000, 500, "0,0.6,0.95", None, False),
-        # each spectrum (1 x 17 x 17 = 289) bisects on Python floats and the
-        # sweep (32 x 2 x 17 = 1,088) in multisection rounds: the two sides
-        # of _SCALAR_MAX_WORK (840), with no switch set
-        (40, 16, 5, ",".join(f"{k / 40:g}" for k in range(32)), None, True),
+        # each spectrum (1 x 16 x 17 = 272; rho is not bisected) bisects on
+        # Python floats and the sweep (40 x 1 x 17 = 680) in multisection
+        # rounds: the two sides of _SCALAR_MAX_WORK (560), with no switch
+        # set
+        (40, 16, 5, ",".join(f"{k / 40:g}" for k in range(40)), None, True),
     ], ids=["order-81-at-4-ulps", "order-1001", "two-bisection-paths"])
     def test_rows_print_as_each_alphas_spectrum(self, capsys, monkeypatch, n, d, i, alphas, tol,
                                                 walks):

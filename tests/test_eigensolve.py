@@ -30,6 +30,7 @@ from alphabug.structured import halved_tridiagonal, proof_decomposition
 from alphabug.verify import enumerate_bugs, extremal_scan
 from oracles import (
     exact_inertia_bounds,
+    longdouble_tops,
     plain_bisection_eigenvalues,
     quotient_layouts,
     row_loop_count,
@@ -46,6 +47,33 @@ GOLDEN_EIGENVALUES = [0.3909, 0.5539, 1.3521, 3.5403, 4.2486, 6.9144]
 
 def random_tridiag(rng, m):
     return SymTridiag(rng.uniform(-10, 10, m), rng.uniform(-10, 10, max(m - 1, 0)))
+
+
+# np.longdouble has the 64-bit mantissa the 80-bit reference needs
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def assert_top(value, t: SymTridiag, plain: float):
+    """value, index m of t below the run-plan gate, comes from certified
+    Laguerre steps or, where they fell back, from bisection: it has the bits
+    of plain bisection's top, plain, or lies within 4 ulps of the 80-bit
+    reference (where np.longdouble has one). The certifying counts are
+    exact for t with its off-diagonals moved by a few eps, so the bound
+    also allows 8 eps times its largest |off-diagonal|, and the 2.3e-162
+    by which a zero off-diagonal's floor moves an eigenvalue."""
+    if value == plain or not _EXTENDED:
+        return
+    ref = longdouble_tops(t.diag[None], t.offdiag[None])[0]
+    slack = 8.0 * np.finfo(float).eps * np.max(np.abs(t.offdiag), initial=0.0) + 2.3e-162
+    assert abs(value - ref) <= 4.0 * np.spacing(abs(ref)) + slack, (value, ref, plain)
+
+
+def assert_plain_below_top(values, t: SymTridiag):
+    """values, t's eigenvalues 1..m in order, have plain bisection's bits
+    below the top, and the top is certified (assert_top)."""
+    plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
+    assert np.array_equal(values[:-1], plain[:-1])
+    assert_top(values[-1], t, plain[-1])
 
 
 def one_group(lanes):
@@ -327,10 +355,10 @@ class TestLaneEigenvalues:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 40])
     def test_full_spectrum_matches_plain_bisection(self, m):
+        # below the top; the top comes from Laguerre steps
         rng = np.random.default_rng(5150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
-            reference = plain_bisection_eigenvalues(t.diag, t.offdiag)
-            assert np.array_equal(tridiag_eigenvalues(t), reference)
+            assert_plain_below_top(tridiag_eigenvalues(t), t)
 
     def test_one_index_of_a_wide_matrix(self):
         # one bracket runs several tree levels per round, the full spectrum
@@ -468,15 +496,20 @@ class TestDistinctBrackets:
         assert tally["calls"] <= 13 and tally["shifts"] <= 14_000
 
     def test_one_index_per_lane_costs_no_more(self, monkeypatch):
-        # 9 calls and 5,260 shifts
+        # a scan below the gate bisects nothing: its lanes take rho by
+        # Laguerre steps, which count on Python floats
         tally = _count_calls(monkeypatch)
         extremal_scan(2000, 40, 0.5)
-        assert tally["calls"] <= 15
+        extremal_scan(2000, 48, 0.5)
+        assert tally["calls"] == 0
 
     def test_one_index_per_lane_at_the_widest_bench_scan(self, monkeypatch):
-        # 24 lanes of order 49: 5 levels a round, 44 levels in 9 rounds
+        # index 1 of the 24 lanes of order 49 in rounds: 5 levels a round,
+        # 44 levels in 9 rounds
+        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
         tally = _count_calls(monkeypatch)
-        extremal_scan(2000, 48, 0.5)
+        lanes = [bug_tridiagonal(BugSpec(2000, 48, i), 0.5) for i in range(1, 25)]
+        lane_eigenvalues(lanes, [1])
         assert tally["calls"] <= 9 and tally["shifts"] <= 6_312
 
     def test_small_full_spectrum_costs_no_more(self, monkeypatch):
@@ -493,12 +526,16 @@ class TestDistinctBrackets:
     def test_any_index_order_matches_plain_bisection(self, problem):
         # the reference takes one bisection step per bracket and round, with
         # one scalar count per midpoint, and shares no code with
-        # lane_eigenvalues
+        # lane_eigenvalues; the top comes from Laguerre steps
         lanes, indices = problem
         got = lane_eigenvalues(lanes, indices)
-        picked = np.asarray(indices) - 1
         for row, t in zip(got, lanes):
-            assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag)[picked])
+            plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
+            for k, value in zip(indices, row):
+                if k < t.order:
+                    assert value == plain[k - 1], k
+                else:
+                    assert_top(value, t, plain[-1])
 
 
 # bug quotients of order 64 to 1001, balanced and not, where rounds run on
@@ -640,7 +677,10 @@ class TestDescent:
         indices = np.arange(1, GOLDEN.order + 1)
         expected = _bisect_each(GOLDEN, indices, count)
         assert not np.allclose(expected[3:5], GOLDEN_EIGENVALUES[3:5], atol=1e-3)
-        assert np.array_equal(lane_eigenvalues([GOLDEN], indices)[0], expected)
+        got = lane_eigenvalues([GOLDEN], indices)[0]
+        # the top (6.91) comes from Laguerre steps, away from the window
+        assert np.array_equal(got[:-1], expected[:-1])
+        assert_top(got[-1], GOLDEN, expected[-1])
         for k in (4, 5):
             got = lane_eigenvalues([GOLDEN, GOLDEN], [k])
             assert np.array_equal(got[:, 0], expected[[k - 1, k - 1]])
@@ -1000,7 +1040,7 @@ class TestBlockedCounts:
         assert _first_zero_pivot(t, 0.0) == zero_row
         for x in (t.diag[0], 0.0, *np.arange(-12.0, 12.5, 0.5)):
             assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x), x
-        assert np.array_equal(tridiag_eigenvalues(t), plain_bisection_eigenvalues(t.diag, t.offdiag))
+        assert_plain_below_top(tridiag_eigenvalues(t), t)
 
     @pytest.mark.parametrize("t_sign", [1.0, -1.0])
     @pytest.mark.parametrize("last", [0.5, 3.0, -1.0])
@@ -1178,32 +1218,34 @@ def _sweep_lanes(t):
 def _check_extreme_calls(lanes):
     """Index m alone on up to four lanes (a scan's shape), index 1 alone on
     one, and both on every lane (an 8-alpha sweep's shape): the walk's bits
-    are the rounds' at both stops and, below the gate, the first lane's are
-    plain bisection's at the default stop."""
-    m = lanes[0].order
+    are the rounds' at both stops and, below the gate, at the default stop
+    the first lane's index 1 is plain bisection's and its index m is
+    certified (assert_top)."""
+    t = lanes[0]
+    m = t.order
     expected = None
     if m < eigensolve._RUN_PLAN_MIN_ORDER:
-        expected = plain_bisection_eigenvalues(lanes[0].diag, lanes[0].offdiag)
+        expected = plain_bisection_eigenvalues(t.diag, t.offdiag)
     for count, indices in ((4, [m]), (1, [1]), (len(lanes), [1, m])):
         for config in _BOTH_STOPS:
             rounds, floats = _both_paths(lanes[:count], indices, config)
             assert rounds.tobytes() == floats.tobytes(), (indices, config)
             if expected is not None and config is DEFAULT_CONFIG:
-                first = expected[[k - 1 for k in indices]]
-                assert floats[0].tobytes() == first.tobytes(), indices
+                for k, value in zip(indices, floats[0]):
+                    if k < m:
+                        assert value.tobytes() == expected[k - 1].tobytes(), indices
+                    else:
+                        assert_top(value, t, expected[-1])
 
 
 class TestScalarBisection:
-    """Below the run-plan gate, a call whose lanes x distinct indices x
-    order is at most _SCALAR_MAX_WORK (840) walks each bisection tree on
-    Python floats, one count per node; a node of index m alone or of index
-    1 alone stops its count at the first pivot that decides it. Its values
-    have the rounds' bits, at the default stop and at the 4-ulp stop. Per
-    call on bug quotients, the walk took 0.53-0.55 of the rounds' time at
-    work 200-400, 0.61-0.63 at 400-800 and 0.65-0.66 at 800-1000 (medians
-    of three measurements). Full spectra, where only two of m indices stop
-    early, cross near 700-800, and above 840 more of them would walk,
-    which is why the bound sits there."""
+    """Below the run-plan gate, a call whose lanes x distinct indices other
+    than m x order is at most _SCALAR_MAX_WORK (560) walks each bisection
+    tree on Python floats, one count per node; a node of index 1 alone
+    stops its count at the first pivot that decides it. Its values have the
+    rounds' bits, at the default stop and at the 4-ulp stop. Index m is not
+    bisected there (TestLaguerreTop); the constant's comment has the
+    walk's time against the rounds'."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_counts())
@@ -1280,7 +1322,7 @@ class TestScalarBisection:
         rounds, floats = _both_paths([path_zero, later_zero], np.arange(1, 6))
         assert rounds.tobytes() == floats.tobytes()
         for row, t in zip(floats, (path_zero, later_zero)):
-            assert np.array_equal(row, plain_bisection_eigenvalues(t.diag, t.offdiag))
+            assert_plain_below_top(row, t)
 
     @settings(max_examples=60, deadline=None)
     @given(small_counts())
@@ -1320,7 +1362,7 @@ class TestScalarBisection:
         rng = np.random.default_rng(6150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
             _, floats = _both_paths([t], np.arange(1, t.order + 1))
-            assert np.array_equal(floats[0], plain_bisection_eigenvalues(t.diag, t.offdiag))
+            assert_plain_below_top(floats[0], t)
 
     def test_overflowing_offdiagonal_squares_are_scaled(self, monkeypatch):
         t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
@@ -1336,10 +1378,11 @@ class TestScalarBisection:
         assert both[0].tobytes() == both[1].tobytes()
 
     def test_step_cap_raises(self, monkeypatch):
-        # GOLDEN's deepest bracket closes at level 44, and so does the top
-        # one of an order-81 bug quotient. The walk and the rounds (with
-        # the work bound at 0), on row steps and on a run plan, raise at
-        # exactly the cap: a round takes no more levels than are left
+        # GOLDEN's brackets 1-5 close at level 44, and so does the top one
+        # of an order-81 bug quotient. The walk and the rounds (with the
+        # work bound at 0), on row steps and on a run plan, raise at exactly
+        # the cap: a round takes no more levels than are left. GOLDEN's top
+        # comes from Laguerre steps, which no bisection cap stops
         wide = bug_tridiagonal(BugSpec(200, 80, 30), 0.5)
         for work in (10**9, 0):
             monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
@@ -1350,6 +1393,9 @@ class TestScalarBisection:
                 monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 44)
                 lane_eigenvalues([t], indices)
             assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
+            monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 1)
+            top = lane_eigenvalues([GOLDEN], [6])[0, 0]
+            assert_top(top, GOLDEN, math.nan)
 
     def test_lanes_at_the_gate_stay_on_the_rounds(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
@@ -1361,15 +1407,114 @@ class TestScalarBisection:
         assert tally["calls"] > 0
 
     def test_work_bound_counts_distinct_indices(self, monkeypatch):
-        # 2 lanes x 2 distinct indices x order 6 = 24, however often each
-        # index is asked for
+        # 2 lanes x 2 distinct bisected indices x order 6 = 24, however often
+        # each index is asked for; index m (6) is not bisected
         tally = _count_calls(monkeypatch)
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 24)
-        lane_eigenvalues([GOLDEN, GOLDEN], [1, 6, 1, 6, 6])
+        lane_eigenvalues([GOLDEN, GOLDEN], [1, 5, 1, 5, 5, 6])
         assert tally["calls"] == 0
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 23)
-        lane_eigenvalues([GOLDEN, GOLDEN], [1, 6, 1, 6, 6])
+        lane_eigenvalues([GOLDEN, GOLDEN], [1, 5, 1, 5, 5, 6])
         assert tally["calls"] > 0
+
+
+@st.composite
+def laguerre_lanes(draw):
+    """One to four tridiagonals of one order 2..63, with float or
+    half-integer entries (zero off-diagonals, repeated eigenvalues and
+    exact zero pivots), each lane scaled by 1, 1e-300 (squared
+    off-diagonals below the smallest subnormal) or 1e160 (squares that
+    overflow, so the call solves it scaled, _fitted)."""
+    m = draw(st.integers(2, _BELOW_GATE))
+    entries = draw(st.sampled_from([
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+        st.integers(-6, 6).map(lambda k: k / 2),
+    ]))
+    lanes = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([1.0, 1e-300, 1e160]))
+        diag = draw(st.lists(entries, min_size=m, max_size=m))
+        offdiag = draw(st.lists(entries, min_size=m - 1, max_size=m - 1))
+        lanes.append(SymTridiag(scale * np.array(diag), scale * np.array(offdiag)))
+    return lanes
+
+
+class TestLaguerreTop:
+    """Below the run-plan gate, index m (rho) of every lane comes from
+    Laguerre steps down from the padded Gershgorin top, certified by a
+    count at the far end of a 4-ulp bracket; a lane whose steps fail is
+    bisected. Calls of up to _LAGUERRE_LANES lanes step on Python floats,
+    larger ones on lane arrays, with the same bits."""
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
+    def test_every_bug_rho_below_the_gate_is_right_to_4_ulps(self, monkeypatch):
+        # every split of d = 2..62 (orders 3..63) at four alphas and three n:
+        # 11,532 values, each certified after at most 6 evaluations; the
+        # default bisection stop is 1e-13 times the span, 2e-7 at n = 10^6
+        for d in range(2, _BELOW_GATE):
+            cases = [(n, a) for n in (d + 2, 10 * d + 7, 10**6) for a in (0.0, 0.3, 0.6, 0.99)]
+            lanes = [bug_tridiagonal(BugSpec(n, d, i), a) for n, a in cases for i in range(1, d // 2 + 1)]
+            reference = longdouble_tops([t.diag for t in lanes], [t.offdiag for t in lanes])
+            rhos = []
+            for gate in (10**9, 0):
+                monkeypatch.setattr(eigensolve, "_LAGUERRE_LANES", gate)
+                rhos.append(np.array([row.rho for n, a in cases for row in extremal_scan(n, d, a)]))
+            assert rhos[0].tobytes() == rhos[1].tobytes(), d
+            assert np.all(np.abs(rhos[0] - reference) <= 4.0 * np.spacing(reference)), d
+
+    @settings(max_examples=100, deadline=None)
+    @given(laguerre_lanes())
+    def test_python_floats_and_lane_arrays_give_the_same_bits(self, lanes):
+        # the steps themselves, NaN where a lane falls back, and the values
+        # of a call under either gate
+        m = lanes[0].order
+        runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
+        hi = eigensolve._brackets(runs, DEFAULT_CONFIG)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = eigensolve._lane_tops(runs, m, hi)
+            floats = [eigensolve._scalar_top(row, x)
+                      for row, x in zip(eigensolve._row_lists(runs), hi.tolist())]
+        assert arrays.tobytes() == np.array(floats).tobytes()
+        got = []
+        for gate in (10**9, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
+                got.append(lane_eigenvalues(lanes, [m, 1]))
+        assert got[0].tobytes() == got[1].tobytes()
+
+    def test_a_doubled_top_falls_back_to_bisection(self, monkeypatch):
+        # two equal blocks joined by a zero off-diagonal: the steps approach
+        # a double top only linearly (27-33 steps on such blocks), so past
+        # _LAGUERRE_MAX_STEPS the lane is walked by bisection, with its
+        # bits, in one lane and on lane arrays alike
+        diag, offdiag = [1.0, 3.0, 2.0], [1.0, 0.5]
+        t = SymTridiag(diag * 2, offdiag + [0.0] + offdiag)
+        asked = []
+        walk = eigensolve._scalar_bisection
+
+        def walked(rows, wanted, *brackets):
+            asked.append(wanted)
+            return walk(rows, wanted, *brackets)
+
+        monkeypatch.setattr(eigensolve, "_scalar_bisection", walked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = lane_eigenvalues([t], [6])
+            many = lane_eigenvalues([t] * (eigensolve._LAGUERRE_LANES + 1), [6])
+        assert asked == [[6], [6]]
+        plain = plain_bisection_eigenvalues(t.diag, t.offdiag)[-1]
+        assert alone[0, 0] == plain and np.all(many == plain)
+        # bisection's step cap still holds
+        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 4)
+        with pytest.raises(ConvergenceError):
+            lane_eigenvalues([t], [6])
+
+    def test_rho_is_4_ulps_whatever_the_stop(self):
+        # a stop of 1e-3 leaves index 1 loose but not the top
+        loose = lane_eigenvalues([GOLDEN], [1, 6], SolveConfig(bisection_tol=1e-3))[0]
+        assert abs(loose[0] - GOLDEN_EIGENVALUES[0]) <= 1e-3 * 7.0
+        assert_top(loose[1], GOLDEN, math.nan)
 
 
 class TestJacobi:

@@ -53,9 +53,9 @@ GOLDEN = [
     ("verify --max-n 5", 0,
      "c3e03aedb3478c9943bb0fff541419829e5b98b3c15272aa7612b1c8e48e9529"),
     ("verify --max-n 4 --tol 1e-300", 1,
-     "a45bca4c13550047a28a31ae0ff60c345b59fec5b1780c1df7f0a13e6c31620e"),
+     "07873449ca5ba1f960829e7fd95a1f54743d089b375e01d6792e9f5c5c28ecd0"),
     ("spectrum --p 3 --q 1 --r 1 --alpha 0.5 --method all", 0,
-     "c0eefc08d27b4eb80cfa61f39e2b3034e6db62e5906485474c05900bc8c8b255"),
+     "6b34ed49e382218df7ed226ec52d8d61e311131ca6a5402a8f641c4a69eeb29e"),
     ("spectrum --n 1000000000000000 --d 4 --i 2 --alpha 0.999 --method halved", 0,
      "e5922d98cfb7402bf22205b0e0f952886e19c9ce34001fa988f5d5d8bfb9760d"),
     ("spectrum --n 11 --d 5 --i 2 --alpha 0.6 --format csv", 0,
