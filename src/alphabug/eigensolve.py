@@ -8,9 +8,9 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   in rounds that each count the next levels of every distinct bracket's
   bisection tree in one pass of one kernel (_plan_counts), which jumps
   runs of equal rows in closed form from order 64 up. Below that order
-  the largest eigenvalue comes from Laguerre steps certified by a count,
-  and small calls walk each bisection tree on Python floats instead of
-  running rounds, with the same bits,
+  the largest and smallest eigenvalues come from Laguerre steps certified
+  by counts, and small calls walk each bisection tree on Python floats
+  instead of running rounds, with the same bits,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .graphs import _check_int, _check_positive, _check_real
+from .laguerre import _lane_tops, _scalar_top
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -113,7 +114,8 @@ class SolveConfig:
     """Stopping rules for the iterative kernels.
 
     bisection_tol is relative to the Gershgorin span (and never tighter
-    than 4 ulps; below order 64 the largest eigenvalue is not bisected),
+    than 4 ulps; below order 64 the smallest and largest eigenvalues are
+    certified to max(4 ulps, 2 eps) whatever it says),
     jacobi_off_tol to the Frobenius norm, power_tol to max(1, rho). Every
     tolerance must be positive and finite, and each iteration cap an
     integer >= 1 (not a bool).
@@ -170,17 +172,18 @@ _MAX_BISECTION_STEPS = 2200
 # From this order up, _run_plan cuts each lane into generic rows and uniform
 # runs, which the count kernel jumps in closed form; below it every row is one
 # step. Below it, the gate also lets small calls bisect on Python floats, and
-# rho comes from Laguerre steps. A jump costs about forty numpy calls against
-# two per row. Measured on bug quotients (2-core x86-64, numpy 2.4), jumps
-# win from order about 56 for rho alone, 85 for a full spectrum, 128 for an
-# 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes fall into
-# four plan shapes.
+# both ends come from Laguerre steps. A jump costs about forty numpy calls
+# against two per row. Measured on bug quotients (2-core x86-64, numpy 2.4),
+# jumps win from order about 56 for rho alone, 85 for a full spectrum, 128
+# for an 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes fall
+# into four plan shapes.
 # The gate is on the order, not on run length: lane i of a scan has a left
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
-# Below _RUN_PLAN_MIN_ORDER, a call whose lanes x distinct indices (m left out)
-# x order is at most this walks each tree on Python floats (_scalar_bisection).
+# Below _RUN_PLAN_MIN_ORDER, a call whose lanes x distinct indices (1 and m left
+# out) x order is at most this walks each tree on Python floats
+# (_scalar_bisection).
 # Walk time over round time per call on bug quotients (2-core x86-64, Python
 # 3.11, numpy 2.4; medians of 7): one-lane full spectra 0.31 at work 56, 0.63
 # at 380, 0.79 at 552 and 0.91-1.14 at 756-870; 8-alpha sweeps 0.33-0.66 at
@@ -190,10 +193,9 @@ _SCALAR_MAX_WORK = 560
 # floats (_scalar_top), one of more on lane arrays (_lane_tops): the first
 # took 0.53-0.61 of the second's time at 24 lanes, 0.68-0.78 at 32, 0.81-0.96
 # at 40, 0.95-1.15 at 48 and 1.09-1.39 at 56 (bug quotients of order 9-63).
+# The smallest value's lanes step longer, and arrays wait for the last: its
+# gate is twice this (0.44-0.93 at 64 lanes, 0.76-1.50 at 96).
 _LAGUERRE_LANES = 40
-# A lane still stepping after this many is bisected: bug quotients stop after
-# 2-6, random tridiagonals after 12 at most, a (linear) double top after 27-33.
-_LAGUERRE_MAX_STEPS = 16
 # The count kernel forms a - x for up to this many generic rows in one
 # subtract and counts their signs in one pass, so its buffer is at most
 # this many rows of shifts, whatever the order.
@@ -625,26 +627,19 @@ def _stops(lower: np.ndarray, upper: np.ndarray, tol: np.ndarray, ulps: bool):
     return upper - lower, np.maximum(tol, 4.0 * np.spacing(np.maximum(-lower, upper)))
 
 
-def _row_lists(runs: tuple) -> list:
-    """Each lane's rows from its runs (_lane_runs) as Python floats (diagonal
-    entry, floored squared lead), row 0's with 0: after a pivot of 1, x - a."""
+def _rows(runs: tuple) -> tuple:
+    """Each lane's rows from its runs (_lane_runs): its diagonal entries and
+    floored squared leads, row 0's 0 (after a pivot of 1, x - a), as two
+    arrays of shape (L, m)."""
     diag, lead, reps, first = runs
     a, c = (np.repeat(v, reps).reshape(first.size, -1) for v in (diag, _lead_squares(lead)[1]))
     c[:, 0] = 0.0
-    return [list(zip(*lane)) for lane in zip(a.tolist(), c.tolist())]
+    return a, c
 
 
-def _under_top(x: float, row: list) -> bool:
-    """Whether a lane's count at x (_plan_counts) is below its order, from its
-    rows (_row_lists): a pivot is negative, or a zero one (+0) is not last."""
-    pivot = 1.0
-    for entry, square in row:
-        if pivot == 0.0:
-            return True
-        pivot = (x - entry) - square / pivot
-        if pivot < 0.0:
-            return True
-    return False
+def _row_lists(runs: tuple) -> list:
+    """_rows of each lane as a list of (entry, square) pairs of Python floats."""
+    return [list(zip(*lane)) for lane in zip(*(v.tolist() for v in _rows(runs)))]
 
 
 def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
@@ -659,10 +654,8 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
     quotient is inf of its sign, as in numpy (Python raises
     ZeroDivisionError). A node's indices go left where the count at its
     midpoint reaches them, as in the tree descent, and a node stops where
-    _stops would close it, so every value has the rounds' bits. A node of
-    index 1 alone goes left at its first non-negative pivot, right if there
-    is none: the full count's decision, from fewer rows. A node still open
-    at depth _MAX_BISECTION_STEPS raises ConvergenceError.
+    _stops would close it, so every value has the rounds' bits. A node still
+    open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
     """
     found = []
     for row, start, end, stop in zip(rows, lo.tolist(), hi.tolist(), tol.tolist()):
@@ -676,8 +669,6 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
         while nodes:
             lower, upper, depth, indices = nodes.pop()
             least, most = indices[0], indices[-1]
-            # index 1 alone: the node stops its count early
-            bottom = most == 1
             while True:
                 width = upper - lower
                 # _stops, read only in a lane whose 4 ulps can bind:
@@ -692,27 +683,18 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
                     )
                 depth += 1
                 x = (lower + upper) * 0.5
-                if bottom:
-                    # the first pivot >= 0 ends it, before any division by 0
-                    pivot, below = 1.0, False
-                    for entry, square in row:
-                        pivot = (x - entry) - square / pivot
-                        if pivot >= 0.0:
-                            below = True
-                            break
-                else:
-                    pivot, below, steps = 1.0, 0, iter(row)
-                    while True:
-                        try:
-                            for entry, square in steps:
-                                pivot = (x - entry) - square / pivot
-                                if pivot >= 0.0:
-                                    below += 1
-                            break
-                        except ZeroDivisionError:
-                            # -inf after +0, +inf after -0 (c > 0); on to the next row
-                            pivot = -math.copysign(math.inf, pivot)
-                            below += pivot > 0.0
+                pivot, below, steps = 1.0, 0, iter(row)
+                while True:
+                    try:
+                        for entry, square in steps:
+                            pivot = (x - entry) - square / pivot
+                            if pivot >= 0.0:
+                                below += 1
+                        break
+                    except ZeroDivisionError:
+                        # -inf after +0, +inf after -0 (c > 0); on to the next row
+                        pivot = -math.copysign(math.inf, pivot)
+                        below += pivot > 0.0
                 # the indices reached are those up to below
                 if below < least:
                     lower = x
@@ -722,88 +704,9 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
                     nodes.append((x, upper, depth, indices[split:]))
                     indices = indices[:split]
                     most = indices[-1]
-                    bottom = most == 1
                 upper = x
         found.append(values)
     return found
-
-
-def _scalar_top(row: list, x: float) -> float:
-    """_lane_tops of one lane, on Python floats from its rows (_row_lists)."""
-    m = len(row)
-    for _ in range(_LAGUERRE_MAX_STEPS):
-        p, r, v, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
-        for entry, square in row:
-            t = square / p
-            p = (x - entry) - t
-            if not p > 0.0:
-                break
-            t /= p
-            g = t * (r * r + v)
-            r = 1.0 / p + t * r
-            v = r * r + g
-            s1 += r
-            s2 += v
-        else:
-            disc = (m - 1) * (m * s2 - s1 * s1)
-            step = m / (s1 + math.sqrt(disc if disc > 0.0 else 0.0))
-            if step > 2.0 * math.ulp(x):
-                x -= step
-                continue
-        # x ends a 4-ulp bracket, its lower end where its count is below m
-        under = not p > 0.0 and (p < 0.0 or _under_top(x, row))
-        end = x + (4.0 if under else -4.0) * math.ulp(x)
-        return 0.5 * (x + end) if _under_top(end, row) != under else math.nan
-    return math.nan
-
-
-def _lane_tops(runs: tuple, m: int, x: np.ndarray) -> np.ndarray:
-    """The top eigenvalue of each lane (runs: _lane_runs) of order m below
-    _RUN_PLAN_MIN_ORDER by Laguerre steps down from x, or NaN where it must
-    be bisected. The pivots n = (x - a) - c/n' carry r = n'/n and v = r^2 -
-    n''/n, summed into S1 = sum 1/(x - l) and S2 = sum 1/(x - l)^2; above the
-    eigenvalues l, x - m/(S1 + sqrt((m - 1)(m S2 - S1^2))) falls to the top
-    cubically (Li and Zeng, SIAM J. Sci. Comput. 15, 1994). The steps stop at
-    one of 2 ulps or less, at a pivot not above 0 (a last step lands below
-    the top about half the time) or at a non-finite S1 or S2; counts at x and
-    x -+ 4 ulp(x) certify the top in that bracket, whose midpoint is the
-    value, or give NaN, as do more than _LAGUERRE_MAX_STEPS steps. Lanes step
-    as arrays with _scalar_top's operations in its order, so its bits."""
-    diag, lead, reps, first = runs
-    a, c = (np.repeat(v, reps).reshape(first.size, m).T.copy()
-            for v in (diag, _lead_squares(lead)[1]))
-    c[0] = 0.0
-    x, done, live = x.copy(), np.zeros(x.size, dtype=bool), np.arange(x.size)
-    # rows past a pivot not above 0 make infs and NaNs that no lane reads
-    with np.errstate(all="ignore"):
-        for _ in range(_LAGUERRE_MAX_STEPS):
-            at = x[live]
-            n = at - a
-            p, r, v, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
-            for k in range(m):
-                t = c[k] / p
-                p = np.subtract(n[k], t, out=n[k])
-                t = t / p
-                g = t * (r * r + v)
-                r = 1.0 / p + t * r
-                v = r * r + g
-                s1, s2 = s1 + r, s2 + v
-            hit = ~(n > 0.0).all(axis=0)
-            disc = (m - 1) * (m * s2 - s1 * s1)
-            step = m / (s1 + np.sqrt(np.where(disc > 0.0, disc, 0.0)))
-            moving = step > 2.0 * np.spacing(np.abs(at))
-            done[live[hit | ~moving]] = True
-            go = ~hit & moving
-            x[live[go]] = (at - step)[go]
-            live = live[go]
-            if not live.size:
-                break
-            a, c = a[:, go], c[:, go]
-        ulps = 4.0 * np.spacing(np.abs(x))
-        below = _plan_counts(_run_plan(runs, m), np.stack([x - ulps, x, x + ulps], axis=1)) < m
-        end = np.where(below[:, 1], x + ulps, x - ulps)
-        done &= np.where(below[:, 1], below[:, 2], below[:, 0]) != below[:, 1]
-    return np.where(done, 0.5 * (x + end), np.nan)
 
 
 def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.ndarray:
@@ -833,18 +736,20 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     bracket still open raises ConvergenceError. From order
     _RUN_PLAN_MIN_ORDER up, a count jumps a lane's uniform runs of rows in
     closed form, which can differ from walking every row only at shifts
-    within rounding of an eigenvalue. Below that order, the largest
-    eigenvalue (index m) is not bisected, whatever bisection_tol says: it
-    comes from Laguerre steps down from the padded Gershgorin top, certified
-    by counts to a 4-ulp bracket whose midpoint it is (_lane_tops), and is
-    bisected only in a lane where they fail. There a call whose lanes x
-    other distinct indices x order is at most _SCALAR_MAX_WORK walks each
-    lane's tree on Python floats (_scalar_bisection) instead of running
-    rounds, with the same bits. A value depends only on its own lane and
-    index, so asking for one eigenvalue gives the same bits as reading it
-    off the full spectrum. indices must be integers (not bools). A lane
-    whose padded Gershgorin interval reaches past half the largest float
-    raises ValueError (_brackets): its midpoints overflow. A lane whose
+    within rounding of an eigenvalue. Below that order, the largest and
+    smallest eigenvalues (indices m and 1) are not bisected, whatever
+    bisection_tol says: each comes from Laguerre steps started at the padded
+    Gershgorin end (index 1 as minus the top of the negated lane), certified
+    by counts to a bracket of max(4 ulps, 2 eps) whose midpoint it is
+    (_lane_tops), and is bisected only in a lane where they fail. There a
+    call whose lanes x other distinct indices x order is at most
+    _SCALAR_MAX_WORK walks each lane's tree on Python floats
+    (_scalar_bisection) instead of running rounds, with the same bits. A
+    value depends only on its own lane and index, so asking for one
+    eigenvalue gives the same bits as reading it off the full spectrum.
+    indices must be integers (not bools). A lane whose padded Gershgorin
+    interval reaches past half the largest float raises ValueError
+    (_brackets): its midpoints overflow. A lane whose
     largest |lead| squares past the largest float (above about 1.34e154)
     is solved times a power of two and its values scaled back (_fitted);
     other lanes keep their bits. This function checks the lanes and
@@ -910,33 +815,41 @@ def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig 
 def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
     """The values of _run_eigenvalues from the brackets lo..hi and stops tol
     of _brackets. Below _RUN_PLAN_MIN_ORDER, index m comes from Laguerre steps
-    from hi, or where they fail from a walk (the rounds' bits); the others
-    are walked or, above _SCALAR_MAX_WORK, bisected in rounds."""
+    from hi and index 1 from those on the negated lanes from -lo, or where
+    they fail from a walk (the rounds' bits); the others are walked or,
+    above _SCALAR_MAX_WORK, bisected in rounds."""
     if m >= _RUN_PLAN_MIN_ORDER:
         return _rounds(runs, m, need, lo, hi, tol)
     picked = need.tolist()
     # a set, not np.unique, whose first call costs about 1 MB of RSS
-    wanted = sorted(set(picked) - {m})
+    wanted = sorted(set(picked) - {1, m})
     walk = lo.size * len(wanted) * m <= _SCALAR_MAX_WORK
-    few = lo.size <= _LAGUERRE_LANES
-    rows = _row_lists(runs) if few or walk and wanted else None
+    rows = _row_lists(runs) if walk and wanted else None
     if walk:
         found = _scalar_bisection(rows, wanted, lo, hi, tol) if wanted else [{} for _ in hi]
     else:
         rounds = _rounds(runs, m, np.array(wanted), lo, hi, tol).tolist()
         found = [dict(zip(wanted, row)) for row in rounds]
-    if m in picked:
-        top = ([_scalar_top(row, x) for row, x in zip(rows, hi.tolist())] if few
-               else _lane_tops(runs, m, hi).tolist())
-        failed = [j for j, value in enumerate(top) if value != value]
+    for k in {1, m} & set(picked):
+        # the smallest value is minus the top of the negated lane
+        sign = 1.0 if k == m else -1.0
+        lanes = runs if k == m else (np.negative(runs[0]), *runs[1:])
+        start = sign * (hi if k == m else lo)
+        # the bottom's lanes step longer: lane arrays pay from twice as many
+        if lo.size <= _LAGUERRE_LANES * (1 if k == m else 2):
+            lists = rows if k == m and rows else _row_lists(lanes)
+            ends = [sign * _scalar_top(row, x, k == 1) for row, x in zip(lists, start.tolist())]
+        else:
+            ends = (sign * _lane_tops(*_rows(lanes), start, k == 1)).tolist()
+        failed = [j for j, value in enumerate(ends) if value != value]
         if failed:
             rows = rows or _row_lists(runs)
-            walked = _scalar_bisection([rows[j] for j in failed], [m], lo[failed], hi[failed],
+            walked = _scalar_bisection([rows[j] for j in failed], [k], lo[failed], hi[failed],
                                        tol[failed])
             for j, values in zip(failed, walked):
-                top[j] = values[m]
-        for values, value in zip(found, top):
-            values[m] = value
+                ends[j] = values[k]
+        for values, value in zip(found, ends):
+            values[k] = value
     return np.array([[values[k] for k in picked] for values in found])
 
 
@@ -1028,10 +941,13 @@ def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
 
 
 def tridiag_eigenvalues(t: SymTridiag, config: SolveConfig | None = None) -> np.ndarray:
-    """All eigenvalues of t in ascending order, via Sturm-count bisection.
+    """All eigenvalues of t by index, 1 to the order, via lane_eigenvalues.
 
-    One lane of lane_eigenvalues with every index. The result is
-    deterministic: no seeds, no rotation order, just interval halving.
+    Entry k - 1 is eigenvalue k asked alone, bit for bit, so the entries
+    ascend except where values closer than the bisection stop straddle an
+    end certified to a few ulps (below order 64), which may come out of
+    order by less than that stop. The result is deterministic: no seeds, no
+    rotation order.
     """
     return _run_spectrum(_lane_runs([t]), t.order, config)[0]
 
@@ -1039,16 +955,16 @@ def tridiag_eigenvalues(t: SymTridiag, config: SolveConfig | None = None) -> np.
 def _run_spectrum(runs: tuple, m: int, config: SolveConfig | None = None) -> np.ndarray:
     """tridiag_eigenvalues of each lane of order m whose runs (_lane_runs)
     are given, one row a lane: the full spectra of quotients built as runs."""
-    return np.sort(_run_eigenvalues(runs, m, np.arange(1, m + 1), config), axis=1)
+    return _run_eigenvalues(runs, m, np.arange(1, m + 1), config)
 
 
-def _offdiag_norm(w: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries: the tempting shortcut
-    # ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence and
-    # would stall the sweep loop around sqrt(eps) * ||A||.
-    stripped = w.copy()
-    np.fill_diagonal(stripped, 0.0)
-    return float(np.sqrt(np.sum(stripped * stripped)))
+def _offdiag_norm(rows: list) -> float:
+    """The off-diagonal Frobenius norm of a symmetric matrix given as row
+    lists, from its upper triangle, summed exactly (math.fsum) with no array
+    built. Summed directly over off-diagonal entries: the tempting shortcut
+    ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence and
+    would stall the sweep loop around sqrt(eps) * ||A||."""
+    return math.sqrt(2.0 * math.fsum(v * v for p, row in enumerate(rows) for v in row[p + 1:]))
 
 
 def _symmetric(a) -> tuple[np.ndarray, float]:
@@ -1106,9 +1022,8 @@ def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
     skip = stop / (2.0 * max(m, 1))
     rows = w.tolist()
     for _ in range(cfg.max_jacobi_sweeps):
-        w = np.reshape(rows, (m, m))
-        if _offdiag_norm(w) <= stop:
-            return np.sort(w.diagonal())
+        if _offdiag_norm(rows) <= stop:
+            return np.sort([row[p] for p, row in enumerate(rows)])
         for p in range(m - 1):
             x = rows[p]
             for q in range(p + 1, m):
@@ -1133,10 +1048,9 @@ def jacobi_eigenvalues(a, config: SolveConfig | None = None) -> np.ndarray:
                 x[p] = c * pp - s * pq
                 y[q] = s * qp + c * qq
                 x[q] = y[p] = 0.0
-    w = np.reshape(rows, (m, m))
-    remaining = _offdiag_norm(w)
+    remaining = _offdiag_norm(rows)
     if remaining <= stop:
-        return np.sort(w.diagonal())
+        return np.sort([row[p] for p, row in enumerate(rows)])
     raise ConvergenceError(
         f"Jacobi did not converge in {cfg.max_jacobi_sweeps} sweeps; "
         f"off-diagonal norm {remaining:.3e} above target {stop:.3e}"

@@ -153,12 +153,15 @@ def assemble_dense_alpha(bug: BugSpec, alpha) -> np.ndarray:
     n, u, w = bug.n, bug.i - 1, bug.clique_order
     v = u + w + 1
     clique = np.arange(u + 1, v)
-    inner_x, inner_y = np.triu_indices(w, 1)
     steps = np.concatenate([np.arange(u), np.arange(v, n - 1)])
-    x = np.concatenate([steps, np.full(w, u), clique, clique[inner_x]])
-    y = np.concatenate([steps + 1, clique, np.full(w, v), clique[inner_y]])
+    x = np.concatenate([steps, np.full(w, u), clique])
+    y = np.concatenate([steps + 1, clique, np.full(w, v)])
     a = np.zeros((n, n))
+    # the clique's own edges fill its block, whose diagonal is set below
+    a[u + 1:v, u + 1:v] = 1.0 - alpha
     a[x, y] = 1.0 - alpha
     a[y, x] = 1.0 - alpha
-    a[np.diag_indices(n)] = alpha * np.bincount(np.concatenate([x, y]), minlength=n)
+    degrees = np.bincount(np.concatenate([x, y]), minlength=n)
+    degrees[u + 1:v] += w - 1
+    np.fill_diagonal(a, alpha * degrees)
     return a

@@ -169,7 +169,7 @@ class TestSpectrumCommand:
         assert code == 0
         assert out == (
             "value,multiplicity,source\n"
-            "-0.113660094967,1,quotient\n"
+            "-0.113660094966,1,quotient\n"
             "1.25760325116,1,quotient\n"
             "1.4,5,closed-form\n"
             "6.8560568438,1,quotient\n"
@@ -249,18 +249,19 @@ class TestSweepCommand:
         # outside the band |t| < 1 and the full spectra's mostly inside it
         # (each count solves the regime holding the most shifts on all of them)
         (1000000, 1000, 500, "0,0.6,0.95", None, False),
-        # each spectrum (1 x 16 x 17 = 272; rho is not bisected) bisects on
-        # Python floats and the sweep (40 x 1 x 17 = 680) in multisection
-        # rounds: the two sides of _SCALAR_MAX_WORK (560), with no switch
-        # set
-        (40, 16, 5, ",".join(f"{k / 40:g}" for k in range(40)), None, True),
+        # below order 64 each spectrum bisects its 15 inner values on
+        # Python floats (1 x 15 x 17 = 255, under _SCALAR_MAX_WORK) and takes
+        # its ends by Laguerre steps on Python floats, and the sweep of 48
+        # alphas bisects nothing and takes its ends on lane arrays (over
+        # _LAGUERRE_LANES), with no switch set
+        (40, 16, 5, ",".join(f"{k / 48:g}" for k in range(48)), None, True),
     ], ids=["order-81-at-4-ulps", "order-1001", "two-bisection-paths"])
     def test_rows_print_as_each_alphas_spectrum(self, capsys, monkeypatch, n, d, i, alphas, tol,
                                                 walks):
         """Each sweep row prints its alpha's rho and smallest quotient
         eigenvalue as that alpha's spectrum command does. The sweep counts
-        in the count kernel, and each spectrum does too unless it walks on
-        Python floats."""
+        in the count kernel from order 64 up, and each spectrum does too
+        unless it walks on Python floats."""
         if tol is not None:
             monkeypatch.setenv("ALPHA_BUG_SOLVE_TOL", tol)
         tally = {"calls": 0}
@@ -274,7 +275,7 @@ class TestSweepCommand:
         bug = ["--n", str(n), "--d", str(d), "--i", str(i)]
         code, sweep = run_json(capsys, "sweep", *bug, "--alphas", alphas)
         assert code == 0 and len(sweep["rows"]) == len(alphas.split(","))
-        assert tally["calls"] > 0
+        assert (tally["calls"] > 0) == (d + 1 >= eigensolve._RUN_PLAN_MIN_ORDER)
         for row, alpha in zip(sweep["rows"], alphas.split(",")):
             tally["calls"] = 0
             code, spectrum = run_json(capsys, "spectrum", *bug, "--alpha", alpha)
@@ -666,9 +667,11 @@ class TestEnvironmentOverride:
     def test_bisection_step_cap_maps_to_exit_three(self, capsys, monkeypatch):
         import alphabug.eigensolve as eigensolve
 
+        # a sweep below order 64 bisects nothing: its ends come from
+        # Laguerre steps. A spectrum bisects its inner values
         monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 4)
-        code, _ = run_cli(capsys, "sweep", "--n", "40", "--d", "10", "--i", "3",
-                          "--alphas", "0.2,0.5")
+        code, _ = run_cli(capsys, "spectrum", "--n", "40", "--d", "10", "--i", "3",
+                          "--alpha", "0.2")
         assert code == 3
 
     def test_tolerance_that_overflows_the_brackets_is_named(self, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphabug.eigensolve as eigensolve
+import alphabug.laguerre as laguerre
 from alphabug import (
     DEFAULT_CONFIG,
     BugSpec,
@@ -26,7 +27,7 @@ from alphabug import (
     sturm_count,
     tridiag_eigenvalues,
 )
-from alphabug.structured import halved_tridiagonal, proof_decomposition
+from alphabug.structured import _bug_runs, halved_tridiagonal, proof_decomposition
 from alphabug.verify import enumerate_bugs, extremal_scan
 from oracles import (
     exact_inertia_bounds,
@@ -53,27 +54,32 @@ def random_tridiag(rng, m):
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
-def assert_top(value, t: SymTridiag, plain: float):
-    """value, index m of t below the run-plan gate, comes from certified
-    Laguerre steps or, where they fell back, from bisection: it has the bits
-    of plain bisection's top, plain, or lies within 4 ulps of the 80-bit
-    reference (where np.longdouble has one). The certifying counts are
-    exact for t with its off-diagonals moved by a few eps, so the bound
-    also allows 8 eps times its largest |off-diagonal|, and the 2.3e-162
-    by which a zero off-diagonal's floor moves an eigenvalue."""
+def assert_end(value, t: SymTridiag, plain: float, top: bool = True):
+    """value, eigenvalue m (top) or 1 of t below the run-plan gate, comes
+    from certified Laguerre steps or, where they fell back, from bisection:
+    it has the bits of plain bisection's value there, plain, or lies within
+    max(4 ulps, 2 eps) of the 80-bit reference (where np.longdouble has one;
+    eigenvalue 1 is minus the top of -t). The certifying counts are exact
+    for t with its off-diagonals moved by a few eps, so the bound also
+    allows 8 eps times its largest |off-diagonal|, and the 2.3e-162 by which
+    a zero off-diagonal's floor moves an eigenvalue."""
     if value == plain or not _EXTENDED:
         return
-    ref = longdouble_tops(t.diag[None], t.offdiag[None])[0]
-    slack = 8.0 * np.finfo(float).eps * np.max(np.abs(t.offdiag), initial=0.0) + 2.3e-162
-    assert abs(value - ref) <= 4.0 * np.spacing(abs(ref)) + slack, (value, ref, plain)
+    sign = 1.0 if top else -1.0
+    ref = sign * longdouble_tops(sign * t.diag[None], t.offdiag[None])[0]
+    eps = np.finfo(float).eps
+    slack = 8.0 * eps * np.max(np.abs(t.offdiag), initial=0.0) + 2.3e-162
+    bound = max(4.0 * np.spacing(abs(ref)), 2.0 * eps) + slack
+    assert abs(value - ref) <= bound, (value, ref, plain, top)
 
 
-def assert_plain_below_top(values, t: SymTridiag):
+def assert_plain_between_ends(values, t: SymTridiag):
     """values, t's eigenvalues 1..m in order, have plain bisection's bits
-    below the top, and the top is certified (assert_top)."""
+    between the ends, and both ends are certified (assert_end)."""
     plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
-    assert np.array_equal(values[:-1], plain[:-1])
-    assert_top(values[-1], t, plain[-1])
+    assert np.array_equal(values[1:-1], plain[1:-1])
+    assert_end(values[0], t, plain[0], top=False)
+    assert_end(values[-1], t, plain[-1])
 
 
 def one_group(lanes):
@@ -355,10 +361,10 @@ class TestLaneEigenvalues:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 40])
     def test_full_spectrum_matches_plain_bisection(self, m):
-        # below the top; the top comes from Laguerre steps
+        # between the ends; the ends come from Laguerre steps
         rng = np.random.default_rng(5150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
-            assert_plain_below_top(tridiag_eigenvalues(t), t)
+            assert_plain_between_ends(tridiag_eigenvalues(t), t)
 
     def test_one_index_of_a_wide_matrix(self):
         # one bracket runs several tree levels per round, the full spectrum
@@ -504,38 +510,39 @@ class TestDistinctBrackets:
         assert tally["calls"] == 0
 
     def test_one_index_per_lane_at_the_widest_bench_scan(self, monkeypatch):
-        # index 1 of the 24 lanes of order 49 in rounds: 5 levels a round,
-        # 44 levels in 9 rounds
+        # index 2 of the 24 lanes of order 49 in rounds (indices 1 and 49
+        # come from Laguerre steps): 5 levels a round, 44 levels in 9 rounds
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
         tally = _count_calls(monkeypatch)
         lanes = [bug_tridiagonal(BugSpec(2000, 48, i), 0.5) for i in range(1, 25)]
-        lane_eigenvalues(lanes, [1])
+        lane_eigenvalues(lanes, [2])
         assert tally["calls"] <= 9 and tally["shifts"] <= 6_312
 
     def test_small_full_spectrum_costs_no_more(self, monkeypatch):
-        # 44 levels: 8 in the first round, then 5 per round for 11 brackets
-        # and 1 to finish. A call this small bisects on Python floats unless
-        # the work bound sends it to the rounds
+        # 44 levels: 8 in the first round, then 6 per round for the 9
+        # brackets of indices 2-10 (the ends come from Laguerre steps). A
+        # call this small bisects on Python floats unless the work bound
+        # sends it to the rounds
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
         tally = _count_calls(monkeypatch)
         tridiag_eigenvalues(bug_tridiagonal(BugSpec(12, 10, 3), 0.5))
-        assert tally["calls"] <= 9 and tally["shifts"] <= 2_653
+        assert tally["calls"] <= 7 and tally["shifts"] <= 3_657
 
     @settings(max_examples=50, deadline=None)
     @given(ordered_lane_problems())
     def test_any_index_order_matches_plain_bisection(self, problem):
         # the reference takes one bisection step per bracket and round, with
         # one scalar count per midpoint, and shares no code with
-        # lane_eigenvalues; the top comes from Laguerre steps
+        # lane_eigenvalues; the ends come from Laguerre steps
         lanes, indices = problem
         got = lane_eigenvalues(lanes, indices)
         for row, t in zip(got, lanes):
             plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
             for k, value in zip(indices, row):
-                if k < t.order:
+                if 1 < k < t.order:
                     assert value == plain[k - 1], k
                 else:
-                    assert_top(value, t, plain[-1])
+                    assert_end(value, t, plain[k - 1], top=k == t.order)
 
 
 # bug quotients of order 64 to 1001, balanced and not, where rounds run on
@@ -678,9 +685,11 @@ class TestDescent:
         expected = _bisect_each(GOLDEN, indices, count)
         assert not np.allclose(expected[3:5], GOLDEN_EIGENVALUES[3:5], atol=1e-3)
         got = lane_eigenvalues([GOLDEN], indices)[0]
-        # the top (6.91) comes from Laguerre steps, away from the window
-        assert np.array_equal(got[:-1], expected[:-1])
-        assert_top(got[-1], GOLDEN, expected[-1])
+        # the ends (0.39 and 6.91) come from Laguerre steps, away from the
+        # window
+        assert np.array_equal(got[1:-1], expected[1:-1])
+        assert_end(got[0], GOLDEN, expected[0], top=False)
+        assert_end(got[-1], GOLDEN, expected[-1])
         for k in (4, 5):
             got = lane_eigenvalues([GOLDEN, GOLDEN], [k])
             assert np.array_equal(got[:, 0], expected[[k - 1, k - 1]])
@@ -1040,7 +1049,7 @@ class TestBlockedCounts:
         assert _first_zero_pivot(t, 0.0) == zero_row
         for x in (t.diag[0], 0.0, *np.arange(-12.0, 12.5, 0.5)):
             assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x), x
-        assert_plain_below_top(tridiag_eigenvalues(t), t)
+        assert_plain_between_ends(tridiag_eigenvalues(t), t)
 
     @pytest.mark.parametrize("t_sign", [1.0, -1.0])
     @pytest.mark.parametrize("last", [0.5, 3.0, -1.0])
@@ -1217,35 +1226,38 @@ def _sweep_lanes(t):
 
 def _check_extreme_calls(lanes):
     """Index m alone on up to four lanes (a scan's shape), index 1 alone on
-    one, and both on every lane (an 8-alpha sweep's shape): the walk's bits
-    are the rounds' at both stops and, below the gate, at the default stop
-    the first lane's index 1 is plain bisection's and its index m is
-    certified (assert_top)."""
+    one, and both on every lane (an 8-alpha sweep's shape), at both stops:
+    each value has the bits it has in its lane's full spectrum, in rounds
+    and on Python floats (_both_paths), with the ends stepped on Python
+    floats and on lane arrays (_LAGUERRE_LANES past any call, then 0).
+    Below the gate, at the default stop, the first lane's ends are
+    certified (assert_end)."""
     t = lanes[0]
     m = t.order
-    expected = None
+    for config in _BOTH_STOPS:
+        full = lane_eigenvalues(lanes, np.arange(1, m + 1), config)
+        for count, indices in ((4, [m]), (1, [1]), (len(lanes), [1, m])):
+            expected = full[:count, np.array(indices) - 1]
+            for gate in (10**9, 0):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
+                    for got in _both_paths(lanes[:count], indices, config):
+                        assert got.tobytes() == expected.tobytes(), (indices, config, gate)
     if m < eigensolve._RUN_PLAN_MIN_ORDER:
-        expected = plain_bisection_eigenvalues(t.diag, t.offdiag)
-    for count, indices in ((4, [m]), (1, [1]), (len(lanes), [1, m])):
-        for config in _BOTH_STOPS:
-            rounds, floats = _both_paths(lanes[:count], indices, config)
-            assert rounds.tobytes() == floats.tobytes(), (indices, config)
-            if expected is not None and config is DEFAULT_CONFIG:
-                for k, value in zip(indices, floats[0]):
-                    if k < m:
-                        assert value.tobytes() == expected[k - 1].tobytes(), indices
-                    else:
-                        assert_top(value, t, expected[-1])
+        plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
+        values = lane_eigenvalues([t], [1, m])[0]
+        assert_end(values[0], t, plain[0], top=False)
+        assert_end(values[1], t, plain[-1])
 
 
 class TestScalarBisection:
     """Below the run-plan gate, a call whose lanes x distinct indices other
-    than m x order is at most _SCALAR_MAX_WORK (560) walks each bisection
-    tree on Python floats, one count per node; a node of index 1 alone
-    stops its count at the first pivot that decides it. Its values have the
-    rounds' bits, at the default stop and at the 4-ulp stop. Index m is not
-    bisected there (TestLaguerreTop); the constant's comment has the
-    walk's time against the rounds'."""
+    than 1 and m x order is at most _SCALAR_MAX_WORK (560) walks each
+    bisection tree on Python floats, one count per node. Its values have
+    the rounds' bits, at the default stop and at the 4-ulp stop. Indices 1
+    and m are not bisected there (TestLaguerreTop, TestLaguerreBottom) but
+    where their steps fail; the constant's comment has the walk's time
+    against the rounds'."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_counts())
@@ -1322,7 +1334,7 @@ class TestScalarBisection:
         rounds, floats = _both_paths([path_zero, later_zero], np.arange(1, 6))
         assert rounds.tobytes() == floats.tobytes()
         for row, t in zip(floats, (path_zero, later_zero)):
-            assert_plain_below_top(row, t)
+            assert_plain_between_ends(row, t)
 
     @settings(max_examples=60, deadline=None)
     @given(small_counts())
@@ -1362,7 +1374,7 @@ class TestScalarBisection:
         rng = np.random.default_rng(6150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
             _, floats = _both_paths([t], np.arange(1, t.order + 1))
-            assert_plain_below_top(floats[0], t)
+            assert_plain_between_ends(floats[0], t)
 
     def test_overflowing_offdiagonal_squares_are_scaled(self, monkeypatch):
         t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
@@ -1395,7 +1407,7 @@ class TestScalarBisection:
             assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
             monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 1)
             top = lane_eigenvalues([GOLDEN], [6])[0, 0]
-            assert_top(top, GOLDEN, math.nan)
+            assert_end(top, GOLDEN, math.nan)
 
     def test_lanes_at_the_gate_stay_on_the_rounds(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
@@ -1408,13 +1420,13 @@ class TestScalarBisection:
 
     def test_work_bound_counts_distinct_indices(self, monkeypatch):
         # 2 lanes x 2 distinct bisected indices x order 6 = 24, however often
-        # each index is asked for; index m (6) is not bisected
+        # each index is asked for; indices 1 and m (6) are not bisected
         tally = _count_calls(monkeypatch)
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 24)
-        lane_eigenvalues([GOLDEN, GOLDEN], [1, 5, 1, 5, 5, 6])
+        lane_eigenvalues([GOLDEN, GOLDEN], [2, 5, 1, 2, 5, 5, 6])
         assert tally["calls"] == 0
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 23)
-        lane_eigenvalues([GOLDEN, GOLDEN], [1, 5, 1, 5, 5, 6])
+        lane_eigenvalues([GOLDEN, GOLDEN], [2, 5, 1, 2, 5, 5, 6])
         assert tally["calls"] > 0
 
 
@@ -1472,8 +1484,8 @@ class TestLaguerreTop:
         hi = eigensolve._brackets(runs, DEFAULT_CONFIG)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arrays = eigensolve._lane_tops(runs, m, hi)
-            floats = [eigensolve._scalar_top(row, x)
+            arrays = laguerre._lane_tops(*eigensolve._rows(runs), hi)
+            floats = [laguerre._scalar_top(row, x)
                       for row, x in zip(eigensolve._row_lists(runs), hi.tolist())]
         assert arrays.tobytes() == np.array(floats).tobytes()
         got = []
@@ -1486,7 +1498,7 @@ class TestLaguerreTop:
     def test_a_doubled_top_falls_back_to_bisection(self, monkeypatch):
         # two equal blocks joined by a zero off-diagonal: the steps approach
         # a double top only linearly (27-33 steps on such blocks), so past
-        # _LAGUERRE_MAX_STEPS the lane is walked by bisection, with its
+        # laguerre._MAX_STEPS the lane is walked by bisection, with its
         # bits, in one lane and on lane arrays alike
         diag, offdiag = [1.0, 3.0, 2.0], [1.0, 0.5]
         t = SymTridiag(diag * 2, offdiag + [0.0] + offdiag)
@@ -1511,10 +1523,144 @@ class TestLaguerreTop:
             lane_eigenvalues([t], [6])
 
     def test_rho_is_4_ulps_whatever_the_stop(self):
-        # a stop of 1e-3 leaves index 1 loose but not the top
-        loose = lane_eigenvalues([GOLDEN], [1, 6], SolveConfig(bisection_tol=1e-3))[0]
-        assert abs(loose[0] - GOLDEN_EIGENVALUES[0]) <= 1e-3 * 7.0
-        assert_top(loose[1], GOLDEN, math.nan)
+        # a stop of 1e-3 leaves index 2 loose but not the top
+        loose = lane_eigenvalues([GOLDEN], [2, 6], SolveConfig(bisection_tol=1e-3))[0]
+        assert abs(loose[0] - GOLDEN_EIGENVALUES[1]) <= 1e-3 * 7.0
+        assert_end(loose[1], GOLDEN, math.nan)
+
+
+def _bisected(lanes, indices):
+    """lane_eigenvalues with every Laguerre step refused, so that every end
+    falls back to the walk: the bisection bits of a failed certificate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laguerre, "_MAX_STEPS", 0)
+        return lane_eigenvalues(lanes, indices)
+
+
+def _check_bottoms(lanes):
+    """Index 1 of every lane either lies within max(4 ulps, 2 eps) of the
+    80-bit reference, minus the top of the negated lane, or has the bits
+    bisection gives it (a lane whose steps fell back); both loops give the
+    same bits. Returns the number of lanes that match bisection's bits."""
+    got = []
+    for gate in (10**9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
+            got.append(lane_eigenvalues(lanes, [1])[:, 0])
+    assert got[0].tobytes() == got[1].tobytes()
+    plain = _bisected(lanes, [1])[:, 0]
+    ref = -longdouble_tops([-t.diag for t in lanes], [t.offdiag for t in lanes])
+    bound = np.maximum(4.0 * np.spacing(np.abs(ref)), 2.0 * np.finfo(float).eps)
+    certified = np.abs(got[0] - ref) <= bound
+    assert np.all(certified | (got[0] == plain)), np.flatnonzero(~certified)
+    return int(np.count_nonzero(got[0] == plain))
+
+
+class TestLaguerreBottom:
+    """Below the run-plan gate, index 1 of every lane is minus the top of
+    the lane with its diagonal negated, from Laguerre steps started at
+    minus the padded Gershgorin bottom. Where S1^2 > 1.5 S2 a step is the
+    one for a double root; one that lands below the top climbs back by
+    Laguerre's other root, and one that lands past the next value goes back
+    to plain steps. A step of at most 1e-6 |x| is certified at once, by
+    counts over max(4 ulps, 2 eps); a lane whose steps fail is bisected."""
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
+    def test_every_sweep_bottom_below_the_gate_is_certified(self):
+        # every split of d = 2..62 at four alphas and three n, solved as a
+        # sweep solves them (one call per split, one lane per alpha): 11,532
+        # values, each within max(4 ulps, 2 eps) of the reference or, where
+        # its steps fell back, bisection's
+        alphas = np.array([0.0, 0.3, 0.6, 0.99])
+        fallbacks = 0
+        for d in range(2, _BELOW_GATE):
+            lanes, values = [], []
+            for n in (d + 2, 10 * d + 7, 10**6):
+                for i in range(1, d // 2 + 1):
+                    runs = _bug_runs(n, d, i, alphas)
+                    values.append(eigensolve._run_eigenvalues(runs, d + 1, np.array([1, d + 1])))
+                    lanes += [bug_tridiagonal(BugSpec(n, d, i), a) for a in alphas.tolist()]
+            values = np.concatenate(values)
+            assert values[:, 0].tobytes() == lane_eigenvalues(lanes, [1])[:, 0].tobytes(), d
+            fallbacks += _check_bottoms(lanes)
+        assert fallbacks <= 12
+
+    @settings(max_examples=100, deadline=None)
+    @given(laguerre_lanes())
+    def test_python_floats_and_lane_arrays_give_the_same_bits(self, lanes):
+        # the steps on the negated lanes, NaN where a lane falls back, and
+        # the values of a call under either gate
+        m = lanes[0].order
+        runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
+        flipped = (np.negative(runs[0]), *runs[1:])
+        start = -eigensolve._brackets(runs, DEFAULT_CONFIG)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = laguerre._lane_tops(*eigensolve._rows(flipped), start, True)
+            floats = [laguerre._scalar_top(row, x, True)
+                      for row, x in zip(eigensolve._row_lists(flipped), start.tolist())]
+        assert arrays.tobytes() == np.array(floats).tobytes()
+        got = []
+        for gate in (10**9, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
+                got.append(lane_eigenvalues(lanes, [1, m]))
+        assert got[0].tobytes() == got[1].tobytes()
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
+    def test_near_double_bottoms_certify_or_fall_back(self):
+        # long equal or nearly equal pendant paths at alpha >= 0.8 give two
+        # smallest values 1e-11 to 1e-16 apart (B(148, 28, 13) at 0.83:
+        # 6e-15), which plain steps approach only linearly
+        groups = [[bug_tridiagonal(BugSpec(148, 28, 13), 0.83)]]
+        for d in (20, 31, 44, 62):
+            groups.append([bug_tridiagonal(BugSpec(n, d, i), a)
+                           for i in (d // 2 - 1, d // 2) for n in (d + 2, 5 * d, 10**5)
+                           for a in (0.8, 0.9, 0.99)])
+        gaps = []
+        for t in (t for lanes in groups for t in lanes):
+            low = np.linalg.eigvalsh(t.to_dense())[:2]
+            gaps.append((low[1] - low[0]) / abs(low[0]))
+        assert min(gaps) < 1e-14 and np.median(gaps) < 1e-8
+        fallbacks = sum(_check_bottoms(lanes) for lanes in groups)
+        assert fallbacks <= len(gaps) // 10
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
+    def test_zero_pivots_scaled_lanes_and_values_near_0(self):
+        # exact zero pivots at the root midpoint 0 (TestScalarBisection);
+        # GOLDEN scaled past the squares' range (_fitted) and far below 1;
+        # P3 at alpha 0.5, whose smallest value is 0 exactly; a smallest
+        # value of 5e-21; and the zero matrix, whose three values are 0
+        lanes = [
+            SymTridiag(np.zeros(5), np.ones(4)),
+            SymTridiag([1.0, 1.0, 0.0, -1.0, -1.0], np.ones(4)),
+            SymTridiag([1.0, 1.0, -1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.5]),
+            SymTridiag([0.0, -0.5, 1.0, 1.0, 1.0], [1.0, 1.0, 0.5, 0.5]),
+            SymTridiag(GOLDEN.diag * 1e160, GOLDEN.offdiag * 1e160),
+            SymTridiag(GOLDEN.diag * 1e-3, GOLDEN.offdiag * 1e-3),
+            bug_tridiagonal(BugSpec(3, 2, 1), 0.5),
+            SymTridiag([1.0, 1.0 + 1e-20], [1.0]),
+            SymTridiag(np.zeros(3), np.zeros(2)),
+        ]
+        for t in lanes:
+            # plain bisection's squares overflow on the scaled lane
+            plain = _bisected([t], [1])[0, 0]
+            got = lane_eigenvalues([t], [1])[0, 0]
+            assert_end(got, t, plain, top=False)
+            for values in _both_paths([t], [1, t.order]):
+                assert got == values[0, 0]
+        # the values near 0 certify, within 2 eps, where bisection's stop is
+        # about 1e-13
+        for t in lanes[-3:]:
+            got = lane_eigenvalues([t], [1])[0, 0]
+            assert abs(got) <= 2.0 * np.finfo(float).eps
+            assert got != _bisected([t], [1])[0, 0]
+
+    def test_smallest_value_is_certified_whatever_the_stop(self):
+        # a stop of 1e-3 leaves index 2 loose but not index 1
+        loose = lane_eigenvalues([GOLDEN], [1, 2], SolveConfig(bisection_tol=1e-3))[0]
+        assert abs(loose[1] - GOLDEN_EIGENVALUES[1]) <= 1e-3 * 7.0
+        assert_end(loose[0], GOLDEN, math.nan, top=False)
 
 
 class TestJacobi:

@@ -4,10 +4,16 @@ invocations.
 The list covers every command in JSON and in CSV, every spectrum method,
 a batch stream (a spectrum of 13 values, one job of each command and one
 failing job), a value below the smallest magnitude the array rounding
-handles (-3.66e-14) and values at and above its largest
+handles (2.10e-16) and values at and above its largest
 (999000000000000.0 and 1e15). Each of these solves on Python floats. A
 change to the solver, to the payloads or to the renderers that moves one
 printed byte fails here.
+
+One case prints rounding noise: `verify --tol 1e-300` fails every check and
+prints each Jacobi-versus-structured deviation, which an ulp's move of a
+structured value changes. Its digest is taken with each deviation masked,
+so it pins the verdict, the counts and which checks fail, and each
+deviation must lie within DEVIATION_BOUND instead.
 
 A million-vertex spectrum of order 1001 jumps runs of equal rows through
 numpy's tan, arctan2, log1p, arctanh and tanh, whose last bits may differ
@@ -18,6 +24,7 @@ the same solve gives.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -41,9 +48,9 @@ GOLDEN = [
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method dense", 0,
      "2252156533dece4b4bdfcd035b7f3618335f0572988f49001f56e30b6b6d30cf"),
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method halved", 0,
-     "eda1f6c5ed888529caac2e989db5f5863f65c647e17dd78a334cad6c9db6f350"),
+     "1f5a9f2a3d31db35dcb8f6b6b2cf6b972e6b9753a647371419e3cea336267249"),
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method all", 0,
-     "f8476e6497329c7c55da86502ea1bde9108394286483918c345d77e6f2e4175e"),
+     "618ff5ce2e843b8e57af0679976daf81e254f5dfc8474abac998f5e1b68cd2f6"),
     ("spectrum --p 5 --q 3 --r 2 --alpha 0", 0,
      "15686a35f68400efb3cba1d11d220995d9d126c4a4fe5c78a70d8ec0e50526a8"),
     ("sweep --n 11 --d 5 --i 2 --alphas 0,0.25,0.5,0.99", 0,
@@ -53,17 +60,17 @@ GOLDEN = [
     ("verify --max-n 5", 0,
      "c3e03aedb3478c9943bb0fff541419829e5b98b3c15272aa7612b1c8e48e9529"),
     ("verify --max-n 4 --tol 1e-300", 1,
-     "07873449ca5ba1f960829e7fd95a1f54743d089b375e01d6792e9f5c5c28ecd0"),
+     "1c5da49de8a48ddfa42ce63a415decba58932f83c5ac0b0a6af4aef4b9301390"),
     ("spectrum --p 3 --q 1 --r 1 --alpha 0.5 --method all", 0,
-     "6b34ed49e382218df7ed226ec52d8d61e311131ca6a5402a8f641c4a69eeb29e"),
+     "e4e3e6fc8aae4e14da72c225935880d3b3fd9bff35c0fea408281696d64e307b"),
     ("spectrum --n 1000000000000000 --d 4 --i 2 --alpha 0.999 --method halved", 0,
-     "e5922d98cfb7402bf22205b0e0f952886e19c9ce34001fa988f5d5d8bfb9760d"),
+     "d5068840c0864d8b53378ab79e7478279c57c869245cdcdd10ae79588331f6a3"),
     ("spectrum --n 11 --d 5 --i 2 --alpha 0.6 --format csv", 0,
      "da8ef07218cc73459f44b8e6f388053cf57ed53f4fdcf7f8d20071466c460fd5"),
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method dense --format csv", 0,
      "5961909282cf4116b7b7cb23da48b119aa1fb263b4db98b2d796b5c8e4e6f0f2"),
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method halved --format csv", 0,
-     "508034ac576576b4a4bb3accfe933bd2d38ab5d3c7412fef30da55b8f2571c43"),
+     "5467a348c22ffe9c186d4ced9c386492c6bc625606b3230d8a24eb143e7e2f05"),
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method all --format csv", 0,
      "de7149f3f126b68bf046a41c23783cb1545361c89500c8511e86efadf0c666dc"),
     ("sweep --n 11 --d 5 --i 2 --alphas 0,0.25,0.5,0.99 --format csv", 0,
@@ -73,8 +80,16 @@ GOLDEN = [
     ("verify --max-n 5 --format csv", 0,
      "b39279f42c8dc8f7f25857e5d55c560e3778900e0e41d2be43ed6470c5bed986"),
     ("batch @jobs", 2,
-     "b85efe2e748c3b09cbc69f40950344cf866b6f8d3f73bd51b341f07b17f99dd6"),
+     "d8276f35aa4c16be37cc93c48a3c1ed56064b487ce52dbd04477af8a0ef305e5"),
 ]
+
+
+# the commands whose printed deviations are masked, and the bound each
+# deviation must meet: the dense route's Jacobi stops at 1e-12 of the
+# Frobenius norm, below 10 on these bugs of order 4 or less
+DEVIATION_BOUND = {"verify --max-n 4 --tol 1e-300": 1e-12}
+# "worst_deviation": v in JSON, and "deviation v" in each failure line
+_DEVIATION = re.compile(r'(deviation(?:": | ))([0-9.e+-]+)')
 
 
 @pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
@@ -84,6 +99,10 @@ def test_stdout_bytes(capsys, tmp_path, command, code, digest):
     argv = [str(jobs) if word == "@jobs" else word for word in command.split()]
     assert main(argv) == code
     out = capsys.readouterr().out
+    if command in DEVIATION_BOUND:
+        deviations = [float(v) for _, v in _DEVIATION.findall(out)]
+        assert deviations and all(0.0 < v <= DEVIATION_BOUND[command] for v in deviations)
+        out = _DEVIATION.sub(r"\1*", out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -138,6 +138,20 @@ def test_assemble_matches_edge_list_matrix_on_grid(oracle_grid):
         assert inst.matrix.tobytes() == theirs.tobytes(), (inst.bug, inst.alpha)
 
 
+@pytest.mark.parametrize("n", [40, 90])
+def test_assemble_fills_the_clique_block_bit_for_bit(n):
+    """The clique's edges fill its diagonal block in one assignment and add
+    w - 1 to each clique vertex's degree: past the grid too, from a clique
+    of one vertex (d = n - 1) to one of n - 2 (d = 2), with a one-vertex
+    left path (i = 1), the matrix is the edge-list one bit for bit."""
+    for d in (2, 5, 30, n - 1):
+        for i in sorted({1, min(2, d // 2), d // 2}):
+            for alpha in (0.0, 0.3, 0.5, 0.999):
+                bug = BugSpec(n, d, i)
+                theirs = edge_list_matrix_in_package_order(bug, alpha)
+                assert assemble_dense_alpha(bug, alpha).tobytes() == theirs.tobytes(), (bug, alpha)
+
+
 def test_dense_structural_invariants():
     bug = BugSpec(11, 5, 2)
     edges = bug_edges(bug.p, bug.q, bug.r)

@@ -131,7 +131,7 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("max_n, instances, checks, worst", [
         (8, 170, 334, 3.0375701953744283e-13),
-        (12, 625, 1280, 6.079581282847357e-13),
+        (12, 625, 1280, 5.273559366969494e-13),
     ])
     def test_pinned_summary(self, max_n, instances, checks, worst):
         # recorded when each quotient was still solved alone
