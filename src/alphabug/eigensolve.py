@@ -9,8 +9,9 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
   bisection tree in one pass of one kernel (_plan_counts), which jumps
   runs of equal rows in closed form from order 64 up. Below that order
   the largest and smallest eigenvalues come from Laguerre steps certified
-  by counts, and small calls walk each bisection tree on Python floats
-  instead of running rounds, with the same bits,
+  by counts, at _FINISH_ORDERS so does every other one, from the node of
+  its bisection tree that isolates it, and small calls walk each tree
+  on Python floats instead of running rounds, with the same bits,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .graphs import _check_int, _check_positive, _check_real
-from .laguerre import _lane_tops, _scalar_top
+from .laguerre import _FLOOR, _lane_tops, _scalar_top
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -114,8 +115,10 @@ class SolveConfig:
     """Stopping rules for the iterative kernels.
 
     bisection_tol is relative to the Gershgorin span (and never tighter
-    than 4 ulps; below order 64 the smallest and largest eigenvalues are
-    certified to max(4 ulps, 2 eps) whatever it says),
+    than 4 ulps; below order 64 the smallest and largest eigenvalues, and
+    at orders 4 to 40 every eigenvalue, are certified to max(4 ulps, 2 eps)
+    whatever it says: there it reaches only values whose Laguerre steps
+    fall back to bisection),
     jacobi_off_tol to the Frobenius norm, power_tol to max(1, rho). Every
     tolerance must be positive and finite, and each iteration cap an
     integer >= 1 (not a bool).
@@ -181,14 +184,29 @@ _MAX_BISECTION_STEPS = 2200
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
-# Below _RUN_PLAN_MIN_ORDER, a call whose lanes x distinct indices (1 and m left
-# out) x order is at most this walks each tree on Python floats
-# (_scalar_bisection).
-# Walk time over round time per call on bug quotients (2-core x86-64, Python
-# 3.11, numpy 2.4; medians of 7): one-lane full spectra 0.31 at work 56, 0.63
-# at 380, 0.79 at 552 and 0.91-1.14 at 756-870; 8-alpha sweeps 0.33-0.66 at
-# 128-504; spectra of 10-30 lanes 0.80-0.97 at 200-300 and 1.25-2.1 at 400-840.
-_SCALAR_MAX_WORK = 560
+# At these orders, the walk and the rounds bisect each index k between the
+# ends only to the first node on its path whose ends count k - 1 and k, and
+# Laguerre steps from there finish it (_finish): 3.2-3.5 evaluations a value
+# at orders 3-40, where the walk took about 38 more levels. One-lane full
+# spectra of bug quotients, walked, took 0.61-0.90 of the full walk's time
+# at orders 6-40, 1.01-1.19 from 43, 0.98-1.01 at order 4 and 1.13 at order
+# 3, whose one value costs 3 evaluations on 3 rows (in-process alternation;
+# 2-core x86-64, Python 3.11, numpy 2.4).
+_FINISH_ORDERS = range(4, 41)
+# Below _RUN_PLAN_MIN_ORDER, a call whose work, lanes x distinct indices (1
+# and m left out) x order, is at most this walks each tree on Python floats
+# (_scalar_bisection); at other orders, where the walk bisects each value
+# to its stop, a unit of work counts _BISECTED_WORK times. Walk time
+# over round time per call on bug quotients (medians of 6), isolating: 0.19-
+# 0.41 on one lane at orders 5-24, 0.54-0.74 at work 720-5,760 (48 lanes of
+# order 5-12), 0.55-0.62 at work 3,840-8,832 (4-8 lanes of order 32-48),
+# 0.80-0.90 on 96-192 lanes of order 5 (work 1,440-2,880) and 0.89-0.99 on
+# 96-192 of order 8 (4,608-9,216). Bisecting to the stop (as measured
+# before isolation): one-lane full spectra 0.31 at work 56, 0.63 at 380, 0.79 at
+# 552 and 0.91-1.14 at 756-870; 8-alpha sweeps 0.33-0.66 at 128-504; spectra
+# of 10-30 lanes 0.80-0.97 at 200-300 and 1.25-2.1 at 400-840.
+_SCALAR_MAX_WORK = 8400
+_BISECTED_WORK = 15
 # A call of at most this many lanes takes rho by Laguerre steps on Python
 # floats (_scalar_top), one of more on lane arrays (_lane_tops): the first
 # took 0.53-0.61 of the second's time at 24 lanes, 0.68-0.78 at 32, 0.81-0.96
@@ -642,12 +660,14 @@ def _row_lists(runs: tuple) -> list:
     return [list(zip(*lane)) for lane in zip(*(v.tolist() for v in _rows(runs)))]
 
 
-def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
+def _scalar_bisection(rows: list, wanted: list, lo, hi, tol, isolate: bool = False):
     """The wanted eigenvalues (1-based indices, ascending and distinct) of
     lanes below _RUN_PLAN_MIN_ORDER, one dict per lane from index to value,
     bisected on Python floats from the lanes' rows (_row_lists) and
     lane_eigenvalues's brackets lo..hi and tolerances tol (arrays of shape
-    (L,)).
+    (L,)); with isolate, also the (lane, index, lower, upper) of each index
+    whose path reaches an isolating node first (_rounds), which stops there
+    and is not in the dicts.
 
     Walks each lane's bisection tree one node at a time, with one Sturm
     count per node: the row loop of _walk on scalars, where a zero pivot's
@@ -657,19 +677,25 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
     _stops would close it, so every value has the rounds' bits. A node still
     open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
     """
-    found = []
-    for row, start, end, stop in zip(rows, lo.tolist(), hi.tolist(), tol.tolist()):
+    found, isolated = [], []
+    m = len(rows[0])
+    for lane, (row, start, end, stop) in enumerate(zip(rows, lo.tolist(), hi.tolist(),
+                                                       tol.tolist())):
         # a bracket's 4 ulps are at most those of its lane's padded ends,
         # so the 4-ulp stop can bind only where those exceed its stop
         near = 4.0 * math.ulp(max(-start, end)) > stop
         values = {}
         # a node descends to its left child and leaves its right child here
-        # when the indices split between them
-        nodes = [(start, end, 0, wanted)]
+        # when the indices split between them; it carries its ends' counts
+        nodes = [(start, end, 0, wanted, 0, m)]
         while nodes:
-            lower, upper, depth, indices = nodes.pop()
+            lower, upper, depth, indices, under, over = nodes.pop()
             least, most = indices[0], indices[-1]
             while True:
+                # the ends count k - 1 and k only on a node of index k alone
+                if isolate and over - under == 1:
+                    isolated.append((lane, least, lower, upper))
+                    break
                 width = upper - lower
                 # _stops, read only in a lane whose 4 ulps can bind:
                 # max(-lower, upper) is max(|lower|, |upper|) as lower <=
@@ -697,16 +723,16 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol):
                         below += pivot > 0.0
                 # the indices reached are those up to below
                 if below < least:
-                    lower = x
+                    lower, under = x, below
                     continue
                 if below < most:
                     split = bisect.bisect_right(indices, below)
-                    nodes.append((x, upper, depth, indices[split:]))
+                    nodes.append((x, upper, depth, indices[split:], below, over))
                     indices = indices[:split]
                     most = indices[-1]
-                upper = x
+                upper, over = x, below
         found.append(values)
-    return found
+    return found, isolated
 
 
 def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.ndarray:
@@ -741,12 +767,20 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     bisection_tol says: each comes from Laguerre steps started at the padded
     Gershgorin end (index 1 as minus the top of the negated lane), certified
     by counts to a bracket of max(4 ulps, 2 eps) whose midpoint it is
-    (_lane_tops), and is bisected only in a lane where they fail. There a
-    call whose lanes x other distinct indices x order is at most
-    _SCALAR_MAX_WORK walks each lane's tree on Python floats
-    (_scalar_bisection) instead of running rounds, with the same bits. A
-    value depends only on its own lane and index, so asking for one
-    eigenvalue gives the same bits as reading it off the full spectrum.
+    (_lane_tops), and is bisected only in a lane where they fail. At
+    orders 4 to 40 (_FINISH_ORDERS) each other index k is bisected only to
+    the first node whose ends count k - 1 and k, or to max(4 ulps, 2 eps),
+    and Laguerre steps from that node finish it, certified alike and kept
+    inside it (_finish); bisection_tol reaches only values whose steps
+    fail, bisected to their stop. At the other orders below 64, a value of
+    index 2 bisected to its stop is raised to index 1's where it lies
+    below it, and one of m - 1 lowered to index m's. Below order 64 a call
+    whose lanes x other distinct indices x order (times _BISECTED_WORK
+    outside _FINISH_ORDERS) is at most _SCALAR_MAX_WORK walks each lane's tree
+    on Python floats (_scalar_bisection) instead of running rounds, with
+    the same bits. A value depends only on its own lane and index, so
+    asking for one eigenvalue gives the same bits as reading it off the
+    full spectrum.
     indices must be integers (not bools). A lane whose padded Gershgorin
     interval reaches past half the largest float raises ValueError
     (_brackets): its midpoints overflow. A lane whose
@@ -817,20 +851,43 @@ def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
     of _brackets. Below _RUN_PLAN_MIN_ORDER, index m comes from Laguerre steps
     from hi and index 1 from those on the negated lanes from -lo, or where
     they fail from a walk (the rounds' bits); the others are walked or,
-    above _SCALAR_MAX_WORK, bisected in rounds."""
+    above _SCALAR_MAX_WORK, bisected in rounds, at _FINISH_ORDERS only to
+    the node that isolates each (_finish). A value of index 2 is then
+    raised to index 1's where it lies below, and one of m - 1 lowered to
+    index m's where it lies above, so asking for either solves that end
+    too."""
     if m >= _RUN_PLAN_MIN_ORDER:
-        return _rounds(runs, m, need, lo, hi, tol)
+        return _rounds(runs, m, need, lo, hi, tol)[0]
     picked = need.tolist()
     # a set, not np.unique, whose first call costs about 1 MB of RSS
     wanted = sorted(set(picked) - {1, m})
-    walk = lo.size * len(wanted) * m <= _SCALAR_MAX_WORK
+    isolate = m in _FINISH_ORDERS
+    walk = lo.size * len(wanted) * m * (1 if isolate else _BISECTED_WORK) <= _SCALAR_MAX_WORK
     rows = _row_lists(runs) if walk and wanted else None
-    if walk:
-        found = _scalar_bisection(rows, wanted, lo, hi, tol) if wanted else [{} for _ in hi]
+    # a bracket that closes before it isolates its value (a cluster) stops
+    # at the width Laguerre steps certify
+    stop = np.full(tol.shape, _FLOOR) if isolate and wanted else tol
+    if not wanted:
+        found, isolated = [{} for _ in hi], []
+    elif walk:
+        found, isolated = _scalar_bisection(rows, wanted, lo, hi, stop, isolate)
     else:
-        rounds = _rounds(runs, m, np.array(wanted), lo, hi, tol).tolist()
-        found = [dict(zip(wanted, row)) for row in rounds]
-    for k in {1, m} & set(picked):
+        rounds, isolated = _rounds(runs, m, np.array(wanted), lo, hi, stop, isolate)
+        found = [dict(zip(wanted, row)) for row in rounds.tolist()]
+        isolated = list(zip(*(v.tolist() for v in isolated)))
+    if isolated:
+        rows = rows or _row_lists(runs)
+        for (j, k, _, _), value in zip(isolated, _finish(runs, rows, m, isolated, lo, hi, tol)):
+            found[j][k] = value
+    # a value of index 2 or m - 1 bisected to its stop may stray past a
+    # certified end by less than that stop: it takes the end's value there
+    low, high = 2 in wanted, m - 1 in wanted
+    asked = set(picked)
+    if low:
+        asked.add(1)
+    if high:
+        asked.add(m)
+    for k in {1, m} & asked:
         # the smallest value is minus the top of the negated lane
         sign = 1.0 if k == m else -1.0
         lanes = runs if k == m else (np.negative(runs[0]), *runs[1:])
@@ -844,18 +901,65 @@ def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
         failed = [j for j, value in enumerate(ends) if value != value]
         if failed:
             rows = rows or _row_lists(runs)
-            walked = _scalar_bisection([rows[j] for j in failed], [k], lo[failed], hi[failed],
-                                       tol[failed])
+            walked, _ = _scalar_bisection([rows[j] for j in failed], [k], lo[failed],
+                                          hi[failed], tol[failed])
             for j, values in zip(failed, walked):
                 ends[j] = values[k]
         for values, value in zip(found, ends):
             values[k] = value
+    for values in found if low or high else ():
+        if low:
+            values[2] = max(values[2], values[1])
+        if high:
+            values[m - 1] = min(values[m - 1], values[m])
     return np.array([[values[k] for k in picked] for values in found])
 
 
-def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
+def _finish(runs: tuple, rows: list, m: int, isolated: list, lo, hi, tol) -> list:
+    """The values of the isolated (lane, index k, lower, upper) of _solve, by
+    Laguerre steps certified as the ends are (laguerre._lane_tops). They
+    start at the node's midpoint, whose count is k (the plain step falls to
+    the value) or k - 1 (Laguerre's other root climbs to it); where that
+    fails, at upper, then at lower, and kept inside lower..upper. A value
+    that every start fails is bisected from its lane's brackets lo..hi to
+    its stop tol. Up to twice _LAGUERRE_LANES values step on Python floats,
+    more on lane arrays, with the same bits."""
+    lanes, ks, lower, upper = zip(*isolated)
+    skips = [m - k for k in ks]
+    values = [math.nan] * len(isolated)
+    for start in ([0.5 * (l + u) for l, u in zip(lower, upper)], upper, lower):
+        left = [e for e, value in enumerate(values) if value != value]
+        if not left:
+            break
+        if len(left) > 2 * _LAGUERRE_LANES:
+            a, c = (v[[lanes[e] for e in left]] for v in _rows(runs))
+            got = _lane_tops(a, c, np.array([start[e] for e in left]),
+                             skip=np.array([skips[e] for e in left]),
+                             safe=np.array([upper[e] for e in left])).tolist()
+        else:
+            got = [_scalar_top(rows[lanes[e]], start[e], skip=skips[e], safe=upper[e])
+                   for e in left]
+        # a certified value lies in its node too: one whose bracket reaches
+        # past it takes the node's end, so values stay in order
+        for e, value in zip(left, got):
+            values[e] = min(max(value, lower[e]), upper[e]) if value == value else value
+    for e, value in enumerate(values):
+        if value != value:
+            j, k = lanes[e], ks[e]
+            walked, _ = _scalar_bisection([rows[j]], [k], lo[j:j + 1], hi[j:j + 1], tol[j:j + 1])
+            values[e] = walked[0][k]
+    return values
+
+
+def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = False):
     """The values of _run_eigenvalues at need, bisected in multisection
-    rounds from the brackets lo..hi and stops tol of _brackets."""
+    rounds from the brackets lo..hi and stops tol of _brackets, and the
+    lanes, indices and ends (arrays) of the brackets that isolate stopped.
+
+    With isolate, a bracket of index k also stops at the first node on its
+    path whose ends count k - 1 and k (lo counting 0 and hi m): one
+    eigenvalue lies between them, which laguerre._lane_tops finishes. Its
+    value is left NaN."""
     # one bracket per (lane, index), flattened lane-major and, within a
     # lane, in ascending index order: brackets that share an interval are
     # then neighbours, and once parted they never share again
@@ -871,6 +975,9 @@ def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
     plan = _run_plan(runs, m)
     width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop
+    # the counts at each bracket's ends, read only with isolate
+    under, over = np.zeros(lower.size, dtype=np.intp), np.full(lower.size, m)
+    isolated = np.zeros(lower.size, dtype=bool)
     # the layout: bracket j's tree is tree_of[j], each for one tree a bracket;
     # a shared layout (None before the first round) is laid out every round
     each = np.arange(lower.size)
@@ -926,28 +1033,42 @@ def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
         # node on its path even where the ulp part of a deeper node's stop
         # would let it reopen. Checking stops at every level of every round
         # instead was 13 % slower on spectrum-large
+        # With isolate, every level is taken, and a bracket whose new ends
+        # count k - 1 and k stops there before its width is read, as the
+        # walk's node does
         node = tree_of
         for half in (n >> k for k in range(1, depth + 1)):
-            right = counts.take(node + (half - 1) * trees if half > 1 else node) < need
+            at = counts.take(node + (half - 1) * trees if half > 1 else node)
+            right = at < need
             node = node + (half * trees) * right
-            if may_stop or half == 1:
+            if isolate:
+                under = np.where(right, at, under)
+                over = np.where(right, over, at)
+            if may_stop or half == 1 or isolate:
                 lower = np.where(active, ends.take(node), lower)
                 upper = np.where(active, ends.take(node + half * trees), upper)
+                if isolate:
+                    alone = active & (over - under == 1)
+                    isolated |= alone
+                    active &= ~alone
                 width, stop = _stops(lower, upper, tol, ulps)
                 active &= width > stop
+    middle = 0.5 * (lower + upper)
+    middle[isolated] = math.nan
     values = np.empty(shape)
-    values[:, order] = (0.5 * (lower + upper)).reshape(shape)
-    return values
+    values[:, order] = middle.reshape(shape)
+    hit = np.flatnonzero(isolated)
+    return values, (hit // shape[1], need[hit], lower[hit], upper[hit])
 
 
 def tridiag_eigenvalues(t: SymTridiag, config: SolveConfig | None = None) -> np.ndarray:
     """All eigenvalues of t by index, 1 to the order, via lane_eigenvalues.
 
-    Entry k - 1 is eigenvalue k asked alone, bit for bit, so the entries
-    ascend except where values closer than the bisection stop straddle an
-    end certified to a few ulps (below order 64), which may come out of
-    order by less than that stop. The result is deterministic: no seeds, no
-    rotation order.
+    Entry k - 1 is eigenvalue k asked alone, bit for bit. The entries
+    ascend: at orders 4 to 40 each is certified inside the bisection node
+    that isolates it, and at the other orders below 64 the values next to
+    the certified ends are kept on their side of them. The result is
+    deterministic: no seeds, no rotation order.
     """
     return _run_spectrum(_lane_runs([t]), t.order, config)[0]
 

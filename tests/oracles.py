@@ -305,35 +305,50 @@ def two_pass_jacobi_eigenvalues(
     raise RuntimeError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
-def longdouble_tops(diags, offdiags) -> np.ndarray:
-    """The largest eigenvalue of each of L symmetric tridiagonals of one
+def longdouble_eigenvalues(diags, offdiags, indices=None) -> np.ndarray:
+    """Eigenvalues by index of each of L symmetric tridiagonals of one
     order, rounded to float: bisection in np.longdouble (a 64-bit mantissa
-    on x86-64) from the Gershgorin ends until no bracket shrinks, with one
-    Sturm count a level by the scalar pivot recurrence, run on all L at
-    once. diags is (L, m) and offdiags (L, m - 1). Only meaningful where
-    np.finfo(np.longdouble).nmant >= 63.
+    on x86-64) from the Gershgorin ends, one bracket per lane and index,
+    until no bracket shrinks or each is within 2**-100 of its lane's span,
+    with one Sturm count a level by the scalar pivot recurrence, run on
+    every bracket at once. diags is (L, m), offdiags (L, m - 1) and indices
+    1-based (all m by default); the result is (L, len(indices)). Only
+    meaningful where np.finfo(np.longdouble).nmant >= 63.
 
-    x lies above the largest eigenvalue exactly when every pivot of T - x
-    is negative. A zero pivot makes x an eigenvalue of a leading block, so
-    by interlacing not above the largest: it, and the inf or NaN it hands
-    on, are not negative and need no test."""
+    The count at x is the number of negative pivots of T - x. As in LAPACK's
+    dstebz, a pivot smaller in magnitude than pivmin (the smallest normal
+    long double times max(1, the largest squared off-diagonal)) is taken as
+    -pivmin, so no quotient is 0/0 or overflows: the count is then exact
+    for a matrix within a few pivmin of T."""
     a = np.asarray(diags, dtype=np.longdouble)
     b = np.asarray(offdiags, dtype=np.longdouble)
+    lanes, m = a.shape
+    k = np.arange(1, m + 1) if indices is None else np.asarray(indices).reshape(-1)
     squares = b * b
+    tiny = np.finfo(np.longdouble).tiny
+    pivmin = tiny * np.maximum(1, squares.max(axis=1, initial=0))[:, None]
     radius = np.zeros(a.shape, dtype=np.longdouble)
     radius[:, :-1] += np.abs(b)
     radius[:, 1:] += np.abs(b)
-    lo, hi = (a - radius).min(axis=1), (a + radius).max(axis=1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
-            x = (lo + hi) / 2
-            if not ((lo < x) & (x < hi)).any():
-                return ((lo + hi) / 2).astype(float)
-            pivot = a[:, 0] - x
-            most = pivot
-            for j in range(1, a.shape[1]):
-                pivot = (a[:, j] - x) - squares[:, j - 1] / pivot
-                # NaN compares false, so np.fmax would drop it: keep it
-                most = np.maximum(most, pivot)
-            above = most < 0
-            hi, lo = np.where(above, x, hi), np.where(above, lo, x)
+    lo = np.repeat((a - radius).min(axis=1)[:, None], k.size, axis=1)
+    hi = np.repeat((a + radius).max(axis=1)[:, None], k.size, axis=1)
+    floor = (hi - lo) * np.longdouble(2.0) ** -100
+    while True:
+        x = (lo + hi) / 2
+        if not ((lo < x) & (x < hi) & (hi - lo > floor)).any():
+            return x.astype(float)
+        below = np.zeros(x.shape, dtype=np.intp)
+        pivot = np.ones(x.shape, dtype=np.longdouble)
+        for j in range(m):
+            pivot = a[:, j, None] - x - (squares[:, j - 1, None] / pivot if j else 0)
+            pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+            below += pivot < 0
+        reached = below >= k
+        hi, lo = np.where(reached, x, hi), np.where(reached, lo, x)
+
+
+def longdouble_tops(diags, offdiags) -> np.ndarray:
+    """The largest eigenvalue of each of L symmetric tridiagonals of one
+    order (longdouble_eigenvalues at index m), as an array of shape (L,)."""
+    m = np.shape(diags)[1]
+    return longdouble_eigenvalues(diags, offdiags, [m])[:, 0]

@@ -155,7 +155,7 @@ class TestSpectrumCommand:
         assert out == (
             "value,multiplicity,source\n"
             "-0.435164054953,1,quotient\n"
-            "-0.0821658488545,1,quotient\n"
+            "-0.0821658488547,1,quotient\n"
             "0.5,2,closed-form\n"
             "0.738403204937,1,quotient\n"
             "1.58216584885,1,quotient\n"
@@ -249,9 +249,10 @@ class TestSweepCommand:
         # outside the band |t| < 1 and the full spectra's mostly inside it
         # (each count solves the regime holding the most shifts on all of them)
         (1000000, 1000, 500, "0,0.6,0.95", None, False),
-        # below order 64 each spectrum bisects its 15 inner values on
-        # Python floats (1 x 15 x 17 = 255, under _SCALAR_MAX_WORK) and takes
-        # its ends by Laguerre steps on Python floats, and the sweep of 48
+        # below order 64 each spectrum walks its 15 inner values on Python
+        # floats (1 x 15 x 17 = 255, under _SCALAR_MAX_WORK) to the nodes
+        # that isolate them, finishes them and takes its ends by Laguerre
+        # steps on Python floats, and the sweep of 48
         # alphas bisects nothing and takes its ends on lane arrays (over
         # _LAGUERRE_LANES), with no switch set
         (40, 16, 5, ",".join(f"{k / 48:g}" for k in range(48)), None, True),

@@ -31,6 +31,7 @@ from alphabug.structured import _bug_runs, halved_tridiagonal, proof_decompositi
 from alphabug.verify import enumerate_bugs, extremal_scan
 from oracles import (
     exact_inertia_bounds,
+    longdouble_eigenvalues,
     longdouble_tops,
     plain_bisection_eigenvalues,
     quotient_layouts,
@@ -54,32 +55,51 @@ def random_tridiag(rng, m):
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
+def _certified_bound(ref, t: SymTridiag):
+    """How far a value certified to max(4 ulps, 2 eps) may lie from its
+    80-bit reference ref: the certifying counts are exact for t with its
+    off-diagonals moved by a few eps, so the bound also allows 8 eps times
+    its largest |off-diagonal|, and the 2.3e-162 by which a zero
+    off-diagonal's floor moves an eigenvalue."""
+    eps = np.finfo(float).eps
+    slack = 8.0 * eps * np.max(np.abs(t.offdiag), initial=0.0) + 2.3e-162
+    return np.maximum(4.0 * np.spacing(np.abs(ref)), 2.0 * eps) + slack
+
+
 def assert_end(value, t: SymTridiag, plain: float, top: bool = True):
     """value, eigenvalue m (top) or 1 of t below the run-plan gate, comes
     from certified Laguerre steps or, where they fell back, from bisection:
     it has the bits of plain bisection's value there, plain, or lies within
-    max(4 ulps, 2 eps) of the 80-bit reference (where np.longdouble has one;
-    eigenvalue 1 is minus the top of -t). The certifying counts are exact
-    for t with its off-diagonals moved by a few eps, so the bound also
-    allows 8 eps times its largest |off-diagonal|, and the 2.3e-162 by which
-    a zero off-diagonal's floor moves an eigenvalue."""
+    _certified_bound of the 80-bit reference (where np.longdouble has
+    one)."""
     if value == plain or not _EXTENDED:
         return
-    sign = 1.0 if top else -1.0
-    ref = sign * longdouble_tops(sign * t.diag[None], t.offdiag[None])[0]
-    eps = np.finfo(float).eps
-    slack = 8.0 * eps * np.max(np.abs(t.offdiag), initial=0.0) + 2.3e-162
-    bound = max(4.0 * np.spacing(abs(ref)), 2.0 * eps) + slack
-    assert abs(value - ref) <= bound, (value, ref, plain, top)
+    ref = longdouble_eigenvalues(t.diag[None], t.offdiag[None], [t.order if top else 1])[0, 0]
+    assert abs(value - ref) <= _certified_bound(ref, t), (value, ref, plain, top)
 
 
-def assert_plain_between_ends(values, t: SymTridiag):
-    """values, t's eigenvalues 1..m in order, have plain bisection's bits
-    between the ends, and both ends are certified (assert_end)."""
+def assert_certified_or_plain(values, t: SymTridiag):
+    """values, t's eigenvalues 1..m in order, are certified below the
+    run-plan gate or have plain bisection's bits: both ends (assert_end),
+    and at _FINISH_ORDERS every value between them, lie within
+    _certified_bound of the 80-bit reference or have those bits (a value
+    whose steps fell back); the others have those bits, with index 2
+    raised to index 1's value where below it and m - 1 lowered to m's."""
+    m = t.order
     plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
-    assert np.array_equal(values[1:-1], plain[1:-1])
     assert_end(values[0], t, plain[0], top=False)
     assert_end(values[-1], t, plain[-1])
+    if m < 3:
+        return
+    plain[1] = max(plain[1], values[0])
+    plain[-2] = min(plain[-2], values[-1])
+    inner = values[1:-1] != plain[1:-1]
+    if m not in eigensolve._FINISH_ORDERS or not _EXTENDED:
+        assert not inner.any(), np.flatnonzero(inner) + 2
+        return
+    ref = longdouble_eigenvalues(t.diag[None], t.offdiag[None])[0, 1:-1]
+    far = np.abs(values[1:-1] - ref) > _certified_bound(ref, t)
+    assert not (inner & far).any(), (np.flatnonzero(inner & far) + 2, values, ref)
 
 
 def one_group(lanes):
@@ -364,7 +384,7 @@ class TestLaneEigenvalues:
         # between the ends; the ends come from Laguerre steps
         rng = np.random.default_rng(5150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
-            assert_plain_between_ends(tridiag_eigenvalues(t), t)
+            assert_certified_or_plain(tridiag_eigenvalues(t), t)
 
     def test_one_index_of_a_wide_matrix(self):
         # one bracket runs several tree levels per round, the full spectrum
@@ -533,16 +553,15 @@ class TestDistinctBrackets:
     def test_any_index_order_matches_plain_bisection(self, problem):
         # the reference takes one bisection step per bracket and round, with
         # one scalar count per midpoint, and shares no code with
-        # lane_eigenvalues; the ends come from Laguerre steps
+        # lane_eigenvalues; the ends, and at _FINISH_ORDERS the values
+        # between them, come from certified Laguerre steps. Each value has
+        # the bits of its lane's full spectrum
         lanes, indices = problem
         got = lane_eigenvalues(lanes, indices)
         for row, t in zip(got, lanes):
-            plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
-            for k, value in zip(indices, row):
-                if 1 < k < t.order:
-                    assert value == plain[k - 1], k
-                else:
-                    assert_end(value, t, plain[k - 1], top=k == t.order)
+            full = tridiag_eigenvalues(t)
+            assert_certified_or_plain(full, t)
+            assert row.tobytes() == full[np.array(indices) - 1].tobytes()
 
 
 # bug quotients of order 64 to 1001, balanced and not, where rounds run on
@@ -670,8 +689,11 @@ class TestDescent:
         # put them elsewhere
         window = (2.0, 2.4)
         # GOLDEN is small enough to bisect on Python floats, which never
-        # calls the count kernel: send it to the rounds
+        # calls the count kernel: send it to the rounds, and bisect its
+        # values between the ends to the stop, not only to the node that
+        # isolates each (whose Laguerre finish counts without the kernel)
         monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
+        monkeypatch.setattr(eigensolve, "_FINISH_ORDERS", range(0))
         kernel = eigensolve._plan_counts
 
         def dipping(plan, shifts):
@@ -1049,7 +1071,7 @@ class TestBlockedCounts:
         assert _first_zero_pivot(t, 0.0) == zero_row
         for x in (t.diag[0], 0.0, *np.arange(-12.0, 12.5, 0.5)):
             assert sturm_count(t, x) == row_loop_count(t.diag, t.offdiag, x), x
-        assert_plain_between_ends(tridiag_eigenvalues(t), t)
+        assert_certified_or_plain(tridiag_eigenvalues(t), t)
 
     @pytest.mark.parametrize("t_sign", [1.0, -1.0])
     @pytest.mark.parametrize("last", [0.5, 3.0, -1.0])
@@ -1334,7 +1356,7 @@ class TestScalarBisection:
         rounds, floats = _both_paths([path_zero, later_zero], np.arange(1, 6))
         assert rounds.tobytes() == floats.tobytes()
         for row, t in zip(floats, (path_zero, later_zero)):
-            assert_plain_between_ends(row, t)
+            assert_certified_or_plain(row, t)
 
     @settings(max_examples=60, deadline=None)
     @given(small_counts())
@@ -1374,7 +1396,7 @@ class TestScalarBisection:
         rng = np.random.default_rng(6150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
             _, floats = _both_paths([t], np.arange(1, t.order + 1))
-            assert_plain_between_ends(floats[0], t)
+            assert_certified_or_plain(floats[0], t)
 
     def test_overflowing_offdiagonal_squares_are_scaled(self, monkeypatch):
         t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
@@ -1394,7 +1416,10 @@ class TestScalarBisection:
         # of an order-81 bug quotient. The walk and the rounds (with the
         # work bound at 0), on row steps and on a run plan, raise at exactly
         # the cap: a round takes no more levels than are left. GOLDEN's top
-        # comes from Laguerre steps, which no bisection cap stops
+        # comes from Laguerre steps, which no bisection cap stops, and so do
+        # its other values unless they are bisected to the stop
+        # (no _FINISH_ORDERS)
+        monkeypatch.setattr(eigensolve, "_FINISH_ORDERS", range(0))
         wide = bug_tridiagonal(BugSpec(200, 80, 30), 0.5)
         for work in (10**9, 0):
             monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
@@ -1451,6 +1476,11 @@ def laguerre_lanes(draw):
     return lanes
 
 
+# _lane_tops with no lane handed to the Python-float loop, the last one or
+# two handed on from their array state, and the default
+_TAILS = (0, 1, 2, laguerre._TAIL_LANES)
+
+
 class TestLaguerreTop:
     """Below the run-plan gate, index m (rho) of every lane comes from
     Laguerre steps down from the padded Gershgorin top, certified by a
@@ -1484,10 +1514,13 @@ class TestLaguerreTop:
         hi = eigensolve._brackets(runs, DEFAULT_CONFIG)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arrays = laguerre._lane_tops(*eigensolve._rows(runs), hi)
             floats = [laguerre._scalar_top(row, x)
                       for row, x in zip(eigensolve._row_lists(runs), hi.tolist())]
-        assert arrays.tobytes() == np.array(floats).tobytes()
+            for tail in _TAILS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(laguerre, "_TAIL_LANES", tail)
+                    arrays = laguerre._lane_tops(*eigensolve._rows(runs), hi)
+                assert arrays.tobytes() == np.array(floats).tobytes(), tail
         got = []
         for gate in (10**9, 0):
             with pytest.MonkeyPatch.context() as mp:
@@ -1596,10 +1629,13 @@ class TestLaguerreBottom:
         start = -eigensolve._brackets(runs, DEFAULT_CONFIG)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arrays = laguerre._lane_tops(*eigensolve._rows(flipped), start, True)
             floats = [laguerre._scalar_top(row, x, True)
                       for row, x in zip(eigensolve._row_lists(flipped), start.tolist())]
-        assert arrays.tobytes() == np.array(floats).tobytes()
+            for tail in _TAILS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(laguerre, "_TAIL_LANES", tail)
+                    arrays = laguerre._lane_tops(*eigensolve._rows(flipped), start, True)
+                assert arrays.tobytes() == np.array(floats).tobytes(), tail
         got = []
         for gate in (10**9, 0):
             with pytest.MonkeyPatch.context() as mp:
@@ -1661,6 +1697,145 @@ class TestLaguerreBottom:
         loose = lane_eigenvalues([GOLDEN], [1, 2], SolveConfig(bisection_tol=1e-3))[0]
         assert abs(loose[1] - GOLDEN_EIGENVALUES[1]) <= 1e-3 * 7.0
         assert_end(loose[0], GOLDEN, math.nan, top=False)
+
+
+def _isolated(lanes):
+    """The lanes' rows (fitted, _fitted) and the (lane, index, lower, upper)
+    of each value between the ends whose bisection path isolates it."""
+    runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
+    rows = eigensolve._row_lists(runs)
+    lo, hi = eigensolve._brackets(runs, DEFAULT_CONFIG)[:2]
+    stop = np.full(lo.shape, laguerre._FLOOR)
+    wanted = list(range(2, lanes[0].order))
+    return runs, rows, eigensolve._scalar_bisection(rows, wanted, lo, hi, stop, True)[1]
+
+
+def _check_inner(lanes) -> tuple[int, int]:
+    """Every lane's full spectrum ascends, and each value between its ends
+    lies within _certified_bound of the 80-bit reference or has the bits
+    bisection to the default stop gives it (a value whose steps fell back,
+    with index 2 raised to index 1's value where below it and m - 1 lowered
+    to m's). Returns the number of values between the ends, and of those
+    outside the bound."""
+    m = lanes[0].order
+    got = lane_eigenvalues(lanes, np.arange(1, m + 1))
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+    ref = longdouble_eigenvalues([t.diag for t in lanes], [t.offdiag for t in lanes])
+    far = 0
+    for t, values, reference in zip(lanes, got, ref):
+        outside = np.flatnonzero(np.abs(values - reference) > _certified_bound(reference, t))
+        for j in outside[(outside > 0) & (outside < m - 1)]:
+            plain = plain_bisection_eigenvalues(t.diag, t.offdiag)[j]
+            plain = max(plain, values[0]) if j == 1 else plain
+            plain = min(plain, values[-1]) if j == m - 2 else plain
+            assert values[j] == plain, (t, j + 1, values[j], reference[j])
+            far += 1
+    return got[:, 1:-1].size, far
+
+
+class TestLaguerreInterior:
+    """At _FINISH_ORDERS (4-40), the walk and the rounds bisect each index k
+    between the ends only to the first node on its path whose ends count
+    k - 1 and k, or where its bracket is max(4 ulps, 2 eps) wide. Laguerre
+    steps from that node's midpoint (falling where its count is k, climbing
+    by the other root where it is k - 1), then from its upper and lower
+    ends, finish the value, certified by counts as the ends are; a value
+    whose steps all fail is bisected to the default stop. Values of up to
+    twice _LAGUERRE_LANES step on Python floats, more on lane arrays, with
+    the same bits. A value of index 2 bisected to its stop may not lie
+    below index 1's, nor one of m - 1 above m's."""
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
+    def test_every_inner_bug_value_below_the_gate_is_certified(self):
+        # every split of d = 3-39 at four alphas and three n, one call per
+        # d (rounds, values finished on lane arrays), and the first lanes
+        # alone (the walk, values finished on Python floats)
+        values = far = 0
+        for d in (m - 1 for m in eigensolve._FINISH_ORDERS):
+            lanes = [bug_tridiagonal(BugSpec(n, d, i), a) for n in (d + 2, 10 * d + 7, 10**6)
+                     for a in (0.0, 0.3, 0.6, 0.99) for i in range(1, d // 2 + 1)]
+            counted = _check_inner(lanes)
+            values, far = values + counted[0], far + counted[1]
+            full = lane_eigenvalues(lanes[:4], np.arange(1, d + 2))
+            for t, row in zip(lanes[:4], full):
+                assert tridiag_eigenvalues(t).tobytes() == row.tobytes(), (t, d)
+        assert values == 116_268 and far <= values // 100
+
+    def test_spectra_bisected_between_the_ends_ascend(self):
+        # their values between the ends are bisected to the stop: index 2
+        # of B(3000, 50, 25) at 0.7 lay 4.2e-11 below index 1
+        t = bug_tridiagonal(BugSpec(3000, 50, 25), 0.7)
+        values = tridiag_eigenvalues(t)
+        assert np.all(np.diff(values) >= 0.0) and values[1] == values[0]
+        for d in (2, *range(eigensolve._FINISH_ORDERS.stop - 1, _BELOW_GATE)):
+            lanes = [bug_tridiagonal(BugSpec(n, d, i), a) for n in (d + 2, 3000, 10**6)
+                     for a in (0.7, 0.99) for i in sorted({1, max(d // 3, 1), d // 2})]
+            got = lane_eigenvalues(lanes, np.arange(1, d + 2))
+            assert np.all(np.diff(got, axis=1) >= 0.0), d
+
+    @settings(max_examples=100, deadline=None)
+    @given(laguerre_lanes())
+    def test_walk_rounds_and_one_index_calls_give_the_same_bits(self, lanes):
+        # zero pivots, zero off-diagonals, lanes solved scaled (_fitted) and
+        # values near 0 (lanes scaled by 1e-300); each value on lane arrays
+        # and on Python floats, and asked alone
+        m = lanes[0].order
+        indices = np.arange(1, m + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rounds, floats = _both_paths(lanes, indices)
+            assert rounds.tobytes() == floats.tobytes()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eigensolve, "_LAGUERRE_LANES", 0)
+                assert _both_paths(lanes, indices)[0].tobytes() == floats.tobytes()
+            for k in sorted({2, m // 2, m - 1} & set(range(2, m))):
+                assert lane_eigenvalues(lanes, [k])[:, 0].tobytes() == floats[:, k - 1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(laguerre_lanes())
+    def test_python_floats_and_lane_arrays_give_the_same_bits(self, lanes):
+        # the steps from each isolating node's midpoint and upper end, NaN
+        # where they fail, with the tail handed on or not
+        m = lanes[0].order
+        if m not in eigensolve._FINISH_ORDERS:
+            return
+        runs, rows, isolated = _isolated(lanes)
+        if not isolated:
+            return
+        j, k, lower, upper = (np.array(v) for v in zip(*isolated))
+        mid = 0.5 * (lower + upper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start in (mid, upper):
+                floats = [laguerre._scalar_top(rows[lane], x, skip=m - index, safe=u)
+                          for lane, index, x, u in zip(j.tolist(), k.tolist(), start.tolist(),
+                                                       upper.tolist())]
+                a, c = (v[j] for v in eigensolve._rows(runs))
+                for tail in _TAILS:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(laguerre, "_TAIL_LANES", tail)
+                        arrays = laguerre._lane_tops(a, c, start, skip=m - k, safe=upper)
+                    assert arrays.tobytes() == np.array(floats).tobytes(), tail
+
+    def test_zero_pivots_at_a_node_fall_back_to_its_ends(self):
+        # at alpha 0 a bug quotient has a zero diagonal, and its padded
+        # Gershgorin interval is symmetric about 0: its root midpoint is 0,
+        # where every other pivot is +0. Each value still certifies
+        lanes = [bug_tridiagonal(b, 0.0) for b in enumerate_bugs(12) if b.d >= 3]
+        assert _check_inner([t for t in lanes if t.order == 4]) == (9 * 2, 0)
+        for m in range(5, 12):
+            assert _check_inner([t for t in lanes if t.order == m])[1] == 0
+
+    def test_a_loose_stop_reaches_only_fallbacks(self):
+        # a stop of 1e-3 leaves no value between GOLDEN's ends loose, unless
+        # its steps fail
+        loose = lane_eigenvalues([GOLDEN], np.arange(1, 7), SolveConfig(bisection_tol=1e-3))[0]
+        assert_certified_or_plain(loose, GOLDEN)
+        assert loose.tobytes() == tridiag_eigenvalues(GOLDEN).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laguerre, "_MAX_STEPS", 0)
+            fallen = lane_eigenvalues([GOLDEN], [3], SolveConfig(bisection_tol=1e-3))[0, 0]
+        assert fallen != loose[2] and abs(fallen - GOLDEN_EIGENVALUES[2]) <= 1e-3 * 7.0
 
 
 class TestJacobi:

@@ -50,7 +50,7 @@ GOLDEN = [
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method halved", 0,
      "1f5a9f2a3d31db35dcb8f6b6b2cf6b972e6b9753a647371419e3cea336267249"),
     ("spectrum --n 10 --d 4 --i 2 --alpha 0.3 --method all", 0,
-     "618ff5ce2e843b8e57af0679976daf81e254f5dfc8474abac998f5e1b68cd2f6"),
+     "c16a24541fe05d2f6e50318142cf343d008bc741076773089c41acabeec72ea8"),
     ("spectrum --p 5 --q 3 --r 2 --alpha 0", 0,
      "15686a35f68400efb3cba1d11d220995d9d126c4a4fe5c78a70d8ec0e50526a8"),
     ("sweep --n 11 --d 5 --i 2 --alphas 0,0.25,0.5,0.99", 0,
@@ -58,7 +58,7 @@ GOLDEN = [
     ("scan --n 30 --d 12 --alpha 0.5", 0,
      "d35926e058c898d3be492673238599b0f60558ddb37345a44f210a31f1a34083"),
     ("verify --max-n 5", 0,
-     "c3e03aedb3478c9943bb0fff541419829e5b98b3c15272aa7612b1c8e48e9529"),
+     "f00ceb517e0293be0da69a3e969106b407e1d9a9a261cad544143fa2ded67c9f"),
     ("verify --max-n 4 --tol 1e-300", 1,
      "1c5da49de8a48ddfa42ce63a415decba58932f83c5ac0b0a6af4aef4b9301390"),
     ("spectrum --p 3 --q 1 --r 1 --alpha 0.5 --method all", 0,
@@ -78,9 +78,9 @@ GOLDEN = [
     ("scan --n 30 --d 12 --alpha 0.5 --format csv", 0,
      "2e8f48fdc391f1071b0579ff522e78b093a08e6a3d7784326de983fd6643186a"),
     ("verify --max-n 5 --format csv", 0,
-     "b39279f42c8dc8f7f25857e5d55c560e3778900e0e41d2be43ed6470c5bed986"),
+     "372d3d2842b984de910b90a48e48636ba276f16a12567cfb0eaa04a0923eba9d"),
     ("batch @jobs", 2,
-     "d8276f35aa4c16be37cc93c48a3c1ed56064b487ce52dbd04477af8a0ef305e5"),
+     "c766b0f8f2b1ff6781f4772555751a9cb9a86939436b6c171cb5e2311ec1634b"),
 ]
 
 

@@ -130,8 +130,8 @@ class TestRunVerification:
         assert summary.failures
 
     @pytest.mark.parametrize("max_n, instances, checks, worst", [
-        (8, 170, 334, 3.0375701953744283e-13),
-        (12, 625, 1280, 5.273559366969494e-13),
+        (8, 170, 334, 2.6201263381153694e-13),
+        (12, 625, 1280, 4.783831586692797e-13),
     ])
     def test_pinned_summary(self, max_n, instances, checks, worst):
         # recorded when each quotient was still solved alone
