@@ -23,18 +23,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .eigensolve import (
-    DEFAULT_CONFIG,
-    ConvergenceError,
-    SolveConfig,
-    _run_eigenvalues,
-    _run_spectrum,
-    jacobi_eigenvalues,
-)
+from .eigensolve import DEFAULT_CONFIG, ConvergenceError, SolveConfig, jacobi_eigenvalues
 from .graphs import BugSpec, _check_real, assemble_dense_alpha, check_alpha
 from .spectrum import DENSE, Spectrum
-from .structured import (_bug_runs, _halvable, _halving_slots, _pack, _spectrum_from_quotient,
-                         closed_form)
+from .structured import (_bug_lanes, _halvable, _halving_slots, _slot_values,
+                         _spectrum_from_quotient, closed_form)
 from .verify import DEFAULT_ALPHAS, compare_spectra, extremal_scan, run_verification
 
 EXIT_OK = 0
@@ -144,10 +137,10 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
     quotient = dense_entries = verification = None
     if method != "dense":
         if method == "halved":
-            m, runs = bug.d // 2 + 1, _pack(*_halving_slots(bug.n, bug.d, alpha))
+            m, lanes = bug.d // 2 + 1, _halving_slots(bug.n, bug.d, alpha)
         else:
-            m, runs = bug.d + 1, _bug_runs(bug.n, bug.d, bug.i, alpha)
-        quotient = _run_spectrum(runs, m, solve)[0].tolist()
+            m, lanes = bug.d + 1, _bug_lanes(bug.n, bug.d, bug.i, alpha)
+        quotient = _slot_values(*lanes, m, range(1, m + 1), solve)[0]
         rho = quotient[-1]
     if method in ("dense", "all"):
         dense_values = jacobi_eigenvalues(assemble_dense_alpha(bug, alpha), solve)
@@ -185,10 +178,10 @@ def _cmd_spectrum(cfg: JobConfig, solve: SolveConfig) -> dict:
 
 def _cmd_sweep(cfg: JobConfig, solve: SolveConfig) -> dict:
     bug = cfg.bug
-    runs = _bug_runs(bug.n, bug.d, bug.i, cfg.alphas)
-    extremes = _run_eigenvalues(runs, bug.d + 1, np.array([1, bug.d + 1]), solve)
+    lanes = _bug_lanes(bug.n, bug.d, bug.i, cfg.alphas)
     rows = []
-    for alpha, (smallest, largest) in zip(cfg.alphas, extremes.tolist()):
+    for alpha, (smallest, largest) in zip(cfg.alphas, _slot_values(*lanes, bug.d + 1,
+                                                                   [1, bug.d + 1], solve)):
         value, mult = closed_form(bug, alpha)
         rows.append(
             {

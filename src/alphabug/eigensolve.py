@@ -253,6 +253,8 @@ def gershgorin_interval(t: SymTridiag) -> tuple[float, float]:
 
 # the largest |lead| whose square is finite: the next float up squares to inf
 _LEAD_MAX = math.sqrt(np.finfo(float).max)
+# a squared lead of 0 is read as this (_run_plan)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def _fitted(runs: tuple) -> tuple[tuple, np.ndarray]:
@@ -274,7 +276,7 @@ def _lead_squares(lead: np.ndarray):
     _run_plan). Every lead is at most _LEAD_MAX (_fitted), so no square
     overflows."""
     lead_sq = np.square(lead)
-    return lead_sq, np.maximum(lead_sq, np.finfo(float).smallest_subnormal)
+    return lead_sq, np.maximum(lead_sq, _TINY)
 
 
 def _run_plan(runs: tuple, order: int) -> list:
@@ -298,12 +300,10 @@ def _run_plan(runs: tuple, order: int) -> list:
     square root, 2.3e-162. A lead above _LEAD_MAX would square to inf and
     make every count wrong: callers scale such lanes first (_fitted).
     """
+    if order < _RUN_PLAN_MIN_ORDER:
+        return _rows_plan(*_rows(runs))
     diag, lead, reps, first = runs
     lead_sq, floored = _lead_squares(lead)
-    if order < _RUN_PLAN_MIN_ORDER:
-        diag, floored = (np.repeat(v, reps).reshape(first.size, -1) for v in (diag, floored))
-        steps = [(diag[:, j:j + 1], floored[:, j:j + 1], None) for j in range(diag.shape[1])]
-        return [_group(slice(None), steps)]
     # a run continues the stretch of the run before it; row 0's lead of 0
     # keeps it and the lane's next run from joining anything
     joined = np.zeros(diag.size, dtype=bool)
@@ -335,6 +335,13 @@ def _run_plan(runs: tuple, order: int) -> list:
         ]
         plan.append(_group(group if len(groups) > 1 else slice(None), steps))
     return plan
+
+
+def _rows_plan(a: np.ndarray, c: np.ndarray) -> list:
+    """_run_plan of lanes below _RUN_PLAN_MIN_ORDER from their rows (_rows:
+    a and c of shape (L, m), c[:, 0] unread): one group holds every lane,
+    with one generic step per row."""
+    return [_group(slice(None), [(a[:, j:j + 1], c[:, j:j + 1], None) for j in range(a.shape[1])])]
 
 
 def _band(u):
@@ -660,12 +667,18 @@ def _row_lists(runs: tuple) -> list:
     return [list(zip(*lane)) for lane in zip(*(v.tolist() for v in _rows(runs)))]
 
 
+def _row_arrays(rows: list) -> tuple:
+    """_rows of lanes given as row lists (_row_lists)."""
+    both = np.array(rows)
+    return both[:, :, 0], both[:, :, 1]
+
+
 def _scalar_bisection(rows: list, wanted: list, lo, hi, tol, isolate: bool = False):
     """The wanted eigenvalues (1-based indices, ascending and distinct) of
     lanes below _RUN_PLAN_MIN_ORDER, one dict per lane from index to value,
     bisected on Python floats from the lanes' rows (_row_lists) and
-    lane_eigenvalues's brackets lo..hi and tolerances tol (arrays of shape
-    (L,)); with isolate, also the (lane, index, lower, upper) of each index
+    lane_eigenvalues's brackets lo..hi and tolerances tol (lists of L
+    Python floats); with isolate, also the (lane, index, lower, upper) of each index
     whose path reaches an isolating node first (_rounds), which stops there
     and is not in the dicts.
 
@@ -679,8 +692,7 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol, isolate: bool = Fal
     """
     found, isolated = [], []
     m = len(rows[0])
-    for lane, (row, start, end, stop) in enumerate(zip(rows, lo.tolist(), hi.tolist(),
-                                                       tol.tolist())):
+    for lane, (row, start, end, stop) in enumerate(zip(rows, lo, hi, tol)):
         # a bracket's 4 ulps are at most those of its lane's padded ends,
         # so the 4-ulp stop can bind only where those exceed its stop
         near = 4.0 * math.ulp(max(-start, end)) > stop
@@ -805,12 +817,25 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     return _run_eigenvalues(_lane_runs(lanes), m, need, config)
 
 
+def _past_limit(cfg: SolveConfig, ulps_fit: bool, reach: float) -> ValueError:
+    """The error of padded brackets past half the largest float, where
+    midpoints overflow: it names bisection_tol if the ends padded by ulps
+    alone (ulps_fit) stay in range, else the largest Gershgorin end."""
+    blame = f"bisection_tol {cfg.bisection_tol:g}" if ulps_fit else f"Gershgorin bound {reach:.3e}"
+    return ValueError(f"{blame} takes the padded brackets past half the largest float: "
+                      "bisection midpoints would overflow")
+
+
+# half the largest float: padded ends past it overflow their midpoints
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
+
+
 def _brackets(runs: tuple, cfg: SolveConfig):
     """Each lane's padded Gershgorin ends lo and hi, its stop tol and its
     largest |lead| (lane_eigenvalues), from the lanes' runs (_lane_runs):
-    arrays of shape (L,). An end padded past half the largest float, where
-    midpoints overflow, raises a ValueError that names bisection_tol if
-    the ends padded by ulps alone stay in range."""
+    arrays of shape (L,). An end padded past _HALF_MAX raises
+    _past_limit. _float_brackets has this rule on Python floats."""
     # entries near the float limit overflow these sums to inf
     with np.errstate(over="ignore"):
         lo, hi, top = _lane_bounds(runs)
@@ -818,66 +843,137 @@ def _brackets(runs: tuple, cfg: SolveConfig):
         # widen so counts at the ends are unambiguous even when an eigenvalue
         # sits exactly on a Gershgorin endpoint
         reach = np.maximum(np.abs(lo), np.abs(hi))
-        ulps = 16.0 * np.finfo(float).eps * np.maximum(1.0, reach)
-        pad, limit = tol + ulps, 0.5 * np.finfo(float).max
+        ulps = 16.0 * _EPS * np.maximum(1.0, reach)
+        pad = tol + ulps
         # reach + pad is max(-lo, hi) after padding, bit for bit
-        if not np.max(reach + pad) <= limit:
-            blame = (f"bisection_tol {cfg.bisection_tol:g}" if np.max(reach + ulps) <= limit
-                     else f"Gershgorin bound {np.max(reach):.3e}")
-            raise ValueError(f"{blame} takes the padded brackets past half the largest float: "
-                             "bisection midpoints would overflow")
+        if not np.max(reach + pad) <= _HALF_MAX:
+            raise _past_limit(cfg, np.max(reach + ulps) <= _HALF_MAX, np.max(reach))
         return lo - pad, hi + pad, tol, top
+
+
+def _float_brackets(lanes: list, cfg: SolveConfig):
+    """_brackets of lanes given as lists of runs (diag, lead, reps) of
+    Python floats, each with reps >= 1 and row 0 a run of its own (lead 0),
+    and each lane's rows (_row_lists): lists lo, hi, tol and rows, and the
+    largest |lead| of all lanes. The operations are _lane_bounds' and
+    _brackets' on Python floats, and so are the bits and the error."""
+    lows, highs, tols, rows = [], [], [], []
+    top = worst = fit = most = 0.0
+    for runs in lanes:
+        lo, hi, row, after = math.inf, -math.inf, [], 0.0
+        # last run first: a run's radius reads the next run's |lead|, after
+        for diag, lead, reps in reversed(runs):
+            mag = abs(lead)
+            radius = mag + after
+            if reps > 1 and radius < mag + mag:
+                radius = mag + mag
+            if diag - radius < lo:
+                lo = diag - radius
+            if diag + radius > hi:
+                hi = diag + radius
+            if mag > top:
+                top = mag
+            square = lead * lead
+            row += [(diag, square if square > _TINY else _TINY)] * reps
+            after = mag
+        row[-1] = (row[-1][0], 0.0)
+        row.reverse()
+        tol = cfg.bisection_tol * max(1.0, hi - lo)
+        reach = max(abs(lo), abs(hi))
+        ulps = 16.0 * _EPS * max(1.0, reach)
+        pad = tol + ulps
+        worst, fit, most = max(worst, reach + pad), max(fit, reach + ulps), max(most, reach)
+        lows.append(lo - pad)
+        highs.append(hi + pad)
+        tols.append(tol)
+        rows.append(row)
+    if not worst <= _HALF_MAX:
+        raise _past_limit(cfg, fit <= _HALF_MAX, most)
+    return lows, highs, tols, rows, top
 
 
 def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig | None = None):
     """lane_eigenvalues of lanes of order m given as their runs
-    (_lane_runs), at need, an array of indices already checked: the solve
-    that scans and sweeps call on quotients built as runs
-    (structured._bug_runs)."""
+    (_lane_runs), at need, an array of indices already checked; below
+    _RUN_PLAN_MIN_ORDER the lanes' brackets go to _solve as Python floats,
+    with the runs. The solve of lane_eigenvalues, of verify's full spectra
+    and of bug quotients packed as runs (structured._slot_values: from
+    order 64 up, or past _LAGUERRE_LANES lanes)."""
     cfg = config or DEFAULT_CONFIG
     if m == 1:
         return np.repeat(runs[0][:, None], need.size, axis=1)
     lo, hi, tol, top = _brackets(runs, cfg)
-    if top.max() <= _LEAD_MAX:
-        return _solve(runs, m, need, lo, hi, tol)
-    # lanes whose squared leads overflow are solved scaled (_fitted), and
-    # their values scaled back
-    runs, scales = _fitted(runs)
-    return _solve(runs, m, need, *_brackets(runs, cfg)[:3]) / scales[:, None]
-
-
-def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
-    """The values of _run_eigenvalues from the brackets lo..hi and stops tol
-    of _brackets. Below _RUN_PLAN_MIN_ORDER, index m comes from Laguerre steps
-    from hi and index 1 from those on the negated lanes from -lo, or where
-    they fail from a walk (the rounds' bits); the others are walked or,
-    above _SCALAR_MAX_WORK, bisected in rounds, at _FINISH_ORDERS only to
-    the node that isolates each (_finish). A value of index 2 is then
-    raised to index 1's where it lies below, and one of m - 1 lowered to
-    index m's where it lies above, so asking for either solves that end
-    too."""
+    scales = None
+    if top.max() > _LEAD_MAX:
+        # lanes whose squared leads overflow are solved scaled (_fitted), and
+        # their values scaled back
+        runs, scales = _fitted(runs)
+        lo, hi, tol, _ = _brackets(runs, cfg)
     if m >= _RUN_PLAN_MIN_ORDER:
-        return _rounds(runs, m, need, lo, hi, tol)[0]
-    picked = need.tolist()
+        values = _rounds(_run_plan(runs, m), m, need, lo, hi, tol)[0]
+    else:
+        values = np.array(_solve(None, m, need.tolist(), lo, hi, tol, runs))
+    return values if scales is None else values / scales[:, None]
+
+
+def _float_eigenvalues(lanes: list, m: int, need: list, config: SolveConfig | None = None):
+    """_run_eigenvalues of lanes of order 2 to _RUN_PLAN_MIN_ORDER - 1
+    given as lists of runs of Python floats (_float_brackets), at need, a
+    list of indices already checked: one list of values a lane, with no
+    array made outside the branches of _solve that work on lane arrays."""
+    cfg = config or DEFAULT_CONFIG
+    lo, hi, tol, rows, top = _float_brackets(lanes, cfg)
+    if top > _LEAD_MAX:
+        # squared leads that overflow: the runs as arrays, solved scaled (_fitted)
+        diag, lead, reps = (np.array(column) for column in zip(*(run for runs in lanes
+                                                                  for run in runs)))
+        first = np.cumsum([0] + [len(runs) for runs in lanes[:-1]])
+        return _run_eigenvalues((diag, lead, reps, first), m, np.array(need), cfg).tolist()
+    return _solve(rows, m, need, lo, hi, tol)
+
+
+def _floats(values) -> list:
+    """values as a list of Python floats: a list passes as it is."""
+    return values if isinstance(values, list) else values.tolist()
+
+
+def _solve(rows, m: int, picked: list, lo, hi, tol, runs=None) -> list:
+    """The values at indices picked of lanes of order m below
+    _RUN_PLAN_MIN_ORDER, one list a lane, from their rows (_row_lists or
+    _float_brackets) and the brackets lo..hi and stops tol of _brackets,
+    all Python floats. Given the lanes' runs (_lane_runs), rows may be
+    None and the brackets and stops arrays: the branches on Python floats
+    make the rows and lists where they read them (_floats), and those on
+    lane arrays read the runs (_rows). Index m comes
+    from Laguerre steps from hi and index 1 from those on the negated
+    lanes from -lo, or where they fail from a walk (the rounds' bits); the
+    others are walked or, above _SCALAR_MAX_WORK, bisected in rounds, at
+    _FINISH_ORDERS only to the node that isolates each (_finish). A value
+    of index 2 is then raised to index 1's where it lies below, and one of
+    m - 1 lowered to index m's where it lies above, so asking for either
+    solves that end too."""
     # a set, not np.unique, whose first call costs about 1 MB of RSS
     wanted = sorted(set(picked) - {1, m})
     isolate = m in _FINISH_ORDERS
-    walk = lo.size * len(wanted) * m * (1 if isolate else _BISECTED_WORK) <= _SCALAR_MAX_WORK
-    rows = _row_lists(runs) if walk and wanted else None
+    walk = len(lo) * len(wanted) * m * (1 if isolate else _BISECTED_WORK) <= _SCALAR_MAX_WORK
     # a bracket that closes before it isolates its value (a cluster) stops
     # at the width Laguerre steps certify
-    stop = np.full(tol.shape, _FLOOR) if isolate and wanted else tol
+    stop = [_FLOOR] * len(tol) if isolate and wanted else tol
     if not wanted:
-        found, isolated = [{} for _ in hi], []
+        found, isolated = [{} for _ in lo], []
     elif walk:
-        found, isolated = _scalar_bisection(rows, wanted, lo, hi, stop, isolate)
+        rows = rows or _row_lists(runs)
+        found, isolated = _scalar_bisection(rows, wanted, *map(_floats, (lo, hi, stop)), isolate)
     else:
-        rounds, isolated = _rounds(runs, m, np.array(wanted), lo, hi, stop, isolate)
+        plan = _rows_plan(*(_row_arrays(rows) if runs is None else _rows(runs)))
+        rounds, isolated = _rounds(plan, m, np.array(wanted), *map(np.asarray, (lo, hi, stop)),
+                                   isolate)
         found = [dict(zip(wanted, row)) for row in rounds.tolist()]
         isolated = list(zip(*(v.tolist() for v in isolated)))
     if isolated:
         rows = rows or _row_lists(runs)
-        for (j, k, _, _), value in zip(isolated, _finish(runs, rows, m, isolated, lo, hi, tol)):
+        done = _finish(rows, m, isolated, *map(_floats, (lo, hi, tol)), runs)
+        for (j, k, _, _), value in zip(isolated, done):
             found[j][k] = value
     # a value of index 2 or m - 1 bisected to its stop may stray past a
     # certified end by less than that stop: it takes the end's value there
@@ -888,21 +984,28 @@ def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
     if high:
         asked.add(m)
     for k in {1, m} & asked:
-        # the smallest value is minus the top of the negated lane
-        sign = 1.0 if k == m else -1.0
-        lanes = runs if k == m else (np.negative(runs[0]), *runs[1:])
-        start = sign * (hi if k == m else lo)
+        # the smallest value is minus the top of the negated lane, 0 - top
+        # so that a zero is +0
+        bottom = k == 1
         # the bottom's lanes step longer: lane arrays pay from twice as many
-        if lo.size <= _LAGUERRE_LANES * (1 if k == m else 2):
-            lists = rows if k == m and rows else _row_lists(lanes)
-            ends = [sign * _scalar_top(row, x, k == 1) for row, x in zip(lists, start.tolist())]
+        if len(lo) <= _LAGUERRE_LANES * (2 if bottom else 1):
+            rows = rows or _row_lists(runs)
+            if bottom:
+                ends = [0.0 - _scalar_top([(-a, c) for a, c in row], -x, True)
+                        for row, x in zip(rows, _floats(lo))]
+            else:
+                ends = [_scalar_top(row, x) for row, x in zip(rows, _floats(hi))]
         else:
-            ends = (sign * _lane_tops(*_rows(lanes), start, k == 1)).tolist()
+            a, c = _row_arrays(rows) if runs is None else _rows(runs)
+            if bottom:
+                ends = (0.0 - _lane_tops(-a, c, -np.asarray(lo), True)).tolist()
+            else:
+                ends = _lane_tops(a, c, np.asarray(hi)).tolist()
         failed = [j for j, value in enumerate(ends) if value != value]
         if failed:
             rows = rows or _row_lists(runs)
-            walked, _ = _scalar_bisection([rows[j] for j in failed], [k], lo[failed],
-                                          hi[failed], tol[failed])
+            walked, _ = _scalar_bisection([rows[j] for j in failed], [k], *(
+                [v[j] for j in failed] for v in map(_floats, (lo, hi, tol))))
             for j, values in zip(failed, walked):
                 ends[j] = values[k]
         for values, value in zip(found, ends):
@@ -912,10 +1015,11 @@ def _solve(runs: tuple, m: int, need: np.ndarray, lo, hi, tol):
             values[2] = max(values[2], values[1])
         if high:
             values[m - 1] = min(values[m - 1], values[m])
-    return np.array([[values[k] for k in picked] for values in found])
+    return [[values[k] for k in picked] for values in found]
 
 
-def _finish(runs: tuple, rows: list, m: int, isolated: list, lo, hi, tol) -> list:
+def _finish(rows: list, m: int, isolated: list, lo: list, hi: list, tol: list,
+            runs=None) -> list:
     """The values of the isolated (lane, index k, lower, upper) of _solve, by
     Laguerre steps certified as the ends are (laguerre._lane_tops). They
     start at the node's midpoint, whose count is k (the plain step falls to
@@ -923,7 +1027,8 @@ def _finish(runs: tuple, rows: list, m: int, isolated: list, lo, hi, tol) -> lis
     fails, at upper, then at lower, and kept inside lower..upper. A value
     that every start fails is bisected from its lane's brackets lo..hi to
     its stop tol. Up to twice _LAGUERRE_LANES values step on Python floats,
-    more on lane arrays, with the same bits."""
+    more on lane arrays (read from the lanes' runs where given), with the
+    same bits."""
     lanes, ks, lower, upper = zip(*isolated)
     skips = [m - k for k in ks]
     values = [math.nan] * len(isolated)
@@ -932,7 +1037,8 @@ def _finish(runs: tuple, rows: list, m: int, isolated: list, lo, hi, tol) -> lis
         if not left:
             break
         if len(left) > 2 * _LAGUERRE_LANES:
-            a, c = (v[[lanes[e] for e in left]] for v in _rows(runs))
+            at = [lanes[e] for e in left]
+            a, c = (v[at] for v in _rows(runs)) if runs else _row_arrays([rows[j] for j in at])
             got = _lane_tops(a, c, np.array([start[e] for e in left]),
                              skip=np.array([skips[e] for e in left]),
                              safe=np.array([upper[e] for e in left])).tolist()
@@ -946,15 +1052,17 @@ def _finish(runs: tuple, rows: list, m: int, isolated: list, lo, hi, tol) -> lis
     for e, value in enumerate(values):
         if value != value:
             j, k = lanes[e], ks[e]
-            walked, _ = _scalar_bisection([rows[j]], [k], lo[j:j + 1], hi[j:j + 1], tol[j:j + 1])
+            walked, _ = _scalar_bisection([rows[j]], [k], [lo[j]], [hi[j]], [tol[j]])
             values[e] = walked[0][k]
     return values
 
 
-def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = False):
+def _rounds(plan: list, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = False):
     """The values of _run_eigenvalues at need, bisected in multisection
-    rounds from the brackets lo..hi and stops tol of _brackets, and the
-    lanes, indices and ends (arrays) of the brackets that isolate stopped.
+    rounds on the lanes' plan (_run_plan, or _rows_plan below
+    _RUN_PLAN_MIN_ORDER) from the brackets lo..hi and stops tol of
+    _brackets, and the lanes, indices and ends (arrays) of the brackets
+    that isolate stopped.
 
     With isolate, a bracket of index k also stops at the first node on its
     path whose ends count k - 1 and k (lo counting 0 and hi m): one
@@ -972,7 +1080,6 @@ def _rounds(runs: tuple, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = 
     ulps = bool((4.0 * np.spacing(np.maximum(-lo, hi)) > tol).any())
     tol = np.repeat(tol, need.size)
     need = np.tile(need[order], lo.size)
-    plan = _run_plan(runs, m)
     width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop
     # the counts at each bracket's ends, read only with isolate

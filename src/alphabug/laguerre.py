@@ -1,5 +1,6 @@
 """Certified Laguerre steps for eigenvalues of symmetric tridiagonals
-below eigensolve._RUN_PLAN_MIN_ORDER, from their rows (eigensolve._rows):
+below eigensolve._RUN_PLAN_MIN_ORDER, from their rows (eigensolve._rows,
+or the (entry, square) pairs of _row_lists and _float_brackets):
 a loop on the Python floats of one lane (_scalar_top) and the same loop on
 lane arrays (_lane_tops), with the same bits. eigensolve._solve takes each
 lane's largest eigenvalue from them, its smallest as minus the top of the
@@ -33,8 +34,9 @@ _TAIL_LANES = 16
 
 def _under(x: float, row: list, skip: int = 0) -> bool:
     """Whether a lane's count at x (eigensolve._plan_counts) is below its
-    order less skip, from its rows (eigensolve._row_lists): more than skip
-    pivots are negative, a zero one (+0) handing on -inf."""
+    order less skip, from its rows (eigensolve._row_lists or
+    _float_brackets): more than skip pivots are negative, a zero one (+0)
+    handing on -inf."""
     pivot, wrong = 1.0, 0
     for entry, square in row:
         pivot = (x - entry) - square / pivot if pivot else -math.inf
@@ -47,12 +49,15 @@ def _under(x: float, row: list, skip: int = 0) -> bool:
 
 def _certified(row: list, x: float, under: bool, skip: int = 0) -> float:
     """The midpoint of the bracket from x toward eigenvalue m - skip of a
-    lane of order m, max(4 ulp(x), _FLOOR) wide, or NaN unless its far
-    end's count differs from under, whether the count at x is below that
-    index (_under)."""
+    lane of order m, max(4 ulp(x), _FLOOR) wide, or +0 where the bracket
+    holds 0, or NaN unless its far end's count differs from under, whether
+    the count at x is below that index (_under)."""
     width = max(4.0 * math.ulp(x), _FLOOR)
     end = x + width if under else x - width
-    return 0.5 * (x + end) if _under(end, row, skip) != under else math.nan
+    if _under(end, row, skip) == under:
+        return math.nan
+    # an exact zero would print as its bracket's rounding noise
+    return 0.0 if min(x, end) <= 0.0 <= max(x, end) else 0.5 * (x + end)
 
 
 def _over(m: int, y: float) -> float:
@@ -64,9 +69,9 @@ def _scalar_top(row: list, x: float, bottom: bool = False, skip: int = 0,
                 safe: float | None = None, double: bool | None = None,
                 left: int | None = None) -> float:
     """_lane_tops of one lane, on Python floats from its rows
-    (eigensolve._row_lists); safe (x), double (bottom) and left, the
-    evaluations left (_MAX_STEPS), where given, resume a lane from its array
-    state."""
+    (eigensolve._row_lists or _float_brackets); safe (x), double (bottom)
+    and left, the evaluations left (_MAX_STEPS), where given, resume a lane
+    from its array state."""
     m = len(row)
     safe = x if safe is None else safe
     double = bottom if double is None else double
@@ -128,18 +133,18 @@ def _row_counts(a: np.ndarray, c: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 def _lane_tops(a: np.ndarray, c: np.ndarray, x: np.ndarray, bottom: bool = False,
                skip: np.ndarray | None = None, safe: np.ndarray | None = None) -> np.ndarray:
-    """The top eigenvalue of each lane, from its rows (eigensolve._rows: a
-    and c of shape (L, m)), by Laguerre steps down from x, or NaN where it
-    must be bisected. The pivots n = (x - a) - c/n' carry r = n'/n and
-    v = r^2 - n''/n, summed into S1 = sum 1/(x - l) and S2 = sum
-    1/(x - l)^2; above the eigenvalues l, x - m/(S1 + sqrt((m - 1)(m S2 -
-    S1^2))) falls to the top cubically (Li and Zeng, SIAM J. Sci. Comput.
-    15, 1994). A step of at most _NEAR |x| is taken and certified: counts
-    at x and x -+ w, w = max(4 ulp(x), _FLOOR), must see the top in that
-    bracket, whose midpoint is the value, or the steps go on. At a step of
-    2 ulps or less, a non-finite S1 or S2 or a pivot not above 0 (a last
-    step lands below the top about half the time), the counts decide at
-    once.
+    """The top eigenvalue of each lane, from its rows (eigensolve._rows or
+    _row_arrays: a and c of shape (L, m)), by Laguerre steps down from x,
+    or NaN where it must be bisected. The pivots n = (x - a) - c/n' carry
+    r = n'/n and v = r^2 - n''/n, summed into S1 = sum 1/(x - l) and S2 =
+    sum 1/(x - l)^2; above the eigenvalues l, x - m/(S1 + sqrt((m - 1)(m
+    S2 - S1^2))) falls to the top cubically (Li and Zeng, SIAM J. Sci.
+    Comput. 15, 1994). A step of at most _NEAR |x| is taken and certified:
+    counts at x and x -+ w, w = max(4 ulp(x), _FLOOR), must see the top in
+    that bracket, whose midpoint is the value (+0 where it holds 0), or
+    the steps go on. At a step of 2 ulps or less, a non-finite S1 or S2 or
+    a pivot not above 0 (a last step lands below the top about half the
+    time), the counts decide at once.
 
     bottom (negated lanes, whose top is minus the smallest value) serves a
     near-double top, as two pendant paths give: where S1^2 > 1.5 S2 the
@@ -222,7 +227,9 @@ def _lane_tops(a: np.ndarray, c: np.ndarray, x: np.ndarray, bottom: bool = False
                 under = below[:, 1]
                 held = np.where(under, below[:, 2], below[:, 0]) != under
                 end = np.where(under, point + width, point - width)
-                value[live[check]] = np.where(held, 0.5 * (point + end), math.nan)
+                zero = (np.minimum(point, end) <= 0.0) & (np.maximum(point, end) >= 0.0)
+                value[live[check]] = np.where(held, np.where(zero, 0.0, 0.5 * (point + end)),
+                                              math.nan)
                 go[check] &= ~held
             live = live[go]
             if not live.size:

@@ -6,6 +6,11 @@ equitable, so the full A_alpha spectrum splits into a closed-form
 eigenvalue carried by the clique plus the spectrum of the symmetrized
 quotient, a tridiagonal of order d+1. For the balanced bug (i = d/2)
 reflection symmetry halves it once more.
+
+The quotient's entries are stated once, as a table of seven slots
+(_bug_slots). The solve reads each lane's runs off the table as Python
+floats below order 64 in calls of up to 40 lanes (_slot_values), and
+packs it as run arrays (_pack) otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 
 import numpy as np
 
-from .eigensolve import SolveConfig, SymTridiag, _run_eigenvalues, _run_spectrum
+from .eigensolve import (_LAGUERRE_LANES, _RUN_PLAN_MIN_ORDER, SolveConfig, SymTridiag,
+                         _float_eigenvalues, _run_eigenvalues)
 from .graphs import BugSpec, _check_int, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
 
@@ -32,6 +38,14 @@ def _clique_counts(n: int, d: int) -> tuple[float, float, float, float]:
         ) from None
 
 
+def _select(condition, a, b):
+    """np.where(condition, a, b), or a or b itself for one condition, so
+    that Python numbers stay Python numbers."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
 def _bug_slots(n: int, d: int, i, alpha) -> tuple:
     """The quotient of B(n, d, i) at alpha as seven slots (diagonal entry,
     lead, rows), row 0 first: the only place that states its entries. The
@@ -39,16 +53,18 @@ def _bug_slots(n: int, d: int, i, alpha) -> tuple:
     holds 2 alpha + w - 1, joined to both neighbours by beta sqrt(w); a
     clique neighbour holds alpha (w + 1) inside the path and alpha w at its
     end, which overwrites that end's alpha. i and alpha are numbers or
-    arrays that broadcast; a slot holds rows where its count is positive."""
+    arrays that broadcast; a slot holds rows where its count is positive.
+    Row 0's entry is an array exactly where i or alpha is; where neither
+    is, every slot holds Python numbers."""
     below, w, above, _ = _clique_counts(n, d)
     beta, two, end, beside = 1.0 - alpha, 2.0 * alpha, alpha * w, alpha * above
     side, left, inner = beta * math.sqrt(w), i > 1, i + 1 < d
     return (
-        (np.where(left, alpha, end), 0.0, 1),  # row 0
+        (_select(left, alpha, end), 0.0, 1),  # row 0
         (two, beta, (i - 2) * left),  # rows 1 .. i - 2
         (beside, beta, left),  # row i - 1
         (two + below, side, 1),  # row i
-        (np.where(inner, beside, end), side, 1),  # row i + 1
+        (_select(inner, beside, end), side, 1),  # row i + 1
         (two, beta, (d - i - 2) * inner),  # rows i + 2 .. d - 1
         (alpha, beta, inner),  # row d
     )
@@ -69,13 +85,46 @@ def _pack(slots: tuple, lanes: int) -> tuple:
     return diag[keep], lead[keep], reps[keep], first
 
 
-def _bug_runs(n: int, d: int, splits, alphas) -> tuple:
+def _lanes(values, dtype=None):
+    """values as an array of lanes, or as a Python number where they are
+    one: its arithmetic costs less than a numpy scalar's."""
+    values = np.asarray(values, dtype=dtype)
+    return values if values.ndim else values.item()
+
+
+def _bug_lanes(n: int, d: int, splits, alphas) -> tuple[tuple, int]:
     """The quotients of the bugs B(n, d, i) at alpha, one lane for each
-    (i, alpha) of splits and alphas broadcast together, as runs (_pack)
-    of all seven slots. The caller checks the splits and alphas."""
-    i, alpha = np.asarray(splits), np.asarray(alphas, dtype=float)
-    # [()] makes a 0-d array a scalar, whose arithmetic costs less
-    return _pack(_bug_slots(n, d, i[()], alpha[()]), np.broadcast(i, alpha).size)
+    (i, alpha) of splits and alphas broadcast together, as slots
+    (_bug_slots), and their count. The caller checks the splits and
+    alphas."""
+    i, alpha = _lanes(splits), _lanes(alphas, float)
+    return _bug_slots(n, d, i, alpha), np.broadcast(i, alpha).size
+
+
+def _bug_runs(n: int, d: int, splits, alphas) -> tuple:
+    """_bug_lanes as runs (_pack) of all seven slots."""
+    return _pack(*_bug_lanes(n, d, splits, alphas))
+
+
+def _slot_values(slots: tuple, lanes: int, m: int, need, config: SolveConfig | None = None):
+    """Eigenvalues need (1-based indices, checked) of the quotients of
+    order m given as slots (_bug_slots) and their count, lanes: one list a
+    lane. Below _RUN_PLAN_MIN_ORDER, in calls of up to _LAGUERRE_LANES
+    lanes, each lane's runs are read off the slots as Python floats and
+    solved as such (eigensolve._float_eigenvalues), with no array made
+    outside the solve's branches on lane arrays; other calls pack the
+    slots as runs (_pack), whose arrays cost less per lane. The values are
+    those of lane_eigenvalues on the lanes as SymTridiag, bit for bit."""
+    if m >= _RUN_PLAN_MIN_ORDER or lanes > _LAGUERRE_LANES:
+        return _run_eigenvalues(_pack(slots, lanes), m, np.array(need), config).tolist()
+    lists = [slots]
+    if isinstance(slots[0][0], np.ndarray):
+        # each slot's entries as lane lists, read off lane by lane
+        columns = [[v.tolist() if isinstance(v, np.ndarray) else [v] * lanes for v in slot]
+                   for slot in slots]
+        lists = zip(*(zip(*slot) for slot in columns))
+    return _float_eigenvalues([[run for run in runs if run[2] > 0] for runs in lists], m, need,
+                              config)
 
 
 def bug_tridiagonal(b: BugSpec, alpha) -> SymTridiag:
@@ -93,8 +142,8 @@ def bug_spectrum(b: BugSpec, alpha, config: SolveConfig | None = None) -> Spectr
     d+1 eigenvalues are the simple spectrum of the tridiagonal quotient.
     """
     alpha = check_alpha(alpha)
-    values = _run_spectrum(_bug_runs(b.n, b.d, b.i, alpha), b.d + 1, config)[0]
-    return _spectrum_from_quotient(b, alpha, values)
+    values = _slot_values(_bug_slots(b.n, b.d, b.i, alpha), 1, b.d + 1, range(1, b.d + 2), config)
+    return _spectrum_from_quotient(b, alpha, values[0])
 
 
 def closed_form(b: BugSpec, alpha: float) -> tuple[float, int]:
@@ -124,10 +173,10 @@ def _halving_slots(n: int, d: int, alphas) -> tuple[tuple, int]:
     slots, and their count: slots 0-3 of its quotient, whose row d/2 is
     joined by beta sqrt(2 w) instead. The first three slots are the inner
     blocks of proof_decomposition. The caller checks n, d and alphas."""
-    alpha = np.asarray(alphas, dtype=float)
-    head = _bug_slots(n, d, d // 2, alpha[()])[:4]
-    fold = (1.0 - alpha[()]) * math.sqrt(2.0 * _clique_counts(n, d)[1])
-    return (*head[:3], (head[3][0], fold, 1)), alpha.size
+    alpha = _lanes(alphas, float)
+    head = _bug_slots(n, d, d // 2, alpha)[:4]
+    fold = (1.0 - alpha) * math.sqrt(2.0 * _clique_counts(n, d)[1])
+    return (*head[:3], (head[3][0], fold, 1)), np.size(alpha)
 
 
 def halved_tridiagonal(n, d, alpha) -> SymTridiag:
@@ -168,5 +217,5 @@ def spectral_radius(b: BugSpec, alpha, config: SolveConfig | None = None) -> flo
     bracket, and from 64 up by bisection. The value is bit-identical to
     the top of the full quotient spectrum.
     """
-    runs = _bug_runs(b.n, b.d, b.i, check_alpha(alpha))
-    return float(_run_eigenvalues(runs, b.d + 1, np.array([b.d + 1]), config)[0, 0])
+    slots = _bug_slots(b.n, b.d, b.i, check_alpha(alpha))
+    return float(_slot_values(slots, 1, b.d + 1, [b.d + 1], config)[0][0])

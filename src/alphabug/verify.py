@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SolveConfig, _run_eigenvalues, _run_spectrum, jacobi_eigenvalues
+from .eigensolve import SolveConfig, _run_spectrum, jacobi_eigenvalues
 from .graphs import BugSpec, _check_int, _check_positive, assemble_dense_alpha, check_alpha
 from .spectrum import Spectrum
-from .structured import (_bug_runs, _halvable, _halving_slots, _pack, _spectrum_from_quotient,
-                         closed_form)
+from .structured import (_bug_lanes, _bug_runs, _halvable, _halving_slots, _pack, _slot_values,
+                         _spectrum_from_quotient, closed_form)
 
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 HALVING_ALPHAS = (0.0, 0.3, 0.7)
@@ -111,8 +111,8 @@ def extremal_scan(n, d, alpha, config: SolveConfig | None = None) -> list[ScanRo
         raise ValueError(f"diameter must be >= 2, got {d}")
     if n < d + 2:
         raise ValueError(f"scan needs n >= d+2 so the splits differ, got n={n}, d={d}")
-    runs = _bug_runs(n, d, np.arange(1, d // 2 + 1), alpha)
-    rhos = _run_eigenvalues(runs, d + 1, np.array([d + 1]), config)[:, 0].tolist()
+    lanes = _bug_lanes(n, d, np.arange(1, d // 2 + 1), alpha)
+    rhos = [rho for rho, in _slot_values(*lanes, d + 1, [d + 1], config)]
     best = max(range(len(rhos)), key=lambda j: (rhos[j], j))
     return [ScanRow(j + 1, rho, j == best) for j, rho in enumerate(rhos)]
 

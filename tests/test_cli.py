@@ -112,17 +112,26 @@ class TestSpectrumCommand:
     def test_method_all_solves_the_quotient_once(self, capsys, monkeypatch):
         import alphabug.eigensolve as eigensolve
 
+        # every solve below order 64 goes through _solve, on Python floats
         solves = []
-        original = eigensolve._run_eigenvalues
+        original = eigensolve._solve
 
         def counting(*args, **kwargs):
             solves.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(eigensolve, "_run_eigenvalues", counting)
+        monkeypatch.setattr(eigensolve, "_solve", counting)
         code, payload = run_json(capsys, *GOLDEN_ARGS, "--method", "all")
         assert code == 0 and payload["verification"]["matched"] is True
         assert len(solves) == 1
+
+    def test_exact_zero_prints_as_zero(self, capsys):
+        # P3 at alpha 1/2: the certified bracket of its smallest quotient
+        # value holds 0, which printed as that bracket's midpoint, 2.1e-16
+        code, out = run_cli(capsys, "spectrum", "--n", "3", "--d", "2", "--i", "1",
+                            "--alpha", "0.5")
+        assert code == 0 and json.loads(out)["quotient_eigenvalues"] == [0.0, 0.5, 1.5]
+        assert '"quotient_eigenvalues": [\n    0.0,\n' in out
 
     def test_csv_output(self, capsys):
         code, out = run_cli(capsys, *GOLDEN_ARGS, "--format", "csv")
@@ -718,8 +727,10 @@ class TestLaneCellCap:
     @pytest.fixture
     def no_lanes(self, monkeypatch):
         """Building a quotient raises Built: spectrum, scan and sweep
-        build theirs as runs with _bug_runs, and spectrum's halved method
-        packs its slots with _pack."""
+        solve theirs with _slot_values, which packs them as runs (_pack)
+        from order 64 up and reads their rows off the slots below it, and
+        verify builds its runs with _bug_runs and _pack. Each of these
+        that cli or verify imports is refused there."""
         import alphabug.cli as cli_module
         import alphabug.verify as verify_module
 
@@ -729,9 +740,11 @@ class TestLaneCellCap:
         def refuse(*args, **kwargs):
             raise Built("a quotient was built")
 
-        monkeypatch.setattr(cli_module, "_bug_runs", refuse)
-        monkeypatch.setattr(cli_module, "_pack", refuse)
-        monkeypatch.setattr(verify_module, "_bug_runs", refuse)
+        for module in (cli_module, verify_module):
+            for name in ("_bug_runs", "_pack", "_slot_values"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert cli_module._slot_values is refuse and verify_module._slot_values is refuse
         return cli_module.D_MAX, Built
 
     @pytest.mark.parametrize("argv", [

@@ -27,7 +27,8 @@ from alphabug import (
     sturm_count,
     tridiag_eigenvalues,
 )
-from alphabug.structured import _bug_runs, halved_tridiagonal, proof_decomposition
+from alphabug.structured import (_bug_lanes, _bug_runs, _halving_slots, _slot_values,
+                                 halved_tridiagonal, proof_decomposition)
 from alphabug.verify import enumerate_bugs, extremal_scan
 from oracles import (
     exact_inertia_bounds,
@@ -1704,8 +1705,8 @@ def _isolated(lanes):
     of each value between the ends whose bisection path isolates it."""
     runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
     rows = eigensolve._row_lists(runs)
-    lo, hi = eigensolve._brackets(runs, DEFAULT_CONFIG)[:2]
-    stop = np.full(lo.shape, laguerre._FLOOR)
+    lo, hi = (v.tolist() for v in eigensolve._brackets(runs, DEFAULT_CONFIG)[:2])
+    stop = [laguerre._FLOOR] * len(lo)
     wanted = list(range(2, lanes[0].order))
     return runs, rows, eigensolve._scalar_bisection(rows, wanted, lo, hi, stop, True)[1]
 
@@ -1836,6 +1837,213 @@ class TestLaguerreInterior:
             mp.setattr(laguerre, "_MAX_STEPS", 0)
             fallen = lane_eigenvalues([GOLDEN], [3], SolveConfig(bisection_tol=1e-3))[0, 0]
         assert fallen != loose[2] and abs(fallen - GOLDEN_EIGENVALUES[2]) <= 1e-3 * 7.0
+
+
+def _float_runs(lanes) -> list:
+    """Each lane's runs as a list of (diag, lead, reps) of Python numbers,
+    as eigensolve._float_brackets reads them."""
+    return [list(zip(*(v.tolist() for v in t.runs))) for t in lanes]
+
+
+@st.composite
+def bracket_lanes(draw):
+    """laguerre_lanes, some scaled toward the float limit (padded ends
+    past half the largest float, through the matrix or, under a stop of
+    1e308, through the stop alone), and a stop."""
+    lanes = draw(laguerre_lanes())
+    scale = draw(st.sampled_from([1.0, 1.0, 1e306, 4e307, 1e308]))
+    if scale != 1.0:
+        k = draw(st.integers(0, len(lanes) - 1))
+        t = lanes[k]
+        lanes[k] = SymTridiag(t.diag / max(1.0, np.abs(t.diag).max()) * scale, t.offdiag)
+    tol = draw(st.sampled_from([1e-13, 1e-300, 1e-3, 1e308]))
+    return lanes, SolveConfig(bisection_tol=tol)
+
+
+def _raised(solve):
+    """The ValueError text solve raises, or None and its value."""
+    try:
+        return None, solve()
+    except ValueError as error:
+        return str(error), None
+
+
+class TestFloatLanes:
+    """Below the run-plan gate the bug paths hand the solver each lane's
+    runs as Python floats (eigensolve._float_eigenvalues): the brackets,
+    stops, rows and errors of _float_brackets are those of _brackets and
+    _row_lists bit for bit, and so are the values of lane_eigenvalues,
+    on every branch of _solve."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket_lanes())
+    def test_float_brackets_are_the_array_brackets(self, problem):
+        lanes, cfg = problem
+        runs = eigensolve._lane_runs(lanes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text, arrays = _raised(lambda: eigensolve._brackets(runs, cfg))
+            float_text, floats = _raised(lambda: eigensolve._float_brackets(_float_runs(lanes), cfg))
+        assert float_text == text
+        if text is not None:
+            assert "half the largest float" in text
+            return
+        for got, want in zip(floats[:3], arrays[:3]):
+            assert np.array(got).tobytes() == want.tobytes()
+        # leads past _LEAD_MAX square to inf on both forms
+        with np.errstate(over="ignore"):
+            assert floats[3] == eigensolve._row_lists(runs)
+        assert floats[4] == arrays[3].max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(laguerre_lanes(), st.sampled_from(["all", "top", "ends"]))
+    def test_float_lanes_give_lane_eigenvalues_bits(self, lanes, asked):
+        # lanes scaled by 1e160 go the array way, solved scaled (_fitted);
+        # a Laguerre gate of 0 takes the ends on lane arrays, a work bound
+        # of 0 the values between them in rounds, both from the row lists
+        m = lanes[0].order
+        need = {"all": list(range(1, m + 1)), "top": [m], "ends": [1, m]}[asked]
+        want = lane_eigenvalues(lanes, need)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gate, work in ((40, 8400), (0, 0)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
+                    mp.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
+                    got = eigensolve._float_eigenvalues(_float_runs(lanes), m, need)
+                    assert np.array(got).tobytes() == lane_eigenvalues(lanes, need).tobytes()
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+@st.composite
+def bug_calls(draw):
+    """A call of the bug paths below the run-plan gate: n and d (d <= 62,
+    n from d + 2 up to 1e15), lanes (i, alpha) of every split and of alpha
+    in [0, 1) with 0 included, one lane or up to 100 (past the Laguerre
+    gates of 40 lanes for the top and 80 for the bottom), and the indices
+    asked: the full spectrum, rho alone or {1, m}."""
+    d = draw(st.integers(2, _BELOW_GATE - 1))
+    n = draw(st.one_of(st.just(d + 2), st.integers(d + 2, 10**15)))
+    ends = sorted({1, 2, d - 2, d - 1} & set(range(1, d)))
+    split = st.one_of(st.sampled_from(ends), st.integers(1, d - 1))
+    alpha = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+    count = draw(st.sampled_from([1, 1, 8, 41, 81, 100]))
+    lanes = draw(st.lists(st.tuples(split, alpha), min_size=count, max_size=count))
+    return n, d, lanes, draw(st.sampled_from(["all", "top", "ends"]))
+
+
+def _asked(asked: str, m: int) -> list:
+    return {"all": list(range(1, m + 1)), "top": [m], "ends": [1, m]}[asked]
+
+
+def _bug_lane(n: int, d: int, i: int, alpha: float) -> SymTridiag:
+    """bug_tridiagonal of B(n, d, i), i mirrored past d/2 or not: the
+    tridiagonal of the one lane _bug_runs builds."""
+    if i <= d // 2:
+        return bug_tridiagonal(BugSpec(n, d, i), alpha)
+    return SymTridiag._from_runs(*_bug_runs(n, d, i, alpha)[:3])
+
+
+class TestSlotLanes:
+    """The bug paths' solve of quotients read off the slot table
+    (structured._slot_values) gives lane_eigenvalues's bits on the same
+    quotients as SymTridiag, for full spectra, rho alone and {1, m}, on
+    one lane, on Python floats and on lane arrays; so does the halved
+    quotient's, and both raise the same ValueError where padded ends
+    overflow."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bug_calls())
+    def test_slot_lanes_give_lane_eigenvalues_bits(self, call):
+        n, d, lanes, asked = call
+        m, need = d + 1, _asked(asked, d + 1)
+        want = lane_eigenvalues([_bug_lane(n, d, i, alpha) for i, alpha in lanes], need)
+        splits, alphas = (np.array(v) for v in zip(*lanes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _slot_values(*_bug_lanes(n, d, splits, alphas), m, need)
+            if len(lanes) == 1:
+                # as bug_spectrum, spectrum and spectral_radius call it
+                i, alpha = lanes[0]
+                alone = _slot_values(*_bug_lanes(n, d, i, alpha), m, need)
+                assert np.array(alone).tobytes() == want.tobytes()
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, (_BELOW_GATE - 1) // 2).map(lambda h: 2 * h),
+           st.integers(0, 10**15), st.sampled_from([1, 8, 41, 81]),
+           st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           st.sampled_from(["all", "top", "ends"]))
+    def test_halved_slot_lanes_give_lane_eigenvalues_bits(self, d, extra, count, alpha, asked):
+        n, m = d + 2 + extra, d // 2 + 1
+        need = _asked(asked, m)
+        alphas = [alpha * (k + 1) / count for k in range(count)]
+        want = lane_eigenvalues([halved_tridiagonal(n, d, a) for a in alphas], need)
+        got = _slot_values(*_halving_slots(n, d, np.array(alphas)), m, need)
+        assert np.array(got).tobytes() == want.tobytes()
+        if count == 1:
+            alone = _slot_values(*_halving_slots(n, d, alpha), m, need)
+            assert np.array(alone).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, tol", [(10**308, 1e-13), (100, 1e308)])
+    @pytest.mark.parametrize("count", [1, 41])
+    def test_overflowing_ends_raise_the_same_error(self, n, tol, count):
+        # a clique cell near the float limit takes the Gershgorin ends past
+        # half the largest float, a stop of 1e308 the padding alone
+        d, cfg = 10, SolveConfig(bisection_tol=tol)
+        alphas = [0.5] * count
+        lanes = [_bug_lane(n, d, 3, a) for a in alphas]
+        with pytest.raises(ValueError) as want:
+            lane_eigenvalues(lanes, [d + 1], cfg)
+        with pytest.raises(ValueError) as got:
+            _slot_values(*_bug_lanes(n, d, 3, alphas if count > 1 else 0.5), d + 1, [d + 1], cfg)
+        assert str(got.value) == str(want.value)
+        assert ("bisection_tol" in str(want.value)) == (tol == 1e308)
+
+
+def _grid_zeros(alpha):
+    """The n <= 12 grid's quotients at alpha, solved alone and as lane
+    arrays (a Laguerre gate of 0), with their 80-bit references."""
+    lanes = [bug_tridiagonal(b, alpha) for b in enumerate_bugs(12)]
+    for m in sorted({t.order for t in lanes}):
+        group = [t for t in lanes if t.order == m]
+        ref = longdouble_eigenvalues([t.diag for t in group], [t.offdiag for t in group])
+        alone = np.array([tridiag_eigenvalues(t) for t in group])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolve, "_LAGUERRE_LANES", 0)
+            together = lane_eigenvalues(group, np.arange(1, m + 1))
+        yield m, ref, alone, together
+
+
+class TestExactZeros:
+    """A certified bracket that holds 0 gives +0, not its midpoint, which
+    is rounding noise, on Python floats and on lane arrays alike."""
+
+    def test_p3_at_one_half(self, monkeypatch):
+        # its smallest value printed as 2.10218774213e-16
+        t = bug_tridiagonal(BugSpec(3, 2, 1), 0.5)
+        assert tridiag_eigenvalues(t).tolist()[0] == 0.0
+        assert math.copysign(1.0, tridiag_eigenvalues(t)[0]) == 1.0
+        assert bug_spectrum(BugSpec(3, 2, 1), 0.5).entries[0].value == 0.0
+        monkeypatch.setattr(eigensolve, "_LAGUERRE_LANES", 0)
+        assert lane_eigenvalues([t], [1, 2, 3]).tobytes() == tridiag_eigenvalues(t).tobytes()
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
+    def test_grid_zeros_at_alpha_0(self):
+        # the adjacency spectra of the grid's bugs: each value whose
+        # 80-bit reference is 0 within its 2**-100 floor is +0, but for the
+        # middle value of order 3, which is bisected to the default stop
+        # (10 of the 50 zeros)
+        zeros = 0
+        for m, ref, alone, together in _grid_zeros(0.0):
+            assert alone.tobytes() == together.tobytes(), m
+            zero = np.abs(ref) < 1e-28
+            if m == 3:
+                assert np.all(np.abs(alone[:, 1][zero[:, 1]]) <= 1e-12)
+                zero[:, 1] = False
+            assert np.all(alone[zero] == 0.0) and not np.signbit(alone[zero]).any(), m
+            zeros += int(zero.sum())
+        assert zeros == 40
 
 
 class TestJacobi:

@@ -3,11 +3,12 @@ invocations.
 
 The list covers every command in JSON and in CSV, every spectrum method,
 a batch stream (a spectrum of 13 values, one job of each command and one
-failing job), a value below the smallest magnitude the array rounding
-handles (2.10e-16) and values at and above its largest
-(999000000000000.0 and 1e15). Each of these solves on Python floats. A
-change to the solver, to the payloads or to the renderers that moves one
-printed byte fails here.
+failing job), an exact zero quotient eigenvalue (P3 at alpha 0.5, which
+prints 0.0), a value below the smallest magnitude the array rounding
+handles (the dense route's -3.44e-18 for that zero) and values at and
+above its largest (999000000000000.0 and 1e15). Each of these solves on
+Python floats. A change to the solver, to the payloads or to the
+renderers that moves one printed byte fails here.
 
 One case prints rounding noise: `verify --tol 1e-300` fails every check and
 prints each Jacobi-versus-structured deviation, which an ulp's move of a
@@ -58,11 +59,13 @@ GOLDEN = [
     ("scan --n 30 --d 12 --alpha 0.5", 0,
      "d35926e058c898d3be492673238599b0f60558ddb37345a44f210a31f1a34083"),
     ("verify --max-n 5", 0,
-     "f00ceb517e0293be0da69a3e969106b407e1d9a9a261cad544143fa2ded67c9f"),
+     "2efae129434548263b93548e7c3776cd17747f997620d354237f5b98a61b018c"),
     ("verify --max-n 4 --tol 1e-300", 1,
      "1c5da49de8a48ddfa42ce63a415decba58932f83c5ac0b0a6af4aef4b9301390"),
     ("spectrum --p 3 --q 1 --r 1 --alpha 0.5 --method all", 0,
-     "e4e3e6fc8aae4e14da72c225935880d3b3fd9bff35c0fea408281696d64e307b"),
+     "33429c87196c001b1bfc4ffd694c13b65c659bd7a081216f904c2036a3b8b911"),
+    ("spectrum --p 3 --q 1 --r 1 --alpha 0.5 --method dense", 0,
+     "e6a117a23aadd887ae445cd4711b67b30dd9474845560bae371c2635112fe72e"),
     ("spectrum --n 1000000000000000 --d 4 --i 2 --alpha 0.999 --method halved", 0,
      "d5068840c0864d8b53378ab79e7478279c57c869245cdcdd10ae79588331f6a3"),
     ("spectrum --n 11 --d 5 --i 2 --alpha 0.6 --format csv", 0,
@@ -78,7 +81,7 @@ GOLDEN = [
     ("scan --n 30 --d 12 --alpha 0.5 --format csv", 0,
      "2e8f48fdc391f1071b0579ff522e78b093a08e6a3d7784326de983fd6643186a"),
     ("verify --max-n 5 --format csv", 0,
-     "372d3d2842b984de910b90a48e48636ba276f16a12567cfb0eaa04a0923eba9d"),
+     "cdf66cf2572edf5f93f1d092006db49885a7886f23394f4515ab9555076c1368"),
     ("batch @jobs", 2,
      "c766b0f8f2b1ff6781f4772555751a9cb9a86939436b6c171cb5e2311ec1634b"),
 ]
