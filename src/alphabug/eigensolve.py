@@ -4,14 +4,15 @@ Three kernels, deliberately independent of any LAPACK-backed routine:
 
 * Sturm-count bisection for symmetric tridiagonal matrices stored as runs
   of equal rows (the fast structured path): lane_eigenvalues solves
-  selected eigenvalues of several tridiagonals of one order in lockstep,
-  in rounds that each count the next levels of every distinct bracket's
-  bisection tree in one pass of one kernel (_plan_counts), which jumps
-  runs of equal rows in closed form from order 64 up. Below that order
-  the largest and smallest eigenvalues come from Laguerre steps certified
-  by counts, at _FINISH_ORDERS so does every other one, from the node of
-  its bisection tree that isolates it, and small calls walk each tree
-  on Python floats instead of running rounds, with the same bits,
+  selected eigenvalues of several tridiagonals of one order. From order 64
+  up it bisects them in lockstep, in rounds that each count the next
+  levels of every distinct bracket's bisection tree in one pass of one
+  kernel (_plan_counts), which jumps runs of equal rows in closed form.
+  Below that order every call, whatever its lane count, solves each lane
+  on Python floats: the largest and smallest eigenvalues come from
+  Laguerre steps certified by counts, at _FINISH_ORDERS so does every
+  other one, from the node of its bisection tree that isolates it, and
+  the rest walk that tree one count at a time,
 * cyclic-by-rows Jacobi for dense symmetric matrices (the brute-force
   oracle everything else is checked against), which rotates lists of
   Python floats: at the orders the oracle grid uses, a Python loop over a
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .graphs import _check_int, _check_positive, _check_real
-from .laguerre import _FLOOR, _lane_tops, _scalar_top
+from .laguerre import _FLOOR, _scalar_top
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -115,10 +116,10 @@ class SolveConfig:
     """Stopping rules for the iterative kernels.
 
     bisection_tol is relative to the Gershgorin span (and never tighter
-    than 4 ulps; below order 64 the smallest and largest eigenvalues, and
-    at orders 4 to 40 every eigenvalue, are certified to max(4 ulps, 2 eps)
-    whatever it says: there it reaches only values whose Laguerre steps
-    fall back to bisection),
+    than 4 ulps; below order 64, in calls of any number of lanes, the
+    smallest and largest eigenvalues, and at orders 4 to 40 every
+    eigenvalue, are certified to max(4 ulps, 2 eps) whatever it says: there
+    it reaches only values whose Laguerre steps fall back to bisection),
     jacobi_off_tol to the Frobenius norm, power_tol to max(1, rho). Every
     tolerance must be positive and finite, and each iteration cap an
     integer >= 1 (not a bool).
@@ -174,8 +175,8 @@ _LAYOUT_COST = 200
 _MAX_BISECTION_STEPS = 2200
 # From this order up, _run_plan cuts each lane into generic rows and uniform
 # runs, which the count kernel jumps in closed form; below it every row is one
-# step. Below it, the gate also lets small calls bisect on Python floats, and
-# both ends come from Laguerre steps. A jump costs about forty numpy calls
+# step, and every call solves each lane on Python floats (_solve) with no
+# round and no count kernel. A jump costs about forty numpy calls
 # against two per row. Measured on bug quotients (2-core x86-64, numpy 2.4),
 # jumps win from order about 56 for rho alone, 85 for a full spectrum, 128
 # for an 8-alpha sweep and 150 for a scan of all d/2 splits, whose lanes fall
@@ -184,36 +185,15 @@ _MAX_BISECTION_STEPS = 2200
 # run of i - 2 rows, so a run-length threshold K would split a scan's lanes
 # into up to K plan shapes, each counted in its own pass.
 _RUN_PLAN_MIN_ORDER = 64
-# At these orders, the walk and the rounds bisect each index k between the
-# ends only to the first node on its path whose ends count k - 1 and k, and
-# Laguerre steps from there finish it (_finish): 3.2-3.5 evaluations a value
+# At these orders, the walk bisects each index k between the ends only to
+# the first node on its path whose ends count k - 1 and k, and Laguerre
+# steps from there finish it (_finish): 3.2-3.5 evaluations a value
 # at orders 3-40, where the walk took about 38 more levels. One-lane full
 # spectra of bug quotients, walked, took 0.61-0.90 of the full walk's time
 # at orders 6-40, 1.01-1.19 from 43, 0.98-1.01 at order 4 and 1.13 at order
 # 3, whose one value costs 3 evaluations on 3 rows (in-process alternation;
 # 2-core x86-64, Python 3.11, numpy 2.4).
 _FINISH_ORDERS = range(4, 41)
-# Below _RUN_PLAN_MIN_ORDER, a call whose work, lanes x distinct indices (1
-# and m left out) x order, is at most this walks each tree on Python floats
-# (_scalar_bisection); at other orders, where the walk bisects each value
-# to its stop, a unit of work counts _BISECTED_WORK times. Walk time
-# over round time per call on bug quotients (medians of 6), isolating: 0.19-
-# 0.41 on one lane at orders 5-24, 0.54-0.74 at work 720-5,760 (48 lanes of
-# order 5-12), 0.55-0.62 at work 3,840-8,832 (4-8 lanes of order 32-48),
-# 0.80-0.90 on 96-192 lanes of order 5 (work 1,440-2,880) and 0.89-0.99 on
-# 96-192 of order 8 (4,608-9,216). Bisecting to the stop (as measured
-# before isolation): one-lane full spectra 0.31 at work 56, 0.63 at 380, 0.79 at
-# 552 and 0.91-1.14 at 756-870; 8-alpha sweeps 0.33-0.66 at 128-504; spectra
-# of 10-30 lanes 0.80-0.97 at 200-300 and 1.25-2.1 at 400-840.
-_SCALAR_MAX_WORK = 8400
-_BISECTED_WORK = 15
-# A call of at most this many lanes takes rho by Laguerre steps on Python
-# floats (_scalar_top), one of more on lane arrays (_lane_tops): the first
-# took 0.53-0.61 of the second's time at 24 lanes, 0.68-0.78 at 32, 0.81-0.96
-# at 40, 0.95-1.15 at 48 and 1.09-1.39 at 56 (bug quotients of order 9-63).
-# The smallest value's lanes step longer, and arrays wait for the last: its
-# gate is twice this (0.44-0.93 at 64 lanes, 0.76-1.50 at 96).
-_LAGUERRE_LANES = 40
 # The count kernel forms a - x for up to this many generic rows in one
 # subtract and counts their signs in one pass, so its buffer is at most
 # this many rows of shifts, whatever the order.
@@ -667,28 +647,23 @@ def _row_lists(runs: tuple) -> list:
     return [list(zip(*lane)) for lane in zip(*(v.tolist() for v in _rows(runs)))]
 
 
-def _row_arrays(rows: list) -> tuple:
-    """_rows of lanes given as row lists (_row_lists)."""
-    both = np.array(rows)
-    return both[:, :, 0], both[:, :, 1]
-
-
 def _scalar_bisection(rows: list, wanted: list, lo, hi, tol, isolate: bool = False):
     """The wanted eigenvalues (1-based indices, ascending and distinct) of
     lanes below _RUN_PLAN_MIN_ORDER, one dict per lane from index to value,
     bisected on Python floats from the lanes' rows (_row_lists) and
     lane_eigenvalues's brackets lo..hi and tolerances tol (lists of L
-    Python floats); with isolate, also the (lane, index, lower, upper) of each index
-    whose path reaches an isolating node first (_rounds), which stops there
-    and is not in the dicts.
+    Python floats); with isolate, also the (lane, index, lower, upper) of
+    each index whose path reaches a node whose ends count k - 1 and k
+    first, which stops there and is not in the dicts (_finish ends it).
 
     Walks each lane's bisection tree one node at a time, with one Sturm
     count per node: the row loop of _walk on scalars, where a zero pivot's
     quotient is inf of its sign, as in numpy (Python raises
     ZeroDivisionError). A node's indices go left where the count at its
-    midpoint reaches them, as in the tree descent, and a node stops where
-    _stops would close it, so every value has the rounds' bits. A node still
-    open at depth _MAX_BISECTION_STEPS raises ConvergenceError.
+    midpoint reaches them, as in plain bisection, and a node stops where
+    its width is at most its stop, or 4 ulps of its ends where that is
+    larger, so every value has plain bisection's bits. A node still open
+    at depth _MAX_BISECTION_STEPS raises ConvergenceError.
     """
     found, isolated = [], []
     m = len(rows[0])
@@ -709,7 +684,7 @@ def _scalar_bisection(rows: list, wanted: list, lo, hi, tol, isolate: bool = Fal
                     isolated.append((lane, least, lower, upper))
                     break
                 width = upper - lower
-                # _stops, read only in a lane whose 4 ulps can bind:
+                # the 4-ulp stop, read only in a lane where it can bind:
                 # max(-lower, upper) is max(|lower|, |upper|) as lower <=
                 # upper, and math.ulp is np.spacing on it
                 if width <= stop or (near and width <= 4.0 * math.ulp(max(-lower, upper))):
@@ -757,42 +732,44 @@ def lane_eigenvalues(lanes, indices, config: SolveConfig | None = None) -> np.nd
     Every (lane, index) pair keeps its own bracket, started at the lane's
     padded Gershgorin interval and bisected until it is no wider than
     bisection_tol times max(1, Gershgorin span), or 4 ulps where that is
-    larger (read only where 4 ulps of some lane's padded ends are larger).
-    All brackets advance in lockstep, and brackets on the same interval of
-    a lane share its midpoints: a round lays out the next levels of the
-    bisection tree of each distinct (lane, interval) bracket as sorted
-    breakpoints, counts them in one pass of the kernel (_plan_counts, on
-    the plan _run_plan cuts once per solve) and moves each bracket down its
-    tree in one descent, level by level as in plain bisection, whether the
-    counts rise or dip (possible from the closed-form jumps near an
-    eigenvalue); the descent stops a bracket at the first closed node on
-    its path. Parted brackets never share again: once sharing saves fewer
-    than _LAYOUT_COST shifts a round, the call runs one tree per bracket. A
-    round is as deep as gives the most levels per unit of its cost
-    (_ROUND_COST plus one per shift), but never deeper than the widest open
-    bracket needs nor past _MAX_BISECTION_STEPS levels in all, where a
-    bracket still open raises ConvergenceError. From order
-    _RUN_PLAN_MIN_ORDER up, a count jumps a lane's uniform runs of rows in
-    closed form, which can differ from walking every row only at shifts
-    within rounding of an eigenvalue. Below that order, the largest and
-    smallest eigenvalues (indices m and 1) are not bisected, whatever
-    bisection_tol says: each comes from Laguerre steps started at the padded
-    Gershgorin end (index 1 as minus the top of the negated lane), certified
-    by counts to a bracket of max(4 ulps, 2 eps) whose midpoint it is
-    (_lane_tops), and is bisected only in a lane where they fail. At
-    orders 4 to 40 (_FINISH_ORDERS) each other index k is bisected only to
-    the first node whose ends count k - 1 and k, or to max(4 ulps, 2 eps),
-    and Laguerre steps from that node finish it, certified alike and kept
-    inside it (_finish); bisection_tol reaches only values whose steps
-    fail, bisected to their stop. At the other orders below 64, a value of
-    index 2 bisected to its stop is raised to index 1's where it lies
-    below it, and one of m - 1 lowered to index m's. Below order 64 a call
-    whose lanes x other distinct indices x order (times _BISECTED_WORK
-    outside _FINISH_ORDERS) is at most _SCALAR_MAX_WORK walks each lane's tree
-    on Python floats (_scalar_bisection) instead of running rounds, with
-    the same bits. A value depends only on its own lane and index, so
-    asking for one eigenvalue gives the same bits as reading it off the
-    full spectrum.
+    larger.
+
+    From order _RUN_PLAN_MIN_ORDER up, all brackets advance in lockstep,
+    and brackets on the same interval of a lane share its midpoints: a
+    round lays out the next levels of the bisection tree of each distinct
+    (lane, interval) bracket as sorted breakpoints, counts them in one pass
+    of the kernel (_plan_counts, on the plan _run_plan cuts once per solve)
+    and moves each bracket down its tree in one descent, level by level as
+    in plain bisection, whether the counts rise or dip (possible from the
+    closed-form jumps near an eigenvalue); the descent stops a bracket at
+    the first closed node on its path. Parted brackets never share again:
+    once sharing saves fewer than _LAYOUT_COST shifts a round, the call
+    runs one tree per bracket. A round is as deep as gives the most levels
+    per unit of its cost (_ROUND_COST plus one per shift), but never deeper
+    than the widest open bracket needs nor past _MAX_BISECTION_STEPS levels
+    in all, where a bracket still open raises ConvergenceError. A count
+    jumps a lane's uniform runs of rows in closed form, which can differ
+    from walking every row only at shifts within rounding of an eigenvalue.
+
+    Below that order, whatever the number of lanes, each lane is solved on
+    its own on Python floats (_solve), with no round and no count kernel.
+    The largest and smallest eigenvalues (indices m and 1) are not
+    bisected, whatever bisection_tol says: each comes from Laguerre steps
+    started at the padded Gershgorin end (index 1 as minus the top of the
+    negated lane), certified by counts to a bracket of max(4 ulps, 2 eps)
+    whose midpoint it is (laguerre._scalar_top), and is bisected only in a
+    lane where they fail. At orders 4 to 40 (_FINISH_ORDERS) each other
+    index k is bisected only to the first node whose ends count k - 1 and
+    k, or to max(4 ulps, 2 eps), and Laguerre steps from that node finish
+    it, certified alike and kept inside it (_finish); bisection_tol reaches
+    only values whose steps fail, bisected to their stop. The bisection
+    walks the lane's tree one count a node (_scalar_bisection), with plain
+    bisection's bits. At the other orders below 64, a value of index 2
+    bisected to its stop is raised to index 1's where it lies below it, and
+    one of m - 1 lowered to index m's.
+
+    A value depends only on its own lane and index, so asking for one
+    eigenvalue gives the same bits as reading it off the full spectrum.
     indices must be integers (not bools). A lane whose padded Gershgorin
     interval reaches past half the largest float raises ValueError
     (_brackets): its midpoints overflow. A lane whose
@@ -894,11 +871,11 @@ def _float_brackets(lanes: list, cfg: SolveConfig):
 
 def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig | None = None):
     """lane_eigenvalues of lanes of order m given as their runs
-    (_lane_runs), at need, an array of indices already checked; below
-    _RUN_PLAN_MIN_ORDER the lanes' brackets go to _solve as Python floats,
-    with the runs. The solve of lane_eigenvalues, of verify's full spectra
-    and of bug quotients packed as runs (structured._slot_values: from
-    order 64 up, or past _LAGUERRE_LANES lanes)."""
+    (_lane_runs), at need, an array of indices already checked: from
+    _RUN_PLAN_MIN_ORDER up in rounds on the lanes' run plan, below it by
+    _solve on the lanes' rows and brackets as Python floats. The solve of
+    lane_eigenvalues, of verify's full spectra and of bug quotients from
+    order 64 up (structured._slot_values)."""
     cfg = config or DEFAULT_CONFIG
     if m == 1:
         return np.repeat(runs[0][:, None], need.size, axis=1)
@@ -910,9 +887,10 @@ def _run_eigenvalues(runs: tuple, m: int, need: np.ndarray, config: SolveConfig 
         runs, scales = _fitted(runs)
         lo, hi, tol, _ = _brackets(runs, cfg)
     if m >= _RUN_PLAN_MIN_ORDER:
-        values = _rounds(_run_plan(runs, m), m, need, lo, hi, tol)[0]
+        values = _rounds(_run_plan(runs, m), need, lo, hi, tol)
     else:
-        values = np.array(_solve(None, m, need.tolist(), lo, hi, tol, runs))
+        values = np.array(_solve(_row_lists(runs), m, need.tolist(),
+                                 lo.tolist(), hi.tolist(), tol.tolist()))
     return values if scales is None else values / scales[:, None]
 
 
@@ -920,7 +898,7 @@ def _float_eigenvalues(lanes: list, m: int, need: list, config: SolveConfig | No
     """_run_eigenvalues of lanes of order 2 to _RUN_PLAN_MIN_ORDER - 1
     given as lists of runs of Python floats (_float_brackets), at need, a
     list of indices already checked: one list of values a lane, with no
-    array made outside the branches of _solve that work on lane arrays."""
+    array made unless a squared lead overflows."""
     cfg = config or DEFAULT_CONFIG
     lo, hi, tol, rows, top = _float_brackets(lanes, cfg)
     if top > _LEAD_MAX:
@@ -932,49 +910,28 @@ def _float_eigenvalues(lanes: list, m: int, need: list, config: SolveConfig | No
     return _solve(rows, m, need, lo, hi, tol)
 
 
-def _floats(values) -> list:
-    """values as a list of Python floats: a list passes as it is."""
-    return values if isinstance(values, list) else values.tolist()
-
-
-def _solve(rows, m: int, picked: list, lo, hi, tol, runs=None) -> list:
+def _solve(rows: list, m: int, picked: list, lo: list, hi: list, tol: list) -> list:
     """The values at indices picked of lanes of order m below
     _RUN_PLAN_MIN_ORDER, one list a lane, from their rows (_row_lists or
     _float_brackets) and the brackets lo..hi and stops tol of _brackets,
-    all Python floats. Given the lanes' runs (_lane_runs), rows may be
-    None and the brackets and stops arrays: the branches on Python floats
-    make the rows and lists where they read them (_floats), and those on
-    lane arrays read the runs (_rows). Index m comes
-    from Laguerre steps from hi and index 1 from those on the negated
-    lanes from -lo, or where they fail from a walk (the rounds' bits); the
-    others are walked or, above _SCALAR_MAX_WORK, bisected in rounds, at
-    _FINISH_ORDERS only to the node that isolates each (_finish). A value
-    of index 2 is then raised to index 1's where it lies below, and one of
-    m - 1 lowered to index m's where it lies above, so asking for either
-    solves that end too."""
+    all Python floats, whatever the number of lanes. Index m comes from
+    Laguerre steps from hi and index 1 from those on the negated lanes from
+    -lo, or where they fail from a walk; the others are walked
+    (_scalar_bisection), at _FINISH_ORDERS only to the node that isolates
+    each (_finish). A value of index 2 is then raised to index 1's where it
+    lies below, and one of m - 1 lowered to index m's where it lies above,
+    so asking for either solves that end too."""
     # a set, not np.unique, whose first call costs about 1 MB of RSS
     wanted = sorted(set(picked) - {1, m})
-    isolate = m in _FINISH_ORDERS
-    walk = len(lo) * len(wanted) * m * (1 if isolate else _BISECTED_WORK) <= _SCALAR_MAX_WORK
-    # a bracket that closes before it isolates its value (a cluster) stops
-    # at the width Laguerre steps certify
-    stop = [_FLOOR] * len(tol) if isolate and wanted else tol
-    if not wanted:
-        found, isolated = [{} for _ in lo], []
-    elif walk:
-        rows = rows or _row_lists(runs)
-        found, isolated = _scalar_bisection(rows, wanted, *map(_floats, (lo, hi, stop)), isolate)
-    else:
-        plan = _rows_plan(*(_row_arrays(rows) if runs is None else _rows(runs)))
-        rounds, isolated = _rounds(plan, m, np.array(wanted), *map(np.asarray, (lo, hi, stop)),
-                                   isolate)
-        found = [dict(zip(wanted, row)) for row in rounds.tolist()]
-        isolated = list(zip(*(v.tolist() for v in isolated)))
-    if isolated:
-        rows = rows or _row_lists(runs)
-        done = _finish(rows, m, isolated, *map(_floats, (lo, hi, tol)), runs)
-        for (j, k, _, _), value in zip(isolated, done):
-            found[j][k] = value
+    found, isolated = [{} for _ in lo], []
+    if wanted:
+        isolate = m in _FINISH_ORDERS
+        # a bracket that closes before it isolates its value (a cluster)
+        # stops at the width Laguerre steps certify
+        stop = [_FLOOR] * len(tol) if isolate else tol
+        found, isolated = _scalar_bisection(rows, wanted, lo, hi, stop, isolate)
+    for (j, k, _, _), value in zip(isolated, _finish(rows, m, isolated, lo, hi, tol)):
+        found[j][k] = value
     # a value of index 2 or m - 1 bisected to its stop may stray past a
     # certified end by less than that stop: it takes the end's value there
     low, high = 2 in wanted, m - 1 in wanted
@@ -984,28 +941,17 @@ def _solve(rows, m: int, picked: list, lo, hi, tol, runs=None) -> list:
     if high:
         asked.add(m)
     for k in {1, m} & asked:
-        # the smallest value is minus the top of the negated lane, 0 - top
-        # so that a zero is +0
-        bottom = k == 1
-        # the bottom's lanes step longer: lane arrays pay from twice as many
-        if len(lo) <= _LAGUERRE_LANES * (2 if bottom else 1):
-            rows = rows or _row_lists(runs)
-            if bottom:
-                ends = [0.0 - _scalar_top([(-a, c) for a, c in row], -x, True)
-                        for row, x in zip(rows, _floats(lo))]
-            else:
-                ends = [_scalar_top(row, x) for row, x in zip(rows, _floats(hi))]
+        if k == 1:
+            # the smallest value is minus the top of the negated lane, 0 - top
+            # so that a zero is +0
+            ends = [0.0 - _scalar_top([(-a, c) for a, c in row], -x, True)
+                    for row, x in zip(rows, lo)]
         else:
-            a, c = _row_arrays(rows) if runs is None else _rows(runs)
-            if bottom:
-                ends = (0.0 - _lane_tops(-a, c, -np.asarray(lo), True)).tolist()
-            else:
-                ends = _lane_tops(a, c, np.asarray(hi)).tolist()
+            ends = [_scalar_top(row, x) for row, x in zip(rows, hi)]
         failed = [j for j, value in enumerate(ends) if value != value]
         if failed:
-            rows = rows or _row_lists(runs)
-            walked, _ = _scalar_bisection([rows[j] for j in failed], [k], *(
-                [v[j] for j in failed] for v in map(_floats, (lo, hi, tol))))
+            walked, _ = _scalar_bisection([rows[j] for j in failed], [k],
+                                          *([v[j] for j in failed] for v in (lo, hi, tol)))
             for j, values in zip(failed, walked):
                 ends[j] = values[k]
         for values, value in zip(found, ends):
@@ -1018,56 +964,33 @@ def _solve(rows, m: int, picked: list, lo, hi, tol, runs=None) -> list:
     return [[values[k] for k in picked] for values in found]
 
 
-def _finish(rows: list, m: int, isolated: list, lo: list, hi: list, tol: list,
-            runs=None) -> list:
+def _finish(rows: list, m: int, isolated: list, lo: list, hi: list, tol: list) -> list:
     """The values of the isolated (lane, index k, lower, upper) of _solve, by
-    Laguerre steps certified as the ends are (laguerre._lane_tops). They
-    start at the node's midpoint, whose count is k (the plain step falls to
-    the value) or k - 1 (Laguerre's other root climbs to it); where that
-    fails, at upper, then at lower, and kept inside lower..upper. A value
-    that every start fails is bisected from its lane's brackets lo..hi to
-    its stop tol. Up to twice _LAGUERRE_LANES values step on Python floats,
-    more on lane arrays (read from the lanes' runs where given), with the
-    same bits."""
-    lanes, ks, lower, upper = zip(*isolated)
-    skips = [m - k for k in ks]
-    values = [math.nan] * len(isolated)
-    for start in ([0.5 * (l + u) for l, u in zip(lower, upper)], upper, lower):
-        left = [e for e, value in enumerate(values) if value != value]
-        if not left:
-            break
-        if len(left) > 2 * _LAGUERRE_LANES:
-            at = [lanes[e] for e in left]
-            a, c = (v[at] for v in _rows(runs)) if runs else _row_arrays([rows[j] for j in at])
-            got = _lane_tops(a, c, np.array([start[e] for e in left]),
-                             skip=np.array([skips[e] for e in left]),
-                             safe=np.array([upper[e] for e in left])).tolist()
+    Laguerre steps on Python floats certified as the ends are
+    (laguerre._scalar_top). They start at the node's midpoint, whose count
+    is k (the plain step falls to the value) or k - 1 (Laguerre's other
+    root climbs to it); where that fails, at upper, then at lower, and kept
+    inside lower..upper. A value that every start fails is bisected from
+    its lane's brackets lo..hi to its stop tol."""
+    values = []
+    for j, k, lower, upper in isolated:
+        for start in (0.5 * (lower + upper), upper, lower):
+            value = _scalar_top(rows[j], start, skip=m - k, safe=upper)
+            if value == value:
+                # a certified value lies in its node too: one whose bracket
+                # reaches past it takes the node's end, so values stay in order
+                values.append(min(max(value, lower), upper))
+                break
         else:
-            got = [_scalar_top(rows[lanes[e]], start[e], skip=skips[e], safe=upper[e])
-                   for e in left]
-        # a certified value lies in its node too: one whose bracket reaches
-        # past it takes the node's end, so values stay in order
-        for e, value in zip(left, got):
-            values[e] = min(max(value, lower[e]), upper[e]) if value == value else value
-    for e, value in enumerate(values):
-        if value != value:
-            j, k = lanes[e], ks[e]
             walked, _ = _scalar_bisection([rows[j]], [k], [lo[j]], [hi[j]], [tol[j]])
-            values[e] = walked[0][k]
+            values.append(walked[0][k])
     return values
 
 
-def _rounds(plan: list, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = False):
-    """The values of _run_eigenvalues at need, bisected in multisection
-    rounds on the lanes' plan (_run_plan, or _rows_plan below
-    _RUN_PLAN_MIN_ORDER) from the brackets lo..hi and stops tol of
-    _brackets, and the lanes, indices and ends (arrays) of the brackets
-    that isolate stopped.
-
-    With isolate, a bracket of index k also stops at the first node on its
-    path whose ends count k - 1 and k (lo counting 0 and hi m): one
-    eigenvalue lies between them, which laguerre._lane_tops finishes. Its
-    value is left NaN."""
+def _rounds(plan: list, need: np.ndarray, lo, hi, tol) -> np.ndarray:
+    """The values of _run_eigenvalues at need from order
+    _RUN_PLAN_MIN_ORDER up, bisected in multisection rounds on the lanes'
+    plan (_run_plan) from the brackets lo..hi and stops tol of _brackets."""
     # one bracket per (lane, index), flattened lane-major and, within a
     # lane, in ascending index order: brackets that share an interval are
     # then neighbours, and once parted they never share again
@@ -1082,9 +1005,6 @@ def _rounds(plan: list, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = F
     need = np.tile(need[order], lo.size)
     width, stop = _stops(lower, upper, tol, ulps)
     active = width > stop
-    # the counts at each bracket's ends, read only with isolate
-    under, over = np.zeros(lower.size, dtype=np.intp), np.full(lower.size, m)
-    isolated = np.zeros(lower.size, dtype=bool)
     # the layout: bracket j's tree is tree_of[j], each for one tree a bracket;
     # a shared layout (None before the first round) is laid out every round
     each = np.arange(lower.size)
@@ -1140,42 +1060,30 @@ def _rounds(plan: list, m: int, need: np.ndarray, lo, hi, tol, isolate: bool = F
         # node on its path even where the ulp part of a deeper node's stop
         # would let it reopen. Checking stops at every level of every round
         # instead was 13 % slower on spectrum-large
-        # With isolate, every level is taken, and a bracket whose new ends
-        # count k - 1 and k stops there before its width is read, as the
-        # walk's node does
         node = tree_of
         for half in (n >> k for k in range(1, depth + 1)):
             at = counts.take(node + (half - 1) * trees if half > 1 else node)
             right = at < need
             node = node + (half * trees) * right
-            if isolate:
-                under = np.where(right, at, under)
-                over = np.where(right, over, at)
-            if may_stop or half == 1 or isolate:
+            if may_stop or half == 1:
                 lower = np.where(active, ends.take(node), lower)
                 upper = np.where(active, ends.take(node + half * trees), upper)
-                if isolate:
-                    alone = active & (over - under == 1)
-                    isolated |= alone
-                    active &= ~alone
                 width, stop = _stops(lower, upper, tol, ulps)
                 active &= width > stop
-    middle = 0.5 * (lower + upper)
-    middle[isolated] = math.nan
     values = np.empty(shape)
-    values[:, order] = middle.reshape(shape)
-    hit = np.flatnonzero(isolated)
-    return values, (hit // shape[1], need[hit], lower[hit], upper[hit])
+    values[:, order] = (0.5 * (lower + upper)).reshape(shape)
+    return values
 
 
 def tridiag_eigenvalues(t: SymTridiag, config: SolveConfig | None = None) -> np.ndarray:
     """All eigenvalues of t by index, 1 to the order, via lane_eigenvalues.
 
     Entry k - 1 is eigenvalue k asked alone, bit for bit. The entries
-    ascend: at orders 4 to 40 each is certified inside the bisection node
-    that isolates it, and at the other orders below 64 the values next to
-    the certified ends are kept on their side of them. The result is
-    deterministic: no seeds, no rotation order.
+    ascend: below order 64, where every value is solved on Python floats,
+    at orders 4 to 40 each is certified inside the bisection node that
+    isolates it, and at the other orders the values next to the certified
+    ends are kept on their side of them. The result is deterministic: no
+    seeds, no rotation order.
     """
     return _run_spectrum(_lane_runs([t]), t.order, config)[0]
 

@@ -8,9 +8,9 @@ quotient, a tridiagonal of order d+1. For the balanced bug (i = d/2)
 reflection symmetry halves it once more.
 
 The quotient's entries are stated once, as a table of seven slots
-(_bug_slots). The solve reads each lane's runs off the table as Python
-floats below order 64 in calls of up to 40 lanes (_slot_values), and
-packs it as run arrays (_pack) otherwise.
+(_bug_slots). Below order 64 the solve reads each lane's runs off the
+table as Python floats, whatever the number of lanes (_slot_values);
+from order 64 up it packs the table as run arrays (_pack).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .eigensolve import (_LAGUERRE_LANES, _RUN_PLAN_MIN_ORDER, SolveConfig, SymTridiag,
-                         _float_eigenvalues, _run_eigenvalues)
+from .eigensolve import (_RUN_PLAN_MIN_ORDER, SolveConfig, SymTridiag, _float_eigenvalues,
+                         _run_eigenvalues)
 from .graphs import BugSpec, _check_int, check_alpha
 from .spectrum import CLOSED_FORM, QUOTIENT, Spectrum, SpectrumEntry
 
@@ -109,13 +109,12 @@ def _bug_runs(n: int, d: int, splits, alphas) -> tuple:
 def _slot_values(slots: tuple, lanes: int, m: int, need, config: SolveConfig | None = None):
     """Eigenvalues need (1-based indices, checked) of the quotients of
     order m given as slots (_bug_slots) and their count, lanes: one list a
-    lane. Below _RUN_PLAN_MIN_ORDER, in calls of up to _LAGUERRE_LANES
-    lanes, each lane's runs are read off the slots as Python floats and
-    solved as such (eigensolve._float_eigenvalues), with no array made
-    outside the solve's branches on lane arrays; other calls pack the
-    slots as runs (_pack), whose arrays cost less per lane. The values are
-    those of lane_eigenvalues on the lanes as SymTridiag, bit for bit."""
-    if m >= _RUN_PLAN_MIN_ORDER or lanes > _LAGUERRE_LANES:
+    lane. Below _RUN_PLAN_MIN_ORDER, whatever the number of lanes, each
+    lane's runs are read off the slots as Python floats and solved as such
+    (eigensolve._float_eigenvalues); from that order up the slots are
+    packed as runs (_pack). The values are those of lane_eigenvalues on the
+    lanes as SymTridiag, bit for bit."""
+    if m >= _RUN_PLAN_MIN_ORDER:
         return _run_eigenvalues(_pack(slots, lanes), m, np.array(need), config).tolist()
     lists = [slots]
     if isinstance(slots[0][0], np.ndarray):

@@ -5,6 +5,7 @@ behavior -- golden values, oracle agreement, decomposition identities,
 extremality, Perron properties, and scaling -- at explicit tolerances.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -267,6 +268,32 @@ def test_scan_solves_only_the_radius():
     elapsed = time.perf_counter() - started
     assert len(rows) == 100
     assert elapsed < 1.0
+
+
+def test_one_path_below_order_64(monkeypatch, capsys):
+    """Below order 64 every solve takes one path, on Python floats, however
+    many lanes it holds: neither the bisection rounds nor the count kernel
+    runs for the full spectra of 100 mixed bug quotients of order 50, a
+    200-alpha sweep at d = 40 or the verification of the n <= 12 grid."""
+    import alphabug.eigensolve as eigensolve
+    from alphabug.cli import main
+    from alphabug.verify import run_verification
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a round or the count kernel ran below order 64")
+
+    monkeypatch.setattr(eigensolve, "_rounds", refuse)
+    monkeypatch.setattr(eigensolve, "_plan_counts", refuse)
+    rng = np.random.default_rng(50)
+    lanes = [bug_tridiagonal(BugSpec(int(n), 49, int(i)), float(alpha)) for n, i, alpha in
+             zip(rng.integers(51, 10**6, 100), rng.integers(1, 25, 100), rng.uniform(0, 1, 100))]
+    values = lane_eigenvalues(lanes, np.arange(1, 51))
+    assert values.shape == (100, 50) and np.all(np.diff(values, axis=1) >= 0.0)
+    alphas = ",".join(f"{k / 200:g}" for k in range(200))
+    assert main(["sweep", "--n", "1000", "--d", "40", "--i", "7", "--alphas", alphas]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 200
+    summary = run_verification(12)
+    assert summary.checks_passed == summary.checks_run
 
 
 def test_million_vertex_structured_solve():

@@ -259,11 +259,10 @@ class TestSweepCommand:
         # (each count solves the regime holding the most shifts on all of them)
         (1000000, 1000, 500, "0,0.6,0.95", None, False),
         # below order 64 each spectrum walks its 15 inner values on Python
-        # floats (1 x 15 x 17 = 255, under _SCALAR_MAX_WORK) to the nodes
-        # that isolate them, finishes them and takes its ends by Laguerre
-        # steps on Python floats, and the sweep of 48
-        # alphas bisects nothing and takes its ends on lane arrays (over
-        # _LAGUERRE_LANES), with no switch set
+        # floats to the nodes that isolate them, finishes them and takes
+        # its ends by Laguerre steps on Python floats, and the sweep of 48
+        # alphas bisects nothing and takes its ends by the same steps, one
+        # lane at a time, with no switch set
         (40, 16, 5, ",".join(f"{k / 48:g}" for k in range(48)), None, True),
     ], ids=["order-81-at-4-ulps", "order-1001", "two-bisection-paths"])
     def test_rows_print_as_each_alphas_spectrum(self, capsys, monkeypatch, n, d, i, alphas, tol,

@@ -531,23 +531,21 @@ class TestDistinctBrackets:
         assert tally["calls"] == 0
 
     def test_one_index_per_lane_at_the_widest_bench_scan(self, monkeypatch):
-        # index 2 of the 24 lanes of order 49 in rounds (indices 1 and 49
-        # come from Laguerre steps): 5 levels a round, 44 levels in 9 rounds
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
+        # index 2 of as many lanes as the widest bench scan has, 24, in
+        # rounds at order 65 (below order 64 they walk on Python floats):
+        # 5 levels a round, 44 levels in 9 rounds
         tally = _count_calls(monkeypatch)
-        lanes = [bug_tridiagonal(BugSpec(2000, 48, i), 0.5) for i in range(1, 25)]
+        lanes = [bug_tridiagonal(BugSpec(2000, 64, i), 0.5) for i in range(1, 25)]
         lane_eigenvalues(lanes, [2])
         assert tally["calls"] <= 9 and tally["shifts"] <= 6_312
 
     def test_small_full_spectrum_costs_no_more(self, monkeypatch):
-        # 44 levels: 8 in the first round, then 6 per round for the 9
-        # brackets of indices 2-10 (the ends come from Laguerre steps). A
-        # call this small bisects on Python floats unless the work bound
-        # sends it to the rounds
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
+        # an order-65 quotient, just past the gate below which no call runs
+        # rounds: 65 brackets, 8 levels in the first round, then fewer as
+        # they part
         tally = _count_calls(monkeypatch)
-        tridiag_eigenvalues(bug_tridiagonal(BugSpec(12, 10, 3), 0.5))
-        assert tally["calls"] <= 7 and tally["shifts"] <= 3_657
+        tridiag_eigenvalues(bug_tridiagonal(BugSpec(100, 64, 3), 0.5))
+        assert tally["calls"] <= 10 and tally["shifts"] <= 8_031
 
     @settings(max_examples=50, deadline=None)
     @given(ordered_lane_problems())
@@ -571,11 +569,6 @@ _RUN_PLAN_BUGS = [
     BugSpec(100, 63, 31), BugSpec(500, 63, 2), BugSpec(10**4, 200, 100),
     BugSpec(10**4, 200, 9), BugSpec(10**6, 1000, 500), BugSpec(10**6, 1000, 17),
 ]
-# bug quotients of order 4 to 63, where rounds run on plans of row steps
-_ROW_STEP_BUGS = [
-    BugSpec(5, 3, 1), BugSpec(12, 10, 3), BugSpec(2000, 30, 15), BugSpec(80, 48, 5),
-    BugSpec(10**4, 62, 31), BugSpec(70, 62, 1),
-]
 
 
 class TestRoundDepth:
@@ -589,10 +582,7 @@ class TestRoundDepth:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
     def test_values_match_one_level_per_round(self, monkeypatch, alpha, tol):
         config = SolveConfig(bisection_tol=tol)
-        # every call runs the rounds, the small ones on row steps
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
-        lanes = [bug_tridiagonal(b, alpha) for b in _ROW_STEP_BUGS + _RUN_PLAN_BUGS]
-        assert {t.order < eigensolve._RUN_PLAN_MIN_ORDER for t in lanes} == {True, False}
+        lanes = [bug_tridiagonal(b, alpha) for b in _RUN_PLAN_BUGS]
         tally = _count_calls(monkeypatch)
         got = [tridiag_eigenvalues(t, config) for t in lanes]
         deep = tally["calls"]
@@ -683,38 +673,31 @@ class TestDescent:
     closed node on its path."""
 
     def test_counts_that_dip_descend_as_plain_bisection(self, monkeypatch):
-        # counts two too high on a window between the third and fourth
-        # eigenvalues of GOLDEN rise into it and fall after it, so the first
-        # tree of each call is not monotone: brackets 4 and 5 are steered
-        # into the window, and a leaf read off the counts by search would
-        # put them elsewhere
-        window = (2.0, 2.4)
-        # GOLDEN is small enough to bisect on Python floats, which never
-        # calls the count kernel: send it to the rounds, and bisect its
-        # values between the ends to the stop, not only to the node that
-        # isolates each (whose Laguerre finish counts without the kernel)
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
-        monkeypatch.setattr(eigensolve, "_FINISH_ORDERS", range(0))
+        # counts two too high on a window inside the gap between the 28th
+        # and 29th eigenvalues of a random matrix of order 64 (no uniform
+        # runs, so its plan counts every row, as the scalar loop does) rise
+        # into it and fall after it, so the first tree of each call is not
+        # monotone: brackets 29 and 30 are steered into the window, and a
+        # leaf read off the counts by search would put them elsewhere
+        t = random_tridiag(np.random.default_rng(64), eigensolve._RUN_PLAN_MIN_ORDER)
+        exact = np.linalg.eigvalsh(t.to_dense())
+        window = (-1.4, -0.6)
+        assert exact[27] < window[0] and window[1] < exact[28]
         kernel = eigensolve._plan_counts
 
         def dipping(plan, shifts):
             return kernel(plan, shifts) + 2 * ((shifts > window[0]) & (shifts < window[1]))
 
         def count(x):
-            return row_loop_count(GOLDEN.diag, GOLDEN.offdiag, x) + 2 * (window[0] < x < window[1])
+            return row_loop_count(t.diag, t.offdiag, x) + 2 * (window[0] < x < window[1])
 
         monkeypatch.setattr(eigensolve, "_plan_counts", dipping)
-        indices = np.arange(1, GOLDEN.order + 1)
-        expected = _bisect_each(GOLDEN, indices, count)
-        assert not np.allclose(expected[3:5], GOLDEN_EIGENVALUES[3:5], atol=1e-3)
-        got = lane_eigenvalues([GOLDEN], indices)[0]
-        # the ends (0.39 and 6.91) come from Laguerre steps, away from the
-        # window
-        assert np.array_equal(got[1:-1], expected[1:-1])
-        assert_end(got[0], GOLDEN, expected[0], top=False)
-        assert_end(got[-1], GOLDEN, expected[-1])
-        for k in (4, 5):
-            got = lane_eigenvalues([GOLDEN, GOLDEN], [k])
+        indices = np.arange(1, t.order + 1)
+        expected = _bisect_each(t, indices, count)
+        assert not np.allclose(expected[28:30], exact[28:30], atol=1e-3)
+        assert np.array_equal(lane_eigenvalues([t], indices)[0], expected)
+        for k in (29, 30):
+            got = lane_eigenvalues([t, t], [k])
             assert np.array_equal(got[:, 0], expected[[k - 1, k - 1]])
 
 
@@ -1211,22 +1194,30 @@ class TestZeroPivots:
         assert sturm_count(t, 1e150) == 40
 
 
-def _both_paths(lanes, indices, config=None):
-    """lane_eigenvalues in multisection rounds (work bound 0) and on Python
-    floats (work bound past any call, and the count kernel forbidden below
-    the gate, where it must not run), both with config."""
+def _alone_and_together(lanes, indices, config=None, many=False):
+    """lane_eigenvalues of each lane alone and of all lanes in one call
+    (with many, the lanes repeated past 80, every copy checked to have the
+    first copy's bits, which are returned), both with config and with the
+    count kernel forbidden below the gate, where every lane is solved on
+    its own on Python floats."""
     def forbidden(plan, shifts):
-        raise AssertionError("the count kernel ran on the Python-float path")
+        raise AssertionError("the count kernel ran below the run-plan gate")
 
+    repeats = 80 // len(lanes) + 1 if many else 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigensolve, "_SCALAR_MAX_WORK", 0)
-        rounds = lane_eigenvalues(lanes, indices, config)
-        mp.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
         if lanes[0].order < eigensolve._RUN_PLAN_MIN_ORDER:
             mp.setattr(eigensolve, "_plan_counts", forbidden)
-        floats = lane_eigenvalues(lanes, indices, config)
-    assert rounds.shape == floats.shape == (len(lanes), len(indices))
-    return rounds, floats
+        alone = np.concatenate([lane_eigenvalues([t], indices, config) for t in lanes])
+        together = lane_eigenvalues(lanes * repeats, indices, config)
+    first = together[: len(lanes)]
+    assert together.tobytes() == np.tile(first, (repeats, 1)).tobytes()
+    assert alone.shape == first.shape == (len(lanes), len(indices))
+    return alone, first
+
+
+def _reversed(t: SymTridiag) -> SymTridiag:
+    """t with its rows in reverse order: the same spectrum, other rows."""
+    return SymTridiag(t.diag[::-1], t.offdiag[::-1])
 
 
 # the default stop, and one below an ulp everywhere: every bracket then
@@ -1249,23 +1240,18 @@ def _sweep_lanes(t):
 
 def _check_extreme_calls(lanes):
     """Index m alone on up to four lanes (a scan's shape), index 1 alone on
-    one, and both on every lane (an 8-alpha sweep's shape), at both stops:
-    each value has the bits it has in its lane's full spectrum, in rounds
-    and on Python floats (_both_paths), with the ends stepped on Python
-    floats and on lane arrays (_LAGUERRE_LANES past any call, then 0).
-    Below the gate, at the default stop, the first lane's ends are
-    certified (assert_end)."""
+    one, and both on every lane and on those lanes repeated past 80 (a
+    sweep's shape), at both stops: each value has the bits it has in its
+    lane's full spectrum. Below the gate, at the default stop, the first
+    lane's ends are certified (assert_end)."""
     t = lanes[0]
     m = t.order
     for config in _BOTH_STOPS:
         full = lane_eigenvalues(lanes, np.arange(1, m + 1), config)
-        for count, indices in ((4, [m]), (1, [1]), (len(lanes), [1, m])):
+        for count, indices, many in ((4, [m], False), (1, [1], False), (len(lanes), [1, m], True)):
             expected = full[:count, np.array(indices) - 1]
-            for gate in (10**9, 0):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
-                    for got in _both_paths(lanes[:count], indices, config):
-                        assert got.tobytes() == expected.tobytes(), (indices, config, gate)
+            for got in _alone_and_together(lanes[:count], indices, config, many):
+                assert got.tobytes() == expected.tobytes(), (indices, config)
     if m < eigensolve._RUN_PLAN_MIN_ORDER:
         plain = plain_bisection_eigenvalues(t.diag, t.offdiag)
         values = lane_eigenvalues([t], [1, m])[0]
@@ -1274,53 +1260,61 @@ def _check_extreme_calls(lanes):
 
 
 class TestScalarBisection:
-    """Below the run-plan gate, a call whose lanes x distinct indices other
-    than 1 and m x order is at most _SCALAR_MAX_WORK (560) walks each
-    bisection tree on Python floats, one count per node. Its values have
-    the rounds' bits, at the default stop and at the 4-ulp stop. Indices 1
-    and m are not bisected there (TestLaguerreTop, TestLaguerreBottom) but
-    where their steps fail; the constant's comment has the walk's time
-    against the rounds'."""
+    """Below the run-plan gate, every call, whatever its number of lanes,
+    walks each lane's bisection tree on Python floats, one count per node,
+    with no round and no count kernel: a lane's values have the bits they
+    have alone, at the default stop and at the 4-ulp stop. Indices 1 and m
+    are not bisected there (TestLaguerreTop, TestLaguerreBottom) but where
+    their steps fail."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_counts())
     def test_same_bits_on_small_counts(self, problem):
         t, _ = problem
+        lanes, indices = [t, _reversed(t)], np.arange(1, t.order + 1)
         for config in _BOTH_STOPS:
-            rounds, floats = _both_paths([t], np.arange(1, t.order + 1), config)
-            assert rounds.tobytes() == floats.tobytes()
+            alone, together = _alone_and_together(lanes, indices, config)
+            assert alone.tobytes() == together.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(half_integer_counts())
     def test_same_bits_with_zero_offdiagonals_and_zero_pivots(self, problem):
         t, _ = problem
+        lanes, indices = [t, _reversed(t)], np.arange(1, t.order + 1)
         for config in _BOTH_STOPS:
-            rounds, floats = _both_paths([t], np.arange(1, t.order + 1), config)
-            assert rounds.tobytes() == floats.tobytes()
+            alone, together = _alone_and_together(lanes, indices, config)
+            assert alone.tobytes() == together.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(ordered_lane_problems())
     def test_same_bits_on_lanes_with_repeated_unsorted_indices(self, problem):
         lanes, indices = problem
         for config in _BOTH_STOPS:
-            rounds, floats = _both_paths(lanes, indices, config)
-            assert rounds.tobytes() == floats.tobytes()
+            alone, together = _alone_and_together(lanes, indices, config)
+            assert alone.tobytes() == together.tobytes()
 
     def test_same_bits_on_several_bug_lanes(self):
         lanes = [bug_tridiagonal(BugSpec(30, 12, i), alpha) for i in (1, 3, 6) for alpha in (0.0, 0.5)]
-        rounds, floats = _both_paths(lanes, [13, 2, 7, 2, 1, 13, 7])
-        assert rounds.tobytes() == floats.tobytes()
+        alone, together = _alone_and_together(lanes, [13, 2, 7, 2, 1, 13, 7])
+        assert alone.tobytes() == together.tobytes()
 
     def test_same_bits_on_the_oracle_grid(self):
+        # the full spectra of the n <= 12 grid's quotients at its alphas,
+        # and of the halved ones, each alone and as one call per order, as
+        # verify solves them: 80 to 90 lanes at orders 5 and 7
+        lanes = {}
         for b in enumerate_bugs(12):
             for alpha in (0.0, 0.25, 0.5, 0.75, 0.99):
-                lanes = [bug_tridiagonal(b, alpha)]
+                group = [bug_tridiagonal(b, alpha)]
                 if b.d % 2 == 0 and b.d >= 4 and b.i == b.d // 2:
-                    lanes.append(halved_tridiagonal(b.n, b.d, alpha))
-                for t in lanes:
-                    for config in _BOTH_STOPS:
-                        rounds, floats = _both_paths([t], np.arange(1, t.order + 1), config)
-                        assert rounds.tobytes() == floats.tobytes(), (b, alpha, t.order, config)
+                    group.append(halved_tridiagonal(b.n, b.d, alpha))
+                for t in group:
+                    lanes.setdefault(t.order, []).append(t)
+        assert max(len(group) for group in lanes.values()) > 80
+        for m, group in lanes.items():
+            for config in _BOTH_STOPS:
+                alone, together = _alone_and_together(group, np.arange(1, m + 1), config)
+                assert alone.tobytes() == together.tobytes(), (m, config)
 
     def test_same_bits_where_the_ulp_stop_binds_in_one_lane(self):
         # near 1e6 an ulp is 1.2e-10, so 4 ulps pass the default stop of
@@ -1334,9 +1328,9 @@ class TestScalarBisection:
             lo, hi = gershgorin_interval(t)
             binds.append(4.0 * math.ulp(max(-lo, hi)) > DEFAULT_CONFIG.bisection_tol * (hi - lo))
         assert binds == [True, False]
-        rounds, floats = _both_paths([near, far], [3, 1, 2, 1])
-        assert rounds.tobytes() == floats.tobytes()
-        for row, t in zip(floats, (near, far)):
+        alone, together = _alone_and_together([near, far], [3, 1, 2, 1])
+        assert alone.tobytes() == together.tobytes()
+        for row, t in zip(together, (near, far)):
             expected = np.linalg.eigvalsh(t.to_dense())
             assert np.allclose(row[[1, 2, 0]], expected, rtol=0, atol=1e-9)
 
@@ -1354,9 +1348,9 @@ class TestScalarBisection:
             lo, hi = gershgorin_interval(t)
             assert lo == -hi
         assert sturm_count(path_zero, 0.0) == 3 and sturm_count(later_zero, 0.0) == 3
-        rounds, floats = _both_paths([path_zero, later_zero], np.arange(1, 6))
-        assert rounds.tobytes() == floats.tobytes()
-        for row, t in zip(floats, (path_zero, later_zero)):
+        alone, together = _alone_and_together([path_zero, later_zero], np.arange(1, 6))
+        assert alone.tobytes() == together.tobytes()
+        for row, t in zip(together, (path_zero, later_zero)):
             assert_certified_or_plain(row, t)
 
     @settings(max_examples=60, deadline=None)
@@ -1396,63 +1390,45 @@ class TestScalarBisection:
     def test_matches_plain_bisection(self, m):
         rng = np.random.default_rng(6150 + m)
         for t in (random_tridiag(rng, m), bug_tridiagonal(BugSpec(m + 30, max(m - 1, 2), 1), 0.3)):
-            _, floats = _both_paths([t], np.arange(1, t.order + 1))
-            assert_certified_or_plain(floats[0], t)
+            alone, _ = _alone_and_together([t], np.arange(1, t.order + 1))
+            assert_certified_or_plain(alone[0], t)
 
-    def test_overflowing_offdiagonal_squares_are_scaled(self, monkeypatch):
+    def test_overflowing_offdiagonal_squares_are_scaled(self):
         t = SymTridiag([0.0, 1.0, 0.0], [1e160, 1e160])
         expected = np.linalg.eigvalsh(t.to_dense())
-        both = []
-        for work in (10**9, 0):
-            monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                both.append(tridiag_eigenvalues(t))
-            assert np.allclose(both[-1], expected, rtol=0.0, atol=1e-12 * 1.5e160)
-        # the walk and the rounds take the same scaled midpoints
-        assert both[0].tobytes() == both[1].tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, together = _alone_and_together([t] * 81, np.arange(1, 4))
+        assert np.allclose(alone[0], expected, rtol=0.0, atol=1e-12 * 1.5e160)
+        # among 80 other lanes it takes the same scaled midpoints
+        assert alone.tobytes() == together.tobytes()
 
     def test_step_cap_raises(self, monkeypatch):
         # GOLDEN's brackets 1-5 close at level 44, and so does the top one
-        # of an order-81 bug quotient. The walk and the rounds (with the
-        # work bound at 0), on row steps and on a run plan, raise at exactly
-        # the cap: a round takes no more levels than are left. GOLDEN's top
-        # comes from Laguerre steps, which no bisection cap stops, and so do
-        # its other values unless they are bisected to the stop
-        # (no _FINISH_ORDERS)
+        # of an order-81 bug quotient. The walk and the rounds on a run plan
+        # raise at exactly the cap: a round takes no more levels than are
+        # left. GOLDEN's top comes from Laguerre steps, which no bisection
+        # cap stops, and so do its other values unless they are bisected to
+        # the stop (no _FINISH_ORDERS)
         monkeypatch.setattr(eigensolve, "_FINISH_ORDERS", range(0))
         wide = bug_tridiagonal(BugSpec(200, 80, 30), 0.5)
-        for work in (10**9, 0):
-            monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
-            for t, indices in ((GOLDEN, np.arange(1, 7)), (wide, [81]), (wide, np.arange(1, 82))):
-                monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 43)
-                with pytest.raises(ConvergenceError, match="43 steps"):
-                    lane_eigenvalues([t], indices)
-                monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 44)
+        for t, indices in ((GOLDEN, np.arange(1, 7)), (wide, [81]), (wide, np.arange(1, 82))):
+            monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 43)
+            with pytest.raises(ConvergenceError, match="43 steps"):
                 lane_eigenvalues([t], indices)
-            assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
-            monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 1)
-            top = lane_eigenvalues([GOLDEN], [6])[0, 0]
-            assert_end(top, GOLDEN, math.nan)
+            monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 44)
+            lane_eigenvalues([t], indices)
+        assert np.allclose(tridiag_eigenvalues(GOLDEN), GOLDEN_EIGENVALUES, atol=5e-5)
+        monkeypatch.setattr(eigensolve, "_MAX_BISECTION_STEPS", 1)
+        top = lane_eigenvalues([GOLDEN], [6])[0, 0]
+        assert_end(top, GOLDEN, math.nan)
 
     def test_lanes_at_the_gate_stay_on_the_rounds(self, monkeypatch):
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 10**9)
         tally = _count_calls(monkeypatch)
         rng = np.random.default_rng(64)
         lane_eigenvalues([random_tridiag(rng, _BELOW_GATE)], [1])
         assert tally["calls"] == 0
         lane_eigenvalues([random_tridiag(rng, eigensolve._RUN_PLAN_MIN_ORDER)], [1])
-        assert tally["calls"] > 0
-
-    def test_work_bound_counts_distinct_indices(self, monkeypatch):
-        # 2 lanes x 2 distinct bisected indices x order 6 = 24, however often
-        # each index is asked for; indices 1 and m (6) are not bisected
-        tally = _count_calls(monkeypatch)
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 24)
-        lane_eigenvalues([GOLDEN, GOLDEN], [2, 5, 1, 2, 5, 5, 6])
-        assert tally["calls"] == 0
-        monkeypatch.setattr(eigensolve, "_SCALAR_MAX_WORK", 23)
-        lane_eigenvalues([GOLDEN, GOLDEN], [2, 5, 1, 2, 5, 5, 6])
         assert tally["calls"] > 0
 
 
@@ -1477,63 +1453,51 @@ def laguerre_lanes(draw):
     return lanes
 
 
-# _lane_tops with no lane handed to the Python-float loop, the last one or
-# two handed on from their array state, and the default
-_TAILS = (0, 1, 2, laguerre._TAIL_LANES)
-
-
 class TestLaguerreTop:
     """Below the run-plan gate, index m (rho) of every lane comes from
     Laguerre steps down from the padded Gershgorin top, certified by a
     count at the far end of a 4-ulp bracket; a lane whose steps fail is
-    bisected. Calls of up to _LAGUERRE_LANES lanes step on Python floats,
-    larger ones on lane arrays, with the same bits."""
+    bisected. Each lane steps on Python floats, alone or among any number
+    of lanes, with the same bits."""
 
     @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
     def test_every_bug_rho_below_the_gate_is_right_to_4_ulps(self, monkeypatch):
         # every split of d = 2..62 (orders 3..63) at four alphas and three n:
         # 11,532 values, each certified after at most 6 evaluations; the
         # default bisection stop is 1e-13 times the span, 2e-7 at n = 10^6
+        # the scans' rhos are also those of one call on all of d's lanes,
+        # more than 80 from d = 14
         for d in range(2, _BELOW_GATE):
             cases = [(n, a) for n in (d + 2, 10 * d + 7, 10**6) for a in (0.0, 0.3, 0.6, 0.99)]
             lanes = [bug_tridiagonal(BugSpec(n, d, i), a) for n, a in cases for i in range(1, d // 2 + 1)]
             reference = longdouble_tops([t.diag for t in lanes], [t.offdiag for t in lanes])
-            rhos = []
-            for gate in (10**9, 0):
-                monkeypatch.setattr(eigensolve, "_LAGUERRE_LANES", gate)
-                rhos.append(np.array([row.rho for n, a in cases for row in extremal_scan(n, d, a)]))
-            assert rhos[0].tobytes() == rhos[1].tobytes(), d
-            assert np.all(np.abs(rhos[0] - reference) <= 4.0 * np.spacing(reference)), d
+            rhos = np.array([row.rho for n, a in cases for row in extremal_scan(n, d, a)])
+            assert rhos.tobytes() == lane_eigenvalues(lanes, [d + 1])[:, 0].tobytes(), d
+            assert np.all(np.abs(rhos - reference) <= 4.0 * np.spacing(reference)), d
 
     @settings(max_examples=100, deadline=None)
     @given(laguerre_lanes())
-    def test_python_floats_and_lane_arrays_give_the_same_bits(self, lanes):
-        # the steps themselves, NaN where a lane falls back, and the values
-        # of a call under either gate
+    def test_one_lane_and_many_lanes_give_the_same_bits(self, lanes):
+        # the steps themselves, NaN where a lane falls back and its value
+        # where not, and the ends of each lane alone and among more than 80
         m = lanes[0].order
-        runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
+        runs, scales = eigensolve._fitted(eigensolve._lane_runs(lanes))
         hi = eigensolve._brackets(runs, DEFAULT_CONFIG)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            floats = [laguerre._scalar_top(row, x)
-                      for row, x in zip(eigensolve._row_lists(runs), hi.tolist())]
-            for tail in _TAILS:
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(laguerre, "_TAIL_LANES", tail)
-                    arrays = laguerre._lane_tops(*eigensolve._rows(runs), hi)
-                assert arrays.tobytes() == np.array(floats).tobytes(), tail
-        got = []
-        for gate in (10**9, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
-                got.append(lane_eigenvalues(lanes, [m, 1]))
-        assert got[0].tobytes() == got[1].tobytes()
+            steps = np.array([laguerre._scalar_top(row, x)
+                              for row, x in zip(eigensolve._row_lists(runs), hi.tolist())])
+            alone, together = _alone_and_together(lanes, [m, 1], many=True)
+        assert alone.tobytes() == together.tobytes()
+        stepped = steps == steps
+        got = lane_eigenvalues(lanes, [m])[:, 0]
+        assert got[stepped].tobytes() == (steps / scales)[stepped].tobytes()
 
     def test_a_doubled_top_falls_back_to_bisection(self, monkeypatch):
         # two equal blocks joined by a zero off-diagonal: the steps approach
         # a double top only linearly (27-33 steps on such blocks), so past
         # laguerre._MAX_STEPS the lane is walked by bisection, with its
-        # bits, in one lane and on lane arrays alike
+        # bits, alone and among 80 copies alike, in one walk a call
         diag, offdiag = [1.0, 3.0, 2.0], [1.0, 0.5]
         t = SymTridiag(diag * 2, offdiag + [0.0] + offdiag)
         asked = []
@@ -1547,7 +1511,7 @@ class TestLaguerreTop:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = lane_eigenvalues([t], [6])
-            many = lane_eigenvalues([t] * (eigensolve._LAGUERRE_LANES + 1), [6])
+            many = lane_eigenvalues([t] * 81, [6])
         assert asked == [[6], [6]]
         plain = plain_bisection_eigenvalues(t.diag, t.offdiag)[-1]
         assert alone[0, 0] == plain and np.all(many == plain)
@@ -1574,20 +1538,15 @@ def _bisected(lanes, indices):
 def _check_bottoms(lanes):
     """Index 1 of every lane either lies within max(4 ulps, 2 eps) of the
     80-bit reference, minus the top of the negated lane, or has the bits
-    bisection gives it (a lane whose steps fell back); both loops give the
-    same bits. Returns the number of lanes that match bisection's bits."""
-    got = []
-    for gate in (10**9, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
-            got.append(lane_eigenvalues(lanes, [1])[:, 0])
-    assert got[0].tobytes() == got[1].tobytes()
+    bisection gives it (a lane whose steps fell back). Returns the number
+    of lanes that match bisection's bits."""
+    got = lane_eigenvalues(lanes, [1])[:, 0]
     plain = _bisected(lanes, [1])[:, 0]
     ref = -longdouble_tops([-t.diag for t in lanes], [t.offdiag for t in lanes])
     bound = np.maximum(4.0 * np.spacing(np.abs(ref)), 2.0 * np.finfo(float).eps)
-    certified = np.abs(got[0] - ref) <= bound
-    assert np.all(certified | (got[0] == plain)), np.flatnonzero(~certified)
-    return int(np.count_nonzero(got[0] == plain))
+    certified = np.abs(got - ref) <= bound
+    assert np.all(certified | (got == plain)), np.flatnonzero(~certified)
+    return int(np.count_nonzero(got == plain))
 
 
 class TestLaguerreBottom:
@@ -1597,12 +1556,15 @@ class TestLaguerreBottom:
     one for a double root; one that lands below the top climbs back by
     Laguerre's other root, and one that lands past the next value goes back
     to plain steps. A step of at most 1e-6 |x| is certified at once, by
-    counts over max(4 ulps, 2 eps); a lane whose steps fail is bisected."""
+    counts over max(4 ulps, 2 eps); a lane whose steps fail is bisected.
+    Each lane steps on Python floats, alone or among any number of lanes,
+    with the same bits."""
 
     @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
     def test_every_sweep_bottom_below_the_gate_is_certified(self):
         # every split of d = 2..62 at four alphas and three n, solved as a
-        # sweep solves them (one call per split, one lane per alpha): 11,532
+        # sweep solves them (one call per split, one lane per alpha) and in
+        # one call on all of d's lanes (more than 80 from d = 14): 11,532
         # values, each within max(4 ulps, 2 eps) of the reference or, where
         # its steps fell back, bisection's
         alphas = np.array([0.0, 0.3, 0.6, 0.99])
@@ -1621,28 +1583,23 @@ class TestLaguerreBottom:
 
     @settings(max_examples=100, deadline=None)
     @given(laguerre_lanes())
-    def test_python_floats_and_lane_arrays_give_the_same_bits(self, lanes):
-        # the steps on the negated lanes, NaN where a lane falls back, and
-        # the values of a call under either gate
+    def test_one_lane_and_many_lanes_give_the_same_bits(self, lanes):
+        # the steps on the negated lanes, NaN where a lane falls back and
+        # minus its value where not, and the ends of each lane alone and
+        # among more than 80
         m = lanes[0].order
-        runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
+        runs, scales = eigensolve._fitted(eigensolve._lane_runs(lanes))
         flipped = (np.negative(runs[0]), *runs[1:])
         start = -eigensolve._brackets(runs, DEFAULT_CONFIG)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            floats = [laguerre._scalar_top(row, x, True)
-                      for row, x in zip(eigensolve._row_lists(flipped), start.tolist())]
-            for tail in _TAILS:
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(laguerre, "_TAIL_LANES", tail)
-                    arrays = laguerre._lane_tops(*eigensolve._rows(flipped), start, True)
-                assert arrays.tobytes() == np.array(floats).tobytes(), tail
-        got = []
-        for gate in (10**9, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
-                got.append(lane_eigenvalues(lanes, [1, m]))
-        assert got[0].tobytes() == got[1].tobytes()
+            steps = np.array([laguerre._scalar_top(row, x, True)
+                              for row, x in zip(eigensolve._row_lists(flipped), start.tolist())])
+            alone, together = _alone_and_together(lanes, [1, m], many=True)
+        assert alone.tobytes() == together.tobytes()
+        stepped = steps == steps
+        got = lane_eigenvalues(lanes, [1])[:, 0]
+        assert got[stepped].tobytes() == ((0.0 - steps) / scales)[stepped].tobytes()
 
     @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
     def test_near_double_bottoms_certify_or_fall_back(self):
@@ -1684,7 +1641,7 @@ class TestLaguerreBottom:
             plain = _bisected([t], [1])[0, 0]
             got = lane_eigenvalues([t], [1])[0, 0]
             assert_end(got, t, plain, top=False)
-            for values in _both_paths([t], [1, t.order]):
+            for values in _alone_and_together([t], [1, t.order], many=True):
                 assert got == values[0, 0]
         # the values near 0 certify, within 2 eps, where bisection's stop is
         # about 1e-13
@@ -1698,17 +1655,6 @@ class TestLaguerreBottom:
         loose = lane_eigenvalues([GOLDEN], [1, 2], SolveConfig(bisection_tol=1e-3))[0]
         assert abs(loose[1] - GOLDEN_EIGENVALUES[1]) <= 1e-3 * 7.0
         assert_end(loose[0], GOLDEN, math.nan, top=False)
-
-
-def _isolated(lanes):
-    """The lanes' rows (fitted, _fitted) and the (lane, index, lower, upper)
-    of each value between the ends whose bisection path isolates it."""
-    runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
-    rows = eigensolve._row_lists(runs)
-    lo, hi = (v.tolist() for v in eigensolve._brackets(runs, DEFAULT_CONFIG)[:2])
-    stop = [laguerre._FLOOR] * len(lo)
-    wanted = list(range(2, lanes[0].order))
-    return runs, rows, eigensolve._scalar_bisection(rows, wanted, lo, hi, stop, True)[1]
 
 
 def _check_inner(lanes) -> tuple[int, int]:
@@ -1735,22 +1681,21 @@ def _check_inner(lanes) -> tuple[int, int]:
 
 
 class TestLaguerreInterior:
-    """At _FINISH_ORDERS (4-40), the walk and the rounds bisect each index k
-    between the ends only to the first node on its path whose ends count
-    k - 1 and k, or where its bracket is max(4 ulps, 2 eps) wide. Laguerre
-    steps from that node's midpoint (falling where its count is k, climbing
-    by the other root where it is k - 1), then from its upper and lower
-    ends, finish the value, certified by counts as the ends are; a value
-    whose steps all fail is bisected to the default stop. Values of up to
-    twice _LAGUERRE_LANES step on Python floats, more on lane arrays, with
-    the same bits. A value of index 2 bisected to its stop may not lie
-    below index 1's, nor one of m - 1 above m's."""
+    """At _FINISH_ORDERS (4-40), the walk bisects each index k between the
+    ends only to the first node on its path whose ends count k - 1 and k,
+    or where its bracket is max(4 ulps, 2 eps) wide. Laguerre steps from
+    that node's midpoint (falling where its count is k, climbing by the
+    other root where it is k - 1), then from its upper and lower ends,
+    finish the value, certified by counts as the ends are; a value whose
+    steps all fail is bisected to the default stop. Every value steps on
+    Python floats, whatever the number of lanes, with the same bits. A
+    value of index 2 bisected to its stop may not lie below index 1's, nor
+    one of m - 1 above m's."""
 
     @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
     def test_every_inner_bug_value_below_the_gate_is_certified(self):
         # every split of d = 3-39 at four alphas and three n, one call per
-        # d (rounds, values finished on lane arrays), and the first lanes
-        # alone (the walk, values finished on Python floats)
+        # d (more than 80 lanes from d = 14), and the first lanes alone
         values = far = 0
         for d in (m - 1 for m in eigensolve._FINISH_ORDERS):
             lanes = [bug_tridiagonal(BugSpec(n, d, i), a) for n in (d + 2, 10 * d + 7, 10**6)
@@ -1775,48 +1720,29 @@ class TestLaguerreInterior:
             assert np.all(np.diff(got, axis=1) >= 0.0), d
 
     @settings(max_examples=100, deadline=None)
-    @given(laguerre_lanes())
-    def test_walk_rounds_and_one_index_calls_give_the_same_bits(self, lanes):
+    @given(laguerre_lanes(), st.sampled_from(_BOTH_STOPS))
+    def test_walk_rounds_and_one_index_calls_give_the_same_bits(self, lanes, config):
         # zero pivots, zero off-diagonals, lanes solved scaled (_fitted) and
-        # values near 0 (lanes scaled by 1e-300); each value on lane arrays
-        # and on Python floats, and asked alone
+        # values near 0 (lanes scaled by 1e-300): the walk bisects each
+        # value to its stop as the rounds do on the lanes' row steps, at
+        # either stop, and each value of a call has the bits it has alone
+        # and asked alone
         m = lanes[0].order
+        runs, _ = eigensolve._fitted(eigensolve._lane_runs(lanes))
+        lo, hi, tol, _ = eigensolve._brackets(runs, config)
         indices = np.arange(1, m + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rounds, floats = _both_paths(lanes, indices)
-            assert rounds.tobytes() == floats.tobytes()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(eigensolve, "_LAGUERRE_LANES", 0)
-                assert _both_paths(lanes, indices)[0].tobytes() == floats.tobytes()
+            walked, _ = eigensolve._scalar_bisection(eigensolve._row_lists(runs), indices.tolist(),
+                                                     lo.tolist(), hi.tolist(), tol.tolist())
+            walked = np.array([[values[k] for k in indices.tolist()] for values in walked])
+            rounds = eigensolve._rounds(eigensolve._run_plan(runs, m), indices, lo, hi, tol)
+            assert walked.tobytes() == rounds.tobytes()
+            alone, together = _alone_and_together(lanes, indices, config)
+            assert alone.tobytes() == together.tobytes()
             for k in sorted({2, m // 2, m - 1} & set(range(2, m))):
-                assert lane_eigenvalues(lanes, [k])[:, 0].tobytes() == floats[:, k - 1].tobytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(laguerre_lanes())
-    def test_python_floats_and_lane_arrays_give_the_same_bits(self, lanes):
-        # the steps from each isolating node's midpoint and upper end, NaN
-        # where they fail, with the tail handed on or not
-        m = lanes[0].order
-        if m not in eigensolve._FINISH_ORDERS:
-            return
-        runs, rows, isolated = _isolated(lanes)
-        if not isolated:
-            return
-        j, k, lower, upper = (np.array(v) for v in zip(*isolated))
-        mid = 0.5 * (lower + upper)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for start in (mid, upper):
-                floats = [laguerre._scalar_top(rows[lane], x, skip=m - index, safe=u)
-                          for lane, index, x, u in zip(j.tolist(), k.tolist(), start.tolist(),
-                                                       upper.tolist())]
-                a, c = (v[j] for v in eigensolve._rows(runs))
-                for tail in _TAILS:
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(laguerre, "_TAIL_LANES", tail)
-                        arrays = laguerre._lane_tops(a, c, start, skip=m - k, safe=upper)
-                    assert arrays.tobytes() == np.array(floats).tobytes(), tail
+                one = lane_eigenvalues(lanes, [k], config)[:, 0]
+                assert one.tobytes() == alone[:, k - 1].tobytes()
 
     def test_zero_pivots_at_a_node_fall_back_to_its_ends(self):
         # at alpha 0 a bug quotient has a zero diagonal, and its padded
@@ -1872,8 +1798,7 @@ class TestFloatLanes:
     """Below the run-plan gate the bug paths hand the solver each lane's
     runs as Python floats (eigensolve._float_eigenvalues): the brackets,
     stops, rows and errors of _float_brackets are those of _brackets and
-    _row_lists bit for bit, and so are the values of lane_eigenvalues,
-    on every branch of _solve."""
+    _row_lists bit for bit, and so are the values of lane_eigenvalues."""
 
     @settings(max_examples=200, deadline=None)
     @given(bracket_lanes())
@@ -1898,20 +1823,13 @@ class TestFloatLanes:
     @settings(max_examples=100, deadline=None)
     @given(laguerre_lanes(), st.sampled_from(["all", "top", "ends"]))
     def test_float_lanes_give_lane_eigenvalues_bits(self, lanes, asked):
-        # lanes scaled by 1e160 go the array way, solved scaled (_fitted);
-        # a Laguerre gate of 0 takes the ends on lane arrays, a work bound
-        # of 0 the values between them in rounds, both from the row lists
+        # lanes scaled by 1e160 go the array way, solved scaled (_fitted)
         m = lanes[0].order
         need = {"all": list(range(1, m + 1)), "top": [m], "ends": [1, m]}[asked]
         want = lane_eigenvalues(lanes, need)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for gate, work in ((40, 8400), (0, 0)):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(eigensolve, "_LAGUERRE_LANES", gate)
-                    mp.setattr(eigensolve, "_SCALAR_MAX_WORK", work)
-                    got = eigensolve._float_eigenvalues(_float_runs(lanes), m, need)
-                    assert np.array(got).tobytes() == lane_eigenvalues(lanes, need).tobytes()
+            got = eigensolve._float_eigenvalues(_float_runs(lanes), m, need)
         assert np.array(got).tobytes() == want.tobytes()
 
 
@@ -1919,8 +1837,7 @@ class TestFloatLanes:
 def bug_calls(draw):
     """A call of the bug paths below the run-plan gate: n and d (d <= 62,
     n from d + 2 up to 1e15), lanes (i, alpha) of every split and of alpha
-    in [0, 1) with 0 included, one lane or up to 100 (past the Laguerre
-    gates of 40 lanes for the top and 80 for the bottom), and the indices
+    in [0, 1) with 0 included, one lane or up to 100, and the indices
     asked: the full spectrum, rho alone or {1, m}."""
     d = draw(st.integers(2, _BELOW_GATE - 1))
     n = draw(st.one_of(st.just(d + 2), st.integers(d + 2, 10**15)))
@@ -1948,9 +1865,8 @@ class TestSlotLanes:
     """The bug paths' solve of quotients read off the slot table
     (structured._slot_values) gives lane_eigenvalues's bits on the same
     quotients as SymTridiag, for full spectra, rho alone and {1, m}, on
-    one lane, on Python floats and on lane arrays; so does the halved
-    quotient's, and both raise the same ValueError where padded ends
-    overflow."""
+    one lane and on more than 80; so does the halved quotient's, and both
+    raise the same ValueError where padded ends overflow."""
 
     @settings(max_examples=80, deadline=None)
     @given(bug_calls())
@@ -1986,7 +1902,7 @@ class TestSlotLanes:
             assert np.array(alone).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, tol", [(10**308, 1e-13), (100, 1e308)])
-    @pytest.mark.parametrize("count", [1, 41])
+    @pytest.mark.parametrize("count", [1, 41, 81])
     def test_overflowing_ends_raise_the_same_error(self, n, tol, count):
         # a clique cell near the float limit takes the Gershgorin ends past
         # half the largest float, a stop of 1e308 the padding alone
@@ -2002,31 +1918,27 @@ class TestSlotLanes:
 
 
 def _grid_zeros(alpha):
-    """The n <= 12 grid's quotients at alpha, solved alone and as lane
-    arrays (a Laguerre gate of 0), with their 80-bit references."""
+    """The n <= 12 grid's quotients at alpha, solved alone and as one call
+    per order repeated past 80 lanes, with their 80-bit references."""
     lanes = [bug_tridiagonal(b, alpha) for b in enumerate_bugs(12)]
     for m in sorted({t.order for t in lanes}):
         group = [t for t in lanes if t.order == m]
         ref = longdouble_eigenvalues([t.diag for t in group], [t.offdiag for t in group])
-        alone = np.array([tridiag_eigenvalues(t) for t in group])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eigensolve, "_LAGUERRE_LANES", 0)
-            together = lane_eigenvalues(group, np.arange(1, m + 1))
-        yield m, ref, alone, together
+        yield m, ref, *_alone_and_together(group, np.arange(1, m + 1), many=True)
 
 
 class TestExactZeros:
     """A certified bracket that holds 0 gives +0, not its midpoint, which
-    is rounding noise, on Python floats and on lane arrays alike."""
+    is rounding noise, alone and among any number of lanes alike."""
 
-    def test_p3_at_one_half(self, monkeypatch):
+    def test_p3_at_one_half(self):
         # its smallest value printed as 2.10218774213e-16
         t = bug_tridiagonal(BugSpec(3, 2, 1), 0.5)
         assert tridiag_eigenvalues(t).tolist()[0] == 0.0
         assert math.copysign(1.0, tridiag_eigenvalues(t)[0]) == 1.0
         assert bug_spectrum(BugSpec(3, 2, 1), 0.5).entries[0].value == 0.0
-        monkeypatch.setattr(eigensolve, "_LAGUERRE_LANES", 0)
-        assert lane_eigenvalues([t], [1, 2, 3]).tobytes() == tridiag_eigenvalues(t).tobytes()
+        many = lane_eigenvalues([t] * 81, [1, 2, 3])
+        assert many.tobytes() == np.tile(tridiag_eigenvalues(t), (81, 1)).tobytes()
 
     @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble has no 64-bit mantissa here")
     def test_grid_zeros_at_alpha_0(self):
